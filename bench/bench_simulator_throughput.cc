@@ -1,12 +1,17 @@
 // Simulator-throughput trajectory: times the 500-seed difftest sweep on the
-// cycle-detailed engine vs the fast path (pooled machines + decoded-trace
-// cache + sampled timing, docs/perf.md) and writes BENCH_simulator.json.
+// cycle-detailed engine two ways and writes BENCH_simulator.json:
 //
-// This is the repo's first BENCH artifact: CI uploads the JSON so the
-// wall-clock trajectory of the simulator itself is tracked over time, and
-// the binary exits non-zero if the fast path falls below the contracted
-// speedup (default 5x, --min-speedup=N to override) or if the 200-seed
-// cross-validation finds any fast-vs-detailed divergence.
+//   fresh   one freshly constructed Machine per (seed, cpu, config) cell —
+//           the construction cost that reuse avoids;
+//   reused  RunDifftest itself, which keeps one Machine per (block of 32
+//           seeds, cpu) and Reset()s it between cells.
+//
+// Both sweeps must agree with the reference interpreter on every cell and
+// retire the same instruction count, so the speedup is pure machine-reuse
+// gain on identical work. CI uploads the JSON so the wall-clock trajectory
+// of the simulator itself is tracked over time; the binary exits non-zero
+// below the contracted speedup (default 2x, --min-speedup=X to override) or
+// if the trace cache's eviction check fails.
 //
 // Usage: bench_simulator_throughput [--out=BENCH_simulator.json]
 //                                   [--seeds=N] [--min-speedup=X]
@@ -31,22 +36,46 @@ double Seconds(std::chrono::steady_clock::time_point begin,
   return std::chrono::duration<double>(end - begin).count();
 }
 
-struct TimedReport {
-  DifftestReport report;
+struct TimedSweep {
+  uint64_t cells = 0;
+  uint64_t retired = 0;
+  uint64_t divergences = 0;
   double wall_s = 0.0;
 };
 
-TimedReport TimeDifftest(uint64_t seeds, bool fast) {
+// Single-threaded throughout: measure the engine, not the thread pool.
+TimedSweep TimeFreshMachines(uint64_t seeds) {
+  TimedSweep timed;
+  const auto begin = std::chrono::steady_clock::now();
+  for (uint64_t seed = 0; seed < seeds; seed++) {
+    const Program program = GenerateProgram(seed, GeneratorOptions{});
+    const ReferenceResult ref = RunReference(program);
+    for (Uarch u : AllUarches()) {
+      for (const DiffConfig& config : DefaultDiffConfigs()) {
+        const ArchState got = RunMachineArch(program, GetCpuModel(u), config, 1'000'000);
+        timed.cells++;
+        timed.retired += got.retired;
+        timed.divergences += ref.ok && got == ref.state ? 0 : 1;
+      }
+    }
+  }
+  timed.wall_s = Seconds(begin, std::chrono::steady_clock::now());
+  return timed;
+}
+
+TimedSweep TimeReusedMachines(uint64_t seeds) {
   DifftestOptions options;
   options.seed_begin = 0;
   options.seed_end = seeds;
-  options.jobs = 1;  // single-threaded: measure engine throughput, not the pool
+  options.jobs = 1;
   options.shrink = false;
-  options.fast = fast;
   const auto begin = std::chrono::steady_clock::now();
-  TimedReport timed;
-  timed.report = RunDifftest(options);
+  const DifftestReport report = RunDifftest(options);
+  TimedSweep timed;
   timed.wall_s = Seconds(begin, std::chrono::steady_clock::now());
+  timed.cells = report.executions;
+  timed.retired = report.retired_instructions;
+  timed.divergences = report.divergences.size();
   return timed;
 }
 
@@ -96,7 +125,7 @@ double MeasureHotHitRateAcrossEvictions(TraceCache::Stats* stats_out) {
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_simulator.json";
   uint64_t seeds = 500;
-  double min_speedup = 5.0;
+  double min_speedup = 2.0;
   for (int i = 1; i < argc; i++) {
     const std::string arg = argv[i];
     if (arg.rfind("--out=", 0) == 0) {
@@ -111,42 +140,27 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Detailed baseline: fresh machine per cell, full cycle accounting.
-  const TimedReport detailed = TimeDifftest(seeds, /*fast=*/false);
-  if (!detailed.report.ok()) {
-    std::fprintf(stderr, "detailed difftest diverged:\n%s", detailed.report.ToText().c_str());
-    return 1;
-  }
-
-  // Fast path, with trace-cache stats isolated to this sweep.
+  const TimedSweep fresh = TimeFreshMachines(seeds);
+  // Trace-cache stats isolated to the reused sweep, starting cold.
   TraceCache::Global().Clear();
   TraceCache::Global().ResetStats();
-  const TimedReport fast = TimeDifftest(seeds, /*fast=*/true);
+  const TimedSweep reused = TimeReusedMachines(seeds);
   const TraceCache::Stats cache = TraceCache::Global().stats();
-  if (!fast.report.ok()) {
-    std::fprintf(stderr, "fast difftest diverged:\n%s", fast.report.ToText().c_str());
+  if (fresh.divergences != 0 || reused.divergences != 0) {
+    std::fprintf(stderr, "FAIL: oracle divergences (fresh %llu, reused %llu)\n",
+                 static_cast<unsigned long long>(fresh.divergences),
+                 static_cast<unsigned long long>(reused.divergences));
     return 1;
   }
-
-  // Cross-validation: every fast cell re-checked against the detailed
-  // engine on 200 fresh seeds. The speedup number is only meaningful while
-  // this stays green.
-  DifftestOptions xval;
-  xval.seed_begin = 0;
-  xval.seed_end = 200;
-  xval.jobs = 0;
-  xval.shrink = false;
-  xval.fast = true;
-  xval.cross_validate = true;
-  const DifftestReport xval_report = RunDifftest(xval);
-  if (!xval_report.ok()) {
-    std::fprintf(stderr, "fast-vs-detailed cross-validation failed:\n%s",
-                 xval_report.ToText().c_str());
+  if (fresh.cells != reused.cells || fresh.retired != reused.retired) {
+    std::fprintf(stderr, "FAIL: the two sweeps measured different work (%llu vs %llu retired)\n",
+                 static_cast<unsigned long long>(fresh.retired),
+                 static_cast<unsigned long long>(reused.retired));
     return 1;
   }
 
   // Eviction no-cliff check: the bounded-eviction contract, measured past
-  // the capacity boundary. (Runs after the sweep so the sweep's own cache
+  // the capacity boundary. (Runs after the sweeps so the sweep's own cache
   // stats above are not polluted by the synthetic programs.)
   TraceCache::Stats eviction_stats;
   const double hot_hit_rate = MeasureHotHitRateAcrossEvictions(&eviction_stats);
@@ -162,36 +176,36 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const double speedup = detailed.wall_s / fast.wall_s;
-  const double cells = static_cast<double>(fast.report.executions);
+  const double speedup = fresh.wall_s / reused.wall_s;
+  const double cells = static_cast<double>(reused.cells);
+  const double retired = static_cast<double>(reused.retired);
   char json[2048];
   std::snprintf(
       json, sizeof(json),
       "{\n"
       "  \"bench\": \"simulator_throughput\",\n"
+      "  \"engine\": \"detailed\",\n"
       "  \"seeds\": %llu,\n"
       "  \"cells\": %llu,\n"
-      "  \"detailed_wall_s\": %.3f,\n"
-      "  \"fast_wall_s\": %.3f,\n"
+      "  \"retired_instructions\": %llu,\n"
+      "  \"fresh_wall_s\": %.3f,\n"
+      "  \"reused_wall_s\": %.3f,\n"
       "  \"speedup\": %.2f,\n"
-      "  \"detailed_instrs_per_s\": %.0f,\n"
-      "  \"fast_instrs_per_s\": %.0f,\n"
-      "  \"detailed_cells_per_s\": %.0f,\n"
-      "  \"fast_cells_per_s\": %.0f,\n"
+      "  \"fresh_instrs_per_s\": %.0f,\n"
+      "  \"reused_instrs_per_s\": %.0f,\n"
+      "  \"fresh_cells_per_s\": %.0f,\n"
+      "  \"reused_cells_per_s\": %.0f,\n"
       "  \"trace_cache\": {\"hits\": %llu, \"misses\": %llu, \"hit_rate\": %.3f,\n"
       "                  \"evictions\": %llu, \"collisions\": %llu},\n"
-      "  \"trace_cache_hot_hit_rate_past_capacity\": %.3f,\n"
-      "  \"cross_validation\": {\"seeds\": 200, \"divergences\": %llu}\n"
+      "  \"trace_cache_hot_hit_rate_past_capacity\": %.3f\n"
       "}\n",
-      static_cast<unsigned long long>(seeds),
-      static_cast<unsigned long long>(fast.report.executions), detailed.wall_s, fast.wall_s,
-      speedup, static_cast<double>(detailed.report.retired_instructions) / detailed.wall_s,
-      static_cast<double>(fast.report.retired_instructions) / fast.wall_s,
-      cells / detailed.wall_s, cells / fast.wall_s,
-      static_cast<unsigned long long>(cache.hits), static_cast<unsigned long long>(cache.misses),
-      cache.hit_rate(), static_cast<unsigned long long>(cache.evictions),
-      static_cast<unsigned long long>(cache.collisions), hot_hit_rate,
-      static_cast<unsigned long long>(xval_report.divergences.size()));
+      static_cast<unsigned long long>(seeds), static_cast<unsigned long long>(reused.cells),
+      static_cast<unsigned long long>(reused.retired), fresh.wall_s, reused.wall_s, speedup,
+      retired / fresh.wall_s, retired / reused.wall_s, cells / fresh.wall_s,
+      cells / reused.wall_s, static_cast<unsigned long long>(cache.hits),
+      static_cast<unsigned long long>(cache.misses), cache.hit_rate(),
+      static_cast<unsigned long long>(cache.evictions),
+      static_cast<unsigned long long>(cache.collisions), hot_hit_rate);
 
   std::ofstream out(out_path);
   if (!out) {
@@ -205,6 +219,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: speedup %.2fx below the %.1fx floor\n", speedup, min_speedup);
     return 1;
   }
-  std::printf("OK: fast path %.2fx faster than detailed (floor %.1fx)\n", speedup, min_speedup);
+  std::printf("OK: machine reuse %.2fx faster than fresh machines (floor %.1fx)\n", speedup,
+              min_speedup);
   return 0;
 }

@@ -5,6 +5,7 @@
 #include "src/difftest/difftest.h"
 #include "src/difftest/generator.h"
 #include "src/difftest/reference.h"
+#include "src/uarch/machine.h"
 #include "src/util/rng.h"
 #include "src/workload/lebench.h"
 #include "src/workload/octane.h"
@@ -144,13 +145,13 @@ Sweep BuildDifftestGrid(const DifftestGridOptions& options) {
     for (const DiffConfig& config : DefaultDiffConfigs()) {
       sweep.Add(
           SweepCellKey{UarchName(u), config.name, "difftest"},
-          [u, config, begin = options.seed_begin, end = options.seed_end, fast = options.fast,
+          [u, config, begin = options.seed_begin, end = options.seed_end,
            max_instructions = options.max_instructions](uint64_t) {
             // The oracle seeds are the cell's content, not sampling noise:
             // the cell ignores the runner-derived seed so its output bytes
             // depend only on (cpus, configs, seed window, max_instructions)
-            // — identical for any --jobs value and for fast vs detailed.
-            const CpuModel& cpu = GetCpuModel(u);
+            // — identical for any --jobs value.
+            Machine machine(GetCpuModel(u));
             uint64_t divergences = 0;
             uint64_t retired = 0;
             for (uint64_t seed = begin; seed < end; seed++) {
@@ -160,10 +161,7 @@ Sweep BuildDifftestGrid(const DifftestGridOptions& options) {
                 divergences++;
                 continue;
               }
-              const ArchState got = fast
-                                        ? RunMachineArchFast(program, cpu, config,
-                                                             max_instructions)
-                                        : RunMachineArch(program, cpu, config, max_instructions);
+              const ArchState got = RunMachineArch(machine, program, config, max_instructions);
               retired += got.retired;
               if (!(got == ref.state)) {
                 divergences++;
@@ -183,10 +181,24 @@ Sweep BuildDifftestGrid(const DifftestGridOptions& options) {
   return sweep;
 }
 
+SamplerOptions SamplerForFast(bool fast) {
+  SamplerOptions sampler;
+  if (fast) {
+    sampler.min_samples = 3;
+    sampler.max_samples = 6;
+    sampler.target_relative_ci = 0.03;
+  } else {
+    sampler.min_samples = 5;
+    sampler.max_samples = 20;
+    sampler.target_relative_ci = 0.01;
+  }
+  return sampler;
+}
+
 bool BuildNamedGrids(const NamedGridOptions& options, Sweep* out, std::string* error) {
   Sweep sweep;
   GridOptions grid;
-  grid.sampler = options.sampler;
+  grid.sampler = SamplerForFast(options.fast);
   grid.cpus = options.cpus;
   for (const std::string& name : options.grids) {
     if (name == "fig2") {
@@ -200,7 +212,6 @@ bool BuildNamedGrids(const NamedGridOptions& options, Sweep* out, std::string* e
       difftest.cpus = options.cpus;
       difftest.seed_begin = options.seed_begin;
       difftest.seed_end = options.seed_end;
-      difftest.fast = options.fast;
       sweep.Merge(BuildDifftestGrid(difftest));
     } else {
       *error = "unknown grid: \"" + name + "\" (valid: fig2, fig3, sec45, difftest)";

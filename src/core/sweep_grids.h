@@ -31,28 +31,30 @@ Sweep BuildSection45Grid(const GridOptions& options);
 
 // Differential-execution oracle as a sweep: one cell per (CPU × difftest
 // config), each running every seed in [seed_begin, seed_end) against the
-// reference interpreter and reporting divergence / retired-instruction
-// counts. With fast=true the cell uses the pooled-machine sampled-timing
-// engine (docs/perf.md) — the cell *output* must be byte-identical either
-// way, which is what the CI determinism check pins.
+// reference interpreter on one reused Machine and reporting divergence /
+// retired-instruction counts.
 struct DifftestGridOptions {
   std::vector<Uarch> cpus = AllUarches();
   uint64_t seed_begin = 0;
   uint64_t seed_end = 100;  // exclusive
-  bool fast = false;
   uint64_t max_instructions = 1'000'000;
 };
 Sweep BuildDifftestGrid(const DifftestGridOptions& options);
 
+// The sampler budget behind the CLI's --fast: fast=true trades confidence
+// (3-6 samples, 3% CI target) for a quick run; fast=false is the default
+// 5-20 samples at a 1% CI target.
+SamplerOptions SamplerForFast(bool fast);
+
 // Shared grid-name dispatcher for `spectrebench sweep` and the sweep
 // service: builds and merges the named grids ("fig2", "fig3", "sec45",
-// "difftest") in list order. `seed_begin`/`seed_end`/`fast` only affect the
-// difftest grid; `sampler` only the figure/section grids. Returns false
-// with a one-line reason for an unknown grid name.
+// "difftest") in list order. `seed_begin`/`seed_end` only affect the
+// difftest grid; `fast` (the SamplerForFast budget) only the
+// figure/section grids. Returns false with a one-line reason for an unknown
+// grid name.
 struct NamedGridOptions {
   std::vector<std::string> grids;
   std::vector<Uarch> cpus = AllUarches();
-  SamplerOptions sampler;
   uint64_t seed_begin = 0;
   uint64_t seed_end = 100;  // exclusive
   bool fast = false;

@@ -1,5 +1,6 @@
 #include "src/difftest/difftest.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
@@ -9,7 +10,6 @@
 #include "src/os/mitigation_config.h"
 #include "src/runner/thread_pool.h"
 #include "src/uarch/machine.h"
-#include "src/uarch/machine_pool.h"
 #include "src/util/check.h"
 
 namespace specbench {
@@ -29,7 +29,7 @@ std::string ShellArg(const std::string& arg) {
 }
 
 std::string ReproCommandLine(uint64_t seed, const std::string& cpu, const std::string& config,
-                             uint64_t inject_alu_fault_after, bool fast = false) {
+                             uint64_t inject_alu_fault_after) {
   std::ostringstream out;
   out << "spectrebench difftest --seeds=" << seed << ":" << seed + 1;
   if (!cpu.empty() && cpu != "-") {
@@ -44,9 +44,6 @@ std::string ReproCommandLine(uint64_t seed, const std::string& cpu, const std::s
   }
   if (inject_alu_fault_after != 0) {
     out << " --inject-alu-fault=" << inject_alu_fault_after;
-  }
-  if (fast) {
-    out << " --fast";
   }
   return out.str();
 }
@@ -64,6 +61,11 @@ void ApplyDiffConfig(Machine* m, const DiffConfig& config) {
   m->SetStibp(config.stibp);
   m->SetPcidEnabled(config.pcid);
 }
+
+// Seeds per oracle task. A task constructs one Machine per CPU model, so a
+// block amortizes the cache-hierarchy allocation over this many seeds x
+// configs while keeping enough tasks to spread 500 seeds over a few workers.
+constexpr uint64_t kSeedsPerTask = 32;
 
 // Per-seed result slot: written by exactly one task, merged in seed order.
 struct SeedResult {
@@ -95,14 +97,9 @@ bool TryGetDiffConfigByName(const std::string& name, DiffConfig* out) {
   return false;
 }
 
-namespace {
-
-// Shared tail of both RunMachineArch variants: set up the program, the
-// config and the trace hook, run via `run`, drain, and collect the canonical
-// architectural end state.
-template <typename RunFn>
-ArchState RunArchOn(Machine& m, const Program& program, const DiffConfig& config,
-                    uint64_t inject_alu_fault_after, RunFn run) {
+ArchState RunMachineArch(Machine& m, const Program& program, const DiffConfig& config,
+                         uint64_t max_instructions, uint64_t inject_alu_fault_after) {
+  m.Reset();
   m.LoadProgram(&program);
   ApplyDiffConfig(&m, config);
   if (inject_alu_fault_after != 0) {
@@ -116,7 +113,9 @@ ArchState RunArchOn(Machine& m, const Program& program, const DiffConfig& config
     state.trace_hash = FoldTraceHash(state.trace_hash, record.index, record.op);
   });
 
-  const Machine::RunResult result = run(m);
+  // RunPartial: exhausting the budget is a reportable outcome (halted=false
+  // diverges from the reference), not a SPECBENCH_CHECK abort like Run.
+  const Machine::RunResult result = m.RunPartial(program.base_vaddr(), max_instructions);
   m.DrainPipeline();
   m.DrainStoreBuffer();
 
@@ -129,29 +128,15 @@ ArchState RunArchOn(Machine& m, const Program& program, const DiffConfig& config
   state.halted = result.halted;
   state.memory_digest = DigestMemoryWords(m.physical_memory().SortedNonZeroWords());
   // The hook captures stack state; detach it before the machine outlives the
-  // frame (pooled machines are reused, and Reset would clear it anyway).
+  // frame (reused machines run further cells).
   m.SetTraceHook(nullptr);
   return state;
 }
 
-}  // namespace
-
 ArchState RunMachineArch(const Program& program, const CpuModel& cpu, const DiffConfig& config,
                          uint64_t max_instructions, uint64_t inject_alu_fault_after) {
   Machine m(cpu);
-  // RunPartial: exhausting the budget is a reportable outcome (halted=false
-  // diverges from the reference), not a SPECBENCH_CHECK abort like Run.
-  return RunArchOn(m, program, config, inject_alu_fault_after, [&](Machine& machine) {
-    return machine.RunPartial(program.base_vaddr(), max_instructions);
-  });
-}
-
-ArchState RunMachineArchFast(const Program& program, const CpuModel& cpu, const DiffConfig& config,
-                             uint64_t max_instructions, uint64_t inject_alu_fault_after) {
-  Machine& m = MachinePool::ThreadLocal().Acquire(cpu);
-  return RunArchOn(m, program, config, inject_alu_fault_after, [&](Machine& machine) {
-    return machine.RunSampled(program.base_vaddr(), max_instructions, Machine::FastForwardPlan{});
-  });
+  return RunMachineArch(m, program, config, max_instructions, inject_alu_fault_after);
 }
 
 DifftestReport RunDifftest(const DifftestOptions& options) {
@@ -162,86 +147,78 @@ DifftestReport RunDifftest(const DifftestOptions& options) {
   const uint64_t count = options.seed_end - options.seed_begin;
 
   std::vector<SeedResult> slots(static_cast<size_t>(count));
-  auto run_seed = [&](uint64_t seed, SeedResult* slot) {
-    const Program program = GenerateProgram(seed, options.generator);
-    const ReferenceResult ref = RunReference(program, options.max_instructions);
-    if (!ref.ok) {
-      Divergence d;
-      d.seed = seed;
-      d.cpu = '-';
-      d.config = '-';
-      d.detail = "reference: ";
-      d.detail += ref.error;
-      d.repro = ReproCommandLine(seed, "-", "-", options.inject_alu_fault_after);
-      slot->divergences.push_back(std::move(d));
-      return;
-    }
-    for (Uarch u : cpus) {
-      const CpuModel& cpu = GetCpuModel(u);
-      for (const DiffConfig& config : configs) {
-        const ArchState got =
-            options.fast ? RunMachineArchFast(program, cpu, config, options.max_instructions,
-                                              options.inject_alu_fault_after)
-                         : RunMachineArch(program, cpu, config, options.max_instructions,
-                                          options.inject_alu_fault_after);
-        slot->executions++;
-        slot->retired += got.retired;
-        if (options.fast && options.cross_validate) {
-          // Prove the sampling contract on this exact cell: the detailed
-          // engine must land on the same architectural end state.
-          const ArchState detailed = RunMachineArch(program, cpu, config, options.max_instructions,
-                                                    options.inject_alu_fault_after);
-          slot->executions++;
-          if (!(got == detailed)) {
-            Divergence d;
-            d.seed = seed;
-            d.cpu = UarchName(u);
-            d.config = config.name;
-            d.detail = "fast-path: ";
-            d.detail += DescribeArchDivergence(detailed, got);
-            d.repro = ReproCommandLine(seed, d.cpu, d.config, options.inject_alu_fault_after,
-                                       /*fast=*/true);
-            d.repro += " --cross-validate";
-            slot->divergences.push_back(std::move(d));
-          }
-        }
-        if (got == ref.state) {
-          continue;
-        }
+  // One task per block of seed indices [first, last). CPUs are the outer
+  // loop, so a task holds one Machine at a time and Resets it between every
+  // cell of that CPU across the block (configs, seeds and shrink candidates
+  // alike). Each seed's slot still receives its divergences in (cpu, config)
+  // order, because only this task writes it.
+  auto run_block = [&](uint64_t first, uint64_t last) {
+    std::vector<Program> programs;
+    std::vector<ReferenceResult> refs;
+    for (uint64_t i = first; i < last; i++) {
+      const uint64_t seed = options.seed_begin + i;
+      programs.push_back(GenerateProgram(seed, options.generator));
+      refs.push_back(RunReference(programs.back(), options.max_instructions));
+      if (!refs.back().ok) {
         Divergence d;
         d.seed = seed;
-        d.cpu = UarchName(u);
-        d.config = config.name;
-        d.detail = DescribeArchDivergence(ref.state, got);
-        d.repro =
-            ReproCommandLine(seed, d.cpu, d.config, options.inject_alu_fault_after, options.fast);
-        if (options.shrink) {
-          auto still_fails = [&](const Program& candidate) {
-            const ReferenceResult r = RunReference(candidate, options.max_instructions);
-            if (!r.ok) {
-              return false;  // invalid candidate: would abort the machine
-            }
-            const ArchState g =
-                options.fast ? RunMachineArchFast(candidate, cpu, config, options.max_instructions,
-                                                  options.inject_alu_fault_after)
-                             : RunMachineArch(candidate, cpu, config, options.max_instructions,
-                                              options.inject_alu_fault_after);
-            return !(g == r.state);
-          };
-          d.shrunk = ShrinkProgram(program, still_fails);
-          d.shrunk_size = CountNonNop(d.shrunk);
+        d.cpu = '-';
+        d.config = '-';
+        d.detail = "reference: ";
+        d.detail += refs.back().error;
+        d.repro = ReproCommandLine(seed, "-", "-", options.inject_alu_fault_after);
+        slots[static_cast<size_t>(i)].divergences.push_back(std::move(d));
+      }
+    }
+    for (Uarch u : cpus) {
+      Machine machine(GetCpuModel(u));
+      for (uint64_t i = first; i < last; i++) {
+        const uint64_t seed = options.seed_begin + i;
+        const Program& program = programs[static_cast<size_t>(i - first)];
+        const ReferenceResult& ref = refs[static_cast<size_t>(i - first)];
+        if (!ref.ok) {
+          continue;
         }
-        slot->divergences.push_back(std::move(d));
+        SeedResult* slot = &slots[static_cast<size_t>(i)];
+        for (const DiffConfig& config : configs) {
+          const ArchState got = RunMachineArch(machine, program, config, options.max_instructions,
+                                               options.inject_alu_fault_after);
+          slot->executions++;
+          slot->retired += got.retired;
+          if (got == ref.state) {
+            continue;
+          }
+          Divergence d;
+          d.seed = seed;
+          d.cpu = UarchName(u);
+          d.config = config.name;
+          d.detail = DescribeArchDivergence(ref.state, got);
+          d.repro = ReproCommandLine(seed, d.cpu, d.config, options.inject_alu_fault_after);
+          if (options.shrink) {
+            auto still_fails = [&](const Program& candidate) {
+              const ReferenceResult r = RunReference(candidate, options.max_instructions);
+              if (!r.ok) {
+                return false;  // invalid candidate: would abort the machine
+              }
+              const ArchState g = RunMachineArch(machine, candidate, config,
+                                                 options.max_instructions,
+                                                 options.inject_alu_fault_after);
+              return !(g == r.state);
+            };
+            d.shrunk = ShrinkProgram(program, still_fails);
+            d.shrunk_size = CountNonNop(d.shrunk);
+          }
+          slot->divergences.push_back(std::move(d));
+        }
       }
     }
   };
 
   {
     ThreadPool pool(options.jobs < 0 ? 1 : static_cast<size_t>(options.jobs));
-    for (uint64_t i = 0; i < count; i++) {
-      const uint64_t seed = options.seed_begin + i;
-      SeedResult* slot = &slots[static_cast<size_t>(i)];
-      pool.Submit([&run_seed, seed, slot] { run_seed(seed, slot); });
+    for (uint64_t first = 0; first < count; first += kSeedsPerTask) {
+      const uint64_t last = std::min(count, first + kSeedsPerTask);
+      pool.Submit([&run_block, first, last] { run_block(first, last); });
     }
     pool.Wait();
   }

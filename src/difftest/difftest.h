@@ -10,6 +10,12 @@
 // simulator bug, and gets greedily shrunk (src/difftest/shrink.h) into a
 // small reproducer plus a self-contained replay command line.
 //
+// Every cell runs on the cycle-detailed engine. Seeds run in blocks; each
+// block constructs one Machine per CPU model and Reset()s it between every
+// config, seed and shrink candidate, so a block pays for one cache-hierarchy
+// allocation per CPU instead of one per cell, and a worker holds one machine
+// at a time.
+//
 // Determinism contract: the report depends only on (seed range, cpu list,
 // config list, generator options, fault injection) — never on --jobs or
 // scheduling. Each seed's work writes to its own pre-allocated slot and the
@@ -28,6 +34,8 @@
 
 namespace specbench {
 
+class Machine;
+
 // One mitigation configuration applied to a bare Machine (no OS substrate:
 // the knobs below are the ones with direct machine-level state; the rest of
 // MitigationConfig lives in kernel code paths difftest does not execute).
@@ -45,19 +53,18 @@ std::vector<DiffConfig> DefaultDiffConfigs();
 // Looks `name` up in DefaultDiffConfigs(). Returns false if unknown.
 bool TryGetDiffConfigByName(const std::string& name, DiffConfig* out);
 
-// Executes `program` on a fresh Machine for (cpu, config) and returns its
-// canonical architectural end state. `inject_alu_fault_after` (when nonzero)
-// arms Machine::InjectAluFaultForTesting — the oracle self-check.
-ArchState RunMachineArch(const Program& program, const CpuModel& cpu, const DiffConfig& config,
+// Resets `machine` to power-on state, executes `program` on it under
+// `config` with the cycle-detailed engine and returns its canonical
+// architectural end state. `inject_alu_fault_after` (when nonzero) arms
+// Machine::InjectAluFaultForTesting — the oracle self-check. Machine::Reset
+// makes a reused machine bit- and cycle-identical to a fresh one, so callers
+// running many cells on one CPU model keep one machine and pass it here.
+ArchState RunMachineArch(Machine& machine, const Program& program, const DiffConfig& config,
                          uint64_t max_instructions, uint64_t inject_alu_fault_after = 0);
 
-// Fast-path variant: reuses a pooled machine (uarch::MachinePool) and runs
-// with sampled timing (Machine::RunSampled) — functional fast-forward
-// stretches between cycle-detailed windows. The architectural end state is
-// contractually identical to RunMachineArch (docs/perf.md); cycle counts and
-// PMCs are estimates and are excluded from ArchState on purpose.
-ArchState RunMachineArchFast(const Program& program, const CpuModel& cpu, const DiffConfig& config,
-                             uint64_t max_instructions, uint64_t inject_alu_fault_after = 0);
+// The same on a freshly constructed Machine for `cpu` (one-off runs).
+ArchState RunMachineArch(const Program& program, const CpuModel& cpu, const DiffConfig& config,
+                         uint64_t max_instructions, uint64_t inject_alu_fault_after = 0);
 
 struct DifftestOptions {
   uint64_t seed_begin = 0;
@@ -69,12 +76,6 @@ struct DifftestOptions {
   int jobs = 1;                       // worker threads (0 = hardware)
   uint64_t inject_alu_fault_after = 0;  // fault every machine run (self-check)
   bool shrink = true;                 // minimize diverging programs
-  bool fast = false;                  // pooled machines + sampled timing
-  // With fast: additionally run the detailed engine for every cell and
-  // demand the same ArchState; mismatches are reported as "fast-path:"
-  // divergences. The CI fuzz job runs this mode to prove the sampling
-  // contract on live seeds.
-  bool cross_validate = false;
 };
 
 struct Divergence {

@@ -65,7 +65,7 @@ struct ServiceRequest {
   uint64_t base_seed = 1;
   uint64_t seed_begin = 0;  // difftest grid seed window
   uint64_t seed_end = 100;
-  bool fast = false;
+  bool fast = false;        // the CLI's --fast: smaller sampler budget
   ShardSpec shard;
 };
 

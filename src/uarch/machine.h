@@ -186,24 +186,6 @@ class Machine {
   // (halted=false, resume_rip set). Used to interleave SMT sibling threads.
   RunResult RunPartial(uint64_t entry_vaddr, uint64_t max_instructions);
 
-  // SMARTS-style sampled execution (docs/perf.md): after a cycle-detailed
-  // warmup, alternate functional fast-forward stretches (architectural
-  // execution only, reference-interpreter semantics, pipeline drained) with
-  // cycle-detailed windows. Architecturally exact — identical retired
-  // instruction stream, registers, memory and trace hooks as RunPartial —
-  // while cycle counts become an estimate (functional stretches are charged
-  // at the CPI observed in the last detailed window). Instructions the
-  // functional interpreter cannot execute (syscalls, MSR/cr3 writes, rdtsc,
-  // FPU traps, faulting accesses, ...) fall back into the next detailed
-  // window, which always executes at least one instruction.
-  struct FastForwardPlan {
-    uint64_t warmup_instructions = 64;      // detailed prefix
-    uint64_t detail_instructions = 32;      // detailed window per period
-    uint64_t functional_instructions = 512; // fast-forward stretch per period
-  };
-  RunResult RunSampled(uint64_t entry_vaddr, uint64_t max_instructions,
-                       const FastForwardPlan& plan);
-
   // Architectural thread context for SMT-style interleaving: registers and
   // control state only — caches, predictors, fill buffers and the store
   // buffer are the *shared* core resources siblings contend on (and leak
@@ -343,12 +325,6 @@ class Machine {
   // `budget` cycles beginning at absolute cycle `t0` (speculation.cc).
   void RunSpeculativeEpisode(int32_t index, uint64_t t0, uint64_t budget);
   void SpeculativeEpisodeBody(int32_t index, uint64_t t0, uint64_t budget);
-
-  // Functional fast-forward engine (machine_fastpath.cc): executes up to
-  // `budget` instructions architecturally (no timing, no episodes, direct
-  // memory writes) and returns how many it retired. Stops early at kHalt or
-  // at the first instruction outside the functional subset.
-  uint64_t RunFunctional(uint64_t budget);
 
   uint64_t EffectiveAddress(const Instruction& instr,
                             const std::array<uint64_t, kNumRegs>& regs) const;

@@ -18,9 +18,4 @@ Machine& MachinePool::Acquire(const CpuModel& cpu) {
   return *it->second;
 }
 
-MachinePool& MachinePool::ThreadLocal() {
-  thread_local MachinePool pool;
-  return pool;
-}
-
 }  // namespace specbench

@@ -1,11 +1,10 @@
-// Machine reuse across sweep cells.
+// Machine reuse across cells that mix CPU models.
 //
 // Constructing a Machine is dominated by allocating and zeroing the cache
-// hierarchy's way arrays (megabytes for an L3), which the difftest / sweep
-// hot loop used to pay on every (seed, cpu, config) cell. A MachinePool
-// keeps one Machine per CPU model and hands it back Reset() to power-on
-// state, so the per-cell cost drops to an O(1) generation-bump reset. The
-// reset regression test (tests/uarch_reset_test.cc) pins the contract that a
+// hierarchy's way arrays (megabytes for an L3). A MachinePool keeps one
+// Machine per CPU model and hands it back Reset() to power-on state, so the
+// per-cell cost drops to an O(1) generation-bump reset. The reset
+// regression test (tests/uarch_reset_test.cc) pins the contract that a
 // reused machine is bit- and cycle-identical to a fresh one.
 #ifndef SPECTREBENCH_SRC_UARCH_MACHINE_POOL_H_
 #define SPECTREBENCH_SRC_UARCH_MACHINE_POOL_H_
@@ -18,10 +17,8 @@
 
 namespace specbench {
 
-// A pool of reusable Machines keyed by CPU model identity. Not thread-safe;
-// use ThreadLocal() to get the calling thread's pool (worker threads of the
-// sweep runner each reuse their own machines for the lifetime of the pool's
-// thread).
+// A pool of reusable Machines keyed by CPU model identity. Not thread-safe:
+// give each worker its own pool.
 class MachinePool {
  public:
   // Returns a machine for `cpu` in power-on state: freshly constructed on
@@ -31,8 +28,6 @@ class MachinePool {
   Machine& Acquire(const CpuModel& cpu);
 
   size_t size() const { return machines_.size(); }
-
-  static MachinePool& ThreadLocal();
 
  private:
   std::map<const CpuModel*, std::unique_ptr<Machine>> machines_;

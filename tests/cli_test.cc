@@ -102,10 +102,21 @@ TEST(CliFlags, DifftestRejectsUnknownFlag) {
       << r.output;
 }
 
-TEST(CliFlags, CrossValidateRequiresFast) {
-  const RunOutput r = RunCli("difftest --seeds=0:1 --cross-validate");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_EQ(r.output, "--cross-validate requires --fast\n");
+// The oracle has one engine, so difftest takes no --fast or
+// --cross-validate: both are rejected like any other unknown option.
+TEST(CliFlags, DifftestRejectsFastAndCrossValidate) {
+  const char* kValid =
+      "(valid options: --seeds --cpus --configs --jobs --inject-alu-fault --corpus-out "
+      "--replay --arch-hashes)\n";
+  const RunOutput fast = RunCli("difftest --seeds=0:1 --fast");
+  EXPECT_EQ(fast.exit_code, 2);
+  EXPECT_EQ(fast.output,
+            std::string("spectrebench difftest: unrecognized option '--fast' ") + kValid);
+  const RunOutput xval = RunCli("difftest --seeds=0:1 --cross-validate");
+  EXPECT_EQ(xval.exit_code, 2);
+  EXPECT_EQ(xval.output,
+            std::string("spectrebench difftest: unrecognized option '--cross-validate' ") +
+                kValid);
 }
 
 TEST(CliFlags, UnknownCommandReportedBeforeFlags) {
@@ -117,7 +128,7 @@ TEST(CliFlags, UnknownCommandReportedBeforeFlags) {
 // --- Valid invocations stay valid -----------------------------------------
 
 TEST(CliFlags, DifftestAcceptsItsFlags) {
-  const RunOutput r = RunCli("difftest --seeds=0:2 --jobs=2 --fast --cross-validate");
+  const RunOutput r = RunCli("difftest --seeds=0:2 --jobs=2 --configs=off,ssbd");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("0 divergences"), std::string::npos) << r.output;
 }

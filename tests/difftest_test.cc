@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "src/difftest/reference.h"
 #include "src/difftest/shrink.h"
 #include "src/isa/program.h"
+#include "src/uarch/machine.h"
 
 namespace specbench {
 namespace {
@@ -190,6 +192,47 @@ TEST(Oracle, ReportIsByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(serial, parallel);
 }
 
+// The oracle groups seeds into blocks that share one machine per CPU. A
+// window that starts mid-block and crosses a block boundary must report
+// exactly what one-seed runs report, shrunk reproducers included.
+TEST(Oracle, SeedWindowReportEqualsConcatenatedSingleSeedReports) {
+  DifftestOptions options;
+  options.cpus = {Uarch::kSkylakeClient, Uarch::kZen2};
+  DiffConfig off;
+  DiffConfig ssbd;
+  ASSERT_TRUE(TryGetDiffConfigByName("off", &off));
+  ASSERT_TRUE(TryGetDiffConfigByName("ssbd", &ssbd));
+  options.configs = {off, ssbd};
+  options.inject_alu_fault_after = 1;
+  DifftestReport concatenated;
+  for (uint64_t seed = 28; seed < 36; seed++) {
+    options.seed_begin = seed;
+    options.seed_end = seed + 1;
+    DifftestReport one = RunDifftest(options);
+    concatenated.programs += one.programs;
+    concatenated.executions += one.executions;
+    concatenated.retired_instructions += one.retired_instructions;
+    for (Divergence& d : one.divergences) {
+      concatenated.divergences.push_back(std::move(d));
+    }
+  }
+  ASSERT_FALSE(concatenated.ok());
+  options.seed_begin = 28;
+  options.seed_end = 36;
+  for (int jobs : {1, 3}) {
+    options.jobs = jobs;
+    const DifftestReport window = RunDifftest(options);
+    EXPECT_EQ(window.ToText(), concatenated.ToText()) << "jobs=" << jobs;
+    EXPECT_EQ(window.retired_instructions, concatenated.retired_instructions);
+    ASSERT_EQ(window.divergences.size(), concatenated.divergences.size());
+    for (size_t i = 0; i < window.divergences.size(); i++) {
+      EXPECT_EQ(SerializeCorpusProgram(window.divergences[i].shrunk, ""),
+                SerializeCorpusProgram(concatenated.divergences[i].shrunk, ""))
+          << "divergence " << i;
+    }
+  }
+}
+
 // The oracle self-check: corrupt the first committed ALU result inside the
 // machine and demand that difftest (a) notices, (b) shrinks the divergence
 // to a small reproducer, and (c) emits a self-contained replay command.
@@ -230,6 +273,60 @@ TEST(Oracle, InjectedSimulatorBugIsCaughtShrunkAndReplayable) {
   const ArchState clean = RunMachineArch(parsed, GetCpuModel(Uarch::kSkylakeClient), off,
                                          1'000'000, /*inject_alu_fault_after=*/0);
   EXPECT_TRUE(clean == ref.state) << DescribeArchDivergence(ref.state, clean);
+}
+
+// --- Machine reuse --------------------------------------------------------
+//
+// The oracle runs every cell of a block of seeds on one Machine per CPU
+// model, Reset() between cells, CPU outermost. Reuse must be invisible: each
+// cell on the reused machine lands on the same ArchState, cycle count and
+// PMCs as the same cell on a freshly constructed machine — including cells
+// that follow a config with SSBD/IBRS/STIBP on or PCID off, or another
+// seed's program, whose state must not carry over.
+TEST(Oracle, ReusedMachineMatchesFreshMachineOnEveryCell) {
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    Machine reused(cpu);
+    for (uint64_t seed = 0; seed < 40; seed++) {
+      const Program program = GenerateProgram(seed);
+      for (const DiffConfig& config : DefaultDiffConfigs()) {
+        Machine fresh(cpu);
+        const ArchState want = RunMachineArch(fresh, program, config, 1'000'000);
+        const ArchState got = RunMachineArch(reused, program, config, 1'000'000);
+        const std::string cell =
+            "seed " + std::to_string(seed) + " on " + UarchName(u) + "/" + config.name;
+        ASSERT_TRUE(got == want) << cell << ": " << DescribeArchDivergence(want, got);
+        ASSERT_EQ(reused.cycles(), fresh.cycles()) << cell;
+        for (size_t p = 0; p < static_cast<size_t>(Pmc::kCount); p++) {
+          ASSERT_EQ(reused.PmcValue(static_cast<Pmc>(p)), fresh.PmcValue(static_cast<Pmc>(p)))
+              << cell << ", pmc " << p;
+        }
+      }
+    }
+  }
+}
+
+// The self-check on reused machines: RunMachineArch re-arms the injected
+// fault after every Reset, so the corruption fires in every cell, not just
+// the first one a machine runs. The same program computes the same thing on
+// every CPU x config, so a seed diverges everywhere or nowhere.
+TEST(Oracle, InjectedFaultFiresOnEveryReusedCell) {
+  DifftestOptions options;
+  options.seed_begin = 0;
+  options.seed_end = 5;
+  options.shrink = false;
+  options.inject_alu_fault_after = 1;
+  const DifftestReport report = RunDifftest(options);
+  ASSERT_FALSE(report.ok()) << "the oracle missed the injected fault";
+  const size_t cells_per_seed = AllUarches().size() * DefaultDiffConfigs().size();
+  std::map<uint64_t, size_t> per_seed;
+  for (const Divergence& d : report.divergences) {
+    per_seed[d.seed]++;
+    EXPECT_EQ(d.repro.find("--fast"), std::string::npos) << d.repro;
+  }
+  for (const auto& [seed, count] : per_seed) {
+    EXPECT_EQ(count, cells_per_seed) << "seed " << seed;
+  }
 }
 
 // --- Shrinker -------------------------------------------------------------

@@ -95,7 +95,7 @@ size_t FileSize(const std::string& path) {
 }
 
 std::string BaselineArgs() {
-  return std::string("sweep --grids=difftest --seeds=") + kSeeds + " --fast --quiet --jobs=1 " +
+  return std::string("sweep --grids=difftest --seeds=") + kSeeds + " --quiet --jobs=1 " +
          "--cpus='" + kCpus + "'";
 }
 
@@ -112,7 +112,7 @@ const std::string& BaselineJson() {
 TEST(SweepServiceCli, KillMidGridThenResumeIsByteIdentical) {
   const std::string journal = TempPath("kill_resume");
   const std::vector<std::string> args = {
-      "sweep", "--grids=difftest", std::string("--seeds=") + kSeeds, "--fast", "--jobs=1",
+      "sweep", "--grids=difftest", std::string("--seeds=") + kSeeds, "--jobs=1",
       std::string("--cpus=") + kCpus, "--checkpoint=" + journal};
   const pid_t pid = SpawnCli(args);
   ASSERT_GT(pid, 0);
@@ -226,7 +226,6 @@ TEST(SweepServiceCli, ServeShardsMergeByteIdentical) {
   request.cpus = {"Skylake Client", "Zen 3"};
   request.seed_begin = 0;
   request.seed_end = 12;
-  request.fast = true;
   std::vector<std::string> journals;
   for (uint32_t shard = 0; shard < 2; shard++) {
     request.shard = ShardSpec{shard, 2};

@@ -1,7 +1,7 @@
 // Machine reuse regression tests: Machine::Reset must return the machine to
 // power-on state so that a second Run on a reused machine is bit- and
 // cycle-identical to a run on a freshly constructed machine. This is the
-// contract MachinePool (and the difftest/sweep fast path) is built on; any
+// contract MachinePool and the oracle's machine reuse are built on; any
 // member added to Machine or its components that survives Reset shows up
 // here as a cycle or PMC mismatch on the fuzz corpus.
 #include <gtest/gtest.h>

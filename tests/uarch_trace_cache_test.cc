@@ -11,6 +11,8 @@
 //     same-length programs colliding on Program::Digest would silently
 //     execute each other's decoded trace. A hit now also verifies the
 //     independent Digest2 stream.
+//
+// Also pins the hit/miss accounting on fuzz-generator programs.
 #include "src/uarch/decoded_trace.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/difftest/generator.h"
 #include "src/isa/program.h"
 
 namespace specbench {
@@ -154,6 +157,51 @@ TEST_F(TraceCacheTest, DistinctUarchesAreDistinctKeys) {
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.Acquire(p, Uarch::kZen3).get(), t1.get());
   EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+// --- Hit/miss accounting on generator programs ------------------------------
+
+TEST(TraceCache, CountsHitsAndMissesPerProgramAndUarch) {
+  TraceCache& cache = TraceCache::Global();
+  cache.Clear();
+  cache.ResetStats();
+
+  const Program a = GenerateProgram(1001, GeneratorOptions{});
+  const Program b = GenerateProgram(1002, GeneratorOptions{});
+
+  auto t1 = cache.Acquire(a, Uarch::kSkylakeClient);  // miss
+  auto t2 = cache.Acquire(a, Uarch::kSkylakeClient);  // hit: same key
+  auto t3 = cache.Acquire(a, Uarch::kZen2);           // miss: new uarch
+  auto t4 = cache.Acquire(b, Uarch::kSkylakeClient);  // miss: new program
+  EXPECT_EQ(t1.get(), t2.get());
+  EXPECT_NE(t1.get(), t3.get());
+  EXPECT_NE(t1.get(), t4.get());
+
+  const TraceCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_NEAR(stats.hit_rate(), 0.25, 1e-9);
+}
+
+TEST(TraceCache, IdenticalProgramsShareOneEntry) {
+  TraceCache& cache = TraceCache::Global();
+  cache.Clear();
+  cache.ResetStats();
+  // Two separately generated but identical programs digest to the same key.
+  const Program a = GenerateProgram(42, GeneratorOptions{});
+  const Program b = GenerateProgram(42, GeneratorOptions{});
+  EXPECT_EQ(a.Digest(), b.Digest());
+  auto t1 = cache.Acquire(a, Uarch::kZen3);
+  auto t2 = cache.Acquire(b, Uarch::kZen3);
+  EXPECT_EQ(t1.get(), t2.get());
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(TraceCache, DifferentProgramsGetDifferentDigests) {
+  const Program a = GenerateProgram(1, GeneratorOptions{});
+  const Program b = GenerateProgram(2, GeneratorOptions{});
+  EXPECT_NE(a.Digest(), b.Digest());
 }
 
 }  // namespace

@@ -36,6 +36,7 @@
 #include "src/runner/checkpoint.h"
 #include "src/runner/service.h"
 #include "src/runner/shard.h"
+#include "src/uarch/machine.h"
 #include "src/util/check.h"
 #include "src/workload/lebench.h"
 #include "src/workload/octane.h"
@@ -45,8 +46,7 @@ using namespace specbench;
 namespace {
 
 struct CliOptions {
-  bool fast = false;
-  bool cross_validate = false;  // difftest: fast vs detailed on every cell
+  bool fast = false;            // smaller sampler budget (SamplerForFast)
   bool json = false;
   bool csv = false;
   bool quiet = false;           // suppress sweep progress lines on stderr
@@ -165,7 +165,7 @@ const std::vector<CommandSpec>& CommandSpecs() {
       {"harden", {"--seeds", "--passes", "--json", "--cpus"}},
       {"difftest",
        {"--seeds", "--cpus", "--configs", "--jobs", "--inject-alu-fault", "--corpus-out",
-        "--replay", "--arch-hashes", "--fast", "--cross-validate"}},
+        "--replay", "--arch-hashes"}},
   };
   return specs;
 }
@@ -235,20 +235,6 @@ bool Contains(const std::vector<std::string>& haystack, const std::string& needl
   return false;
 }
 
-SamplerOptions SamplerForFast(bool fast) {
-  SamplerOptions sampler;
-  if (fast) {
-    sampler.min_samples = 3;
-    sampler.max_samples = 6;
-    sampler.target_relative_ci = 0.03;
-  } else {
-    sampler.min_samples = 5;
-    sampler.max_samples = 20;
-    sampler.target_relative_ci = 0.01;
-  }
-  return sampler;
-}
-
 SamplerOptions SamplerFor(const CliOptions& options) { return SamplerForFast(options.fast); }
 
 std::vector<Uarch> ParseCpuList(const std::string& list) {
@@ -313,9 +299,9 @@ void EmitArchHashes(const Program& program, const std::vector<Uarch>& cpus,
                     const std::vector<DiffConfig>& configs) {
   std::printf("# spectrebench arch-hashes v1\n");
   for (Uarch u : cpus) {
-    const CpuModel& cpu = GetCpuModel(u);
+    Machine machine(GetCpuModel(u));
     for (const DiffConfig& config : configs) {
-      const ArchState state = RunMachineArch(program, cpu, config, 1'000'000);
+      const ArchState state = RunMachineArch(machine, program, config, 1'000'000);
       std::string cpu_slug = std::string(UarchName(u));
       for (char& c : cpu_slug) {
         if (c == ' ') c = '-';
@@ -343,7 +329,6 @@ bool BuildFilteredSweep(const std::vector<std::string>& grids, const std::vector
   NamedGridOptions grid;
   grid.grids = grids;
   grid.cpus = cpus;
-  grid.sampler = SamplerForFast(fast);
   grid.seed_begin = seed_begin;
   grid.seed_end = seed_end;
   grid.fast = fast;
@@ -630,8 +615,6 @@ int RunDifftestCommand(const CliOptions& options) {
   opts.cpus = options.cpus;
   opts.jobs = options.jobs;
   opts.inject_alu_fault_after = options.inject_alu_fault;
-  opts.fast = options.fast;
-  opts.cross_validate = options.cross_validate;
   for (const std::string& name : options.configs) {
     DiffConfig config;
     if (!TryGetDiffConfigByName(name, &config)) {
@@ -673,9 +656,10 @@ int RunDifftestCommand(const CliOptions& options) {
         opts.configs.empty() ? DefaultDiffConfigs() : opts.configs;
     int divergences = 0;
     for (Uarch u : opts.cpus) {
+      Machine machine(GetCpuModel(u));
       for (const DiffConfig& config : configs) {
-        const ArchState got = RunMachineArch(program, GetCpuModel(u), config, 1'000'000,
-                                             opts.inject_alu_fault_after);
+        const ArchState got =
+            RunMachineArch(machine, program, config, 1'000'000, opts.inject_alu_fault_after);
         if (!(got == ref.state)) {
           std::printf("DIVERGENCE cpu=%s config=%s: %s\n", UarchName(u), config.name.c_str(),
                       DescribeArchDivergence(ref.state, got).c_str());
@@ -1029,7 +1013,9 @@ int RunAttackSuite(const CliOptions& options) {
 
 void PrintUsage() {
   std::printf(
-      "usage: spectrebench <command> [--fast] [--cpus=Name1,Name2]\n\n"
+      "usage: spectrebench <command> [--fast] [--cpus=Name1,Name2]\n"
+      "  --fast: a smaller sampler budget (3-6 samples, 3%% CI target) for the\n"
+      "  sampled experiments (fig2, fig3, sec44, sec45, sweep, submit)\n\n"
       "commands:\n"
       "  list         experiments and CPU models\n"
       "  table1       default mitigation matrix        table2  CPU inventory\n"
@@ -1045,9 +1031,9 @@ void PrintUsage() {
       "  sweep        run experiment grids on the deterministic parallel\n"
       "               runner: [--grids=fig2,fig3,sec45,difftest] [--jobs=N]\n"
       "               [--seed=S] [--workloads=a,b] [--configs=c] [--csv]\n"
-      "               [--quiet]; the difftest grid takes [--seeds=A:B]\n"
-      "               [--fast]; JSON/CSV on stdout is byte-identical for\n"
-      "               any --jobs and for --fast vs detailed;\n"
+      "               [--quiet] [--fast]; the difftest grid takes\n"
+      "               [--seeds=A:B]; JSON/CSV on stdout is byte-identical\n"
+      "               for any --jobs;\n"
       "               [--checkpoint=FILE] journals each finished cell\n"
       "               (crash-safe, fsynced) and [--resume] restarts a killed\n"
       "               run from the journal; [--shard=i/N] runs slice i of N\n"
@@ -1095,9 +1081,6 @@ void PrintUsage() {
       "               [--jobs=N] [--corpus-out=DIR] [--replay=FILE]\n"
       "               [--inject-alu-fault=N]; output is byte-identical for\n"
       "               any --jobs; exit 0 iff architecturally equivalent;\n"
-      "               --fast reuses pooled machines with sampled timing\n"
-      "               (docs/perf.md); --fast --cross-validate re-runs every\n"
-      "               cell on the detailed engine and demands agreement;\n"
       "               --replay=FILE --arch-hashes prints the architectural\n"
       "               end-state digests (the refactor-guard golden format)\n");
 }
@@ -1126,8 +1109,6 @@ int main(int argc, char** argv) {
     }
     if (arg == "--fast") {
       options.fast = true;
-    } else if (arg == "--cross-validate") {
-      options.cross_validate = true;
     } else if (arg == "--json") {
       options.json = true;
     } else if (arg == "--csv") {
@@ -1199,10 +1180,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "internal error: unhandled option %s\n", arg.c_str());
       return 2;
     }
-  }
-  if (options.cross_validate && !options.fast) {
-    std::fprintf(stderr, "--cross-validate requires --fast\n");
-    return 2;
   }
 
   if (command == "list") {
