@@ -5,10 +5,10 @@
 // the deterministic parallel runner (--jobs=N, default all cores); output is
 // identical for any job count.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "src/core/experiments.h"
+#include "src/runner/parse.h"
 
 int main(int argc, char** argv) {
   bool csv = false;
@@ -17,8 +17,9 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--csv") {
       csv = true;
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      runner.jobs = std::atoi(arg.c_str() + 7);
+    } else if (arg.rfind("--jobs=", 0) == 0 &&
+               !specbench::ParseJobsFlag(arg.substr(7), &runner.jobs)) {
+      return 2;
     }
   }
   specbench::SamplerOptions options;

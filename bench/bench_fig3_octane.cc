@@ -3,10 +3,10 @@
 // mitigations, per CPU. Per-CPU cells run on the deterministic parallel
 // runner (--jobs=N, default all cores); output is identical for any count.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "src/core/experiments.h"
+#include "src/runner/parse.h"
 
 int main(int argc, char** argv) {
   bool csv = false;
@@ -15,8 +15,9 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--csv") {
       csv = true;
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      runner.jobs = std::atoi(arg.c_str() + 7);
+    } else if (arg.rfind("--jobs=", 0) == 0 &&
+               !specbench::ParseJobsFlag(arg.substr(7), &runner.jobs)) {
+      return 2;
     }
   }
   specbench::SamplerOptions options;

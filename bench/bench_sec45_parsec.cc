@@ -2,17 +2,17 @@
 // boundary-free compute should be essentially unaffected. (CPU × kernel)
 // cells run on the deterministic parallel runner (--jobs=N).
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "src/core/experiments.h"
+#include "src/runner/parse.h"
 
 int main(int argc, char** argv) {
   specbench::RunnerOptions runner;
   for (int i = 1; i < argc; i++) {
     const std::string arg = argv[i];
-    if (arg.rfind("--jobs=", 0) == 0) {
-      runner.jobs = std::atoi(arg.c_str() + 7);
+    if (arg.rfind("--jobs=", 0) == 0 && !specbench::ParseJobsFlag(arg.substr(7), &runner.jobs)) {
+      return 2;
     }
   }
   specbench::SamplerOptions options;

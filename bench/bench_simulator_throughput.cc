@@ -25,6 +25,7 @@
 
 #include "src/difftest/difftest.h"
 #include "src/isa/program.h"
+#include "src/runner/parse.h"
 #include "src/uarch/decoded_trace.h"
 
 using namespace specbench;
@@ -131,7 +132,10 @@ int main(int argc, char** argv) {
     if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--seeds=", 0) == 0) {
-      seeds = std::strtoull(arg.c_str() + 8, nullptr, 10);
+      if (!ParseU64Strict(arg.substr(8), &seeds) || seeds == 0) {
+        std::fprintf(stderr, "%s: want a positive seed count\n", arg.c_str());
+        return 2;
+      }
     } else if (arg.rfind("--min-speedup=", 0) == 0) {
       min_speedup = std::strtod(arg.c_str() + 14, nullptr);
     } else {

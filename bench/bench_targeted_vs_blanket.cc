@@ -11,7 +11,6 @@
 // parallel runner: --jobs=N selects the worker count and the output is
 // byte-identical for any N (the simulator is cycle-exact and seed-free).
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "src/cpu/cpu_model.h"
 #include "src/isa/program.h"
 #include "src/jit/jit.h"
+#include "src/runner/parse.h"
 #include "src/runner/sweep.h"
 #include "src/uarch/machine.h"
 #include "src/util/check.h"
@@ -295,8 +295,8 @@ int main(int argc, char** argv) {
   RunnerOptions runner;
   for (int i = 1; i < argc; i++) {
     const std::string arg = argv[i];
-    if (arg.rfind("--jobs=", 0) == 0) {
-      runner.jobs = std::atoi(arg.c_str() + 7);
+    if (arg.rfind("--jobs=", 0) == 0 && !ParseJobsFlag(arg.substr(7), &runner.jobs)) {
+      return 2;
     }
   }
   const size_t num_passes = MitigationPasses().size();

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "src/runner/seed.h"
-#include "src/runner/thread_pool.h"
 #include "src/util/check.h"
 
 namespace specbench {
@@ -453,63 +452,78 @@ uint64_t TrialSalt(uint64_t cell_seed, int trial) {
   return salt == 0 ? 1 : salt;  // 0 means "canonical"; keep trials varied
 }
 
-SuiteResult RunSuite(const SuiteOptions& options) {
-  SPECBENCH_CHECK(options.trials > 0);
-  const std::vector<AttackSpec>& suite = AttackSuite();
+namespace {
 
+// Workload prefix of the suite's runner cells. CellSeed hashes the key, so
+// the trial secrets and salts depend on it.
+const char kAttackCellPrefix[] = "attack:";
+
+}  // namespace
+
+SuiteResult AddSuiteCells(const SuiteOptions& options, Sweep* grid) {
+  SPECBENCH_CHECK(options.trials > 0);
   SuiteResult result;
   result.options = options;
-
-  // Pre-allocate every cell in registration order; workers fill only their
-  // own slot, so the result is independent of scheduling (the PR-2 recipe).
-  struct Job {
-    const CpuModel* cpu;
-    const AttackSpec* spec;
-    MitigationConfig config;
-    size_t slot;
-  };
-  std::vector<Job> jobs;
   for (Uarch u : options.cpus) {
     const CpuModel& cpu = GetCpuModel(u);
     for (const NamedConfig& named : MitigationConfigMatrix(cpu)) {
-      for (const AttackSpec& spec : suite) {
+      for (const AttackSpec& spec : AttackSuite()) {
         SuiteCell cell;
         cell.cpu = UarchName(u);
         cell.config = named.name;
         cell.attack = spec.name;
         cell.defended = spec.defended(cpu, named.config);
         cell.attempted = spec.vulnerable(cpu);
-        jobs.push_back(Job{&cpu, &spec, named.config, result.cells.size()});
+        if (cell.attempted) {  // Table 1's empty cells run nothing
+          grid->Add(SweepCellKey{cell.cpu, cell.config, kAttackCellPrefix + spec.name},
+                    [&cpu, &spec, config = named.config, trials = options.trials](uint64_t seed) {
+                      int leaks = 0;
+                      for (int t = 0; t < trials; t++) {
+                        const AttackResult r =
+                            spec.run(cpu, config, TrialSecret(spec, seed, t), TrialSalt(seed, t));
+                        if (r.attempted && r.leaked) {
+                          leaks++;
+                        }
+                      }
+                      CellOutput out;
+                      out.metrics.push_back(CellMetric{"leaks", "Trials that leaked",
+                                                       Estimate{static_cast<double>(leaks), 0.0}});
+                      return out;
+                    });
+        }
         result.cells.push_back(std::move(cell));
       }
     }
   }
-
-  ThreadPool pool(options.jobs == 0 ? 0 : static_cast<size_t>(options.jobs));
-  for (const Job& job : jobs) {
-    SuiteCell* cell = &result.cells[job.slot];
-    if (!cell->attempted) {
-      continue;  // Table 1 empty cell: nothing to run
-    }
-    const int trials = options.trials;
-    const uint64_t base_seed = options.base_seed;
-    pool.Submit([cell, job, trials, base_seed] {
-      const uint64_t cell_seed =
-          CellSeed(base_seed, cell->cpu, cell->config, "attack:" + cell->attack);
-      cell->trials = trials;
-      for (int t = 0; t < trials; t++) {
-        const uint64_t secret = TrialSecret(*job.spec, cell_seed, t);
-        const uint64_t salt = TrialSalt(cell_seed, t);
-        const AttackResult r = job.spec->run(*job.cpu, job.config, secret, salt);
-        if (r.attempted && r.leaked) {
-          cell->leaks++;
-        }
-      }
-      cell->leak_rate = static_cast<double>(cell->leaks) / static_cast<double>(trials);
-    });
-  }
-  pool.Wait();
   return result;
+}
+
+void FoldSuiteCells(const SweepResult& result, SuiteResult* suite) {
+  size_t slot = 0;
+  for (const SweepCellResult& ran : result.cells) {
+    if (ran.key.workload.rfind(kAttackCellPrefix, 0) != 0) {
+      continue;
+    }
+    while (!suite->cells.at(slot).attempted) {
+      slot++;
+    }
+    SuiteCell& cell = suite->cells[slot++];
+    SPECBENCH_CHECK(ran.key.cpu == cell.cpu && ran.key.config == cell.config &&
+                    ran.key.workload == kAttackCellPrefix + cell.attack);
+    cell.trials = suite->options.trials;
+    cell.leaks = static_cast<int>(ran.output.metrics.at(0).estimate.value);
+    cell.leak_rate = static_cast<double>(cell.leaks) / static_cast<double>(cell.trials);
+  }
+}
+
+SuiteResult RunSuite(const SuiteOptions& options) {
+  Sweep grid;
+  SuiteResult suite = AddSuiteCells(options, &grid);
+  RunnerOptions runner;
+  runner.jobs = options.jobs;
+  runner.base_seed = options.base_seed;
+  FoldSuiteCells(grid.Run(runner), &suite);
+  return suite;
 }
 
 }  // namespace specbench

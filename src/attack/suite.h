@@ -4,9 +4,10 @@
 // `AttackSpec` entries — name, hardware-vulnerability predicate, the
 // MitigationConfig knobs that defend it, and a runner — and executes every
 // spec against every (CpuModel x MitigationConfig) cell of a Table-1 style
-// configuration axis on the deterministic thread pool. Output is
-// byte-identical for any job count: each cell derives its secrets from
-// (base_seed, cell identity) alone and writes only its pre-allocated slot.
+// configuration axis as cells of the sweep runner (src/runner/sweep.h), one
+// per attempted (cpu, config, attack). Output is byte-identical for any job
+// count: each cell derives its secrets from (base_seed, cell identity) alone
+// and the verdicts are folded back in registration order.
 //
 // Each cell runs `trials` times with varied secrets (and, for the
 // fill-buffer attacks, varied victim noise and sampling salts), so
@@ -30,6 +31,7 @@
 #include "src/attack/attacks.h"
 #include "src/cpu/cpu_model.h"
 #include "src/os/mitigation_config.h"
+#include "src/runner/sweep.h"
 
 namespace specbench {
 
@@ -122,7 +124,7 @@ struct SuiteCell {
 struct SuiteOptions {
   std::vector<Uarch> cpus = AllUarches();
   int trials = 5;
-  int jobs = 0;  // 0 = hardware_concurrency
+  int jobs = 0;  // <= 0 = all cores (ThreadCountForJobs)
   uint64_t base_seed = 1;
 };
 
@@ -136,7 +138,16 @@ struct SuiteResult {
                         const std::string& attack) const;
 };
 
-// Runs the full matrix on the shared pool. Byte-identical for any
+// Adds one runner cell per attempted (cpu, config, attack) to `grid`, keyed
+// {cpu, config, "attack:" + name}, and returns every verdict in registration
+// order with Table 1's empty cells already final (attempted=false).
+SuiteResult AddSuiteCells(const SuiteOptions& options, Sweep* grid);
+
+// Copies the leak counts of `result`'s attack cells into the attempted
+// entries of `suite`, in order; cells of other grids are skipped.
+void FoldSuiteCells(const SweepResult& result, SuiteResult* suite);
+
+// AddSuiteCells, Sweep::Run, FoldSuiteCells. Byte-identical for any
 // options.jobs (see tests/attack_suite_test.cc).
 SuiteResult RunSuite(const SuiteOptions& options);
 

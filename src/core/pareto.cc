@@ -5,7 +5,6 @@
 
 #include "src/core/counters.h"
 #include "src/jit/jit.h"
-#include "src/runner/thread_pool.h"
 #include "src/util/check.h"
 #include "src/workload/parsec.h"
 
@@ -47,36 +46,46 @@ double GeomeanRatio(const std::vector<double>& ratios) {
   return x;
 }
 
-struct MeasuredCell {
-  // One entry per ParetoWorkloads() element, in order.
-  std::vector<double> cycles;
-  std::array<uint64_t, kNumCauseTags> cause_cycles{};
-};
+// Workload name of the overhead-basket cells in the pareto grid.
+const char kBasketWorkload[] = "basket";
 
-MeasuredCell MeasureBasket(const CpuModel& cpu, const MitigationConfig& config) {
-  MeasuredCell cell;
+// Cell metrics are doubles; a count must survive the round trip exactly.
+double ExactDouble(uint64_t count) {
+  SPECBENCH_CHECK(count <= (uint64_t{1} << 53));
+  return static_cast<double>(count);
+}
+
+// One basket cell's metrics: the cycles of every ParetoWorkloads() entry in
+// order (id = workload), then the in-window cycles of every cause tag summed
+// over the counters workloads (id = tag name).
+CellOutput MeasureBasket(const CpuModel& cpu, const MitigationConfig& config) {
+  CellOutput out;
+  std::array<uint64_t, kNumCauseTags> cause_cycles{};
   for (const std::string& workload : ParetoWorkloads()) {
     const size_t colon = workload.find(':');
     const std::string suite = workload.substr(0, colon);
     const std::string kernel = workload.substr(colon + 1);
-    if (suite == "lebench") {
-      const CounterBreakdown row = MeasureLeBenchCounters(cpu, config, kernel);
-      cell.cycles.push_back(static_cast<double>(row.window_cycles));
-      for (size_t i = 0; i < kNumCauseTags; i++) {
-        cell.cause_cycles[i] += row.cause_cycles[i];
-      }
-    } else if (suite == "octane") {
-      const CounterBreakdown row = MeasureOctaneCounters(cpu, JitConfig::AllOn(), config, kernel);
-      cell.cycles.push_back(static_cast<double>(row.window_cycles));
-      for (size_t i = 0; i < kNumCauseTags; i++) {
-        cell.cause_cycles[i] += row.cause_cycles[i];
-      }
+    double cycles = 0.0;
+    if (suite == "parsec") {
+      cycles = Parsec::RunKernel(kernel, cpu, config, /*seed=*/1);
     } else {
-      SPECBENCH_CHECK_MSG(suite == "parsec", "unknown pareto workload suite");
-      cell.cycles.push_back(Parsec::RunKernel(kernel, cpu, config, /*seed=*/1));
+      SPECBENCH_CHECK_MSG(suite == "lebench" || suite == "octane",
+                          "unknown pareto workload suite");
+      const CounterBreakdown row =
+          suite == "lebench" ? MeasureLeBenchCounters(cpu, config, kernel)
+                             : MeasureOctaneCounters(cpu, JitConfig::AllOn(), config, kernel);
+      cycles = ExactDouble(row.window_cycles);
+      for (size_t i = 0; i < kNumCauseTags; i++) {
+        cause_cycles[i] += row.cause_cycles[i];
+      }
     }
+    out.metrics.push_back(CellMetric{workload, "window cycles", Estimate{cycles, 0.0}});
   }
-  return cell;
+  for (size_t i = 0; i < kNumCauseTags; i++) {
+    out.metrics.push_back(CellMetric{CauseTagName(static_cast<CauseTag>(i)), "cause cycles",
+                                     Estimate{ExactDouble(cause_cycles[i]), 0.0}});
+  }
+  return out;
 }
 
 }  // namespace
@@ -101,38 +110,31 @@ ParetoReport BuildParetoReport(const ParetoOptions& options) {
   suite_options.trials = options.trials;
   suite_options.jobs = options.jobs;
   suite_options.base_seed = options.base_seed;
-  report.suite = RunSuite(suite_options);
 
-  const std::vector<AttackSpec>& suite = AttackSuite();
-
-  // Overhead basket: one pooled task per (cpu, config) cell, each writing
-  // its own slot — same determinism recipe as the attack matrix.
-  struct MeasureJob {
-    const CpuModel* cpu;
-    MitigationConfig config;
-    size_t slot;
-  };
-  std::vector<MeasureJob> jobs;
-  std::vector<MeasuredCell> measured;
+  // The attack suite and one basket cell per (cpu, config) run as one grid:
+  // a single barrier, then the pure join below. Basket cells ignore their
+  // runner seed; their inputs are fixed.
+  Sweep grid;
+  report.suite = AddSuiteCells(suite_options, &grid);
+  const size_t first_basket_cell = grid.size();
   std::vector<std::vector<NamedConfig>> matrices;
   for (Uarch u : options.cpus) {
     const CpuModel& cpu = GetCpuModel(u);
     matrices.push_back(MitigationConfigMatrix(cpu));
     for (const NamedConfig& named : matrices.back()) {
-      jobs.push_back(MeasureJob{&cpu, named.config, measured.size()});
-      measured.emplace_back();
+      grid.Add(SweepCellKey{UarchName(u), named.name, kBasketWorkload},
+               [&cpu, config = named.config](uint64_t) { return MeasureBasket(cpu, config); });
     }
   }
-  {
-    ThreadPool pool(options.jobs == 0 ? 0 : static_cast<size_t>(options.jobs));
-    for (const MeasureJob& job : jobs) {
-      MeasuredCell* slot = &measured[job.slot];
-      pool.Submit([slot, job] { *slot = MeasureBasket(*job.cpu, job.config); });
-    }
-    pool.Wait();
-  }
+  RunnerOptions runner;
+  runner.jobs = options.jobs;
+  runner.base_seed = options.base_seed;
+  const SweepResult result = grid.Run(runner);
+  FoldSuiteCells(result, &report.suite);
 
-  size_t cell_index = 0;
+  const std::vector<AttackSpec>& suite = AttackSuite();
+  const size_t num_workloads = ParetoWorkloads().size();
+  size_t cell_index = first_basket_cell;
   for (size_t c = 0; c < options.cpus.size(); c++) {
     const CpuModel& cpu = GetCpuModel(options.cpus[c]);
     const std::vector<NamedConfig>& matrix = matrices[c];
@@ -141,20 +143,25 @@ ParetoReport BuildParetoReport(const ParetoOptions& options) {
     row.cpu = UarchName(options.cpus[c]);
 
     // The "off" row is the overhead baseline for every config of this CPU.
-    const MeasuredCell& baseline = measured[cell_index];
+    const std::vector<CellMetric>& baseline = result.cells[cell_index].output.metrics;
     SPECBENCH_CHECK(matrix[0].name == "off");
 
     for (size_t k = 0; k < matrix.size(); k++) {
       const NamedConfig& named = matrix[k];
-      const MeasuredCell& cell = measured[cell_index++];
+      const SweepCellResult& cell = result.cells[cell_index++];
+      SPECBENCH_CHECK(cell.key.cpu == row.cpu && cell.key.config == named.name &&
+                      cell.key.workload == kBasketWorkload);
+      const std::vector<CellMetric>& metrics = cell.output.metrics;
 
       ConfigEvaluation eval;
       eval.config = named.name;
-      eval.cause_cycles = cell.cause_cycles;
+      for (size_t i = 0; i < kNumCauseTags; i++) {
+        eval.cause_cycles[i] = static_cast<uint64_t>(metrics[num_workloads + i].estimate.value);
+      }
 
       std::vector<double> ratios;
-      for (size_t w = 0; w < cell.cycles.size(); w++) {
-        ratios.push_back(cell.cycles[w] / baseline.cycles[w]);
+      for (size_t w = 0; w < num_workloads; w++) {
+        ratios.push_back(metrics[w].estimate.value / baseline[w].estimate.value);
       }
       eval.overhead_pct = (GeomeanRatio(ratios) - 1.0) * 100.0;
 

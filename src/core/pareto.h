@@ -13,11 +13,11 @@
 // load-bearing ("which knob saved you") and which are redundant.
 //
 // Everything is deterministic and byte-stable for any job count: attack
-// cells and measurement cells run on the shared pool writing pre-allocated
-// slots, all randomness derives from (base_seed, cell identity), and the
-// renderers emit fixed key order with fixed-precision numbers (no
-// timestamps, durations, or host facts). tests/pareto_golden_test.cc pins
-// the exact bytes.
+// cells and one basket cell per (cpu, config) run in one Sweep::Run (one
+// barrier, then a pure join), all randomness derives from (base_seed, cell
+// identity), and the renderers emit fixed key order with fixed-precision
+// numbers (no timestamps, durations, or host facts).
+// tests/pareto_golden_test.cc pins the exact bytes.
 #ifndef SPECTREBENCH_SRC_CORE_PARETO_H_
 #define SPECTREBENCH_SRC_CORE_PARETO_H_
 
@@ -35,7 +35,7 @@ namespace specbench {
 struct ParetoOptions {
   std::vector<Uarch> cpus = AllUarches();
   int trials = 5;    // attack-suite repeats per cell (leak rate resolution)
-  int jobs = 0;      // 0 = hardware_concurrency
+  int jobs = 0;      // <= 0 = all cores (ThreadCountForJobs)
   uint64_t base_seed = 1;
 };
 
@@ -91,8 +91,8 @@ struct ParetoReport {
 // The measurement basket (suite:kernel names, fixed order).
 const std::vector<std::string>& ParetoWorkloads();
 
-// Runs the attack suite and the overhead basket (both on the shared pool)
-// and assembles the per-CPU frontier.
+// Runs the attack suite and the overhead basket as one grid and joins them
+// into the per-CPU frontier.
 ParetoReport BuildParetoReport(const ParetoOptions& options);
 
 // Byte-stable renderers (fixed key order / column order, fixed-precision

@@ -3,15 +3,20 @@
 #include <utility>
 
 #include "src/difftest/difftest.h"
-#include "src/difftest/generator.h"
-#include "src/difftest/reference.h"
-#include "src/uarch/machine.h"
 #include "src/util/rng.h"
 #include "src/workload/lebench.h"
 #include "src/workload/octane.h"
 #include "src/workload/parsec.h"
 
 namespace specbench {
+
+namespace {
+
+// Seeds per oracle block in a difftest grid cell: bounds the programs a cell
+// holds (~15 KiB each) for any window; 500 seeds build only two machines.
+constexpr uint64_t kGridBlockSeeds = 256;
+
+}  // namespace
 
 CellOutput CellOutputFromAttribution(const AttributionReport& report) {
   CellOutput out;
@@ -145,27 +150,23 @@ Sweep BuildDifftestGrid(const DifftestGridOptions& options) {
     for (const DiffConfig& config : DefaultDiffConfigs()) {
       sweep.Add(
           SweepCellKey{UarchName(u), config.name, "difftest"},
-          [u, config, begin = options.seed_begin, end = options.seed_end,
-           max_instructions = options.max_instructions](uint64_t) {
+          [u, config, begin = options.seed_begin, end = options.seed_end](uint64_t) {
             // The oracle seeds are the cell's content, not sampling noise:
             // the cell ignores the runner-derived seed so its output bytes
-            // depend only on (cpus, configs, seed window, max_instructions)
-            // — identical for any --jobs value.
-            Machine machine(GetCpuModel(u));
+            // depend only on (cpus, configs, seed window) — identical for
+            // any --jobs value.
+            DifftestOptions oracle;
+            oracle.cpus = {u};
+            oracle.configs = {config};
+            oracle.shrink = false;
             uint64_t divergences = 0;
             uint64_t retired = 0;
-            for (uint64_t seed = begin; seed < end; seed++) {
-              const Program program = GenerateProgram(seed, GeneratorOptions{});
-              const ReferenceResult ref = RunReference(program, max_instructions);
-              if (!ref.ok) {
-                divergences++;
-                continue;
-              }
-              const ArchState got = RunMachineArch(machine, program, config, max_instructions);
-              retired += got.retired;
-              if (!(got == ref.state)) {
-                divergences++;
-              }
+            for (uint64_t first = begin; first < end;) {
+              const uint64_t last = first + std::min(kGridBlockSeeds, end - first);
+              const DifftestReport report = RunDifftestBlock(oracle, first, last);
+              divergences += report.divergences.size();
+              retired += report.retired_instructions;
+              first = last;
             }
             CellOutput out;
             out.metrics.push_back(

@@ -30,14 +30,13 @@ Sweep BuildFigure3Grid(const GridOptions& options);
 Sweep BuildSection45Grid(const GridOptions& options);
 
 // Differential-execution oracle as a sweep: one cell per (CPU × difftest
-// config), each running every seed in [seed_begin, seed_end) against the
-// reference interpreter on one reused Machine and reporting divergence /
+// config), each running the oracle's own loop (RunDifftestBlock, shrinking
+// off) over every seed in [seed_begin, seed_end) and reporting divergence /
 // retired-instruction counts.
 struct DifftestGridOptions {
   std::vector<Uarch> cpus = AllUarches();
   uint64_t seed_begin = 0;
   uint64_t seed_end = 100;  // exclusive
-  uint64_t max_instructions = 1'000'000;
 };
 Sweep BuildDifftestGrid(const DifftestGridOptions& options);
 

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
 #include "src/difftest/shrink.h"
 #include "src/os/mitigation_config.h"
-#include "src/runner/thread_pool.h"
+#include "src/runner/sweep.h"
 #include "src/uarch/machine.h"
 #include "src/util/check.h"
 
@@ -62,17 +63,10 @@ void ApplyDiffConfig(Machine* m, const DiffConfig& config) {
   m->SetPcidEnabled(config.pcid);
 }
 
-// Seeds per oracle task. A task constructs one Machine per CPU model, so a
-// block amortizes the cache-hierarchy allocation over this many seeds x
-// configs while keeping enough tasks to spread 500 seeds over a few workers.
-constexpr uint64_t kSeedsPerTask = 32;
-
-// Per-seed result slot: written by exactly one task, merged in seed order.
-struct SeedResult {
-  uint64_t executions = 0;
-  uint64_t retired = 0;
-  std::vector<Divergence> divergences;
-};
+// Seeds per RunDifftest block (one runner cell): a block amortizes one
+// Machine per CPU model over this many seeds x configs, and 500 seeds still
+// make enough cells to spread over a few workers.
+constexpr uint64_t kSeedsPerBlock = 32;
 
 }  // namespace
 
@@ -139,98 +133,109 @@ ArchState RunMachineArch(const Program& program, const CpuModel& cpu, const Diff
   return RunMachineArch(m, program, config, max_instructions, inject_alu_fault_after);
 }
 
-DifftestReport RunDifftest(const DifftestOptions& options) {
-  SPECBENCH_CHECK_MSG(options.seed_end >= options.seed_begin, "difftest: empty seed range");
+DifftestReport RunDifftestBlock(const DifftestOptions& options, uint64_t first_seed,
+                                uint64_t last_seed) {
   const std::vector<Uarch> cpus = options.cpus.empty() ? AllUarches() : options.cpus;
   const std::vector<DiffConfig> configs =
       options.configs.empty() ? DefaultDiffConfigs() : options.configs;
-  const uint64_t count = options.seed_end - options.seed_begin;
-
-  std::vector<SeedResult> slots(static_cast<size_t>(count));
-  // One task per block of seed indices [first, last). CPUs are the outer
-  // loop, so a task holds one Machine at a time and Resets it between every
-  // cell of that CPU across the block (configs, seeds and shrink candidates
-  // alike). Each seed's slot still receives its divergences in (cpu, config)
-  // order, because only this task writes it.
-  auto run_block = [&](uint64_t first, uint64_t last) {
-    std::vector<Program> programs;
-    std::vector<ReferenceResult> refs;
-    for (uint64_t i = first; i < last; i++) {
-      const uint64_t seed = options.seed_begin + i;
-      programs.push_back(GenerateProgram(seed, options.generator));
-      refs.push_back(RunReference(programs.back(), options.max_instructions));
-      if (!refs.back().ok) {
-        Divergence d;
-        d.seed = seed;
-        d.cpu = '-';
-        d.config = '-';
-        d.detail = "reference: ";
-        d.detail += refs.back().error;
-        d.repro = ReproCommandLine(seed, "-", "-", options.inject_alu_fault_after);
-        slots[static_cast<size_t>(i)].divergences.push_back(std::move(d));
-      }
+  DifftestReport report;
+  report.programs = last_seed - first_seed;
+  // Per-seed divergences: the CPU loop is outermost, the report seed-major.
+  std::vector<std::vector<Divergence>> per_seed(static_cast<size_t>(report.programs));
+  std::vector<Program> programs;
+  std::vector<ReferenceResult> refs;
+  for (uint64_t seed = first_seed; seed < last_seed; seed++) {
+    programs.push_back(GenerateProgram(seed, options.generator));
+    refs.push_back(RunReference(programs.back(), options.max_instructions));
+    if (!refs.back().ok) {
+      Divergence d;
+      d.seed = seed;
+      d.cpu = '-';
+      d.config = '-';
+      d.detail = "reference: ";
+      d.detail += refs.back().error;
+      d.repro = ReproCommandLine(seed, "-", "-", options.inject_alu_fault_after);
+      per_seed[static_cast<size_t>(seed - first_seed)].push_back(std::move(d));
     }
-    for (Uarch u : cpus) {
-      Machine machine(GetCpuModel(u));
-      for (uint64_t i = first; i < last; i++) {
-        const uint64_t seed = options.seed_begin + i;
-        const Program& program = programs[static_cast<size_t>(i - first)];
-        const ReferenceResult& ref = refs[static_cast<size_t>(i - first)];
-        if (!ref.ok) {
+  }
+  // CPUs are the outer loop, so the block holds one Machine at a time and
+  // Resets it between every cell of that CPU (configs, seeds and shrink
+  // candidates alike).
+  for (Uarch u : cpus) {
+    Machine machine(GetCpuModel(u));
+    for (size_t i = 0; i < programs.size(); i++) {
+      const uint64_t seed = first_seed + i;
+      const Program& program = programs[i];
+      const ReferenceResult& ref = refs[i];
+      if (!ref.ok) {
+        continue;
+      }
+      for (const DiffConfig& config : configs) {
+        const ArchState got = RunMachineArch(machine, program, config, options.max_instructions,
+                                             options.inject_alu_fault_after);
+        report.executions++;
+        report.retired_instructions += got.retired;
+        if (got == ref.state) {
           continue;
         }
-        SeedResult* slot = &slots[static_cast<size_t>(i)];
-        for (const DiffConfig& config : configs) {
-          const ArchState got = RunMachineArch(machine, program, config, options.max_instructions,
+        Divergence d;
+        d.seed = seed;
+        d.cpu = UarchName(u);
+        d.config = config.name;
+        d.detail = DescribeArchDivergence(ref.state, got);
+        d.repro = ReproCommandLine(seed, d.cpu, d.config, options.inject_alu_fault_after);
+        if (options.shrink) {
+          auto still_fails = [&](const Program& candidate) {
+            const ReferenceResult r = RunReference(candidate, options.max_instructions);
+            if (!r.ok) {
+              return false;  // invalid candidate: would abort the machine
+            }
+            const ArchState g = RunMachineArch(machine, candidate, config,
+                                               options.max_instructions,
                                                options.inject_alu_fault_after);
-          slot->executions++;
-          slot->retired += got.retired;
-          if (got == ref.state) {
-            continue;
-          }
-          Divergence d;
-          d.seed = seed;
-          d.cpu = UarchName(u);
-          d.config = config.name;
-          d.detail = DescribeArchDivergence(ref.state, got);
-          d.repro = ReproCommandLine(seed, d.cpu, d.config, options.inject_alu_fault_after);
-          if (options.shrink) {
-            auto still_fails = [&](const Program& candidate) {
-              const ReferenceResult r = RunReference(candidate, options.max_instructions);
-              if (!r.ok) {
-                return false;  // invalid candidate: would abort the machine
-              }
-              const ArchState g = RunMachineArch(machine, candidate, config,
-                                                 options.max_instructions,
-                                                 options.inject_alu_fault_after);
-              return !(g == r.state);
-            };
-            d.shrunk = ShrinkProgram(program, still_fails);
-            d.shrunk_size = CountNonNop(d.shrunk);
-          }
-          slot->divergences.push_back(std::move(d));
+            return !(g == r.state);
+          };
+          d.shrunk = ShrinkProgram(program, still_fails);
+          d.shrunk_size = CountNonNop(d.shrunk);
         }
+        per_seed[i].push_back(std::move(d));
       }
     }
-  };
-
-  {
-    ThreadPool pool(options.jobs < 0 ? 1 : static_cast<size_t>(options.jobs));
-    for (uint64_t first = 0; first < count; first += kSeedsPerTask) {
-      const uint64_t last = std::min(count, first + kSeedsPerTask);
-      pool.Submit([&run_block, first, last] { run_block(first, last); });
-    }
-    pool.Wait();
   }
+  for (std::vector<Divergence>& divergences : per_seed) {
+    std::move(divergences.begin(), divergences.end(), std::back_inserter(report.divergences));
+  }
+  return report;
+}
+
+DifftestReport RunDifftest(const DifftestOptions& options) {
+  SPECBENCH_CHECK_MSG(options.seed_end >= options.seed_begin, "difftest: empty seed range");
+  // One runner cell per block; a block ignores its runner seed (the oracle
+  // seeds are the work) and writes only its own slot.
+  const uint64_t count = options.seed_end - options.seed_begin;
+  std::vector<DifftestReport> slots;
+  Sweep blocks;
+  for (uint64_t first = 0; first < count; first += kSeedsPerBlock) {
+    const uint64_t begin = options.seed_begin + first;
+    const uint64_t end = begin + std::min(kSeedsPerBlock, count - first);
+    blocks.Add(SweepCellKey{"*", "*", "seeds:" + std::to_string(begin) + ":" + std::to_string(end)},
+               [&options, &slots, slot = slots.size(), begin, end](uint64_t) {
+                 slots[slot] = RunDifftestBlock(options, begin, end);
+                 return CellOutput{};
+               });
+    slots.emplace_back();
+  }
+  RunnerOptions runner;
+  runner.jobs = options.jobs;
+  blocks.Run(runner);
 
   DifftestReport report;
-  report.programs = count;
-  for (SeedResult& slot : slots) {
-    report.executions += slot.executions;
-    report.retired_instructions += slot.retired;
-    for (Divergence& d : slot.divergences) {
-      report.divergences.push_back(std::move(d));
-    }
+  for (DifftestReport& block : slots) {
+    report.programs += block.programs;
+    report.executions += block.executions;
+    report.retired_instructions += block.retired_instructions;
+    std::move(block.divergences.begin(), block.divergences.end(),
+              std::back_inserter(report.divergences));
   }
   return report;
 }

@@ -10,16 +10,16 @@
 // simulator bug, and gets greedily shrunk (src/difftest/shrink.h) into a
 // small reproducer plus a self-contained replay command line.
 //
-// Every cell runs on the cycle-detailed engine. Seeds run in blocks; each
-// block constructs one Machine per CPU model and Reset()s it between every
-// config, seed and shrink candidate, so a block pays for one cache-hierarchy
-// allocation per CPU instead of one per cell, and a worker holds one machine
-// at a time.
+// Every cell runs on the cycle-detailed engine. Seeds run in blocks, each
+// one cell of the sweep runner (src/runner/sweep.h); a block constructs one
+// Machine per CPU model and Reset()s it between every config, seed and
+// shrink candidate, so it pays for one cache-hierarchy allocation per CPU
+// instead of one per cell, and a worker holds one machine at a time.
 //
 // Determinism contract: the report depends only on (seed range, cpu list,
 // config list, generator options, fault injection) — never on --jobs or
-// scheduling. Each seed's work writes to its own pre-allocated slot and the
-// report is assembled in seed order, the same discipline as runner/sweep.
+// scheduling. Each block writes only its own pre-allocated slot and the
+// report joins the slots in seed order.
 #ifndef SPECTREBENCH_SRC_DIFFTEST_DIFFTEST_H_
 #define SPECTREBENCH_SRC_DIFFTEST_DIFFTEST_H_
 
@@ -73,7 +73,7 @@ struct DifftestOptions {
   std::vector<DiffConfig> configs;    // empty = DefaultDiffConfigs()
   GeneratorOptions generator;
   uint64_t max_instructions = 1'000'000;
-  int jobs = 1;                       // worker threads (0 = hardware)
+  int jobs = 1;                       // worker threads (<= 0 = all cores)
   uint64_t inject_alu_fault_after = 0;  // fault every machine run (self-check)
   bool shrink = true;                 // minimize diverging programs
 };
@@ -100,6 +100,12 @@ struct DifftestReport {
 };
 
 DifftestReport RunDifftest(const DifftestOptions& options);
+
+// The oracle loop over seeds [first_seed, last_seed), ignoring the seed
+// window and jobs of `options`: one Machine per CPU, Reset between every
+// config, seed and shrink candidate; the block holds all of its programs.
+DifftestReport RunDifftestBlock(const DifftestOptions& options, uint64_t first_seed,
+                                uint64_t last_seed);
 
 }  // namespace specbench
 

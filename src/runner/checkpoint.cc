@@ -9,6 +9,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/runner/parse.h"
 #include "src/runner/seed.h"
 
 namespace specbench {
@@ -20,45 +21,7 @@ constexpr char kHeaderMagic[] = "spectrebench-journal v1";
 // Strings (cpu/config/workload/metric names) ride in a tab-separated payload;
 // percent-encode the separator and line-framing bytes so any name round-trips.
 std::string Encode(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    if (c == '%' || c == '\t' || c == '\n' || c == '\r') {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02x", c);
-      out += buf;
-    } else {
-      out.push_back(static_cast<char>(c));
-    }
-  }
-  return out;
-}
-
-bool Decode(const std::string& s, std::string* out) {
-  out->clear();
-  out->reserve(s.size());
-  for (size_t i = 0; i < s.size(); i++) {
-    if (s[i] != '%') {
-      out->push_back(s[i]);
-      continue;
-    }
-    if (i + 2 >= s.size()) {
-      return false;
-    }
-    const auto hex = [](char c) -> int {
-      if (c >= '0' && c <= '9') return c - '0';
-      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-      return -1;
-    };
-    const int hi = hex(s[i + 1]);
-    const int lo = hex(s[i + 2]);
-    if (hi < 0 || lo < 0) {
-      return false;
-    }
-    out->push_back(static_cast<char>(hi * 16 + lo));
-    i += 2;
-  }
-  return true;
+  return PercentEncode(s, [](unsigned char c) { return c == '\t' || c == '\n' || c == '\r'; });
 }
 
 // Doubles are framed as the hex of their bit pattern: bit-exact round trip,
@@ -80,41 +43,6 @@ std::string U64Hex(uint64_t value) {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(value));
   return buf;
-}
-
-bool ParseU64Hex(const std::string& text, uint64_t* out) {
-  if (text.empty() || text.size() > 16) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char c : text) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    value = (value << 4) | static_cast<uint64_t>(digit);
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseU64Dec(const std::string& text, uint64_t* out) {
-  if (text.empty() || text.size() > 20) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
 }
 
 std::vector<std::string> SplitTabs(const std::string& payload) {
@@ -145,9 +73,10 @@ bool ParseHeaderLine(const std::string& line, JournalHeader* header) {
   if (cells_at == std::string::npos) {
     return false;
   }
-  return ParseU64Dec(rest.substr(0, grid_at), &header->base_seed) &&
-         ParseU64Hex(rest.substr(grid_at + 6, cells_at - grid_at - 6), &header->grid_digest) &&
-         ParseU64Dec(rest.substr(cells_at + 7), &header->total_cells);
+  return ParseU64Strict(rest.substr(0, grid_at), &header->base_seed) &&
+         ParseU64Strict(rest.substr(grid_at + 6, cells_at - grid_at - 6), &header->grid_digest,
+                        16) &&
+         ParseU64Strict(rest.substr(cells_at + 7), &header->total_cells);
 }
 
 }  // namespace
@@ -186,7 +115,7 @@ bool ParseCellRecord(const std::string& line, size_t* index, SweepCellResult* ce
     return false;
   }
   uint64_t checksum = 0;
-  if (!ParseU64Hex(line.substr(5, payload_at - 5), &checksum)) {
+  if (!ParseU64Strict(line.substr(5, payload_at - 5), &checksum, 16)) {
     *error = "bad checksum field";
     return false;
   }
@@ -206,12 +135,13 @@ bool ParseCellRecord(const std::string& line, size_t* index, SweepCellResult* ce
   uint64_t non_finite = 0;
   uint64_t nmetrics = 0;
   SweepCellResult parsed;
-  if (!ParseU64Dec(fields[0], &index64) || !ParseU64Dec(fields[1], &parsed.seed) ||
-      !Decode(fields[2], &parsed.key.cpu) || !Decode(fields[3], &parsed.key.config) ||
-      !Decode(fields[4], &parsed.key.workload) || !ParseU64Dec(fields[5], &samples) ||
-      !ParseU64Dec(fields[6], &converged) || converged > 1 ||
-      !ParseU64Dec(fields[7], &non_finite) || non_finite > 1 ||
-      !ParseU64Dec(fields[8], &nmetrics)) {
+  if (!ParseU64Strict(fields[0], &index64) || !ParseU64Strict(fields[1], &parsed.seed) ||
+      !PercentDecode(fields[2], &parsed.key.cpu) ||
+      !PercentDecode(fields[3], &parsed.key.config) ||
+      !PercentDecode(fields[4], &parsed.key.workload) || !ParseU64Strict(fields[5], &samples) ||
+      !ParseU64Strict(fields[6], &converged) || converged > 1 ||
+      !ParseU64Strict(fields[7], &non_finite) || non_finite > 1 ||
+      !ParseU64Strict(fields[8], &nmetrics)) {
     *error = "malformed payload";
     return false;
   }
@@ -228,8 +158,10 @@ bool ParseCellRecord(const std::string& line, size_t* index, SweepCellResult* ce
     CellMetric metric;
     uint64_t value_bits = 0;
     uint64_t ci_bits = 0;
-    if (!Decode(fields[base], &metric.id) || !Decode(fields[base + 1], &metric.label) ||
-        !ParseU64Hex(fields[base + 2], &value_bits) || !ParseU64Hex(fields[base + 3], &ci_bits)) {
+    if (!PercentDecode(fields[base], &metric.id) ||
+        !PercentDecode(fields[base + 1], &metric.label) ||
+        !ParseU64Strict(fields[base + 2], &value_bits, 16) ||
+        !ParseU64Strict(fields[base + 3], &ci_bits, 16)) {
       *error = "malformed metric";
       return false;
     }

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "src/runner/checkpoint.h"
+#include "src/runner/parse.h"
 
 namespace specbench {
 
@@ -20,89 +21,8 @@ namespace {
 // delimiters the line format uses (space between tokens, '=' inside a
 // token, ',' inside a list) so CPU names like "Skylake Client" round-trip.
 std::string EncodeValue(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    const unsigned char u = static_cast<unsigned char>(c);
-    if (c == '%' || c == ' ' || c == '=' || c == ',' || u < 0x20) {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02x", u);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-bool HexNibble(char c, unsigned* out) {
-  if (c >= '0' && c <= '9') {
-    *out = static_cast<unsigned>(c - '0');
-    return true;
-  }
-  if (c >= 'a' && c <= 'f') {
-    *out = static_cast<unsigned>(c - 'a' + 10);
-    return true;
-  }
-  if (c >= 'A' && c <= 'F') {
-    *out = static_cast<unsigned>(c - 'A' + 10);
-    return true;
-  }
-  return false;
-}
-
-bool DecodeValue(const std::string& s, std::string* out) {
-  out->clear();
-  out->reserve(s.size());
-  for (size_t i = 0; i < s.size(); i++) {
-    if (s[i] != '%') {
-      out->push_back(s[i]);
-      continue;
-    }
-    unsigned hi = 0;
-    unsigned lo = 0;
-    if (i + 2 >= s.size() || !HexNibble(s[i + 1], &hi) || !HexNibble(s[i + 2], &lo)) {
-      return false;
-    }
-    out->push_back(static_cast<char>((hi << 4) | lo));
-    i += 2;
-  }
-  return true;
-}
-
-bool ParseU64Strict(const std::string& text, uint64_t* out) {
-  if (text.empty() || text.size() > 20) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) {
-      return false;
-    }
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
-std::vector<std::string> SplitList(const std::string& csv) {
-  std::vector<std::string> items;
-  size_t start = 0;
-  while (start <= csv.size()) {
-    size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) {
-      comma = csv.size();
-    }
-    if (comma > start) {
-      items.push_back(csv.substr(start, comma - start));
-    }
-    start = comma + 1;
-  }
-  return items;
+  return PercentEncode(
+      s, [](unsigned char c) { return c == ' ' || c == '=' || c == ',' || c < 0x20; });
 }
 
 // Splits a csv of percent-encoded values, decoding each element.
@@ -110,7 +30,7 @@ bool SplitEncodedList(const std::string& csv, std::vector<std::string>* out, std
   out->clear();
   for (const std::string& item : SplitList(csv)) {
     std::string decoded;
-    if (!DecodeValue(item, &decoded)) {
+    if (!PercentDecode(item, &decoded)) {
       *error = "bad percent-encoding in \"" + item + "\"";
       return false;
     }
@@ -197,18 +117,7 @@ bool FillSockAddr(const std::string& path, sockaddr_un* addr, std::string* error
 }  // namespace
 
 bool ParseServiceRequest(const std::string& line, ServiceRequest* out, std::string* error) {
-  std::vector<std::string> tokens;
-  size_t start = 0;
-  while (start <= line.size()) {
-    size_t space = line.find(' ', start);
-    if (space == std::string::npos) {
-      space = line.size();
-    }
-    if (space > start) {
-      tokens.push_back(line.substr(start, space - start));
-    }
-    start = space + 1;
-  }
+  const std::vector<std::string> tokens = SplitList(line, ' ');
   if (tokens.empty() || tokens[0] != "sweep") {
     *error = "request must start with \"sweep\"";
     return false;
@@ -303,7 +212,7 @@ std::string SerializeServiceRequest(const ServiceRequest& request) {
 SweepService::SweepService(ServiceOptions options, GridFactory factory)
     : options_(std::move(options)),
       factory_(std::move(factory)),
-      pool_(options_.jobs <= 0 ? 0 : static_cast<size_t>(options_.jobs)) {}
+      pool_(ThreadCountForJobs(options_.jobs)) {}
 
 SweepService::~SweepService() {
   RequestShutdown();

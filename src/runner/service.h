@@ -81,7 +81,7 @@ using GridFactory = std::function<bool(const ServiceRequest&, Sweep*, std::strin
 
 struct ServiceOptions {
   std::string socket_path;
-  int jobs = 0;  // shared pool size; <= 0 = hardware_concurrency
+  int jobs = 0;  // shared pool size; <= 0 = all cores (ThreadCountForJobs)
   bool quiet = false;
 };
 

@@ -1,19 +1,15 @@
 #include "src/runner/shard.h"
 
+#include "src/runner/parse.h"
+
 namespace specbench {
 
 namespace {
 
 bool ParseU32Strict(const std::string& text, uint32_t* out) {
-  if (text.empty() || text.size() > 9) {
-    return false;
-  }
   uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
+  if (!ParseU64Strict(text, &value) || value > UINT32_MAX) {
+    return false;
   }
   *out = static_cast<uint32_t>(value);
   return true;

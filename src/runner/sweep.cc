@@ -107,8 +107,7 @@ SweepResult Sweep::Run(const RunnerOptions& options) const {
   std::unique_ptr<ThreadPool> owned_pool;
   ThreadPool* pool = options.pool;
   if (pool == nullptr) {
-    owned_pool =
-        std::make_unique<ThreadPool>(options.jobs <= 0 ? 0 : static_cast<size_t>(options.jobs));
+    owned_pool = std::make_unique<ThreadPool>(ThreadCountForJobs(options.jobs));
     pool = owned_pool.get();
   }
   std::atomic<size_t> completed{0};

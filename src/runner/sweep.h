@@ -64,7 +64,7 @@ struct SweepCellResult {
 };
 
 struct RunnerOptions {
-  // Worker threads; <= 0 means hardware_concurrency.
+  // Worker threads; <= 0 means all cores (ThreadCountForJobs).
   int jobs = 0;
   // Base seed every cell seed is derived from.
   uint64_t base_seed = 1;

@@ -5,9 +5,13 @@
 
 namespace specbench {
 
+size_t ThreadCountForJobs(int jobs) {
+  return jobs > 0 ? static_cast<size_t>(jobs) : std::max(1u, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(size_t threads) {
   if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
+    threads = ThreadCountForJobs(0);
   }
   workers_.reserve(threads);
   for (size_t i = 0; i < threads; i++) {

@@ -18,10 +18,14 @@
 
 namespace specbench {
 
+// The one meaning of every `jobs` option: `jobs` worker threads when
+// positive, one per hardware thread (at least 1) when <= 0.
+size_t ThreadCountForJobs(int jobs);
+
 class ThreadPool {
  public:
-  // Spawns `threads` workers; 0 means std::thread::hardware_concurrency()
-  // (itself clamped to at least 1).
+  // Spawns `threads` workers; 0 means one per hardware thread
+  // (ThreadCountForJobs).
   explicit ThreadPool(size_t threads = 0);
   // Completes all submitted work, then joins the workers.
   ~ThreadPool();

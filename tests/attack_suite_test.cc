@@ -160,19 +160,23 @@ TEST(AttackSuiteMatrix, CrossThreadDefenseLadder) {
 
 TEST(AttackSuiteMatrix, ResultIsIdenticalForAnyJobCount) {
   const SuiteResult serial = RunDefaultSuite(/*jobs=*/1);
-  const SuiteResult parallel = RunDefaultSuite(/*jobs=*/8);
-  ASSERT_EQ(serial.cells.size(), parallel.cells.size());
-  for (size_t i = 0; i < serial.cells.size(); i++) {
-    const SuiteCell& a = serial.cells[i];
-    const SuiteCell& b = parallel.cells[i];
-    EXPECT_EQ(a.cpu, b.cpu);
-    EXPECT_EQ(a.config, b.config);
-    EXPECT_EQ(a.attack, b.attack);
-    EXPECT_EQ(a.attempted, b.attempted);
-    EXPECT_EQ(a.defended, b.defended);
-    EXPECT_EQ(a.trials, b.trials);
-    EXPECT_EQ(a.leaks, b.leaks);
-    EXPECT_EQ(a.leak_rate, b.leak_rate);
+  // -1: any jobs <= 0 means all cores (it used to be cast to size_t).
+  for (int jobs : {8, -1}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const SuiteResult parallel = RunDefaultSuite(jobs);
+    ASSERT_EQ(serial.cells.size(), parallel.cells.size());
+    for (size_t i = 0; i < serial.cells.size(); i++) {
+      const SuiteCell& a = serial.cells[i];
+      const SuiteCell& b = parallel.cells[i];
+      EXPECT_EQ(a.cpu, b.cpu);
+      EXPECT_EQ(a.config, b.config);
+      EXPECT_EQ(a.attack, b.attack);
+      EXPECT_EQ(a.attempted, b.attempted);
+      EXPECT_EQ(a.defended, b.defended);
+      EXPECT_EQ(a.trials, b.trials);
+      EXPECT_EQ(a.leaks, b.leaks);
+      EXPECT_EQ(a.leak_rate, b.leak_rate);
+    }
   }
 }
 

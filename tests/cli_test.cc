@@ -78,6 +78,37 @@ TEST(CliSeeds, HardenRejectsReversedRange) {
   EXPECT_EQ(r.output, "--seeds=9:3: empty range (B must be greater than A)\n");
 }
 
+// --- Strict numeric flags -------------------------------------------------
+
+// A malformed number exits 2 with one line before any work starts, instead
+// of an atoi default (or, for a negative --jobs, an abort).
+TEST(CliNumbers, MalformedValuesExitTwoWithOneLine) {
+  const struct {
+    const char* args;
+    const char* want;
+  } kCases[] = {
+      {"pareto --jobs=-1", "--jobs=-1: want a thread count >= 0 (0 = all cores)\n"},
+      {"pareto --jobs=banana", "--jobs=banana: want a thread count >= 0 (0 = all cores)\n"},
+      {"pareto --jobs=4x", "--jobs=4x: want a thread count >= 0 (0 = all cores)\n"},
+      {"difftest --jobs=-3", "--jobs=-3: want a thread count >= 0 (0 = all cores)\n"},
+      {"pareto --trials=2x --seed=abc", "--trials=2x: want a positive repeat count\n"},
+      {"pareto --seed=abc", "--seed=abc: want a decimal seed\n"},
+      {"difftest --inject-alu-fault=1e3",
+       "--inject-alu-fault=1e3: want a decimal ALU-op count\n"},
+  };
+  for (const auto& c : kCases) {
+    const RunOutput r = RunCli(c.args);
+    EXPECT_EQ(r.exit_code, 2) << c.args;
+    EXPECT_EQ(r.output, c.want) << c.args;
+  }
+}
+
+TEST(CliNumbers, ZeroJobsMeansAllCores) {
+  const RunOutput r = RunCli("difftest --seeds=0:2 --jobs=0 --configs=off");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("0 divergences"), std::string::npos) << r.output;
+}
+
 // --- Per-subcommand flag allowlists ---------------------------------------
 
 TEST(CliFlags, AttacksRejectsSeeds) {

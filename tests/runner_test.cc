@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/core/sweep_grids.h"
+#include "src/difftest/difftest.h"
 #include "src/runner/seed.h"
 #include "src/runner/sweep.h"
 #include "src/runner/thread_pool.h"
@@ -426,6 +427,38 @@ TEST(Sweep, AttributionRoundTripThroughSweepResult) {
   EXPECT_FALSE(reports[0].segments.empty());
   EXPECT_GT(reports[0].total_samples, 0u);
   EXPECT_FALSE(reports[0].saw_non_finite);
+}
+
+// The difftest grid cell runs the oracle's own block loop: its counts are
+// RunDifftest's restricted to that (cpu, config), with shrinking off. The
+// window crosses one of RunDifftest's 32-seed block boundaries.
+TEST(Sweep, DifftestGridCellMatchesTheOracle) {
+  DifftestGridOptions grid;
+  grid.cpus = {Uarch::kZen2};
+  grid.seed_begin = 5;
+  grid.seed_end = 45;
+  const SweepResult result = BuildDifftestGrid(grid).Run();
+  ASSERT_EQ(result.cells.size(), DefaultDiffConfigs().size());
+  for (const SweepCellResult& cell : result.cells) {
+    SCOPED_TRACE(cell.key.config);
+    DifftestOptions oracle;
+    oracle.seed_begin = grid.seed_begin;
+    oracle.seed_end = grid.seed_end;
+    oracle.cpus = grid.cpus;
+    DiffConfig config;
+    ASSERT_TRUE(TryGetDiffConfigByName(cell.key.config, &config));
+    oracle.configs = {config};
+    oracle.shrink = false;
+    const DifftestReport report = RunDifftest(oracle);
+    ASSERT_EQ(cell.output.metrics.size(), 2u);
+    EXPECT_EQ(cell.output.metrics[0].id, "divergences");
+    EXPECT_EQ(cell.output.metrics[0].estimate.value,
+              static_cast<double>(report.divergences.size()));
+    EXPECT_EQ(cell.output.metrics[1].id, "retired");
+    EXPECT_EQ(cell.output.metrics[1].estimate.value,
+              static_cast<double>(report.retired_instructions));
+    EXPECT_GT(report.retired_instructions, 0u);
+  }
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 //   spectrebench attacks [--cpus=...]
 //   spectrebench difftest [--seeds=A:B] [--cpus=...] [--configs=...] [--jobs=N]
 #include <algorithm>
-#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +34,7 @@
 #include "src/core/pareto.h"
 #include "src/core/sweep_grids.h"
 #include "src/runner/checkpoint.h"
+#include "src/runner/parse.h"
 #include "src/runner/service.h"
 #include "src/runner/shard.h"
 #include "src/uarch/machine.h"
@@ -50,7 +51,7 @@ struct CliOptions {
   bool json = false;
   bool csv = false;
   bool quiet = false;           // suppress sweep progress lines on stderr
-  int jobs = 0;                 // 0 = hardware_concurrency
+  int jobs = 0;                 // 0 = all cores (ThreadCountForJobs)
   int trials = 5;               // pareto: attack-suite repeats per cell
   uint64_t seed = 1;
   std::vector<Uarch> cpus = AllUarches();
@@ -83,21 +84,6 @@ struct CliOptions {
 // trailing garbage and the range must be non-empty (B > A; B exclusive).
 // Reversed, empty and non-numeric ranges are command-line errors, not
 // silently-empty work lists.
-bool ParseU64Strict(const std::string& text, uint64_t* out) {
-  if (text.empty()) {
-    return false;
-  }
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-  }
-  errno = 0;
-  char* end = nullptr;
-  *out = std::strtoull(text.c_str(), &end, 10);
-  return end == text.c_str() + text.size() && errno == 0;
-}
-
 bool ParseSeedRange(const std::string& value, uint64_t* begin, uint64_t* end,
                     std::string* error) {
   const size_t colon = value.find(':');
@@ -208,24 +194,6 @@ bool FlagAllowed(const CommandSpec& spec, const std::string& arg) {
   return false;
 }
 
-std::vector<std::string> SplitCsv(const std::string& list) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= list.size()) {
-    const size_t comma = list.find(',', start);
-    const std::string item =
-        list.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) {
-      out.push_back(item);
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  return out;
-}
-
 bool Contains(const std::vector<std::string>& haystack, const std::string& needle) {
   for (const std::string& item : haystack) {
     if (item == needle) {
@@ -239,26 +207,16 @@ SamplerOptions SamplerFor(const CliOptions& options) { return SamplerForFast(opt
 
 std::vector<Uarch> ParseCpuList(const std::string& list) {
   std::vector<Uarch> cpus;
-  size_t start = 0;
-  while (start <= list.size()) {
-    const size_t comma = list.find(',', start);
-    const std::string name =
-        list.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!name.empty()) {
-      const CpuModel* model = TryGetCpuModelByName(name);
-      if (model == nullptr) {
-        std::fprintf(stderr, "unknown CPU model: \"%s\"\nvalid names:\n", name.c_str());
-        for (Uarch u : AllUarches()) {
-          std::fprintf(stderr, "  %s\n", UarchName(u));
-        }
-        std::exit(2);
+  for (const std::string& name : SplitList(list)) {
+    const CpuModel* model = TryGetCpuModelByName(name);
+    if (model == nullptr) {
+      std::fprintf(stderr, "unknown CPU model: \"%s\"\nvalid names:\n", name.c_str());
+      for (Uarch u : AllUarches()) {
+        std::fprintf(stderr, "  %s\n", UarchName(u));
       }
-      cpus.push_back(model->uarch);
+      std::exit(2);
     }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
+    cpus.push_back(model->uarch);
   }
   if (cpus.empty()) {
     std::fprintf(stderr, "--cpus= needs at least one name; valid names:\n");
@@ -1119,25 +1077,32 @@ int main(int argc, char** argv) {
       options.cpus = ParseCpuList(arg.substr(7));
       options.cpus_given = true;
     } else if (arg.rfind("--grids=", 0) == 0) {
-      options.grids = SplitCsv(arg.substr(8));
+      options.grids = SplitList(arg.substr(8));
     } else if (arg.rfind("--workloads=", 0) == 0) {
-      options.workloads = SplitCsv(arg.substr(12));
+      options.workloads = SplitList(arg.substr(12));
     } else if (arg.rfind("--configs=", 0) == 0) {
-      options.configs = SplitCsv(arg.substr(10));
+      options.configs = SplitList(arg.substr(10));
     } else if (arg.rfind("--boot-params=", 0) == 0) {
-      options.boot_params = SplitCsv(arg.substr(14));
+      options.boot_params = SplitList(arg.substr(14));
     } else if (arg == "--strict-boot-params") {
       options.strict_boot_params = true;
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs = std::atoi(arg.c_str() + 7);
-    } else if (arg.rfind("--trials=", 0) == 0) {
-      options.trials = std::atoi(arg.c_str() + 9);
-      if (options.trials < 1) {
-        std::fprintf(stderr, "--trials=%s: want a positive repeat count\n", arg.c_str() + 9);
+      if (!ParseJobsFlag(arg.substr(7), &options.jobs)) {
         return 2;
       }
+    } else if (arg.rfind("--trials=", 0) == 0) {
+      uint64_t trials = 0;
+      if (!ParseU64Strict(arg.substr(9), &trials) || trials < 1 ||
+          trials > static_cast<uint64_t>(INT_MAX)) {
+        std::fprintf(stderr, "%s: want a positive repeat count\n", arg.c_str());
+        return 2;
+      }
+      options.trials = static_cast<int>(trials);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!ParseU64Strict(arg.substr(7), &options.seed)) {
+        std::fprintf(stderr, "%s: want a decimal seed\n", arg.c_str());
+        return 2;
+      }
     } else if (arg.rfind("--seeds=", 0) == 0) {
       const std::string value = arg.substr(8);
       std::string error;
@@ -1147,9 +1112,12 @@ int main(int argc, char** argv) {
       }
       options.seeds_given = true;
     } else if (arg.rfind("--passes=", 0) == 0) {
-      options.passes = SplitCsv(arg.substr(9));
+      options.passes = SplitList(arg.substr(9));
     } else if (arg.rfind("--inject-alu-fault=", 0) == 0) {
-      options.inject_alu_fault = std::strtoull(arg.c_str() + 19, nullptr, 10);
+      if (!ParseU64Strict(arg.substr(19), &options.inject_alu_fault)) {
+        std::fprintf(stderr, "%s: want a decimal ALU-op count\n", arg.c_str());
+        return 2;
+      }
     } else if (arg.rfind("--corpus-out=", 0) == 0) {
       options.corpus_out = arg.substr(13);
     } else if (arg.rfind("--replay=", 0) == 0) {
@@ -1168,7 +1136,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg.rfind("--inputs=", 0) == 0) {
-      options.inputs = SplitCsv(arg.substr(9));
+      options.inputs = SplitList(arg.substr(9));
     } else if (arg.rfind("--socket=", 0) == 0) {
       options.socket_path = arg.substr(9);
     } else if (arg == "--ping") {
