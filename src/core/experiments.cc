@@ -25,6 +25,37 @@ std::string OptStr(const std::optional<double>& value, int decimals = 0) {
   return value.has_value() ? FormatDouble(*value, decimals) : "N/A";
 }
 
+// Figures 2 and 3: one stacked bar per CPU, one segment per mitigation.
+std::string RenderAttributionChart(const std::string& title,
+                                   const std::vector<AttributionReport>& reports) {
+  std::vector<Bar> bars;
+  for (const AttributionReport& report : reports) {
+    Bar bar;
+    bar.label = report.cpu;
+    bar.error = report.total_overhead_pct.ci95;
+    for (const AttributionSegment& segment : report.segments) {
+      if (segment.overhead_pct.value > 0.05) {
+        bar.segments.push_back(BarSegment{segment.label, segment.overhead_pct.value});
+      }
+    }
+    bars.push_back(bar);
+  }
+  return RenderBarChart(title, bars);
+}
+
+// Tables 6-8: one measured cycle count per CPU beside the paper's.
+std::string RenderCycleTable(const std::string& title, const std::string& column,
+                             double (*measure)(const CpuModel&), double (*paper)(Uarch)) {
+  TextTable t;
+  t.SetHeader({"Vendor", "CPU", column, "paper"});
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    t.AddRow({VendorName(cpu.vendor), UarchName(u), FormatCycles(measure(cpu)),
+              FormatCycles(paper(u))});
+  }
+  return title + "\n\n" + t.Render();
+}
+
 }  // namespace
 
 std::string RenderTable1MitigationMatrix() {
@@ -126,20 +157,8 @@ std::string RenderTable2CpuInfo() {
 // parallel runner instead of looping serially here.
 
 std::string RenderFigure2(const std::vector<AttributionReport>& reports) {
-  std::vector<Bar> bars;
-  for (const AttributionReport& report : reports) {
-    Bar bar;
-    bar.label = report.cpu;
-    bar.error = report.total_overhead_pct.ci95;
-    for (const AttributionSegment& segment : report.segments) {
-      if (segment.overhead_pct.value > 0.05) {
-        bar.segments.push_back(BarSegment{segment.label, segment.overhead_pct.value});
-      }
-    }
-    bars.push_back(bar);
-  }
-  return RenderBarChart(
-      "Figure 2. Overhead of mitigations on the LEBench suite (per-mitigation stack)", bars);
+  return RenderAttributionChart(
+      "Figure 2. Overhead of mitigations on the LEBench suite (per-mitigation stack)", reports);
 }
 
 std::string RenderAttributionCsv(const std::vector<AttributionReport>& reports) {
@@ -158,20 +177,8 @@ std::string RenderAttributionCsv(const std::vector<AttributionReport>& reports) 
 }
 
 std::string RenderFigure3(const std::vector<AttributionReport>& reports) {
-  std::vector<Bar> bars;
-  for (const AttributionReport& report : reports) {
-    Bar bar;
-    bar.label = report.cpu;
-    bar.error = report.total_overhead_pct.ci95;
-    for (const AttributionSegment& segment : report.segments) {
-      if (segment.overhead_pct.value > 0.05) {
-        bar.segments.push_back(BarSegment{segment.label, segment.overhead_pct.value});
-      }
-    }
-    bars.push_back(bar);
-  }
-  return RenderBarChart(
-      "Figure 3. Slowdown on the Octane 2 suite from JavaScript and OS mitigations", bars);
+  return RenderAttributionChart(
+      "Figure 3. Slowdown on the Octane 2 suite from JavaScript and OS mitigations", reports);
 }
 
 namespace {
@@ -280,9 +287,9 @@ std::string RenderSection44(const std::vector<VmWorkloadResult>& results) {
               r.vm_exits_protected != 0 ? std::to_string(r.vm_exits_protected) : ""});
   }
   return "Section 4.4. Virtual machine workloads: host mitigations on vs off.\n"
-         "(Paper: LEBench-in-VM within +/-3%; LFS small/largefile ~<2% median,\n"
-         " high run-to-run variability.)\n\n" +
-         t.Render();
+         "(Paper: LEBench-in-VM within +/-" + FormatPercent(kSection44LeBenchInVm.hi, 0) +
+         "; LFS small/largefile ~<" + FormatPercent(kSection44LfsMedianMaxPct, 0) +
+         " median,\n high run-to-run variability.)\n\n" + t.Render();
 }
 
 std::string RenderSection45(const std::vector<ParsecDefaultResult>& results) {
@@ -293,8 +300,8 @@ std::string RenderSection45(const std::vector<ParsecDefaultResult>& results) {
               "+/-" + FormatPercent(r.overhead_pct.ci95, 2)});
   }
   return "Section 4.5. PARSEC kernels under default mitigations.\n"
-         "(Paper: usually within +/-0.5%, never more than 2%.)\n\n" +
-         t.Render();
+         "(Paper: usually within +/-" + FormatPercent(kNoiseFloorPct) + ", never more than " +
+         FormatPercent(kSection45MaxAbsPct, 0) + ".)\n\n" + t.Render();
 }
 
 std::string RenderTable3EntryExit() {
@@ -353,36 +360,18 @@ std::string RenderTable5IndirectBranch() {
 }
 
 std::string RenderTable6Ibpb() {
-  TextTable t;
-  t.SetHeader({"Vendor", "CPU", "IBPB cycles", "paper"});
-  for (Uarch u : AllUarches()) {
-    const CpuModel& cpu = GetCpuModel(u);
-    t.AddRow({VendorName(cpu.vendor), UarchName(u), FormatCycles(MeasureIbpb(cpu)),
-              FormatCycles(PaperTable6Ibpb(u))});
-  }
-  return "Table 6. Cycles for an indirect branch prediction barrier.\n\n" + t.Render();
+  return RenderCycleTable("Table 6. Cycles for an indirect branch prediction barrier.",
+                          "IBPB cycles", MeasureIbpb, PaperTable6Ibpb);
 }
 
 std::string RenderTable7RsbStuff() {
-  TextTable t;
-  t.SetHeader({"Vendor", "CPU", "RSB fill cycles", "paper"});
-  for (Uarch u : AllUarches()) {
-    const CpuModel& cpu = GetCpuModel(u);
-    t.AddRow({VendorName(cpu.vendor), UarchName(u), FormatCycles(MeasureRsbStuff(cpu)),
-              FormatCycles(PaperTable7RsbStuff(u))});
-  }
-  return "Table 7. Cycles to stuff the RSB.\n\n" + t.Render();
+  return RenderCycleTable("Table 7. Cycles to stuff the RSB.", "RSB fill cycles",
+                          MeasureRsbStuff, PaperTable7RsbStuff);
 }
 
 std::string RenderTable8Lfence() {
-  TextTable t;
-  t.SetHeader({"Vendor", "CPU", "lfence cycles", "paper"});
-  for (Uarch u : AllUarches()) {
-    const CpuModel& cpu = GetCpuModel(u);
-    t.AddRow({VendorName(cpu.vendor), UarchName(u), FormatCycles(MeasureLfence(cpu)),
-              FormatCycles(PaperTable8Lfence(u))});
-  }
-  return "Table 8. Cycles for a single lfence in a loop.\n\n" + t.Render();
+  return RenderCycleTable("Table 8. Cycles for a single lfence in a loop.", "lfence cycles",
+                          MeasureLfence, PaperTable8Lfence);
 }
 
 std::vector<Fig5Row> RunFigure5Ssbd(const std::vector<Uarch>& cpus) {
@@ -415,7 +404,8 @@ std::string RenderFigure5(const std::vector<Fig5Row>& rows) {
   }
   return RenderBarChart(
       "Figure 5. Slowdown from force-enabling Speculative Store Bypass Disable\n"
-      "on the PARSEC kernels (paper: up to ~34%, trending worse on newer parts)",
+      "on the PARSEC kernels (paper: up to ~" +
+          FormatPercent(kFigure5MaxPct, 0) + ", trending worse on newer parts)",
       bars);
 }
 
@@ -453,11 +443,8 @@ std::string RenderTables9And10() {
   return out.str();
 }
 
-std::string RenderEibrsBimodal() {
-  std::ostringstream out;
-  out << "Section 6.2.2. Kernel-entry latency distribution with eIBRS: most\n"
-         "entries are fast, but every Nth entry pays ~210 extra cycles while the\n"
-         "kernel predictor state is scrubbed.\n\n";
+std::vector<EibrsBimodalRow> MeasureEibrsBimodal() {
+  std::vector<EibrsBimodalRow> rows;
   for (Uarch u : {Uarch::kCascadeLake, Uarch::kIceLakeClient, Uarch::kIceLakeServer}) {
     const CpuModel& cpu = GetCpuModel(u);
     Machine m(cpu);
@@ -472,8 +459,8 @@ std::string RenderEibrsBimodal() {
     Program p = b.Build();
     m.LoadProgram(&p);
     m.SetSyscallEntry(p.VaddrOf(2));
-    uint64_t fast = 0;
-    uint64_t slow = 0;
+    EibrsBimodalRow row;
+    row.cpu = UarchName(u);
     double fast_sum = 0;
     double slow_sum = 0;
     for (int i = 0; i < 200; i++) {
@@ -481,18 +468,31 @@ std::string RenderEibrsBimodal() {
       m.Run(p.VaddrOf(0));
       const uint64_t cost = m.cycles() - before;
       if (cost > cpu.latency.syscall + cpu.latency.sysret + 100) {
-        slow++;
+        row.slow++;
         slow_sum += static_cast<double>(cost);
       } else {
-        fast++;
+        row.fast++;
         fast_sum += static_cast<double>(cost);
       }
     }
-    out << UarchName(u) << ": " << fast << " fast entries (avg "
-        << FormatCycles(fast ? fast_sum / static_cast<double>(fast) : 0) << " cyc), " << slow
-        << " slow entries (avg "
-        << FormatCycles(slow ? slow_sum / static_cast<double>(slow) : 0)
-        << " cyc); every " << (slow != 0 ? 200 / slow : 0) << "th entry is slow\n";
+    row.fast_avg = row.fast ? fast_sum / static_cast<double>(row.fast) : 0;
+    row.slow_avg = row.slow ? slow_sum / static_cast<double>(row.slow) : 0;
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+std::string RenderEibrsBimodal() {
+  std::ostringstream out;
+  out << "Section 6.2.2. Kernel-entry latency distribution with eIBRS: most\n"
+         "entries are fast, but every Nth entry pays ~"
+      << FormatDouble(kSection622ExtraCycles, 0)
+      << " extra cycles while the\n"
+         "kernel predictor state is scrubbed.\n\n";
+  for (const EibrsBimodalRow& row : MeasureEibrsBimodal()) {
+    out << row.cpu << ": " << row.fast << " fast entries (avg " << FormatCycles(row.fast_avg)
+        << " cyc), " << row.slow << " slow entries (avg " << FormatCycles(row.slow_avg)
+        << " cyc); every " << row.SlowEntryPeriod() << "th entry is slow\n";
   }
   return out.str();
 }

@@ -1,8 +1,8 @@
 // Experiment drivers: one entry point per table/figure of the paper.
 //
 // Each Run* function produces structured results; each Render* function
-// turns them into the terminal tables / ASCII bar charts the bench binaries
-// print. See DESIGN.md's experiment index for the mapping.
+// turns them into the terminal tables / ASCII bar charts `spectrebench
+// <command>` prints. See DESIGN.md's experiment index for the mapping.
 #ifndef SPECTREBENCH_SRC_CORE_EXPERIMENTS_H_
 #define SPECTREBENCH_SRC_CORE_EXPERIMENTS_H_
 
@@ -85,6 +85,18 @@ std::string RenderFigure5(const std::vector<Fig5Row>& rows);
 std::string RenderTables9And10();
 
 // --- Section 6.2.2: eIBRS bimodal kernel-entry latency (extension) ----------
+// 200 back-to-back kernel entries on each eIBRS part, split into fast and
+// slow (predictor-scrubbing) entries.
+struct EibrsBimodalRow {
+  std::string cpu;
+  uint64_t fast = 0;
+  uint64_t slow = 0;
+  double fast_avg = 0;  // cycles per entry
+  double slow_avg = 0;
+  // Every Nth entry is slow (0 when none is).
+  uint64_t SlowEntryPeriod() const { return slow != 0 ? (fast + slow) / slow : 0; }
+};
+std::vector<EibrsBimodalRow> MeasureEibrsBimodal();
 std::string RenderEibrsBimodal();
 
 }  // namespace specbench

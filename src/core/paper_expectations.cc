@@ -63,4 +63,42 @@ double PaperTable8Lfence(Uarch uarch) {
   return kRows[Index(uarch)];
 }
 
+std::string PaperTable9(Uarch uarch) {
+  static const char* const kRows[] = {
+      "yyyyy",  // Broadwell
+      "yyyyy",  // Skylake Client
+      "nyyyy",  // Cascade Lake
+      "nyyyy",  // Ice Lake Client
+      "nyyyy",  // Ice Lake Server
+      "yyyyy",  // Zen
+      "yyyyy",  // Zen 2
+      "nnnnn",  // Zen 3
+  };
+  return kRows[Index(uarch)];
+}
+
+std::string PaperTable10(Uarch uarch) {
+  static const char* const kRows[] = {
+      "nnnnn",  // Broadwell
+      "nnnnn",  // Skylake Client
+      "nyyyy",  // Cascade Lake
+      "nynyn",  // Ice Lake Client
+      "nyyyy",  // Ice Lake Server
+      "N/A",    // Zen (no IBRS)
+      "nnnnn",  // Zen 2
+      "nnnnn",  // Zen 3
+  };
+  return kRows[Index(uarch)];
+}
+
+std::optional<Band> PaperFigure2Total(Uarch uarch) {
+  // Broadwell, Skylake Client, Cascade Lake, Ice Lake Client, Ice Lake
+  // Server, Zen, Zen 2, Zen 3.
+  static const std::optional<Band> kRows[] = {
+      AtLeast(30.0), AtLeast(30.0), std::nullopt, AtMost(3.0),
+      AtMost(3.0),   std::nullopt,  std::nullopt, AtMost(3.0),
+  };
+  return kRows[Index(uarch)];
+}
+
 }  // namespace specbench

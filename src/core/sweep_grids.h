@@ -2,10 +2,10 @@
 //
 // Each Build*Grid function registers one cell per independent
 // (CPU × config × workload) point of an experiment with the deterministic
-// parallel runner (src/runner/sweep.h), replacing the hand-rolled nested
-// loops the bench binaries used to run serially. A future figure or table
-// driver is one registration call: build a grid, Run() it, convert the
-// SweepResult back to the driver's report type for rendering.
+// parallel runner (src/runner/sweep.h) instead of a serial nested loop. A
+// future figure or table driver is one registration call: build a grid,
+// Run() it, convert the SweepResult back to the driver's report type for
+// rendering.
 #ifndef SPECTREBENCH_SRC_CORE_SWEEP_GRIDS_H_
 #define SPECTREBENCH_SRC_CORE_SWEEP_GRIDS_H_
 

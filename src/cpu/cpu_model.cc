@@ -1,5 +1,6 @@
 #include "src/cpu/cpu_model.h"
 
+#include <algorithm>
 #include <array>
 
 #include "src/util/check.h"
@@ -23,6 +24,12 @@ const char* UarchName(Uarch uarch) {
 
 const char* VendorName(Vendor vendor) {
   return vendor == Vendor::kIntel ? "Intel" : "AMD";
+}
+
+std::string CpuSlug(const std::string& name) {
+  std::string slug = name;
+  std::replace(slug.begin(), slug.end(), ' ', '-');
+  return slug;
 }
 
 namespace {

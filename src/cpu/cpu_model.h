@@ -34,6 +34,9 @@ enum class Uarch : uint8_t {
 
 const char* UarchName(Uarch uarch);
 const char* VendorName(Vendor vendor);
+// A CPU name with dashes for spaces ("Skylake-Client"), for ids and file
+// names.
+std::string CpuSlug(const std::string& name);
 
 struct CacheGeometry {
   uint32_t size_bytes = 0;

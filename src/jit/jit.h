@@ -3,12 +3,14 @@
 // Production JS engines mitigate Spectre V1 *inside generated code*:
 //   * index masking — a cmov before every array access zeroes the index
 //     when it is out of bounds, so a speculative access cannot run ahead of
-//     the bounds check (SpiderMonkey; ~4% on Octane 2 per the paper);
+//     the bounds check (SpiderMonkey);
 //   * object guards — a cmov zeroes the object pointer when the shape check
-//     fails, preventing speculative type confusion (~6%);
+//     fails, preventing speculative type confusion;
 //   * pointer poisoning & friends ("other JavaScript") — heap pointers are
 //     stored XOR-ed with a poison value and unpoisoned on load, putting an
 //     ALU dependency on every pointer chase.
+// The paper's Octane 2 costs of the first two are in
+// src/core/paper_expectations.h.
 //
 // JsEmitter emits JS-level operations (array element access, shape-guarded
 // field access, poisoned pointer loads) into a ProgramBuilder, inserting the

@@ -1,9 +1,8 @@
 // Plain-text rendering of tables and bar charts.
 //
 // Every experiment in the paper is either a table (Tables 1-10) or a bar
-// figure (Figures 2, 3, 5). The bench binaries render their results with
-// these helpers so the terminal output can be compared side by side with the
-// paper.
+// figure (Figures 2, 3, 5). The report renderers use these helpers so the
+// terminal output can be compared side by side with the paper.
 #ifndef SPECTREBENCH_SRC_UTIL_TEXT_TABLE_H_
 #define SPECTREBENCH_SRC_UTIL_TEXT_TABLE_H_
 

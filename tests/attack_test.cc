@@ -6,6 +6,7 @@
 #include "src/attack/attacks.h"
 #include "src/attack/side_channel.h"
 #include "src/attack/speculation_probe.h"
+#include "src/core/paper_expectations.h"
 
 namespace specbench {
 namespace {
@@ -151,66 +152,42 @@ TEST_P(AllCpus, DifferentSecretsRecovered) {
 
 // --- The §6 speculation probe: Tables 9 and 10 ------------------------------
 
-// Expected Table 9 (IBRS disabled) rows, in column order {u->k (sc),
-// u->u (sc), k->k (sc), u->u, k->k}.
-struct Table9Row {
-  Uarch uarch;
-  bool expect[5];
-};
-
-constexpr Table9Row kTable9[] = {
-    {Uarch::kBroadwell, {true, true, true, true, true}},
-    {Uarch::kSkylakeClient, {true, true, true, true, true}},
-    {Uarch::kCascadeLake, {false, true, true, true, true}},
-    {Uarch::kIceLakeClient, {false, true, true, true, true}},
-    {Uarch::kIceLakeServer, {false, true, true, true, true}},
-    {Uarch::kZen1, {true, true, true, true, true}},
-    {Uarch::kZen2, {true, true, true, true, true}},
-    {Uarch::kZen3, {false, false, false, false, false}},
-};
-
+// Expected Tables 9 (IBRS disabled) and 10 (IBRS enabled) rows, one 'y'/'n'
+// per Table9Columns() entry, from src/core/paper_expectations.h.
 TEST(SpeculationProbe, Table9IbrsDisabled) {
-  for (const Table9Row& row : kTable9) {
-    SpeculationProbe probe(GetCpuModel(row.uarch));
+  for (Uarch u : AllUarches()) {
+    const std::string expect = PaperTable9(u);
+    SpeculationProbe probe(GetCpuModel(u));
     const auto cases = Table9Columns(/*ibrs=*/false);
+    ASSERT_EQ(expect.size(), cases.size()) << UarchName(u);
     for (size_t i = 0; i < cases.size(); i++) {
       const ProbeOutcome outcome = probe.Run(cases[i]);
-      EXPECT_EQ(outcome == ProbeOutcome::kSpeculated, row.expect[i])
-          << UarchName(row.uarch) << " " << ProbeCaseName(cases[i]);
+      EXPECT_EQ(outcome == ProbeOutcome::kSpeculated, expect[i] == 'y')
+          << UarchName(u) << " " << ProbeCaseName(cases[i]);
     }
   }
 }
 
-// Expected Table 10 (IBRS enabled). Zen 1 has no IBRS (all n/a).
-struct Table10Row {
-  Uarch uarch;
-  bool expect[5];
-};
-
-constexpr Table10Row kTable10[] = {
-    {Uarch::kBroadwell, {false, false, false, false, false}},
-    {Uarch::kSkylakeClient, {false, false, false, false, false}},
-    {Uarch::kCascadeLake, {false, true, true, true, true}},
-    {Uarch::kIceLakeClient, {false, true, false, true, false}},
-    {Uarch::kIceLakeServer, {false, true, true, true, true}},
-    {Uarch::kZen2, {false, false, false, false, false}},
-    {Uarch::kZen3, {false, false, false, false, false}},
-};
-
 TEST(SpeculationProbe, Table10IbrsEnabled) {
-  for (const Table10Row& row : kTable10) {
-    SpeculationProbe probe(GetCpuModel(row.uarch));
+  for (Uarch u : AllUarches()) {
+    const std::string expect = PaperTable10(u);
+    if (expect == "N/A") {
+      continue;  // no IBRS: Zen1IbrsUnsupported
+    }
+    SpeculationProbe probe(GetCpuModel(u));
     const auto cases = Table9Columns(/*ibrs=*/true);
+    ASSERT_EQ(expect.size(), cases.size()) << UarchName(u);
     for (size_t i = 0; i < cases.size(); i++) {
       const ProbeOutcome outcome = probe.Run(cases[i]);
-      ASSERT_NE(outcome, ProbeOutcome::kUnsupported) << UarchName(row.uarch);
-      EXPECT_EQ(outcome == ProbeOutcome::kSpeculated, row.expect[i])
-          << UarchName(row.uarch) << " " << ProbeCaseName(cases[i]);
+      ASSERT_NE(outcome, ProbeOutcome::kUnsupported) << UarchName(u);
+      EXPECT_EQ(outcome == ProbeOutcome::kSpeculated, expect[i] == 'y')
+          << UarchName(u) << " " << ProbeCaseName(cases[i]);
     }
   }
 }
 
 TEST(SpeculationProbe, Zen1IbrsUnsupported) {
+  EXPECT_EQ(PaperTable10(Uarch::kZen1), "N/A");
   SpeculationProbe probe(GetCpuModel(Uarch::kZen1));
   for (const ProbeCase& c : Table9Columns(/*ibrs=*/true)) {
     EXPECT_EQ(probe.Run(c), ProbeOutcome::kUnsupported);

@@ -91,6 +91,8 @@ TEST(CliNumbers, MalformedValuesExitTwoWithOneLine) {
       {"pareto --jobs=banana", "--jobs=banana: want a thread count >= 0 (0 = all cores)\n"},
       {"pareto --jobs=4x", "--jobs=4x: want a thread count >= 0 (0 = all cores)\n"},
       {"difftest --jobs=-3", "--jobs=-3: want a thread count >= 0 (0 = all cores)\n"},
+      {"fig3 --jobs=banana", "--jobs=banana: want a thread count >= 0 (0 = all cores)\n"},
+      {"scorecard --jobs=1.5", "--jobs=1.5: want a thread count >= 0 (0 = all cores)\n"},
       {"pareto --trials=2x --seed=abc", "--trials=2x: want a positive repeat count\n"},
       {"pareto --seed=abc", "--seed=abc: want a decimal seed\n"},
       {"difftest --inject-alu-fault=1e3",
@@ -167,6 +169,21 @@ TEST(CliFlags, DifftestAcceptsItsFlags) {
 TEST(CliFlags, Table1AcceptsNoFlags) {
   const RunOutput r = RunCli("table1");
   EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST(CliFlags, Fig2CsvPrintsTheAttributionRows) {
+  const RunOutput r = RunCli("fig2 --cpus=Zen --csv");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.rfind("cpu,workload,mitigation,overhead_pct,ci95\n", 0), 0u) << r.output;
+  EXPECT_NE(r.output.find("\nZen,lebench,TOTAL,"), std::string::npos) << r.output;
+}
+
+TEST(CliFlags, Sec45IsIdenticalForAnyJobCount) {
+  const RunOutput serial = RunCli("sec45 --jobs=1");
+  const RunOutput parallel = RunCli("sec45 --jobs=4");
+  EXPECT_EQ(serial.exit_code, 0) << serial.output;
+  EXPECT_EQ(parallel.exit_code, 0) << parallel.output;
+  EXPECT_EQ(serial.output, parallel.output);
 }
 
 }  // namespace

@@ -143,10 +143,13 @@ TEST(Microbench, Table3TracksPaper) {
   for (Uarch u : AllUarches()) {
     const EntryExitCosts costs = MeasureEntryExit(GetCpuModel(u));
     const PaperTable3Row paper = PaperTable3(u);
-    EXPECT_NEAR(costs.syscall, paper.syscall, paper.syscall * 0.25 + 8.0) << UarchName(u);
-    EXPECT_NEAR(costs.sysret, paper.sysret, paper.sysret * 0.25 + 8.0) << UarchName(u);
+    EXPECT_NEAR(costs.syscall, paper.syscall, kTable3EntryExitTolerance.Bound(paper.syscall))
+        << UarchName(u);
+    EXPECT_NEAR(costs.sysret, paper.sysret, kTable3EntryExitTolerance.Bound(paper.sysret))
+        << UarchName(u);
     if (paper.swap_cr3.has_value()) {
-      EXPECT_NEAR(costs.swap_cr3, *paper.swap_cr3, *paper.swap_cr3 * 0.15) << UarchName(u);
+      EXPECT_NEAR(costs.swap_cr3, *paper.swap_cr3, kTable3SwapCr3Tolerance.Bound(*paper.swap_cr3))
+          << UarchName(u);
     }
   }
 }
@@ -156,9 +159,9 @@ TEST(Microbench, Table4TracksPaper) {
     const CpuModel& cpu = GetCpuModel(u);
     const double measured = MeasureVerw(cpu);
     if (const auto paper = PaperTable4(u); paper.has_value()) {
-      EXPECT_NEAR(measured, *paper, *paper * 0.1) << UarchName(u);
+      EXPECT_NEAR(measured, *paper, kTable4VerwTolerance.Bound(*paper)) << UarchName(u);
     } else {
-      EXPECT_LT(measured, 60.0) << UarchName(u);
+      EXPECT_LT(measured, kTable4LegacyVerwMaxCycles) << UarchName(u);
     }
   }
 }
@@ -167,14 +170,14 @@ TEST(Microbench, Table6IbpbTracksPaper) {
   for (Uarch u : AllUarches()) {
     const double measured = MeasureIbpb(GetCpuModel(u));
     const double paper = PaperTable6Ibpb(u);
-    EXPECT_NEAR(measured, paper, paper * 0.1 + 10.0) << UarchName(u);
+    EXPECT_NEAR(measured, paper, kTable6IbpbTolerance.Bound(paper)) << UarchName(u);
   }
 }
 
 TEST(Microbench, Table7RsbTracksPaper) {
   for (Uarch u : AllUarches()) {
     EXPECT_NEAR(MeasureRsbStuff(GetCpuModel(u)), PaperTable7RsbStuff(u),
-                PaperTable7RsbStuff(u) * 0.15 + 5.0)
+                kTable7RsbTolerance.Bound(PaperTable7RsbStuff(u)))
         << UarchName(u);
   }
 }
@@ -182,7 +185,7 @@ TEST(Microbench, Table7RsbTracksPaper) {
 TEST(Microbench, Table8LfenceTracksPaper) {
   for (Uarch u : AllUarches()) {
     EXPECT_NEAR(MeasureLfence(GetCpuModel(u)), PaperTable8Lfence(u),
-                PaperTable8Lfence(u) * 0.3 + 4.0)
+                kTable8LfenceTolerance.Bound(PaperTable8Lfence(u)))
         << UarchName(u);
   }
 }
@@ -195,9 +198,9 @@ TEST(Microbench, Table5ShapeHolds) {
     EXPECT_GT(costs.generic_retpoline, costs.baseline) << UarchName(u);
     // IBRS is ~free on eIBRS parts and costly on legacy parts.
     if (cpu.predictor.eibrs) {
-      EXPECT_NEAR(costs.ibrs, costs.baseline, 4.0) << UarchName(u);
+      EXPECT_NEAR(costs.ibrs, costs.baseline, kTable5EibrsMaxDelta) << UarchName(u);
     } else if (cpu.predictor.ibrs_supported) {
-      EXPECT_GT(costs.ibrs, costs.baseline + 5.0) << UarchName(u);
+      EXPECT_GT(costs.ibrs, costs.baseline + kTable5LegacyIbrsMinDelta) << UarchName(u);
     } else {
       EXPECT_LT(costs.ibrs, 0) << UarchName(u);  // N/A on Zen 1
     }

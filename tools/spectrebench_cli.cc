@@ -5,6 +5,7 @@
 //   spectrebench list
 //   spectrebench table1|table2|...|table8|tables9-10|sec622
 //   spectrebench fig2|fig3|fig5|sec44|sec45 [--fast] [--cpus=Zen 3,Broadwell]
+//   spectrebench scorecard [--jobs=N]
 //   spectrebench sweep [--grids=fig2,fig3,sec45] [--jobs=N] [--seed=S] [--csv]
 //   spectrebench attacks [--cpus=...]
 //   spectrebench difftest [--seeds=A:B] [--cpus=...] [--configs=...] [--jobs=N]
@@ -32,6 +33,7 @@
 #include "src/core/counters.h"
 #include "src/core/experiments.h"
 #include "src/core/pareto.h"
+#include "src/core/scorecard.h"
 #include "src/core/sweep_grids.h"
 #include "src/runner/checkpoint.h"
 #include "src/runner/parse.h"
@@ -130,11 +132,12 @@ const std::vector<CommandSpec>& CommandSpecs() {
       {"table8", {}},
       {"tables9-10", {}},
       {"sec622", {}},
-      {"fig2", {"--fast", "--cpus"}},
-      {"fig3", {"--fast", "--cpus"}},
+      {"fig2", {"--fast", "--csv", "--jobs", "--cpus"}},
+      {"fig3", {"--fast", "--csv", "--jobs", "--cpus"}},
       {"fig5", {"--cpus"}},
       {"sec44", {"--fast", "--cpus"}},
-      {"sec45", {"--fast", "--cpus"}},
+      {"sec45", {"--fast", "--jobs", "--cpus"}},
+      {"scorecard", {"--jobs"}},
       {"fig2-kernels", {"--cpus"}},
       {"sweep",
        {"--fast", "--csv", "--quiet", "--jobs", "--seed", "--seeds", "--cpus", "--grids",
@@ -205,6 +208,12 @@ bool Contains(const std::vector<std::string>& haystack, const std::string& needl
 
 SamplerOptions SamplerFor(const CliOptions& options) { return SamplerForFast(options.fast); }
 
+RunnerOptions RunnerFor(const CliOptions& options) {
+  RunnerOptions runner;
+  runner.jobs = options.jobs;
+  return runner;
+}
+
 std::vector<Uarch> ParseCpuList(const std::string& list) {
   std::vector<Uarch> cpus;
   for (const std::string& name : SplitList(list)) {
@@ -260,14 +269,10 @@ void EmitArchHashes(const Program& program, const std::vector<Uarch>& cpus,
     Machine machine(GetCpuModel(u));
     for (const DiffConfig& config : configs) {
       const ArchState state = RunMachineArch(machine, program, config, 1'000'000);
-      std::string cpu_slug = std::string(UarchName(u));
-      for (char& c : cpu_slug) {
-        if (c == ' ') c = '-';
-      }
       std::printf(
           "cpu=%s config=%s retired=%llu trace=0x%016llx regs=0x%016llx "
           "mem=0x%016llx halted=%d\n",
-          cpu_slug.c_str(), config.name.c_str(),
+          CpuSlug(UarchName(u)).c_str(), config.name.c_str(),
           static_cast<unsigned long long>(state.retired),
           static_cast<unsigned long long>(state.trace_hash),
           static_cast<unsigned long long>(RegDigest(state)),
@@ -359,8 +364,7 @@ int RunSweep(const CliOptions& options) {
     }
   }
 
-  RunnerOptions runner;
-  runner.jobs = options.jobs;
+  RunnerOptions runner = RunnerFor(options);
   runner.base_seed = options.seed;
   runner.progress = !options.quiet;
   const ShardSpec shard = options.shard;
@@ -636,13 +640,9 @@ int RunDifftestCommand(const CliOptions& options) {
       if (d.shrunk.size() == 0) {
         continue;
       }
-      std::string cpu_slug = d.cpu;
-      for (char& c : cpu_slug) {
-        if (c == ' ') c = '-';
-      }
       std::ostringstream path;
-      path << options.corpus_out << "/seed-" << d.seed << "-" << cpu_slug << "-" << d.config
-           << ".difftest";
+      path << options.corpus_out << "/seed-" << d.seed << "-" << CpuSlug(d.cpu) << "-"
+           << d.config << ".difftest";
       std::ostringstream comment;
       comment << "seed=" << d.seed << " cpu=" << d.cpu << " config=" << d.config << "\n"
               << d.detail << "\n"
@@ -981,10 +981,13 @@ void PrintUsage() {
       "  table5       indirect branch variants         table6  IBPB cycles\n"
       "  table7       RSB stuffing cycles              table8  lfence cycles\n"
       "  tables9-10   the speculation probe matrix     sec622  eIBRS bimodality\n"
-      "  fig2         LEBench attribution (per CPU)\n"
-      "  fig3         Octane 2 attribution (per CPU)\n"
+      "  fig2         LEBench attribution (per CPU) [--csv] [--jobs=N]\n"
+      "  fig3         Octane 2 attribution (per CPU) [--csv] [--jobs=N]\n"
       "  fig5         SSBD on PARSEC (per CPU)\n"
       "  sec44        VM workloads                     sec45   PARSEC defaults\n"
+      "               (sec45 takes [--jobs=N])\n"
+      "  scorecard    every paper claim, paper vs measured, match/miss\n"
+      "               [--jobs=N]; byte-identical for any --jobs\n"
       "  fig2-kernels per-kernel LEBench overhead drill-down\n"
       "  sweep        run experiment grids on the deterministic parallel\n"
       "               runner: [--grids=fig2,fig3,sec45,difftest] [--jobs=N]\n"
@@ -1200,14 +1203,15 @@ int main(int argc, char** argv) {
     std::printf("%s\n", RenderEibrsBimodal().c_str());
     return 0;
   }
-  if (command == "fig2") {
-    std::printf("%s\n",
-                RenderFigure2(RunFigure2LeBench(SamplerFor(options), options.cpus)).c_str());
-    return 0;
-  }
-  if (command == "fig3") {
-    std::printf("%s\n",
-                RenderFigure3(RunFigure3Octane(SamplerFor(options), options.cpus)).c_str());
+  if (command == "fig2" || command == "fig3") {
+    const bool fig2 = command == "fig2";
+    const std::vector<AttributionReport> reports =
+        fig2 ? RunFigure2LeBench(SamplerFor(options), options.cpus, RunnerFor(options))
+             : RunFigure3Octane(SamplerFor(options), options.cpus, RunnerFor(options));
+    const std::string text = options.csv ? RenderAttributionCsv(reports)
+                             : fig2      ? RenderFigure2(reports)
+                                         : RenderFigure3(reports);
+    std::printf("%s\n", text.c_str());
     return 0;
   }
   if (command == "fig5") {
@@ -1220,8 +1224,13 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "sec45") {
-    std::printf("%s\n",
-                RenderSection45(RunSection45Parsec(SamplerFor(options), options.cpus)).c_str());
+    std::printf("%s\n", RenderSection45(RunSection45Parsec(SamplerFor(options), options.cpus,
+                                                          RunnerFor(options)))
+                             .c_str());
+    return 0;
+  }
+  if (command == "scorecard") {
+    std::printf("%s", RenderScorecard(BuildScorecard(RunnerFor(options))).c_str());
     return 0;
   }
   if (command == "fig2-kernels") {
