@@ -3,6 +3,7 @@
 #include "src/attack/side_channel.h"
 #include "src/isa/isa.h"
 #include "src/uarch/machine.h"
+#include "src/uarch/machine_pool.h"
 #include "src/uarch/memory.h"
 #include "src/util/check.h"
 
@@ -99,7 +100,8 @@ Program BuildV1Program(V1Variant variant) {
 }
 
 bool ReplayV1(const CpuModel& cpu, const Program& p) {
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   m.LoadProgram(&p);
   for (uint64_t i = 0; i < kArrayLen; i++) {
     m.PokeData(kArrayBase + 8 * i, i % kCandidates);
@@ -143,7 +145,8 @@ Program BuildIndirectProgram(bool lfence_before_call) {
 }
 
 bool ReplayIndirect(const CpuModel& cpu, const Program& p) {
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   m.LoadProgram(&p);
   m.SetReg(kRegSp, kStackTop);
   m.PokeData(kSecretSlot, kSecret);
@@ -176,7 +179,8 @@ Program BuildRetUnderflowProgram() {
 }
 
 bool ReplayRetUnderflow(const CpuModel& cpu, const Program& p) {
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   m.LoadProgram(&p);
   m.PokeData(kSecretSlot, kSecret);
   // Attacker trained the BTB at the ret's pc; the true return address sits
@@ -213,7 +217,8 @@ Program BuildDeepCallChainProgram(uint32_t rsb_depth) {
 }
 
 bool ReplayDeepCallChain(const CpuModel& cpu, const Program& p) {
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   m.LoadProgram(&p);
   m.SetReg(kRegSp, kStackTop);
   m.Run(p.SymbolVaddr("entry"));
@@ -253,7 +258,8 @@ Program BuildSsbProgram(bool mfence_after_store) {
 }
 
 bool ReplaySsb(const CpuModel& cpu, const Program& p) {
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   m.LoadProgram(&p);
   m.PokeData(kSsbSlot, kSecret);  // the "old" value the bypass exposes
   m.PokeData(kLenAddr, 0);
@@ -301,7 +307,8 @@ Program BuildSysretProgram(bool protected_exit) {
 }
 
 bool ReplaySysret(const CpuModel& cpu, const Program& p) {
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   static UnmappedWindowMap map;
   m.SetMemoryMap(&map);
   m.LoadProgram(&p);
@@ -339,7 +346,8 @@ Program BuildBenignLoopProgram() {
 }
 
 bool ReplayBenignLoop(const CpuModel& cpu, const Program& p) {
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   m.LoadProgram(&p);
   for (uint64_t i = 0; i < kArrayLen; i++) {
     m.PokeData(kArrayBase + 8 * i, i);

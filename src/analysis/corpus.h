@@ -3,7 +3,7 @@
 //
 // Every entry pairs a Program with (a) the finding kinds the analyzer is
 // expected to report and (b) a *replay*: an executable attacker scenario
-// that runs the program on a fresh Machine (training predictors, planting a
+// that runs the program on a power-on Machine (training predictors, planting a
 // secret, flushing the probe) and reports whether a transient leak was
 // actually observable — through the flush+reload side channel for the
 // cache-encoding gadgets, or through the RSB-underflow performance counter
@@ -30,7 +30,7 @@ struct CorpusEntry {
   // Finding kinds the analyzer must report for this program on a CPU
   // vulnerable to the corresponding attack class.
   std::vector<FindingKind> expected;
-  // Runs the attacker scenario against `program` on a fresh machine built
+  // Runs the attacker scenario against `program` on a power-on machine
   // for `cpu`; returns true if the transient effect was observed.
   std::function<bool(const CpuModel& cpu, const Program& program)> replay;
 };

@@ -1,7 +1,7 @@
 // Cross-validation of the static analyzer against the simulator.
 //
 // For each corpus entry the harness (1) replays the attacker scenario on a
-// fresh Machine and records whether the transient effect was actually
+// power-on Machine and records whether the transient effect was actually
 // observable, (2) grades every static finding against that ground truth and
 // the entry's expected kinds, and (3) for Spectre-V1 findings, replays the
 // targeted-lfence rewrite to confirm the leak is gone.

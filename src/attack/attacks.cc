@@ -3,6 +3,7 @@
 #include "src/attack/side_channel.h"
 #include "src/isa/program.h"
 #include "src/uarch/machine.h"
+#include "src/uarch/machine_pool.h"
 #include "src/util/check.h"
 
 namespace specbench {
@@ -84,7 +85,8 @@ AttackResult Finish(Machine& m, uint64_t secret) {
 
 AttackResult RunSpectreV1Attack(const CpuModel& cpu, bool index_masking, uint64_t secret) {
   SPECBENCH_CHECK(secret < kCandidates);
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   ProgramBuilder b;
   // Victim: if (index < len) { x = array[index]; encode(x); }
   Label in_bounds = b.NewLabel();
@@ -140,7 +142,8 @@ AttackResult RunSpectreV2Attack(const CpuModel& cpu, const SpectreV2Options& opt
     result.attempted = false;
     return result;
   }
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   ProgramBuilder b;
 
   Label victim_label = b.NewLabel();
@@ -220,7 +223,8 @@ AttackResult RunSpectreV2Attack(const CpuModel& cpu, const SpectreV2Options& opt
 
 AttackResult RunSpectreRsbAttack(const CpuModel& cpu, bool rsb_stuffing, uint64_t secret) {
   SPECBENCH_CHECK(secret < kCandidates);
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   ProgramBuilder b;
 
   b.BindSymbol("gadget");
@@ -263,7 +267,8 @@ AttackResult RunSpectreRsbAttack(const CpuModel& cpu, bool rsb_stuffing, uint64_
 
 AttackResult RunMeltdownAttack(const CpuModel& cpu, bool pti, uint64_t secret) {
   SPECBENCH_CHECK(secret < kCandidates);
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
 
   // Address space: everything user-accessible except the kernel page, which
   // is supervisor-only without PTI and entirely unmapped with PTI.
@@ -318,7 +323,8 @@ AttackResult RunMeltdownAttack(const CpuModel& cpu, bool pti, uint64_t secret) {
 AttackResult RunMdsAttack(const CpuModel& cpu, bool verw_clear, uint64_t secret,
                           uint64_t trial_salt) {
   SPECBENCH_CHECK(secret < kCandidates);
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   class MdsMap : public MemoryMap {
    public:
     Translation Translate(uint64_t vaddr, uint64_t, Mode) const override {
@@ -382,7 +388,8 @@ AttackResult RunMdsAttack(const CpuModel& cpu, bool verw_clear, uint64_t secret,
 
 AttackResult RunSpectreV2SmtAttack(const CpuModel& cpu, bool stibp, uint64_t secret) {
   SPECBENCH_CHECK(secret < kCandidates);
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   ProgramBuilder b;
 
   Label victim_call_site = b.NewLabel();
@@ -467,7 +474,8 @@ AttackResult RunSpectreV2SmtAttack(const CpuModel& cpu, bool stibp, uint64_t sec
 AttackResult RunMdsSmtAttack(const CpuModel& cpu, const MdsSmtOptions& options,
                              uint64_t secret, uint64_t trial_salt) {
   SPECBENCH_CHECK(secret < kCandidates);
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   class SmtMap : public MemoryMap {
    public:
     Translation Translate(uint64_t vaddr, uint64_t, Mode) const override {
@@ -584,7 +592,8 @@ AttackResult RunSmotherSpectreAttack(const CpuModel& cpu, bool co_resident,
   constexpr int kAttackerLen = 96;
 
   auto measure = [&](int bit, uint64_t planted) -> uint64_t {
-    Machine m(cpu);
+    MachineLease lease(cpu);
+    Machine& m = *lease;
     ProgramBuilder b;
     Label div_path = b.NewLabel();
     Label vdone = b.NewLabel();
@@ -657,7 +666,8 @@ AttackResult RunSmotherSpectreAttack(const CpuModel& cpu, bool co_resident,
 
 AttackResult RunSsbAttack(const CpuModel& cpu, bool ssbd, uint64_t secret) {
   SPECBENCH_CHECK(secret < kCandidates);
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   m.SetSsbd(ssbd);
   constexpr uint64_t kSlot = 0x51000000;
   ProgramBuilder b;
@@ -694,7 +704,8 @@ AttackResult RunSsbAttack(const CpuModel& cpu, bool ssbd, uint64_t secret) {
 
 AttackResult RunLazyFpAttack(const CpuModel& cpu, bool eager_fpu, uint64_t secret) {
   SPECBENCH_CHECK(secret < kCandidates);
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   // The previous process left `secret` in fp0. With eager FPU the switch
   // already replaced it with the new process's (zero) state.
   if (eager_fpu) {
@@ -734,7 +745,8 @@ AttackResult RunLazyFpAttack(const CpuModel& cpu, bool eager_fpu, uint64_t secre
 
 AttackResult RunL1tfAttack(const CpuModel& cpu, bool pte_inversion, uint64_t secret) {
   SPECBENCH_CHECK(secret < kCandidates);
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   // The victim's secret lives at physical address kSecretSlot and is mapped
   // (kernel-only) at the same virtual address. The attacker controls a
   // non-present PTE at kEvilVaddr whose physical address still points at the

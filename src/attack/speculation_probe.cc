@@ -3,6 +3,7 @@
 #include "src/isa/program.h"
 #include "src/uarch/cycle_attribution.h"
 #include "src/uarch/machine.h"
+#include "src/uarch/machine_pool.h"
 #include "src/util/check.h"
 
 namespace specbench {
@@ -173,7 +174,8 @@ ProbeOutcome SpeculationProbe::Run(const ProbeCase& probe_case) const {
     return ProbeOutcome::kUnsupported;
   }
 
-  Machine m(cpu_);
+  MachineLease lease(cpu_);
+  Machine& m = *lease;
   static const ProbeProgram pp = BuildProbeProgram();
   const Program& p = pp.program;
   m.LoadProgram(&p);
@@ -231,7 +233,8 @@ ProbeOutcome SpeculationProbe::Run(const ProbeCase& probe_case) const {
 }
 
 ProbeOutcome SpeculationProbe::RunSameSiteControl() const {
-  Machine m(cpu_);
+  MachineLease lease(cpu_);
+  Machine& m = *lease;
   static const ProbeProgram pp = BuildProbeProgram();
   const Program& p = pp.program;
   m.LoadProgram(&p);

@@ -45,7 +45,7 @@ class SpeculationProbe {
   explicit SpeculationProbe(const CpuModel& cpu);
 
   // Runs the full train/transition/probe sequence for one configuration on
-  // a fresh machine.
+  // a power-on machine.
   ProbeOutcome Run(const ProbeCase& probe_case) const;
 
   // Control experiment: training and probing from the *same* call site in

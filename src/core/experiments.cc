@@ -8,6 +8,7 @@
 #include "src/isa/program.h"
 #include "src/os/kernel.h"
 #include "src/uarch/machine.h"
+#include "src/uarch/machine_pool.h"
 #include "src/util/text_table.h"
 #include "src/workload/lebench.h"
 #include "src/workload/lfs.h"
@@ -447,7 +448,8 @@ std::vector<EibrsBimodalRow> MeasureEibrsBimodal() {
   std::vector<EibrsBimodalRow> rows;
   for (Uarch u : {Uarch::kCascadeLake, Uarch::kIceLakeClient, Uarch::kIceLakeServer}) {
     const CpuModel& cpu = GetCpuModel(u);
-    Machine m(cpu);
+    MachineLease lease(cpu);
+    Machine& m = *lease;
     m.SetIbrs(true);
     m.SetReg(kRegSp, 0x70000000);
     ProgramBuilder b;

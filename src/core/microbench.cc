@@ -4,6 +4,7 @@
 
 #include "src/isa/program.h"
 #include "src/uarch/machine.h"
+#include "src/uarch/machine_pool.h"
 #include "src/util/check.h"
 
 namespace specbench {
@@ -14,11 +15,12 @@ constexpr uint64_t kStackTop = 0x70000000;
 constexpr int kIterations = 512;
 
 // Per-iteration cycles of a loop whose body is emitted by `emit` (may be
-// empty), measured on a fresh machine.
+// empty), measured on a machine in power-on state.
 double LoopCyclesPerIteration(const CpuModel& cpu,
                               const std::function<void(ProgramBuilder&)>& emit,
                               int iterations = kIterations) {
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   m.SetReg(kRegSp, kStackTop);
   ProgramBuilder b;
   Label loop = b.NewLabel();
@@ -51,7 +53,8 @@ EntryExitCosts MeasureEntryExit(const CpuModel& cpu) {
   // timestamps before sysret; deltas accumulate in registers.
   //   r4: t before syscall      r7:  sum of (kernel t - t before syscall)
   //   r8: t before sysret       r12: sum of (user t - t before sysret)
-  Machine m(cpu);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
   m.SetReg(kRegSp, kStackTop);
   ProgramBuilder b;
   Label loop = b.NewLabel();
@@ -112,7 +115,8 @@ IndirectBranchCosts MeasureIndirectBranch(const CpuModel& cpu) {
   enum class Variant { kDirect, kIndirect, kIbrs, kGenericRetpoline, kAmdRetpoline };
 
   auto measure = [&cpu](Variant variant) {
-    Machine m(cpu);
+    MachineLease lease(cpu);
+    Machine& m = *lease;
     m.SetReg(kRegSp, kStackTop);
     if (variant == Variant::kIbrs) {
       m.SetIbrs(true);

@@ -1,7 +1,7 @@
 // Instruction-level microbenchmarks for the paper's Tables 3-8 (§5).
 //
 // Each function measures one mitigation-relevant instruction sequence on a
-// fresh machine using the architectural timestamp counter, averaging over
+// power-on machine using the architectural timestamp counter, averaging over
 // many iterations as the paper does ("we rely on the timestamp counter ...
 // and average over one million runs"). Costs are reported net of the
 // measurement-loop overhead. NaN-like absences (mitigation not applicable

@@ -113,18 +113,26 @@ ParetoReport BuildParetoReport(const ParetoOptions& options) {
 
   // The attack suite and one basket cell per (cpu, config) run as one grid:
   // a single barrier, then the pure join below. Basket cells ignore their
-  // runner seed; their inputs are fixed.
+  // runner seed; their inputs are fixed. Cells are registered one CPU at a
+  // time, its long basket cells before its short attack cells, so a worker's
+  // leased machine (MachineLease) changes model once per CPU and the run
+  // ends on short cells instead of a tail of basket cells.
   Sweep grid;
-  report.suite = AddSuiteCells(suite_options, &grid);
-  const size_t first_basket_cell = grid.size();
+  report.suite.options = suite_options;
+  std::vector<size_t> first_basket_cell;
   std::vector<std::vector<NamedConfig>> matrices;
   for (Uarch u : options.cpus) {
     const CpuModel& cpu = GetCpuModel(u);
+    first_basket_cell.push_back(grid.size());
     matrices.push_back(MitigationConfigMatrix(cpu));
     for (const NamedConfig& named : matrices.back()) {
       grid.Add(SweepCellKey{UarchName(u), named.name, kBasketWorkload},
                [&cpu, config = named.config](uint64_t) { return MeasureBasket(cpu, config); });
     }
+    SuiteOptions one_cpu = suite_options;
+    one_cpu.cpus = {u};
+    const std::vector<SuiteCell> cells = AddSuiteCells(one_cpu, &grid).cells;
+    report.suite.cells.insert(report.suite.cells.end(), cells.begin(), cells.end());
   }
   RunnerOptions runner;
   runner.jobs = options.jobs;
@@ -134,9 +142,9 @@ ParetoReport BuildParetoReport(const ParetoOptions& options) {
 
   const std::vector<AttackSpec>& suite = AttackSuite();
   const size_t num_workloads = ParetoWorkloads().size();
-  size_t cell_index = first_basket_cell;
   for (size_t c = 0; c < options.cpus.size(); c++) {
     const CpuModel& cpu = GetCpuModel(options.cpus[c]);
+    size_t cell_index = first_basket_cell[c];
     const std::vector<NamedConfig>& matrix = matrices[c];
 
     CpuPareto row;

@@ -43,6 +43,8 @@ struct CacheGeometry {
   uint32_t ways = 1;
   uint32_t line_bytes = 64;
   uint32_t latency_cycles = 4;
+
+  bool operator==(const CacheGeometry&) const = default;
 };
 
 // Per-opcode-class latencies in cycles. Values calibrated per CPU against the
@@ -86,6 +88,8 @@ struct LatencyTable {
   uint32_t ssbd_forward_stall = 12;
   // Cycles a store's address stays "unresolved" for the bypass machinery.
   uint32_t store_resolve_delay = 10;
+
+  bool operator==(const LatencyTable&) const = default;
 };
 
 // Branch-predictor behaviour; these flags generate the Tables 9/10 matrix.
@@ -113,6 +117,8 @@ struct PredictorPolicy {
   // the paper observed as bimodal syscall latency (§6.2.2). Zero disables.
   uint32_t eibrs_scrub_period = 0;     // every N kernel entries...
   uint32_t eibrs_scrub_cycles = 0;     // ...charge this many extra cycles
+
+  bool operator==(const PredictorPolicy&) const = default;
 };
 
 // Which attacks this silicon is vulnerable to (paper Table 1: an empty cell
@@ -125,6 +131,8 @@ struct VulnerabilityFlags {
   bool spectre_v1 = true;   // every CPU studied
   bool spectre_v2 = true;   // every CPU studied
   bool spec_store_bypass = true;  // every CPU studied (paper §4.3)
+
+  bool operator==(const VulnerabilityFlags&) const = default;
 };
 
 struct CpuModel {
@@ -157,6 +165,10 @@ struct CpuModel {
   // Speculation window in cycles: roughly how far past an unresolved branch
   // the out-of-order engine can run. Deeper on newer designs.
   uint32_t speculation_window = 192;
+
+  // Field-by-field: two models are equal when a Machine built from either
+  // behaves identically (MachineLease keys its reuse on this).
+  bool operator==(const CpuModel&) const = default;
 };
 
 // The eight processors evaluated by the paper (Table 2), fully parameterized.

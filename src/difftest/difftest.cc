@@ -11,6 +11,7 @@
 #include "src/os/mitigation_config.h"
 #include "src/runner/sweep.h"
 #include "src/uarch/machine.h"
+#include "src/uarch/machine_pool.h"
 #include "src/util/check.h"
 
 namespace specbench {
@@ -129,8 +130,8 @@ ArchState RunMachineArch(Machine& m, const Program& program, const DiffConfig& c
 
 ArchState RunMachineArch(const Program& program, const CpuModel& cpu, const DiffConfig& config,
                          uint64_t max_instructions, uint64_t inject_alu_fault_after) {
-  Machine m(cpu);
-  return RunMachineArch(m, program, config, max_instructions, inject_alu_fault_after);
+  MachineLease lease(cpu);
+  return RunMachineArch(*lease, program, config, max_instructions, inject_alu_fault_after);
 }
 
 DifftestReport RunDifftestBlock(const DifftestOptions& options, uint64_t first_seed,
@@ -162,7 +163,8 @@ DifftestReport RunDifftestBlock(const DifftestOptions& options, uint64_t first_s
   // Resets it between every cell of that CPU (configs, seeds and shrink
   // candidates alike).
   for (Uarch u : cpus) {
-    Machine machine(GetCpuModel(u));
+    MachineLease lease(GetCpuModel(u));
+    Machine& machine = *lease;
     for (size_t i = 0; i < programs.size(); i++) {
       const uint64_t seed = first_seed + i;
       const Program& program = programs[i];

@@ -62,7 +62,7 @@ bool TryGetDiffConfigByName(const std::string& name, DiffConfig* out);
 ArchState RunMachineArch(Machine& machine, const Program& program, const DiffConfig& config,
                          uint64_t max_instructions, uint64_t inject_alu_fault_after = 0);
 
-// The same on a freshly constructed Machine for `cpu` (one-off runs).
+// The same on a leased Machine for `cpu` (one-off runs).
 ArchState RunMachineArch(const Program& program, const CpuModel& cpu, const DiffConfig& config,
                          uint64_t max_instructions, uint64_t inject_alu_fault_after = 0);
 

@@ -36,7 +36,7 @@ constexpr uint64_t kHeapIpcQueue = 0x10000;
 }  // namespace
 
 Kernel::Kernel(const CpuModel& cpu, const MitigationConfig& config)
-    : cpu_(cpu), config_(config), machine_(std::make_unique<Machine>(cpu)) {
+    : cpu_(cpu), config_(config), machine_(cpu) {
   // Boot process.
   CreateProcess();
 }

@@ -30,6 +30,7 @@
 #include "src/os/mitigation_config.h"
 #include "src/os/paging.h"
 #include "src/uarch/machine.h"
+#include "src/uarch/machine_pool.h"
 
 namespace specbench {
 
@@ -175,7 +176,7 @@ class Kernel {
   MitigationConfig config_;
   ProgramBuilder builder_;
   Program program_;
-  std::unique_ptr<Machine> machine_;
+  MachineLease machine_;
   PageMapper mapper_;
   PhysAllocator phys_;
 

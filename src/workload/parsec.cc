@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/os/kernel.h"
+#include "src/uarch/machine_pool.h"
 #include "src/util/check.h"
 #include "src/workload/measurement.h"
 
@@ -122,47 +123,56 @@ void EmitKernelByName(const std::string& name, ProgramBuilder& b) {
 // core, not of the syscall-path mitigations, which keeps the cache below
 // independent of which sweep cell computes it first (byte-determinism for
 // any --jobs).
-double MeasuredNosmtCharge(const std::string& name, const CpuModel& cpu) {
-  static std::mutex mu;
-  static std::map<std::pair<int, std::string>, double> cache;
-  const std::pair<int, std::string> key{static_cast<int>(cpu.uarch), name};
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(key);
-    if (it != cache.end()) {
-      return it->second;
-    }
-  }
-
+double ComputeNosmtCharge(const std::string& name, const CpuModel& cpu) {
   ProgramBuilder b;
   b.BindSymbol("user_main");
   EmitKernelByName(name, b);
   Program p = b.Build();
 
-  Machine solo(cpu);
-  solo.LoadProgram(&p);
-  SeedData(solo);
-  const Machine::RunResult solo_result = solo.Run(p.SymbolVaddr("user_main"));
-  SPECBENCH_CHECK(solo_result.halted);
+  // Solo then co-resident, one lease each, so one machine is alive at a time.
+  uint64_t solo_cycles = 0;
+  {
+    MachineLease solo(cpu);
+    solo->LoadProgram(&p);
+    SeedData(*solo);
+    const Machine::RunResult solo_result = solo->Run(p.SymbolVaddr("user_main"));
+    SPECBENCH_CHECK(solo_result.halted);
+    solo_cycles = solo_result.cycles;
+  }
 
-  Machine co(cpu);
-  co.LoadProgram(&p);
-  SeedData(co);
+  MachineLease co(cpu);
+  co->LoadProgram(&p);
+  SeedData(*co);
   Machine::CoResidentSpec thread_a;
   thread_a.program = &p;
   thread_a.entry_vaddr = p.SymbolVaddr("user_main");
   thread_a.smt_thread_id = 0;
   Machine::CoResidentSpec thread_b = thread_a;
   thread_b.smt_thread_id = 1;
-  const Machine::CoResidentResult co_result = co.RunCoResident(thread_a, thread_b);
+  const Machine::CoResidentResult co_result = co->RunCoResident(thread_a, thread_b);
   SPECBENCH_CHECK(co_result.thread[0].halted && co_result.thread[1].halted);
 
-  const double t_solo = static_cast<double>(solo_result.cycles);
+  const double t_solo = static_cast<double>(solo_cycles);
   const double t_co = static_cast<double>(co_result.cycles);
-  const double charge = std::clamp(2.0 * t_solo / t_co, 1.0, 2.0);
-  std::lock_guard<std::mutex> lock(mu);
-  cache.emplace(key, charge);
-  return charge;
+  return std::clamp(2.0 * t_solo / t_co, 1.0, 2.0);
+}
+
+// ComputeNosmtCharge, once per (CPU, kernel) per process: cells that ask for
+// the same charge concurrently wait for the first one instead of repeating it.
+double MeasuredNosmtCharge(const std::string& name, const CpuModel& cpu) {
+  struct Charge {
+    std::once_flag once;
+    double value = 0.0;
+  };
+  static std::mutex mu;
+  static std::map<std::pair<int, std::string>, Charge> cache;
+  Charge* charge = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    charge = &cache[{static_cast<int>(cpu.uarch), name}];
+  }
+  std::call_once(charge->once, [&] { charge->value = ComputeNosmtCharge(name, cpu); });
+  return charge->value;
 }
 
 }  // namespace
@@ -174,6 +184,14 @@ const std::vector<std::string>& Parsec::KernelNames() {
 
 double Parsec::RunKernel(const std::string& name, const CpuModel& cpu,
                          const MitigationConfig& config, uint64_t seed) {
+  // nosmt: the PARSEC suite is the multithreaded half of the study — with
+  // the sibling thread disabled, each core retires one stream instead of
+  // two overlapping ones. Charge the *measured* co-run throughput from
+  // RunCoResident (see MeasuredNosmtCharge) on parts that have SMT to
+  // lose; single-stream LEBench/Octane latency is unaffected. Measured
+  // before the kernel boots so its machines reuse this thread's slot.
+  const double nosmt_charge =
+      config.smt_off && cpu.smt ? MeasuredNosmtCharge(name, cpu) : 1.0;
   Kernel kernel(cpu, config);
   ProgramBuilder& b = kernel.builder();
   b.BindSymbol("user_main");
@@ -186,15 +204,7 @@ double Parsec::RunKernel(const std::string& name, const CpuModel& cpu,
   }
   SeedData(kernel.machine());
   const auto result = kernel.Run("user_main");
-  double cycles = static_cast<double>(result.cycles);
-  // nosmt: the PARSEC suite is the multithreaded half of the study — with
-  // the sibling thread disabled, each core retires one stream instead of
-  // two overlapping ones. Charge the *measured* co-run throughput from
-  // RunCoResident (see MeasuredNosmtCharge) on parts that have SMT to
-  // lose; single-stream LEBench/Octane latency is unaffected.
-  if (config.smt_off && cpu.smt) {
-    cycles *= MeasuredNosmtCharge(name, cpu);
-  }
+  const double cycles = static_cast<double>(result.cycles) * nosmt_charge;
   return ApplyNoise(cycles, seed ^ std::hash<std::string>{}(name), 0.004);
 }
 

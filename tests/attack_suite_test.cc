@@ -18,6 +18,7 @@
 #include "src/attack/suite.h"
 #include "src/cpu/cpu_model.h"
 #include "src/os/mitigation_config.h"
+#include "src/uarch/machine_pool.h"
 
 namespace specbench {
 namespace {
@@ -209,6 +210,37 @@ TEST(AttackSuiteMatrix, VerdictsHoldForOtherSeeds) {
     if (cell.attempted) {
       EXPECT_EQ(cell.leaked(), !cell.defended)
           << cell.cpu << "/" << cell.config << "/" << cell.attack;
+    }
+  }
+}
+
+// Every attack trial leases its machines (src/uarch/machine_pool.h): run on
+// the thread's reused slot machine, a trial must see exactly what it sees on
+// a freshly built one. Holding an outer lease forces the fresh machine,
+// smother-spectre's twelve per-trial measurements included.
+TEST(AttackSuiteTrials, ReusedMachineMatchesFreshMachineEverywhere) {
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    for (const NamedConfig& named : MitigationConfigMatrix(cpu)) {
+      for (const AttackSpec& spec : AttackSuite()) {
+        for (int salt = 0; salt < 3; salt++) {
+          const uint64_t secret = TrialSecret(spec, /*cell_seed=*/1, salt);
+          AttackResult fresh;
+          {
+            MachineLease outer(cpu);
+            fresh = spec.run(cpu, named.config, secret, static_cast<uint64_t>(salt));
+          }
+          const AttackResult reused =
+              spec.run(cpu, named.config, secret, static_cast<uint64_t>(salt));
+          const std::string where =
+              std::string(UarchName(u)) + "/" + named.name + "/" + spec.name + "/salt=" +
+              std::to_string(salt);
+          EXPECT_EQ(reused.attempted, fresh.attempted) << where;
+          EXPECT_EQ(reused.expected, fresh.expected) << where;
+          EXPECT_EQ(reused.recovered, fresh.recovered) << where;
+          EXPECT_EQ(reused.leaked, fresh.leaked) << where;
+        }
+      }
     }
   }
 }

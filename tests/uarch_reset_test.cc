@@ -1,7 +1,7 @@
 // Machine reuse regression tests: Machine::Reset must return the machine to
 // power-on state so that a second Run on a reused machine is bit- and
 // cycle-identical to a run on a freshly constructed machine. This is the
-// contract MachinePool and the oracle's machine reuse are built on; any
+// contract MachineLease and MachinePool are built on; any
 // member added to Machine or its components that survives Reset shows up
 // here as a cycle or PMC mismatch on the fuzz corpus.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/cpu/cpu_model.h"
@@ -302,6 +303,102 @@ TEST(MachinePool, AcquireHandsBackPowerOnState) {
   (void)RunOnce(pool.Acquire(cpu), GenerateProgram(12, GeneratorOptions{}));
   const Observation got = RunOnce(pool.Acquire(cpu), program);
   EXPECT_TRUE(got == want) << "\n  fresh:  " << want.ToString() << "\n  pooled: " << got.ToString();
+}
+
+// --- MachineLease: one idle machine per thread ----------------------------
+
+TEST(MachineLease, LeasesInARowReuseOneMachineInPowerOnState) {
+  const CpuModel& cpu = GetCpuModel(Uarch::kIceLakeClient);
+  const Program program = GenerateProgram(11, GeneratorOptions{});
+  Machine fresh(cpu);
+  const Observation want = RunOnce(fresh, program);
+
+  Machine* first = nullptr;
+  {
+    MachineLease lease(cpu);
+    first = &*lease;
+    (void)RunOnce(*lease, GenerateProgram(12, GeneratorOptions{}));
+  }
+  MachineLease lease(cpu);
+  EXPECT_EQ(&*lease, first);
+  const Observation got = RunOnce(*lease, program);
+  EXPECT_TRUE(got == want) << "\n  fresh:  " << want.ToString() << "\n  leased: " << got.ToString();
+}
+
+TEST(MachineLease, NestedLeaseGetsADistinctPowerOnMachine) {
+  const CpuModel& cpu = GetCpuModel(Uarch::kSkylakeClient);
+  const Program program = GenerateProgram(21, GeneratorOptions{});
+  Machine fresh(cpu);
+  const Observation want = RunOnce(fresh, program);
+
+  Machine* outer_machine = nullptr;
+  {
+    MachineLease outer(cpu);
+    outer_machine = &*outer;
+    (void)RunOnce(*outer, GenerateProgram(22, GeneratorOptions{}));
+    MachineLease inner(cpu);
+    EXPECT_NE(&*inner, &*outer);
+    const Observation got = RunOnce(*inner, program);
+    EXPECT_TRUE(got == want) << "\n  fresh:  " << want.ToString()
+                             << "\n  nested: " << got.ToString();
+  }
+  // The nested machine was private; the slot still holds the outer one.
+  MachineLease again(cpu);
+  EXPECT_EQ(&*again, outer_machine);
+}
+
+// Reuse is keyed on the model's value: a modified copy of a catalog model
+// (same uarch) and a stack-built model at a reused address both get a
+// machine built for exactly the model they asked for.
+TEST(MachineLease, ModifiedModelsNeverReuseAnotherModelsMachine) {
+  const CpuModel& broadwell = GetCpuModel(Uarch::kBroadwell);
+  CpuModel nopcid = broadwell;
+  nopcid.pcid_supported = false;
+  {
+    MachineLease lease(broadwell);
+    EXPECT_TRUE(lease->cpu() == broadwell);
+  }
+  {
+    MachineLease lease(nopcid);
+    EXPECT_TRUE(lease->cpu() == nopcid);
+    EXPECT_FALSE(lease->cpu().pcid_supported);
+  }
+
+  const CpuModel& icx = GetCpuModel(Uarch::kIceLakeServer);
+  ASSERT_EQ(FutureCpuModel().uarch, icx.uarch);
+  for (const CpuModel* cpu : {&icx, &FutureCpuModel(), &icx}) {
+    MachineLease lease(*cpu);
+    EXPECT_TRUE(lease->cpu() == *cpu);
+    EXPECT_EQ(lease->cpu().cmov_load_fusion, cpu->cmov_load_fusion);
+  }
+
+  for (bool pcid : {true, false, true}) {
+    CpuModel stack_model = broadwell;  // same stack slot every iteration
+    stack_model.pcid_supported = pcid;
+    MachineLease lease(stack_model);
+    EXPECT_EQ(lease->cpu().pcid_supported, pcid);
+  }
+}
+
+TEST(MachineLease, AnotherThreadNeverGetsThisThreadsMachine) {
+  const CpuModel& cpu = GetCpuModel(Uarch::kZen2);
+  Machine* mine = nullptr;
+  {
+    MachineLease lease(cpu);
+    mine = &*lease;
+  }
+  // This thread's machine is idle in its slot, so it stays allocated while
+  // the other thread leases: distinct addresses mean distinct machines.
+  Machine* theirs = nullptr;
+  std::thread other([&] {
+    MachineLease lease(cpu);
+    theirs = &*lease;
+  });
+  other.join();
+  EXPECT_NE(theirs, nullptr);
+  EXPECT_NE(theirs, mine);
+  MachineLease again(cpu);
+  EXPECT_EQ(&*again, mine);
 }
 
 // --- Component resets -----------------------------------------------------

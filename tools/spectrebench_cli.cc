@@ -40,6 +40,7 @@
 #include "src/runner/service.h"
 #include "src/runner/shard.h"
 #include "src/uarch/machine.h"
+#include "src/uarch/machine_pool.h"
 #include "src/util/check.h"
 #include "src/workload/lebench.h"
 #include "src/workload/octane.h"
@@ -266,7 +267,8 @@ void EmitArchHashes(const Program& program, const std::vector<Uarch>& cpus,
                     const std::vector<DiffConfig>& configs) {
   std::printf("# spectrebench arch-hashes v1\n");
   for (Uarch u : cpus) {
-    Machine machine(GetCpuModel(u));
+    MachineLease lease(GetCpuModel(u));
+    Machine& machine = *lease;
     for (const DiffConfig& config : configs) {
       const ArchState state = RunMachineArch(machine, program, config, 1'000'000);
       std::printf(
@@ -618,7 +620,8 @@ int RunDifftestCommand(const CliOptions& options) {
         opts.configs.empty() ? DefaultDiffConfigs() : opts.configs;
     int divergences = 0;
     for (Uarch u : opts.cpus) {
-      Machine machine(GetCpuModel(u));
+      MachineLease lease(GetCpuModel(u));
+      Machine& machine = *lease;
       for (const DiffConfig& config : configs) {
         const ArchState got =
             RunMachineArch(machine, program, config, 1'000'000, opts.inject_alu_fault_after);
