@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -78,6 +79,64 @@ std::vector<std::string> SplitWhitespace(const std::string& line) {
   return tokens;
 }
 
+// A register field: a general-purpose register number, or kNoReg (none).
+// Checked before the narrowing cast, so 256 cannot wrap to register 0.
+bool ParseRegister(const std::string& field, int64_t number, uint8_t* out, std::string* why) {
+  if (number != kNoReg && (number < 0 || number >= kNumRegs)) {
+    *why = field + " register " + std::to_string(number) + " is not 0.." +
+           std::to_string(kNumRegs - 1) + " or " + std::to_string(kNoReg) + " (none)";
+    return false;
+  }
+  *out = static_cast<uint8_t>(number);
+  return true;
+}
+
+// True if the engine and the reference interpreter index the registers
+// with src1 (src2) for this instruction. A field the line leaves out stays
+// kNoReg, which must not reach them.
+bool ReadsSrc1(Op op) {
+  switch (op) {
+    case Op::kMov:
+    case Op::kAlu:
+    case Op::kMul:
+    case Op::kDiv:
+    case Op::kCmov:
+    case Op::kStore:
+    case Op::kBranchNz:
+    case Op::kBranchZ:
+    case Op::kBranchEqImm:
+    case Op::kIndirectJmp:
+    case Op::kIndirectCall:
+    case Op::kMovCr3:
+    case Op::kWrmsr:
+    case Op::kGpToFp:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool ReadsSrc2(const Instruction& in) {
+  return in.op == Op::kCmov ||
+         (!in.use_imm && (in.op == Op::kAlu || in.op == Op::kMul || in.op == Op::kDiv));
+}
+
+// The operand `in` needs but lacks, or nullptr.
+const char* MissingOperand(const Instruction& in) {
+  Instruction with_dst = in;
+  with_dst.dst = 0;  // DestReg reports dst only for opcodes that write it
+  if (in.dst == kNoReg && DestReg(with_dst) != kNoReg) {
+    return "dst";
+  }
+  if (in.src1 == kNoReg && ReadsSrc1(in.op)) {
+    return "src1";
+  }
+  if (in.src2 == kNoReg && ReadsSrc2(in)) {
+    return "src2";
+  }
+  return nullptr;
+}
+
 bool ParseInstructionLine(const std::vector<std::string>& tokens, Instruction* out,
                           std::string* why) {
   Instruction in;
@@ -104,30 +163,50 @@ bool ParseInstructionLine(const std::vector<std::string>& tokens, Instruction* o
         return false;
       }
     } else if (key == "mem") {
-      int base = 0, index = 0, scale = 0;
-      long long disp = 0;
-      if (std::sscanf(value.c_str(), "%d,%d,%d,%lld", &base, &index, &scale, &disp) != 4) {
+      // base,index,scale,disp
+      std::vector<int64_t> fields;
+      bool numeric = true;
+      for (size_t start = 0; numeric;) {
+        const size_t comma = value.find(',', start);
+        numeric = ParseInt64(value.substr(start, comma - start), &number);
+        fields.push_back(number);
+        if (comma == std::string::npos) {
+          break;
+        }
+        start = comma + 1;
+      }
+      if (!numeric || fields.size() != 4) {
         *why = "bad mem operand '" + value + "'";
         return false;
       }
-      in.mem.base = static_cast<uint8_t>(base);
-      in.mem.index = static_cast<uint8_t>(index);
+      if (!ParseRegister("mem base", fields[0], &in.mem.base, why) ||
+          !ParseRegister("mem index", fields[1], &in.mem.index, why)) {
+        return false;
+      }
+      const int64_t scale = fields[2];
+      if (scale != 1 && scale != 2 && scale != 4 && scale != 8) {
+        *why = "mem scale " + std::to_string(scale) + " is not 1, 2, 4 or 8";
+        return false;
+      }
       in.mem.scale = static_cast<uint8_t>(scale);
-      in.mem.disp = disp;
+      in.mem.disp = fields[3];
     } else if (!ParseInt64(value, &number)) {
       *why = "bad integer for '" + key + "': '" + value + "'";
       return false;
-    } else if (key == "dst") {
-      in.dst = static_cast<uint8_t>(number);
-    } else if (key == "src1") {
-      in.src1 = static_cast<uint8_t>(number);
-    } else if (key == "src2") {
-      in.src2 = static_cast<uint8_t>(number);
+    } else if (key == "dst" || key == "src1" || key == "src2") {
+      uint8_t* field = key == "dst" ? &in.dst : key == "src1" ? &in.src1 : &in.src2;
+      if (!ParseRegister(key, number, field, why)) {
+        return false;
+      }
     } else if (key == "use_imm") {
       in.use_imm = number != 0;
     } else if (key == "imm") {
       in.imm = number;
     } else if (key == "target") {
+      if (number < INT32_MIN || number > INT32_MAX) {
+        *why = "target " + value + " is out of range";
+        return false;
+      }
       in.target = static_cast<int32_t>(number);
     } else {
       *why = "unknown key '" + key + "'";
@@ -136,6 +215,15 @@ bool ParseInstructionLine(const std::vector<std::string>& tokens, Instruction* o
   }
   if (!saw_op) {
     *why = "instruction line without op=";
+    return false;
+  }
+  if (const char* missing = MissingOperand(in)) {
+    *why = std::string("op=") + OpName(in.op) + " needs " + missing + "=";
+    return false;
+  }
+  if (in.op == Op::kRdpmc && (in.imm < 0 || in.imm >= static_cast<int64_t>(Pmc::kCount))) {
+    *why = "rdpmc counter imm=" + std::to_string(in.imm) + " is not 0.." +
+           std::to_string(static_cast<int>(Pmc::kCount) - 1);
     return false;
   }
   *out = in;
@@ -174,6 +262,7 @@ bool ParseCorpusProgram(const std::string& text, Program* out, std::string* erro
   std::istringstream in(text);
   std::string line;
   std::vector<Instruction> instructions;
+  std::vector<int> instruction_lines;
   uint64_t base_vaddr = kDefaultCodeBase;
   int line_number = 0;
   while (std::getline(in, line)) {
@@ -193,12 +282,23 @@ bool ParseCorpusProgram(const std::string& text, Program* out, std::string* erro
         return fail(line_number, why);
       }
       instructions.push_back(instr);
+      instruction_lines.push_back(line_number);
     } else {
       return fail(line_number, "unknown directive '" + tokens[0] + "'");
     }
   }
   if (instructions.empty()) {
     return fail(line_number, "no instructions");
+  }
+  const int32_t size = static_cast<int32_t>(instructions.size());
+  for (size_t i = 0; i < instructions.size(); i++) {
+    const Instruction& instr = instructions[i];
+    if ((IsDirectJump(instr.op) || IsConditionalBranch(instr.op)) &&
+        (instr.target < 0 || instr.target >= size)) {
+      return fail(instruction_lines[i], "branch target " + std::to_string(instr.target) +
+                                            " is outside the program (0.." +
+                                            std::to_string(size - 1) + ")");
+    }
   }
   *out = Program(std::move(instructions), base_vaddr, {});
   return true;

@@ -67,24 +67,33 @@ bool SendAll(int fd, const std::string& data) {
   return true;
 }
 
-// Buffered newline-framed reader over a socket fd.
+// Buffered newline-framed reader over a socket fd. Lines are bounded by
+// kMaxServiceLineBytes, so a peer that never sends '\n' cannot grow the
+// buffer without limit.
 class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
 
   // Reads the next '\n'-terminated line (newline and any trailing '\r'
-  // stripped). Returns false on EOF or a socket error.
+  // stripped). Returns false on EOF, a socket error, or a line longer than
+  // kMaxServiceLineBytes (then too_long() is true).
   bool ReadLine(std::string* line) {
     for (;;) {
-      const size_t newline = buf_.find('\n');
-      if (newline != std::string::npos) {
+      const size_t newline = buf_.find('\n', scanned_);
+      if (newline != std::string::npos && newline <= kMaxServiceLineBytes) {
         *line = buf_.substr(0, newline);
         buf_.erase(0, newline + 1);
+        scanned_ = 0;
         if (!line->empty() && line->back() == '\r') {
           line->pop_back();
         }
         return true;
       }
+      if (newline != std::string::npos || buf_.size() > kMaxServiceLineBytes) {
+        too_long_ = true;
+        return false;
+      }
+      scanned_ = buf_.size();
       char chunk[4096];
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n < 0 && errno == EINTR) {
@@ -97,10 +106,18 @@ class LineReader {
     }
   }
 
+  bool too_long() const { return too_long_; }
+
  private:
   int fd_;
   std::string buf_;
+  size_t scanned_ = 0;  // buf_[0, scanned_) holds no '\n'
+  bool too_long_ = false;
 };
+
+std::string LineTooLongReason() {
+  return "line exceeds " + std::to_string(kMaxServiceLineBytes) + " bytes";
+}
 
 bool FillSockAddr(const std::string& path, sockaddr_un* addr, std::string* error) {
   std::memset(addr, 0, sizeof(*addr));
@@ -325,6 +342,9 @@ void SweepService::HandleConnection(int fd) {
       break;
     }
   }
+  if (reader.too_long()) {
+    SendAll(fd, "err request " + LineTooLongReason() + "\n");
+  }
   std::lock_guard<std::mutex> lock(conn_mu_);
   conn_fds_.erase(fd);
   ::close(fd);
@@ -415,7 +435,8 @@ bool SubmitRequestLine(const std::string& socket_path, const std::string& reques
   LineReader reader(fd);
   std::string line;
   if (!reader.ReadLine(&line)) {
-    *error = "connection closed before a reply";
+    *error = reader.too_long() ? "reply " + LineTooLongReason()
+                               : "connection closed before a reply";
     ::close(fd);
     return false;
   }
@@ -441,7 +462,8 @@ bool SubmitRequestLine(const std::string& socket_path, const std::string& reques
     }
     reply_lines->push_back(line);
   }
-  *error = "connection closed before \"done\"";
+  *error = reader.too_long() ? "reply " + LineTooLongReason()
+                             : "connection closed before \"done\"";
   ::close(fd);
   return false;
 }

@@ -27,6 +27,9 @@
 //   <- err <reason>                     (any malformed or unsatisfiable
 //                                        request)
 //
+// A line longer than kMaxServiceLineBytes gets "err request line exceeds
+// <N> bytes" and the service closes that connection.
+//
 // The `cell` lines are exactly the checkpoint journal records of
 // src/runner/checkpoint.h, and the `ok` line carries the journal header
 // fields — so a client that writes the header plus the received records to
@@ -41,6 +44,7 @@
 #define SPECTREBENCH_SRC_RUNNER_SERVICE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -55,6 +59,11 @@
 #include "src/runner/thread_pool.h"
 
 namespace specbench {
+
+// Longest line either side of the protocol accepts, newline excluded. A
+// request is a few hundred bytes and a cell record a few KiB; the bound stops
+// a client that never sends '\n' from growing the service's buffer.
+inline constexpr size_t kMaxServiceLineBytes = size_t{1} << 20;
 
 // One parsed "sweep ..." request line.
 struct ServiceRequest {

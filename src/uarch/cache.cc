@@ -282,38 +282,7 @@ size_t FillBuffers::occupancy() const {
 
 StoreBuffer::StoreBuffer(size_t capacity) : capacity_(capacity) {
   SPECBENCH_CHECK(capacity > 0);
-}
-
-std::vector<StoreBuffer::Entry> StoreBuffer::Push(uint64_t paddr, uint64_t value,
-                                                  uint64_t resolve_at,
-                                                  uint64_t addr_resolve_at) {
-  std::vector<Entry> drained;
-  if (entries_.size() >= capacity_) {
-    drained.push_back(entries_.front());
-    entries_.erase(entries_.begin());
-  }
-  entries_.push_back(Entry{paddr, value, resolve_at, addr_resolve_at});
-  return drained;
-}
-
-std::vector<StoreBuffer::Entry> StoreBuffer::DrainResolved(uint64_t now) {
-  // Stores retire to memory in program order: drain only the resolved
-  // *prefix*. A younger resolved store must wait behind an older store whose
-  // address/data are still in flight, or memory ends up with the older value
-  // and loads forward from the wrong entry.
-  size_t prefix = 0;
-  while (prefix < entries_.size() && entries_[prefix].resolve_at <= now) {
-    prefix++;
-  }
-  std::vector<Entry> drained(entries_.begin(), entries_.begin() + prefix);
-  entries_.erase(entries_.begin(), entries_.begin() + prefix);
-  return drained;
-}
-
-std::vector<StoreBuffer::Entry> StoreBuffer::DrainAll() {
-  std::vector<Entry> drained = std::move(entries_);
-  entries_.clear();
-  return drained;
+  entries_.reserve(capacity);
 }
 
 void StoreBuffer::Clear() { entries_.clear(); }

@@ -9,6 +9,7 @@
 #ifndef SPECTREBENCH_SRC_UARCH_CACHE_H_
 #define SPECTREBENCH_SRC_UARCH_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -168,18 +169,47 @@ class StoreBuffer {
     uint64_t addr_resolve_at = 0;  // the (earlier) cycle the address is known
   };
 
-  // Appends a store. Returns entries that were force-drained to make room
-  // (the caller writes them to memory).
-  std::vector<Entry> Push(uint64_t paddr, uint64_t value, uint64_t resolve_at,
-                          uint64_t addr_resolve_at);
-  // Removes and returns the longest prefix of entries with resolve_at <=
-  // now. Prefix, not all matches: stores retire to memory in program order,
-  // so a resolved store stays buffered behind an older unresolved one.
-  std::vector<Entry> DrainResolved(uint64_t now);
-  // Removes and returns everything (fences, context switches).
-  std::vector<Entry> DrainAll();
-  // Discards all entries without returning them (machine reset; the caller
-  // is abandoning the run, so nothing retires to memory).
+  // Push and the drains retire entries to memory by calling
+  // `retire(entry)` (the machine's ApplyStore), oldest first. They never
+  // allocate: the buffer reserves its capacity once and keeps it.
+
+  // Appends a store, first force-draining the oldest entry if the buffer is
+  // full.
+  template <typename Retire>
+  void Push(uint64_t paddr, uint64_t value, uint64_t resolve_at, uint64_t addr_resolve_at,
+            Retire&& retire) {
+    if (entries_.size() >= capacity_) {
+      retire(entries_.front());
+      entries_.erase(entries_.begin());
+    }
+    entries_.push_back(Entry{paddr, value, resolve_at, addr_resolve_at});
+  }
+  // Retires the longest prefix of entries with resolve_at <= now. Prefix,
+  // not all matches: stores retire to memory in program order, so a
+  // resolved store stays buffered behind an older unresolved one (or
+  // memory ends up with the older value and loads forward from the wrong
+  // entry).
+  template <typename Retire>
+  void DrainResolved(uint64_t now, Retire&& retire) {
+    size_t prefix = 0;
+    while (prefix < entries_.size() && entries_[prefix].resolve_at <= now) {
+      retire(entries_[prefix]);
+      prefix++;
+    }
+    entries_.erase(entries_.begin(), entries_.begin() + static_cast<std::ptrdiff_t>(prefix));
+  }
+  // Retires everything (fences, context switches). Returns the count.
+  template <typename Retire>
+  size_t DrainAll(Retire&& retire) {
+    for (const Entry& entry : entries_) {
+      retire(entry);
+    }
+    const size_t drained = entries_.size();
+    entries_.clear();
+    return drained;
+  }
+  // Discards all entries without retiring them (machine reset; the caller
+  // is abandoning the run, so nothing reaches memory).
   void Clear();
 
   // Newest entry matching `paddr`, or nullptr.

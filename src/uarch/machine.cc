@@ -175,13 +175,11 @@ void Machine::DrainPipeline() {
 }
 
 void Machine::DrainStoreBuffer() {
-  const auto drained = mem_.store_buffer.DrainAll();
-  for (const auto& entry : drained) {
-    ApplyStore(entry);
-  }
-  if (bus_.active() && !drained.empty()) {
+  const size_t drained =
+      mem_.store_buffer.DrainAll([this](const StoreBuffer::Entry& entry) { ApplyStore(entry); });
+  if (bus_.active() && drained != 0) {
     bus_.Emit(UarchEvent{EventKind::kStoreBufferDrain, CauseTag::kNone,
-                         Op::kNop, mode_, -1, cycles(), 0, drained.size()});
+                         Op::kNop, mode_, -1, cycles(), 0, drained});
   }
 }
 
@@ -208,9 +206,14 @@ void Machine::ApplyStore(const StoreBuffer::Entry& entry) {
 }
 
 void Machine::DrainResolvedStores(uint64_t now) {
-  for (const auto& entry : mem_.store_buffer.DrainResolved(now)) {
-    ApplyStore(entry);
-  }
+  mem_.store_buffer.DrainResolved(
+      now, [this](const StoreBuffer::Entry& entry) { ApplyStore(entry); });
+}
+
+void Machine::BufferStore(uint64_t paddr, uint64_t value, uint64_t resolve_at,
+                          uint64_t addr_resolve_at) {
+  mem_.store_buffer.Push(paddr, value, resolve_at, addr_resolve_at,
+                         [this](const StoreBuffer::Entry& entry) { ApplyStore(entry); });
 }
 
 Machine::RunResult Machine::Run(uint64_t entry_vaddr, uint64_t max_instructions) {

@@ -334,6 +334,10 @@ class Machine {
   void Serialize();
   void ApplyStore(const StoreBuffer::Entry& entry);
   void DrainResolvedStores(uint64_t now);
+  // Buffers a committed store; a full buffer first retires its oldest
+  // entry through ApplyStore.
+  void BufferStore(uint64_t paddr, uint64_t value, uint64_t resolve_at,
+                   uint64_t addr_resolve_at);
   // Advances the issue clock by `cycles` of mitigation-owned stall and
   // reports them (tagged with `cause`) on the bus.
   void ChargeStall(uint64_t cycles, CauseTag cause);

@@ -57,12 +57,8 @@ int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_re
       const Translation t = memory_map_->Translate(sp, cr3_, mode_);
       SPECBENCH_CHECK_MSG(t.valid, "call with unmapped stack");
       DrainResolvedStores(now_);
-      for (const auto& drained :
-           mem_.store_buffer.Push(t.paddr, ret_vaddr,
-                                  now_ + cpu_.latency.store_resolve_delay,
-                                  now_ + kAddrResolveDelay)) {
-        ApplyStore(drained);
-      }
+      BufferStore(t.paddr, ret_vaddr, now_ + cpu_.latency.store_resolve_delay,
+                  now_ + kAddrResolveDelay);
       next = in.target;
       now_ += cpu_.latency.branch_base;
       break;
@@ -153,12 +149,8 @@ int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_re
         const Translation t = memory_map_->Translate(sp, cr3_, mode_);
         SPECBENCH_CHECK_MSG(t.valid, "indirect call with unmapped stack");
         DrainResolvedStores(now_);
-        for (const auto& drained :
-             mem_.store_buffer.Push(t.paddr, ret_vaddr,
-                                    now_ + cpu_.latency.store_resolve_delay,
-                                    now_ + kAddrResolveDelay)) {
-          ApplyStore(drained);
-        }
+        BufferStore(t.paddr, ret_vaddr, now_ + cpu_.latency.store_resolve_delay,
+                    now_ + kAddrResolveDelay);
       }
       const int32_t target = program_->IndexOf(actual);
       SPECBENCH_CHECK_MSG(target >= 0, "indirect branch to address outside the program");

@@ -106,12 +106,8 @@ int32_t Machine::StepMemory(const Instruction& in, uint64_t srcs_ready) {
       const uint64_t paddr = t.paddr;
       mem_.caches.Access(paddr);
       DrainResolvedStores(issue_at);
-      for (const auto& drained :
-           mem_.store_buffer.Push(paddr, regs_[in.src1],
-                                  issue_at + cpu_.latency.store_resolve_delay,
-                                  addr_ready + kAddrResolveDelay)) {
-        ApplyStore(drained);
-      }
+      BufferStore(paddr, regs_[in.src1], issue_at + cpu_.latency.store_resolve_delay,
+                  addr_ready + kAddrResolveDelay);
       now_++;
       break;
     }

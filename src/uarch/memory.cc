@@ -1,6 +1,7 @@
 #include "src/uarch/memory.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace specbench {
 
@@ -16,24 +17,45 @@ Translation IdentityMemoryMap::Translate(uint64_t vaddr, uint64_t asid, Mode mod
   return t;
 }
 
-uint64_t SparseMemory::Read(uint64_t paddr) const {
-  auto it = words_.find(AlignWord(paddr));
-  return it == words_.end() ? 0 : it->second;
+SparseMemory::Page& SparseMemory::MapPage(uint64_t page_number) {
+  auto it = pages_.find(page_number);
+  if (it != pages_.end()) {
+    return it->second;
+  }
+  if (free_pages_.empty()) {
+    return pages_.try_emplace(page_number).first->second;  // value-initialized: zeroed
+  }
+  PageMap::node_type node = std::move(free_pages_.back());
+  free_pages_.pop_back();
+  node.key() = page_number;
+  return pages_.insert(std::move(node)).position->second;
 }
 
-void SparseMemory::Write(uint64_t paddr, uint64_t value) {
-  words_[AlignWord(paddr)] = value;
+void SparseMemory::Clear() {
+  while (!pages_.empty()) {
+    PageMap::node_type node = pages_.extract(pages_.begin());
+    node.mapped().fill(0);
+    free_pages_.push_back(std::move(node));
+  }
+  cached_number_ = UINT64_MAX;
+  cached_page_ = nullptr;
 }
 
 std::vector<std::pair<uint64_t, uint64_t>> SparseMemory::SortedNonZeroWords() const {
+  std::vector<std::pair<uint64_t, const Page*>> pages;
+  pages.reserve(pages_.size());
+  for (const auto& [page_number, page] : pages_) {
+    pages.emplace_back(page_number, &page);
+  }
+  std::sort(pages.begin(), pages.end());
   std::vector<std::pair<uint64_t, uint64_t>> words;
-  words.reserve(words_.size());
-  for (const auto& [addr, value] : words_) {
-    if (value != 0) {
-      words.emplace_back(addr, value);
+  for (const auto& [page_number, page] : pages) {
+    for (size_t i = 0; i < kPageWords; i++) {
+      if ((*page)[i] != 0) {
+        words.emplace_back(page_number * kPageBytes + i * sizeof(uint64_t), (*page)[i]);
+      }
     }
   }
-  std::sort(words.begin(), words.end());
   return words;
 }
 

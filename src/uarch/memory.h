@@ -1,6 +1,6 @@
 // Simulated physical memory and the address-translation interface.
 //
-// Data memory is a sparse map of 8-byte-aligned words. Translation is
+// Data memory is a sparse set of 4 KiB pages of 8-byte-aligned words. Translation is
 // delegated to a MemoryMap implementation — the OS substrate provides real
 // page tables; standalone uarch tests use the identity map. The translation
 // result carries the bits that transient-execution attacks abuse: a mapping
@@ -10,6 +10,7 @@
 #ifndef SPECTREBENCH_SRC_UARCH_MEMORY_H_
 #define SPECTREBENCH_SRC_UARCH_MEMORY_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -54,15 +55,24 @@ class IdentityMemoryMap : public MemoryMap {
   Translation Translate(uint64_t vaddr, uint64_t asid, Mode mode) const override;
 };
 
-// Sparse 64-bit word-addressed physical memory.
+// Sparse 64-bit word-addressed physical memory, stored as 4 KiB pages of
+// 512 words. A page exists once any word in it is written; reading an
+// untouched page returns 0 and allocates nothing. A one-entry last-page cache
+// short-cuts the page lookup for the common run of accesses to one page. It
+// is `mutable` so the const Read can fill it: a memory belongs to one
+// machine, and a machine is never shared across threads.
 class SparseMemory {
  public:
-  uint64_t Read(uint64_t paddr) const;
-  void Write(uint64_t paddr, uint64_t value);
+  uint64_t Read(uint64_t paddr) const {
+    const Page* page = FindPage(PageOf(paddr));
+    return page == nullptr ? 0 : (*page)[WordIndex(paddr)];
+  }
+  void Write(uint64_t paddr, uint64_t value) { TouchPage(PageOf(paddr))[WordIndex(paddr)] = value; }
   // Discards all contents (machine reuse): afterwards every read returns 0,
-  // exactly like a freshly constructed memory.
-  void Clear() { words_.clear(); }
-  size_t footprint_words() const { return words_.size(); }
+  // exactly like a freshly constructed memory. The touched pages are zeroed
+  // and kept on a free list, so a reused machine retains at most its
+  // high-water footprint and stops allocating.
+  void Clear();
 
   // Sorted (address, value) pairs of every nonzero word. A word explicitly
   // written to zero is equivalent to one never touched (reads return zero
@@ -72,7 +82,41 @@ class SparseMemory {
   std::vector<std::pair<uint64_t, uint64_t>> SortedNonZeroWords() const;
 
  private:
-  std::unordered_map<uint64_t, uint64_t> words_;
+  static constexpr size_t kPageWords = kPageBytes / sizeof(uint64_t);
+  using Page = std::array<uint64_t, kPageWords>;
+
+  static size_t WordIndex(uint64_t paddr) { return (paddr % kPageBytes) / sizeof(uint64_t); }
+
+  // The page holding `page_number`, or nullptr if it was never written.
+  const Page* FindPage(uint64_t page_number) const {
+    if (page_number != cached_number_) {
+      auto it = pages_.find(page_number);
+      cached_number_ = page_number;
+      cached_page_ = it == pages_.end() ? nullptr : &it->second;
+    }
+    return cached_page_;
+  }
+  Page& TouchPage(uint64_t page_number) {
+    if (page_number != cached_number_ || cached_page_ == nullptr) {
+      cached_number_ = page_number;
+      cached_page_ = &MapPage(page_number);
+    }
+    // The cache holds const pointers for the const Read; every page belongs
+    // to this (non-const) memory.
+    return *const_cast<Page*>(cached_page_);
+  }
+  // Finds or maps `page_number`, reusing a zeroed page from the free list
+  // before allocating a new one.
+  Page& MapPage(uint64_t page_number);
+
+  using PageMap = std::unordered_map<uint64_t, Page>;  // page number -> words
+  PageMap pages_;
+  // Pages dropped by Clear(), zeroed, as map nodes: re-mapping one allocates
+  // nothing.
+  std::vector<PageMap::node_type> free_pages_;
+  // Last page looked up; cached_page_ is nullptr when it is untouched.
+  mutable uint64_t cached_number_ = UINT64_MAX;
+  mutable const Page* cached_page_ = nullptr;
 };
 
 }  // namespace specbench

@@ -158,7 +158,29 @@ TEST(CliFlags, UnknownCommandReportedBeforeFlags) {
   EXPECT_EQ(r.output.rfind("unknown command: bogus\n", 0), 0u) << r.output;
 }
 
-// --- Valid invocations stay valid -----------------------------------------
+// --- Malformed .difftest corpus files -------------------------------------
+//
+// Each committed tests/corpus/reject-*.difftest is rejected with its line
+// number and exit 2, never an abort or a silent out-of-bounds run.
+
+TEST(CliCorpus, ReplayRejectsOutOfRangeDestination) {
+  const std::string file =
+      std::string(SPECBENCH_TEST_SOURCE_DIR) + "/corpus/reject-mov-imm-dst-99.difftest";
+  const RunOutput r = RunCli("difftest --replay=" + file);
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_EQ(r.output, "difftest: " + file +
+                          ": line 8: dst register 99 is not 0..15 or 255 (none)\n");
+}
+
+TEST(CliCorpus, ReplayRejectsOutOfRangeIndexRegister) {
+  const std::string file =
+      std::string(SPECBENCH_TEST_SOURCE_DIR) + "/corpus/reject-load-index-99.difftest";
+  const RunOutput r = RunCli("difftest --replay=" + file);
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_EQ(r.output, "difftest: " + file +
+                          ": line 8: mem index register 99 is not 0..15 or 255 (none)\n");
+}
+
 
 TEST(CliFlags, DifftestAcceptsItsFlags) {
   const RunOutput r = RunCli("difftest --seeds=0:2 --jobs=2 --configs=off,ssbd");

@@ -393,16 +393,96 @@ TEST(Corpus, RejectsMalformedInputWithLineNumbers) {
   EXPECT_FALSE(ParseCorpusProgram("# only comments\n", &out, &error));
 }
 
+// Fields that would index past the machine's 16 registers, wrap in a
+// narrowing cast, or jump outside the program are rejected with the line.
+TEST(Corpus, RejectsOutOfRangeOperands) {
+  const struct {
+    const char* text;
+    const char* why;
+  } cases[] = {
+      {"i op=mov_imm dst=99 imm=1\n", "line 1: dst register 99"},
+      {"i op=mov dst=1 src1=16\n", "line 1: src1 register 16"},
+      {"i op=alu dst=1 src1=2 src2=-1\n", "line 1: src2 register -1"},
+      {"i op=mov_imm dst=256 imm=1\n", "line 1: dst register 256"},
+      {"i op=load dst=1 mem=255,99,1,0\n", "line 1: mem index register 99"},
+      {"i op=load dst=1 mem=300,255,1,0\n", "line 1: mem base register 300"},
+      {"i op=load dst=1 mem=1,2,3,0\n", "line 1: mem scale 3"},
+      {"i op=load dst=1 mem=1,2,1,0,\n", "line 1: bad mem operand"},
+      {"i op=load dst=1 mem=1,2,1,x\n", "line 1: bad mem operand"},
+      {"i op=nop\ni op=jmp target=2\n", "line 2: branch target 2"},
+      {"i op=branch_nz src1=1 target=-1\ni op=halt\n", "line 1: branch target -1"},
+      {"i op=call target=4294967296\n", "line 1: target 4294967296 is out of range"},
+      {"i op=mov_imm imm=1\n", "line 1: op=mov_imm needs dst="},
+      {"i op=mov dst=1\n", "line 1: op=mov needs src1="},
+      {"i op=alu alu=add dst=1 src1=2\n", "line 1: op=alu needs src2="},
+      {"i op=cmov dst=1 src1=2 use_imm=1\n", "line 1: op=cmov needs src2="},
+      {"i op=store mem=1,255,1,0\n", "line 1: op=store needs src1="},
+      {"i op=indirect_jmp\n", "line 1: op=indirect_jmp needs src1="},
+      {"i op=rdpmc dst=1 imm=99\n", "line 1: rdpmc counter imm=99"},
+  };
+  for (const auto& c : cases) {
+    Program out;
+    std::string error;
+    EXPECT_FALSE(ParseCorpusProgram(c.text, &out, &error)) << c.text;
+    EXPECT_EQ(error.rfind(c.why, 0), 0u) << c.text << " -> " << error;
+  }
+  // The legal extremes still parse: kNoReg, r15, scale 8, the last index,
+  // an immediate in place of src2.
+  Program out;
+  std::string error;
+  EXPECT_TRUE(ParseCorpusProgram(
+      "i op=load dst=15 mem=255,15,8,-8\ni op=branch_z src1=0 target=3\n"
+      "i op=alu alu=add dst=1 src1=2 use_imm=1 imm=3\ni op=halt\n",
+      &out, &error))
+      << error;
+}
+
+// The checks above never reject what the generator writes: every program of
+// the 500-seed sweep survives the corpus round trip.
+TEST(Corpus, ValidationAcceptsEveryGeneratedProgram) {
+  for (uint64_t seed = 0; seed < 500; seed++) {
+    Program parsed;
+    std::string error;
+    EXPECT_TRUE(ParseCorpusProgram(SerializeCorpusProgram(GenerateProgram(seed), ""), &parsed,
+                                   &error))
+        << "seed " << seed << ": " << error;
+  }
+}
+
+// tests/corpus/reject-*.difftest are malformed inputs that once crashed or
+// silently misbehaved; each must be rejected with its line number.
+TEST(Corpus, CommittedRejectCasesAreRejected) {
+  const std::filesystem::path dir =
+      std::filesystem::path(SPECBENCH_TEST_SOURCE_DIR) / "corpus";
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("reject-", 0) != 0) {
+      continue;
+    }
+    files++;
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    Program program;
+    std::string error;
+    EXPECT_FALSE(ParseCorpusProgram(text.str(), &program, &error)) << entry.path();
+    EXPECT_EQ(error.rfind("line ", 0), 0u) << entry.path() << ": " << error;
+  }
+  EXPECT_GE(files, 2);
+}
+
 // Every committed reproducer in tests/corpus/ must stay architecturally
 // clean on every CPU x config: these are shrunk programs that once exposed
-// real simulator bugs, kept as regression tests.
+// real simulator bugs, kept as regression tests. The reject-* files are
+// malformed on purpose (CommittedRejectCasesAreRejected).
 TEST(Corpus, CommittedReproducersStayFixed) {
   const std::filesystem::path dir =
       std::filesystem::path(SPECBENCH_TEST_SOURCE_DIR) / "corpus";
   ASSERT_TRUE(std::filesystem::exists(dir)) << dir;
   int files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".difftest") {
+    if (entry.path().extension() != ".difftest" ||
+        entry.path().filename().string().rfind("reject-", 0) == 0) {
       continue;
     }
     files++;

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -16,6 +20,7 @@
 #include "src/core/sweep_grids.h"
 #include "src/difftest/difftest.h"
 #include "src/runner/seed.h"
+#include "src/runner/service.h"
 #include "src/runner/sweep.h"
 #include "src/runner/thread_pool.h"
 #include "src/stats/sampler.h"
@@ -459,6 +464,75 @@ TEST(Sweep, DifftestGridCellMatchesTheOracle) {
               static_cast<double>(report.retired_instructions));
     EXPECT_GT(report.retired_instructions, 0u);
   }
+}
+
+// Raw client connection to a SweepService socket; -1 on failure.
+int ConnectTo(const std::string& path) {
+  sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// Everything the peer sends until it closes the connection.
+std::string ReadUntilClosed(int fd) {
+  std::string out;
+  char chunk[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    out.append(chunk, static_cast<size_t>(n));
+  }
+  return out;
+}
+
+// A client that never sends '\n' cannot grow the service's line buffer past
+// kMaxServiceLineBytes: it gets the protocol's error reply and its
+// connection is closed, while other clients are still served.
+TEST(SweepService, OverlongRequestLineGetsAnErrorAndIsDisconnected) {
+  const std::string path =
+      testing::TempDir() + "specbench-line-bound-" + std::to_string(::getpid()) + ".sock";
+  ServiceOptions options;
+  options.socket_path = path;
+  options.jobs = 1;
+  options.quiet = true;
+  SweepService service(options, [](const ServiceRequest&, Sweep*, std::string* error) {
+    *error = "no grids in this test";
+    return false;
+  });
+  std::string error;
+  ASSERT_TRUE(service.Start(&error)) << error;
+  std::thread server([&service] { service.Serve(); });
+
+  const int flood = ConnectTo(path);
+  ASSERT_GE(flood, 0);
+  const std::string chunk(64 * 1024, 'x');
+  size_t sent = 0;
+  while (sent <= kMaxServiceLineBytes) {
+    const ssize_t n = ::send(flood, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) {
+      break;  // the service already hung up
+    }
+    sent += static_cast<size_t>(n);
+  }
+  EXPECT_GT(sent, kMaxServiceLineBytes);
+  EXPECT_EQ(ReadUntilClosed(flood),
+            "err request line exceeds " + std::to_string(kMaxServiceLineBytes) + " bytes\n");
+  ::close(flood);
+
+  const int polite = ConnectTo(path);
+  ASSERT_GE(polite, 0);
+  const std::string requests = "ping\nshutdown\n";
+  ASSERT_EQ(::send(polite, requests.data(), requests.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(requests.size()));
+  EXPECT_EQ(ReadUntilClosed(polite), "pong\nbye\n");
+  ::close(polite);
+  server.join();
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/cpu/cpu_model.h"
 #include "src/uarch/cache.h"
 
@@ -156,29 +158,51 @@ TEST(FillBuffers, RingOverwrite) {
   EXPECT_EQ(fb.occupancy(), 2u);
 }
 
+// Records the entries a store-buffer drain retires, in retirement order.
+struct Retired {
+  std::vector<StoreBuffer::Entry> entries;
+  void operator()(const StoreBuffer::Entry& entry) { entries.push_back(entry); }
+};
+
 TEST(StoreBuffer, ForwardNewest) {
   StoreBuffer sb;
-  sb.Push(0x100, 1, 10, 10);
-  sb.Push(0x100, 2, 20, 20);
+  Retired retired;
+  sb.Push(0x100, 1, 10, 10, retired);
+  sb.Push(0x100, 2, 20, 20, retired);
   const StoreBuffer::Entry* e = sb.FindNewest(0x100);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->value, 2u);
+  EXPECT_TRUE(retired.entries.empty());
 }
 
 TEST(StoreBuffer, DrainResolvedKeepsOrder) {
   StoreBuffer sb;
-  sb.Push(0x100, 1, 10, 10);
-  sb.Push(0x200, 2, 30, 30);
-  auto drained = sb.DrainResolved(15);
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].value, 1u);
+  Retired pushed;
+  sb.Push(0x100, 1, 10, 10, pushed);
+  sb.Push(0x200, 2, 30, 30, pushed);
+  Retired drained;
+  sb.DrainResolved(15, drained);
+  ASSERT_EQ(drained.entries.size(), 1u);
+  EXPECT_EQ(drained.entries[0].value, 1u);
   EXPECT_EQ(sb.size(), 1u);
+}
+
+TEST(StoreBuffer, DrainResolvedStopsAtOldestUnresolved) {
+  // A resolved store behind an unresolved one stays buffered.
+  StoreBuffer sb;
+  Retired retired;
+  sb.Push(0x100, 1, 50, 50, retired);
+  sb.Push(0x200, 2, 10, 10, retired);
+  sb.DrainResolved(20, retired);
+  EXPECT_TRUE(retired.entries.empty());
+  EXPECT_EQ(sb.size(), 2u);
 }
 
 TEST(StoreBuffer, UnresolvedTracking) {
   StoreBuffer sb;
+  Retired retired;
   EXPECT_FALSE(sb.HasUnresolved(0));
-  sb.Push(0x100, 1, 50, 50);
+  sb.Push(0x100, 1, 50, 50, retired);
   EXPECT_TRUE(sb.HasUnresolved(10));
   EXPECT_FALSE(sb.HasUnresolved(50));
   EXPECT_EQ(sb.LatestResolveAt(10), 50u);
@@ -186,16 +210,33 @@ TEST(StoreBuffer, UnresolvedTracking) {
 
 TEST(StoreBuffer, CapacityForcesDrain) {
   StoreBuffer sb(2);
-  EXPECT_TRUE(sb.Push(1, 1, 100, 100).empty());
-  EXPECT_TRUE(sb.Push(2, 2, 100, 100).empty());
-  auto drained = sb.Push(3, 3, 100, 100);
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].paddr, 1u);
+  Retired retired;
+  sb.Push(1, 1, 100, 100, retired);
+  EXPECT_TRUE(retired.entries.empty());
+  sb.Push(2, 2, 100, 100, retired);
+  EXPECT_TRUE(retired.entries.empty());
+  sb.Push(3, 3, 100, 100, retired);
+  ASSERT_EQ(retired.entries.size(), 1u);
+  EXPECT_EQ(retired.entries[0].paddr, 1u);
+}
+
+TEST(StoreBuffer, DrainAllRetiresInOrderAndEmpties) {
+  StoreBuffer sb;
+  Retired retired;
+  sb.Push(0x100, 1, 100, 100, retired);
+  sb.Push(0x200, 2, 10, 10, retired);
+  EXPECT_EQ(sb.DrainAll(retired), 2u);
+  ASSERT_EQ(retired.entries.size(), 2u);
+  EXPECT_EQ(retired.entries[0].value, 1u);
+  EXPECT_EQ(retired.entries[1].value, 2u);
+  EXPECT_TRUE(sb.empty());
+  EXPECT_EQ(sb.DrainAll(retired), 0u);
 }
 
 TEST(StoreBuffer, WordAliasing) {
   StoreBuffer sb;
-  sb.Push(0x100, 7, 10, 10);
+  Retired retired;
+  sb.Push(0x100, 7, 10, 10, retired);
   // Same 8-byte word, different byte offset: must alias.
   EXPECT_NE(sb.FindNewest(0x104), nullptr);
   EXPECT_EQ(sb.FindNewest(0x108), nullptr);

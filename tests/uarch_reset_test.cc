@@ -172,6 +172,28 @@ TEST(MachineReset, RunAfterResetIsIdenticalToFreshMachine) {
   }
 }
 
+// Physical memory recycles its pages across Reset. A first user that wrote
+// nonzero words over many pages, among them the generator's data, alias and
+// stack pages, must leave the next user reading zeros there, exactly like a
+// fresh machine.
+TEST(MachineReset, RecycledMemoryPagesMatchFreshMachine) {
+  const CpuModel& cpu = GetCpuModel(Uarch::kSkylakeClient);
+  const Program second = GenerateProgram(5, GeneratorOptions{});
+  Machine fresh(cpu);
+  const Observation want = RunOnce(fresh, second);
+
+  Machine reused(cpu);
+  for (uint64_t page = 0; page < 2 * PageOf(kGenStackTop); page++) {
+    for (uint64_t offset = 0; offset < kPageBytes; offset += 64) {
+      reused.PokeData(page * kPageBytes + offset, page * kPageBytes + offset + 1);
+    }
+  }
+  (void)RunOnce(reused, GenerateProgram(4, GeneratorOptions{}));
+  reused.Reset();
+  const Observation got = RunOnce(reused, second);
+  EXPECT_TRUE(got == want) << "\n  fresh: " << want.ToString() << "\n  reset: " << got.ToString();
+}
+
 // Mitigation MSR state (SSBD / IBRS / STIBP / PCID) set by a previous user
 // must not leak into the next run.
 TEST(MachineReset, ClearsMitigationState) {
