@@ -16,8 +16,8 @@
 // instruction of the sequence inserted before `i`, so jumping into a
 // protected site still executes the protection first.
 //
-// On top of the plan sit the two lfence policies compared by
-// bench_targeted_vs_blanket:
+// On top of the plan sit the two lfence policies the `harden` sweep grid
+// compares (src/core/harden_grid.cc):
 //   * Blanket — the compiler-style conservative mitigation the paper prices
 //     in Table 8: an lfence on both outcomes of *every* conditional branch,
 //     so no load ever issues under an unresolved bounds check.

@@ -214,8 +214,10 @@ bool BuildNamedGrids(const NamedGridOptions& options, Sweep* out, std::string* e
       difftest.seed_begin = options.seed_begin;
       difftest.seed_end = options.seed_end;
       sweep.Merge(BuildDifftestGrid(difftest));
+    } else if (name == "harden") {
+      sweep.Merge(BuildHardenGrid(options.cpus));
     } else {
-      *error = "unknown grid: \"" + name + "\" (valid: fig2, fig3, sec45, difftest)";
+      *error = "unknown grid: \"" + name + "\" (valid: fig2, fig3, sec45, difftest, harden)";
       return false;
     }
   }

@@ -40,6 +40,14 @@ struct DifftestGridOptions {
 };
 Sweep BuildDifftestGrid(const DifftestGridOptions& options);
 
+// Software-mitigation pass overhead matrix (src/core/harden_grid.cc): one
+// cell per (CPU, workload, pass) with config = the pass name, each applying
+// the pass to its analyze -> harden -> analyze fixpoint and reporting the
+// unmitigated ("base") and hardened cycle counts, the overhead in percent
+// ("total") and the instructions the pass inserted ("added"). Cycle-exact
+// and seed-free, so its bytes are identical for any --jobs.
+Sweep BuildHardenGrid(const std::vector<Uarch>& cpus);
+
 // The sampler budget behind the CLI's --fast: fast=true trades confidence
 // (3-6 samples, 3% CI target) for a quick run; fast=false is the default
 // 5-20 samples at a 1% CI target.
@@ -47,8 +55,8 @@ SamplerOptions SamplerForFast(bool fast);
 
 // Shared grid-name dispatcher for `spectrebench sweep` and the sweep
 // service: builds and merges the named grids ("fig2", "fig3", "sec45",
-// "difftest") in list order. `seed_begin`/`seed_end` only affect the
-// difftest grid; `fast` (the SamplerForFast budget) only the
+// "difftest", "harden") in list order. `seed_begin`/`seed_end` only affect
+// the difftest grid; `fast` (the SamplerForFast budget) only the
 // figure/section grids. Returns false with a one-line reason for an unknown
 // grid name.
 struct NamedGridOptions {

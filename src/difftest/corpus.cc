@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "src/difftest/reference.h"
+
 namespace specbench {
 
 namespace {
@@ -107,8 +109,6 @@ bool ReadsSrc1(Op op) {
     case Op::kBranchEqImm:
     case Op::kIndirectJmp:
     case Op::kIndirectCall:
-    case Op::kMovCr3:
-    case Op::kWrmsr:
     case Op::kGpToFp:
       return true;
     default:
@@ -217,13 +217,12 @@ bool ParseInstructionLine(const std::vector<std::string>& tokens, Instruction* o
     *why = "instruction line without op=";
     return false;
   }
-  if (const char* missing = MissingOperand(in)) {
-    *why = std::string("op=") + OpName(in.op) + " needs " + missing + "=";
+  if (!ReferenceSupports(in.op)) {
+    *why = std::string("op=") + OpName(in.op) + " is not supported by the reference interpreter";
     return false;
   }
-  if (in.op == Op::kRdpmc && (in.imm < 0 || in.imm >= static_cast<int64_t>(Pmc::kCount))) {
-    *why = "rdpmc counter imm=" + std::to_string(in.imm) + " is not 0.." +
-           std::to_string(static_cast<int>(Pmc::kCount) - 1);
+  if (const char* missing = MissingOperand(in)) {
+    *why = std::string("op=") + OpName(in.op) + " needs " + missing + "=";
     return false;
   }
   *out = in;

@@ -32,7 +32,8 @@ namespace specbench {
 std::string SerializeCorpusProgram(const Program& program, const std::string& comment);
 
 // Parses corpus text produced by SerializeCorpusProgram. Returns false and
-// fills `error` (line number + reason) on malformed input.
+// fills `error` (line number + reason) on malformed input, including an
+// opcode the reference interpreter does not run (ReferenceSupports).
 bool ParseCorpusProgram(const std::string& text, Program* out, std::string* error);
 
 }  // namespace specbench

@@ -60,6 +60,12 @@ uint64_t DigestMemoryWords(const std::vector<std::pair<uint64_t, uint64_t>>& wor
 // One retired instruction folded into the running trace hash.
 uint64_t FoldTraceHash(uint64_t hash, int32_t index, Op op);
 
+// False for the timing, privileged and callout opcodes the interpreter does
+// not run (see the file comment). This is the one list of them: RunReference
+// fails on them, and the corpus parser (src/difftest/corpus.h) rejects them,
+// so a replayed file never hands one to the machine.
+bool ReferenceSupports(Op op);
+
 struct ReferenceResult {
   bool ok = false;      // executed to kHalt within budget, no unsupported ops
   std::string error;    // why ok is false

@@ -75,8 +75,9 @@ class DecodedTrace {
 // pass, so a hot working set survives a long stream of cold keys. (An
 // earlier version dropped the whole table at the boundary; on heterogeneous
 // million-cell sweeps that caused a re-decode stampede every 4096 distinct
-// programs — the `evictions` counter plus the throughput bench's no-cliff
-// check keep that from coming back.)
+// programs — the `evictions` counter plus the no-cliff check in
+// TraceCacheTest.HotWorkingSetSurvivesColdStream keep that from coming
+// back.)
 //
 // Collision guard: a hit must match the key digest, the program length, and
 // Program::Digest2 (stored per trace). Digest alone is 64-bit FNV — good,

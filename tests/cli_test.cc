@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 namespace specbench {
@@ -181,6 +183,21 @@ TEST(CliCorpus, ReplayRejectsOutOfRangeIndexRegister) {
                           ": line 8: mem index register 99 is not 0..15 or 255 (none)\n");
 }
 
+// --arch-hashes skips the reference interpreter, so the parser is all that
+// keeps an opcode the reference refuses away from the machine.
+TEST(CliCorpus, ReplayRejectsUnsupportedOpcodeOnBothPaths) {
+  const std::string file =
+      std::string(SPECBENCH_TEST_SOURCE_DIR) + "/corpus/reject-syscall.difftest";
+  for (const char* extra : {"", " --arch-hashes"}) {
+    const RunOutput r = RunCli("difftest --replay=" + file + extra);
+    EXPECT_EQ(r.exit_code, 2) << extra;
+    EXPECT_EQ(r.output,
+              "difftest: " + file +
+                  ": line 9: op=syscall is not supported by the reference interpreter\n")
+        << extra;
+  }
+}
+
 
 TEST(CliFlags, DifftestAcceptsItsFlags) {
   const RunOutput r = RunCli("difftest --seeds=0:2 --jobs=2 --configs=off,ssbd");
@@ -206,6 +223,18 @@ TEST(CliFlags, Sec45IsIdenticalForAnyJobCount) {
   EXPECT_EQ(serial.exit_code, 0) << serial.output;
   EXPECT_EQ(parallel.exit_code, 0) << parallel.output;
   EXPECT_EQ(serial.output, parallel.output);
+}
+
+// The pass overhead matrix is a named sweep grid; its CLI bytes are the
+// library bytes pinned in tests/golden/harden_grid.json (passes_test).
+TEST(CliSweep, HardenGridPrintsTheGoldenBytes) {
+  std::ifstream in(std::string(SPECBENCH_TEST_SOURCE_DIR) + "/golden/harden_grid.json",
+                   std::ios::binary);
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  const RunOutput r = RunCli("sweep --grids=harden --quiet --jobs=4");
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_EQ(r.output, golden.str());
 }
 
 }  // namespace

@@ -418,7 +418,8 @@ TEST(Corpus, RejectsOutOfRangeOperands) {
       {"i op=cmov dst=1 src1=2 use_imm=1\n", "line 1: op=cmov needs src2="},
       {"i op=store mem=1,255,1,0\n", "line 1: op=store needs src1="},
       {"i op=indirect_jmp\n", "line 1: op=indirect_jmp needs src1="},
-      {"i op=rdpmc dst=1 imm=99\n", "line 1: rdpmc counter imm=99"},
+      {"i op=rdpmc dst=1 imm=99\n",
+       "line 1: op=rdpmc is not supported by the reference interpreter"},
   };
   for (const auto& c : cases) {
     Program out;

@@ -2,10 +2,16 @@
 // analyze fixpoint for every pass over the gadget corpus and fuzz seeds, the
 // relocation-aware equivalence oracle, and the rewrite-engine edge cases
 // (insertion at index 0, adjacent sites, branches into fenced sites, symbol
-// and code-immediate remapping).
+// and code-immediate remapping), and the `harden` sweep grid that prices
+// every pass on every CPU.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,6 +20,7 @@
 #include "src/analysis/passes.h"
 #include "src/analysis/rewriter.h"
 #include "src/attack/suite.h"
+#include "src/core/sweep_grids.h"
 #include "src/cpu/cpu_model.h"
 #include "src/difftest/difftest.h"
 #include "src/difftest/equivalence.h"
@@ -354,6 +361,80 @@ TEST(RewritePlan, CodeAddressImmediatesAreRelocated) {
   ASSERT_EQ(mov.dst, 1);
   EXPECT_EQ(static_cast<uint64_t>(mov.imm), r.program.VaddrOf(r.index_map[2]))
       << "surviving kMovImm code pointer must track its target";
+}
+
+// --- The harden grid --------------------------------------------------------
+//
+// tests/golden/harden_grid.json pins the grid's JSON bytes (the same bytes as
+// `spectrebench sweep --grids=harden`); regenerate after an intentional change
+// with
+//   SPECBENCH_REGEN_GOLDEN=1 ./passes_test --gtest_filter='HardenGrid.*'
+// and review the diff.
+
+const SweepResult& HardenGridResult() {
+  static const SweepResult result = [] {
+    RunnerOptions runner;
+    runner.jobs = 1;
+    return BuildHardenGrid(AllUarches()).Run(runner);
+  }();
+  return result;
+}
+
+double Metric(const SweepCellResult& cell, const std::string& id) {
+  for (const CellMetric& metric : cell.output.metrics) {
+    if (metric.id == id) {
+      return metric.estimate.value;
+    }
+  }
+  ADD_FAILURE() << "no metric " << id << " in " << cell.key.cpu << "/" << cell.key.config << "/"
+                << cell.key.workload;
+  return 0.0;
+}
+
+TEST(HardenGrid, OneCellPerCpuWorkloadAndPass) {
+  const SweepResult& result = HardenGridResult();
+  EXPECT_EQ(result.cells.size(), 280u);  // 8 CPUs x 5 workloads x 7 passes
+  for (const SweepCellResult& cell : result.cells) {
+    EXPECT_NE(FindMitigationPassByName(cell.key.config), nullptr) << cell.key.config;
+    EXPECT_GT(Metric(cell, "base"), 0.0) << cell.key.cpu << "/" << cell.key.workload;
+  }
+}
+
+// The matrix's headline: analyzer-guided fencing beats blanket fencing, and
+// index masking beats the targeted fence, each on some (CPU, workload).
+TEST(HardenGrid, TargetedBeatsBlanketAndMaskBeatsTargetedSomewhere) {
+  std::map<std::pair<std::string, std::string>, std::map<std::string, double>> hardened;
+  for (const SweepCellResult& cell : HardenGridResult().cells) {
+    hardened[{cell.key.cpu, cell.key.workload}][cell.key.config] = Metric(cell, "hardened");
+  }
+  int targeted_wins = 0;
+  int mask_wins = 0;
+  for (auto& [row, by_pass] : hardened) {
+    targeted_wins += by_pass["targeted-lfence"] < by_pass["blanket-lfence"] ? 1 : 0;
+    mask_wins += by_pass["v1-index-mask"] < by_pass["targeted-lfence"] ? 1 : 0;
+  }
+  EXPECT_GT(targeted_wins, 0);
+  EXPECT_GT(mask_wins, 0);
+}
+
+TEST(HardenGrid, IdenticalJsonForAnyJobCount) {
+  RunnerOptions runner;
+  runner.jobs = 8;
+  EXPECT_EQ(BuildHardenGrid(AllUarches()).Run(runner).ToJson(), HardenGridResult().ToJson());
+}
+
+TEST(HardenGrid, JsonMatchesGoldenFileByteForByte) {
+  const std::string actual = HardenGridResult().ToJson();
+  const std::string path =
+      (std::filesystem::path(SPECBENCH_TEST_SOURCE_DIR) / "golden" / "harden_grid.json").string();
+  if (std::getenv("SPECBENCH_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << actual;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing " << path << " (regenerate with SPECBENCH_REGEN_GOLDEN=1)";
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(actual, expected.str());
 }
 
 }  // namespace

@@ -82,23 +82,29 @@ TEST_F(TraceCacheTest, HotWorkingSetSurvivesColdStream) {
   // bursts the way a sweep's repeated cells do. With wholesale clearing the
   // hot set would be dumped at every capacity boundary; with second-chance
   // its referenced bits keep it resident.
-  cache.ResetStats();
+  uint64_t hot_touches = 0;  // counted once the distinct keys exceed capacity
+  uint64_t hot_hits = 0;
   int64_t next_cold = kHot;
   for (int burst = 0; burst < 4 * static_cast<int>(TraceCache::kMaxEntries) / 256; burst++) {
     for (int c = 0; c < 256; c++) {
       cache.Acquire(TaggedProgram(next_cold++), Uarch::kZen3);
     }
+    const bool past_capacity = static_cast<size_t>(next_cold) > TraceCache::kMaxEntries;
+    const uint64_t hits_before = cache.stats().hits;
     for (int64_t h = 0; h < kHot; h++) {
       cache.Acquire(TaggedProgram(h), Uarch::kZen3);
     }
+    if (past_capacity) {
+      hot_touches += kHot;
+      hot_hits += cache.stats().hits - hits_before;
+    }
   }
-  const TraceCache::Stats stats = cache.stats();
-  // Every hot re-acquisition after the first burst must hit. Allow the first
-  // touch per hot key to miss (cold cache after ResetStats it is not — the
-  // entries survive — so in fact all hot touches hit).
-  const uint64_t hot_touches = stats.hits;
-  EXPECT_GE(hot_touches, 16u * kHot) << "hot set was evicted by the cold stream";
-  EXPECT_GT(stats.evictions, 0u);
+  // No cliff at the capacity boundary: at least 95% of the hot touches past
+  // it hit (in fact all of them do).
+  ASSERT_GT(hot_touches, 0u);
+  EXPECT_GE(static_cast<double>(hot_hits), 0.95 * static_cast<double>(hot_touches))
+      << hot_hits << " of " << hot_touches << " hot touches hit past capacity";
+  EXPECT_GT(cache.stats().evictions, 0u);
   EXPECT_LE(cache.stats().entries, TraceCache::kMaxEntries);
 }
 

@@ -15,6 +15,7 @@
 #   * tests/golden/counters.json          — cause-attribution counter matrix
 #   * tests/golden/analyze.json           — analyze-report fixture
 #   * tests/golden/sweep.json / sweep.csv — sweep emitter fixtures
+#   * tests/golden/harden_grid.json       — the pass overhead matrix
 #   * tests/golden/scorecard.txt          — the paper-claim scorecard
 #
 # Every generator is byte-deterministic for any --jobs, so the script runs
@@ -32,7 +33,8 @@ fi
 
 cmake --build "${build_dir}" -j \
   --target spectrebench pareto_golden_test counters_golden_test \
-           analyze_golden_test runner_test difftest_test scorecard_golden_test
+           analyze_golden_test runner_test passes_test difftest_test \
+           scorecard_golden_test
 
 cd "${repo_root}"
 
@@ -55,6 +57,10 @@ echo "== sweep.json / sweep.csv =="
 SPECBENCH_REGEN_GOLDEN=1 "${build_dir}/tests/runner_test" \
   --gtest_filter='SweepEmitters.*'
 
+echo "== harden_grid.json =="
+SPECBENCH_REGEN_GOLDEN=1 "${build_dir}/tests/passes_test" \
+  --gtest_filter='HardenGrid.JsonMatchesGoldenFileByteForByte'
+
 echo "== scorecard.txt =="
 SPECBENCH_REGEN_GOLDEN=1 "${build_dir}/tests/scorecard_golden_test" \
   --gtest_filter='ScorecardGolden.CliOutputMatchesGoldenFileByteForByte'
@@ -65,6 +71,7 @@ echo "== verify: everything agrees with the refreshed fixtures =="
 "${build_dir}/tests/counters_golden_test"
 "${build_dir}/tests/analyze_golden_test"
 "${build_dir}/tests/runner_test" --gtest_filter='SweepEmitters.*'
+"${build_dir}/tests/passes_test" --gtest_filter='HardenGrid.*'
 "${build_dir}/tests/scorecard_golden_test"
 
 echo "regen_goldens: done — review the diff under tests/golden/"

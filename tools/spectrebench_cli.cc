@@ -6,7 +6,7 @@
 //   spectrebench table1|table2|...|table8|tables9-10|sec622
 //   spectrebench fig2|fig3|fig5|sec44|sec45 [--fast] [--cpus=Zen 3,Broadwell]
 //   spectrebench scorecard [--jobs=N]
-//   spectrebench sweep [--grids=fig2,fig3,sec45] [--jobs=N] [--seed=S] [--csv]
+//   spectrebench sweep [--grids=fig2,fig3,sec45,difftest,harden] [--jobs=N]
 //   spectrebench attacks [--cpus=...]
 //   spectrebench difftest [--seeds=A:B] [--cpus=...] [--configs=...] [--jobs=N]
 #include <algorithm>
@@ -993,9 +993,9 @@ void PrintUsage() {
       "               [--jobs=N]; byte-identical for any --jobs\n"
       "  fig2-kernels per-kernel LEBench overhead drill-down\n"
       "  sweep        run experiment grids on the deterministic parallel\n"
-      "               runner: [--grids=fig2,fig3,sec45,difftest] [--jobs=N]\n"
-      "               [--seed=S] [--workloads=a,b] [--configs=c] [--csv]\n"
-      "               [--quiet] [--fast]; the difftest grid takes\n"
+      "               runner: [--grids=fig2,fig3,sec45,difftest,harden]\n"
+      "               [--jobs=N] [--seed=S] [--workloads=a,b] [--configs=c]\n"
+      "               [--csv] [--quiet] [--fast]; the difftest grid takes\n"
       "               [--seeds=A:B]; JSON/CSV on stdout is byte-identical\n"
       "               for any --jobs;\n"
       "               [--checkpoint=FILE] journals each finished cell\n"
