@@ -14,6 +14,7 @@
 #include "src/core/attribution.h"
 #include "src/jit/jit.h"
 #include "src/uarch/machine.h"
+#include "src/workload/measurement.h"
 #include "src/workload/octane.h"
 
 using namespace specbench;
@@ -78,8 +79,10 @@ int main() {
   options.target_relative_ci = 0.015;
   const AttributionReport report = AttributeBrowserMitigations(
       cpu,
-      [&cpu](const JitConfig& jit, const MitigationConfig& os, uint64_t seed) {
-        return Octane::SuiteScore(Octane::RunSuite(cpu, jit, os, seed));
+      [&cpu](const JitConfig& jit, const MitigationConfig& os) -> SampleFn {
+        return [suite = Octane::SimulateSuite(cpu, jit, os)](uint64_t seed) {
+          return Octane::SuiteScore(NoisySuite(suite, seed));
+        };
       },
       options);
 

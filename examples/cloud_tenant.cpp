@@ -25,8 +25,8 @@ int main() {
 
   const MitigationConfig guest = MitigationConfig::Defaults(cpu);
   for (const std::string& name : Lfs::KernelNames()) {
-    const LfsResult with = Lfs::RunKernel(name, cpu, guest, host_on, /*seed=*/1);
-    const LfsResult without = Lfs::RunKernel(name, cpu, guest, host_off, /*seed=*/2);
+    const LfsResult with = Lfs::SimulateKernel(name, cpu, guest, host_on);
+    const LfsResult without = Lfs::SimulateKernel(name, cpu, guest, host_off);
     const double overhead = (with.cycles / without.cycles - 1.0) * 100.0;
     std::printf("%-10s  %8.0f kcycles protected, %8.0f kcycles bare, "
                 "%5.1f%% overhead  (%llu vm exits)\n",

@@ -7,15 +7,13 @@ namespace specbench {
 
 namespace {
 
-// Measures one configuration with the adaptive sampler; the seed changes per
-// sample so the simulated run-to-run noise drives the CI. Sampler health is
-// folded into the report.
-Estimate MeasureConfig(const OsMeasureFn& measure, const MitigationConfig& config,
-                       uint64_t seed_base, const SamplerOptions& options,
-                       AttributionReport* report) {
+// Measures one simulated configuration with the adaptive sampler; the seed
+// changes per sample so the simulated run-to-run noise drives the CI. Sampler
+// health is folded into the report.
+Estimate MeasureConfig(const SampleFn& sample, uint64_t seed_base,
+                       const SamplerOptions& options, AttributionReport* report) {
   uint64_t seed = seed_base;
-  const SampleResult result =
-      SampleUntilConverged([&] { return measure(config, seed++); }, options);
+  const SampleResult result = SampleUntilConverged([&] { return sample(seed++); }, options);
   report->total_samples += result.samples;
   report->converged = report->converged && result.converged;
   report->saw_non_finite = report->saw_non_finite || result.saw_non_finite();
@@ -101,8 +99,8 @@ AttributionReport AttributeOsMitigations(const CpuModel& cpu, const std::string&
   // so the whole attribution chain is a pure function of its inputs.
   uint64_t seed_stream = base_seed;
   MitigationConfig config = MitigationConfig::Defaults(cpu);
-  Estimate current = MeasureConfig(measure, config, SplitMix64Next(&seed_stream), options,
-                                   &report);
+  Estimate current =
+      MeasureConfig(measure(config), SplitMix64Next(&seed_stream), options, &report);
   const Estimate with_all = current;
 
   for (const MitigationKnob& knob : OsMitigationKnobs()) {
@@ -112,7 +110,7 @@ AttributionReport AttributeOsMitigations(const CpuModel& cpu, const std::string&
     MitigationConfig next = config;
     knob.disable(&next);
     const Estimate without =
-        MeasureConfig(measure, next, SplitMix64Next(&seed_stream), options, &report);
+        MeasureConfig(measure(next), SplitMix64Next(&seed_stream), options, &report);
     // This knob's contribution: overhead of keeping it on, relative to the
     // configuration with it (and everything later) still enabled.
     const Estimate delta = OverheadPct(current, without, lower_is_better);
@@ -157,13 +155,7 @@ AttributionReport AttributeBrowserMitigations(const CpuModel& cpu,
   MitigationConfig os = MitigationConfig::Defaults(cpu);
   uint64_t seed_stream = base_seed;
   auto measure_current = [&] {
-    uint64_t seed = SplitMix64Next(&seed_stream);
-    const SampleResult result =
-        SampleUntilConverged([&] { return measure(jit, os, seed++); }, options);
-    report.total_samples += result.samples;
-    report.converged = report.converged && result.converged;
-    report.saw_non_finite = report.saw_non_finite || result.saw_non_finite();
-    return result.estimate;
+    return MeasureConfig(measure(jit, os), SplitMix64Next(&seed_stream), options, &report);
   };
 
   Estimate current = measure_current();

@@ -13,6 +13,7 @@
 #ifndef SPECTREBENCH_SRC_CORE_ATTRIBUTION_H_
 #define SPECTREBENCH_SRC_CORE_ATTRIBUTION_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -65,10 +66,15 @@ struct AttributionReport {
   double SegmentSum() const;
 };
 
-// A measurement under one OS configuration; seed varies per sample so the
-// injected run-to-run noise exercises the CI machinery. Returns a score or
-// cost for the whole workload.
-using OsMeasureFn = std::function<double(const MitigationConfig&, uint64_t seed)>;
+// One configuration's noisy sample: a score or cost for the whole workload,
+// with the run-to-run noise drawn from `seed`.
+using SampleFn = std::function<double(uint64_t seed)>;
+
+// A measurement under one OS configuration. The simulation is deterministic
+// and only the injected noise varies, so the callback simulates the
+// configuration once (it takes no seed) and returns its SampleFn; the sampler
+// varies the seed per sample so the noise exercises the CI machinery.
+using OsMeasureFn = std::function<SampleFn(const MitigationConfig&)>;
 
 // Default `base_seed` for the attribution sweeps below. Seeds for the
 // per-configuration measurements are derived from the base via SplitMix64,
@@ -86,8 +92,8 @@ AttributionReport AttributeOsMitigations(const CpuModel& cpu, const std::string&
 // Browser-side attribution (Figure 3): sweeps the JIT mitigations (index
 // masking, object guards, other JavaScript) and then the OS-side knobs that
 // matter to a seccomp-sandboxed browser (SSBD, other OS).
-using BrowserMeasureFn =
-    std::function<double(const JitConfig&, const MitigationConfig&, uint64_t seed)>;
+// As OsMeasureFn: simulates one (JIT, OS) configuration once.
+using BrowserMeasureFn = std::function<SampleFn(const JitConfig&, const MitigationConfig&)>;
 
 AttributionReport AttributeBrowserMitigations(const CpuModel& cpu,
                                               const BrowserMeasureFn& measure,

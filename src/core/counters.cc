@@ -55,7 +55,7 @@ double CounterBreakdown::TotalOverheadPct() const {
 CounterBreakdown MeasureLeBenchCounters(const CpuModel& cpu, const MitigationConfig& config,
                                         const std::string& kernel) {
   CycleAttribution sink;
-  LeBench::RunKernel(kernel, cpu, config, /*seed=*/1, &sink);
+  LeBench::SimulateKernel(kernel, cpu, config, &sink);
   return FoldWindow(cpu, "lebench:" + kernel, sink);
 }
 
@@ -63,7 +63,7 @@ CounterBreakdown MeasureOctaneCounters(const CpuModel& cpu, const JitConfig& jit
                                        const MitigationConfig& os_config,
                                        const std::string& kernel) {
   CycleAttribution sink;
-  Octane::RunKernel(kernel, cpu, jit_config, os_config, /*seed=*/1, &sink);
+  Octane::SimulateKernel(kernel, cpu, jit_config, os_config, &sink);
   return FoldWindow(cpu, "octane:" + kernel, sink);
 }
 

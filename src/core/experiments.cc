@@ -186,8 +186,9 @@ namespace {
 
 // Guest workload for the LEBench-in-VM experiment: a syscall-heavy loop with
 // an occasional device interaction (the timer/virtio activity real guests
-// have), so host mitigations act only on the rare exits.
-double RunGuestLeBenchLike(const CpuModel& cpu, const HostConfig& host, uint64_t seed) {
+// have), so host mitigations act only on the rare exits. Returns the
+// simulated runtime in cycles; takes no seed (see src/workload/measurement.h).
+double RunGuestLeBenchLike(const CpuModel& cpu, const HostConfig& host) {
   MitigationConfig guest_config = MitigationConfig::Defaults(cpu);
   Kernel kernel(cpu, guest_config);
   Hypervisor hv(kernel, host);
@@ -211,9 +212,11 @@ double RunGuestLeBenchLike(const CpuModel& cpu, const HostConfig& host, uint64_t
   b.BranchNz(3, outer);
   b.Halt();
   kernel.Finalize();
-  const auto result = kernel.Run("guest_main");
-  return ApplyNoise(static_cast<double>(result.cycles), seed, 0.012);
+  return static_cast<double>(kernel.Run("guest_main").cycles);
 }
+
+// The guest run's noise rule: a VM varies a little more than bare metal.
+double GuestNoisy(double simulated, uint64_t seed) { return ApplyNoise(simulated, seed, 0.012); }
 
 }  // namespace
 
@@ -227,16 +230,15 @@ std::vector<VmWorkloadResult> RunSection44Vm(const SamplerOptions& options,
 
     // LEBench-like guest.
     {
+      const double sim_on = RunGuestLeBenchLike(cpu, host_on);
+      const double sim_off = RunGuestLeBenchLike(cpu, host_off);
       uint64_t seed_on = 100;
       uint64_t seed_off = 5100;
-      const Estimate on = SampleUntilConverged(
-                              [&] { return RunGuestLeBenchLike(cpu, host_on, seed_on++); },
-                              options)
-                              .estimate;
-      const Estimate off = SampleUntilConverged(
-                               [&] { return RunGuestLeBenchLike(cpu, host_off, seed_off++); },
-                               options)
-                               .estimate;
+      const Estimate on =
+          SampleUntilConverged([&] { return GuestNoisy(sim_on, seed_on++); }, options).estimate;
+      const Estimate off =
+          SampleUntilConverged([&] { return GuestNoisy(sim_off, seed_off++); }, options)
+              .estimate;
       VmWorkloadResult r;
       r.cpu = UarchName(u);
       r.workload = "lebench-in-vm";
@@ -246,33 +248,24 @@ std::vector<VmWorkloadResult> RunSection44Vm(const SamplerOptions& options,
 
     // LFS smallfile / largefile against the emulated disk.
     for (const std::string& name : Lfs::KernelNames()) {
+      const MitigationConfig guest = MitigationConfig::Defaults(cpu);
+      const LfsResult sim_on = Lfs::SimulateKernel(name, cpu, guest, host_on);
+      const LfsResult sim_off = Lfs::SimulateKernel(name, cpu, guest, host_off);
       uint64_t seed_on = 200;
       uint64_t seed_off = 7200;
-      uint64_t exits = 0;
       const Estimate on =
-          SampleUntilConverged(
-              [&] {
-                const LfsResult lfs = Lfs::RunKernel(name, cpu, MitigationConfig::Defaults(cpu),
-                                                     host_on, seed_on++);
-                exits = lfs.vm_exits;
-                return lfs.cycles;
-              },
-              options)
+          SampleUntilConverged([&] { return NoisyKernel(name, sim_on.cycles, seed_on++); },
+                               options)
               .estimate;
       const Estimate off =
-          SampleUntilConverged(
-              [&] {
-                return Lfs::RunKernel(name, cpu, MitigationConfig::Defaults(cpu), host_off,
-                                      seed_off++)
-                    .cycles;
-              },
-              options)
+          SampleUntilConverged([&] { return NoisyKernel(name, sim_off.cycles, seed_off++); },
+                               options)
               .estimate;
       VmWorkloadResult r;
       r.cpu = UarchName(u);
       r.workload = "lfs-" + name;
       r.overhead_pct = RelativeOverheadPercent(on, off);
-      r.vm_exits_protected = exits;
+      r.vm_exits_protected = sim_on.vm_exits;
       results.push_back(r);
     }
   }

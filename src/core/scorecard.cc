@@ -406,7 +406,7 @@ void AddAblationRows(Rows& rows) {
 }  // namespace
 
 std::vector<ScorecardRow> BuildScorecard(const RunnerOptions& runner) {
-  const SamplerOptions sampler = SamplerForFast(false);  // the CLI commands' budget
+  const SamplerOptions& sampler = kExperimentSampler;  // the CLI commands' budget
   Rows rows;
   AddMicrobenchRows(rows);
   AddProbeRows(rows);

@@ -5,6 +5,7 @@
 #include "src/difftest/difftest.h"
 #include "src/util/rng.h"
 #include "src/workload/lebench.h"
+#include "src/workload/measurement.h"
 #include "src/workload/octane.h"
 #include "src/workload/parsec.h"
 
@@ -38,8 +39,10 @@ Sweep BuildFigure2Grid(const GridOptions& options) {
                 const CpuModel& cpu = GetCpuModel(u);
                 return CellOutputFromAttribution(AttributeOsMitigations(
                     cpu, "lebench",
-                    [&cpu](const MitigationConfig& config, uint64_t sample_seed) {
-                      return LeBench::SuiteGeomean(LeBench::RunSuite(cpu, config, sample_seed));
+                    [&cpu](const MitigationConfig& config) -> SampleFn {
+                      return [suite = LeBench::SimulateSuite(cpu, config)](uint64_t sample_seed) {
+                        return LeBench::SuiteGeomean(NoisySuite(suite, sample_seed));
+                      };
                     },
                     /*lower_is_better=*/true, sampler, seed));
               });
@@ -55,9 +58,10 @@ Sweep BuildFigure3Grid(const GridOptions& options) {
                 const CpuModel& cpu = GetCpuModel(u);
                 return CellOutputFromAttribution(AttributeBrowserMitigations(
                     cpu,
-                    [&cpu](const JitConfig& jit, const MitigationConfig& os,
-                           uint64_t sample_seed) {
-                      return Octane::SuiteScore(Octane::RunSuite(cpu, jit, os, sample_seed));
+                    [&cpu](const JitConfig& jit, const MitigationConfig& os) -> SampleFn {
+                      return [suite = Octane::SimulateSuite(cpu, jit, os)](uint64_t sample_seed) {
+                        return Octane::SuiteScore(NoisySuite(suite, sample_seed));
+                      };
                     },
                     sampler, seed));
               });
@@ -75,18 +79,14 @@ Sweep BuildSection45Grid(const GridOptions& options) {
                   uint64_t stream = seed;
                   uint64_t seed_def = SplitMix64Next(&stream);
                   uint64_t seed_off = SplitMix64Next(&stream);
+                  const double sim_def =
+                      Parsec::SimulateKernel(name, cpu, MitigationConfig::Defaults(cpu));
+                  const double sim_off =
+                      Parsec::SimulateKernel(name, cpu, MitigationConfig::AllOff());
                   const SampleResult def = SampleUntilConverged(
-                      [&] {
-                        return Parsec::RunKernel(name, cpu, MitigationConfig::Defaults(cpu),
-                                                 seed_def++);
-                      },
-                      sampler);
+                      [&] { return Parsec::Noisy(name, sim_def, seed_def++); }, sampler);
                   const SampleResult off = SampleUntilConverged(
-                      [&] {
-                        return Parsec::RunKernel(name, cpu, MitigationConfig::AllOff(),
-                                                 seed_off++);
-                      },
-                      sampler);
+                      [&] { return Parsec::Noisy(name, sim_off, seed_off++); }, sampler);
                   CellOutput out;
                   out.metrics.push_back(
                       CellMetric{"total", "Default-mitigation overhead",
@@ -182,24 +182,10 @@ Sweep BuildDifftestGrid(const DifftestGridOptions& options) {
   return sweep;
 }
 
-SamplerOptions SamplerForFast(bool fast) {
-  SamplerOptions sampler;
-  if (fast) {
-    sampler.min_samples = 3;
-    sampler.max_samples = 6;
-    sampler.target_relative_ci = 0.03;
-  } else {
-    sampler.min_samples = 5;
-    sampler.max_samples = 20;
-    sampler.target_relative_ci = 0.01;
-  }
-  return sampler;
-}
-
 bool BuildNamedGrids(const NamedGridOptions& options, Sweep* out, std::string* error) {
   Sweep sweep;
   GridOptions grid;
-  grid.sampler = SamplerForFast(options.fast);
+  grid.sampler = kExperimentSampler;
   grid.cpus = options.cpus;
   for (const std::string& name : options.grids) {
     if (name == "fig2") {

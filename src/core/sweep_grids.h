@@ -48,22 +48,26 @@ Sweep BuildDifftestGrid(const DifftestGridOptions& options);
 // and seed-free, so its bytes are identical for any --jobs.
 Sweep BuildHardenGrid(const std::vector<Uarch>& cpus);
 
-// The sampler budget behind the CLI's --fast: fast=true trades confidence
-// (3-6 samples, 3% CI target) for a quick run; fast=false is the default
-// 5-20 samples at a 1% CI target.
-SamplerOptions SamplerForFast(bool fast);
+// The one sampler budget of the sampled experiments (fig2, fig3, sec44,
+// sec45), used by the CLI, the scorecard and the named grids: 5-20 samples
+// per configuration at a 1% CI target. Each configuration is simulated once
+// and only its noise is sampled, so a smaller budget would save no time.
+inline constexpr SamplerOptions kExperimentSampler{
+    .min_samples = 5, .max_samples = 20, .target_relative_ci = 0.01};
 
 // Shared grid-name dispatcher for `spectrebench sweep` and the sweep
 // service: builds and merges the named grids ("fig2", "fig3", "sec45",
 // "difftest", "harden") in list order. `seed_begin`/`seed_end` only affect
-// the difftest grid; `fast` (the SamplerForFast budget) only the
-// figure/section grids. Returns false with a one-line reason for an unknown
+// the difftest grid; the figure/section grids sample with
+// kExperimentSampler. Returns false with a one-line reason for an unknown
 // grid name.
 struct NamedGridOptions {
   std::vector<std::string> grids;
   std::vector<Uarch> cpus = AllUarches();
   uint64_t seed_begin = 0;
   uint64_t seed_end = 100;  // exclusive
+  // Unread. perfbench's request-to-grid mapping still assigns it from
+  // ServiceRequest::fast; both members go once perfbench drops that line.
   bool fast = false;
 };
 bool BuildNamedGrids(const NamedGridOptions& options, Sweep* out, std::string* error);

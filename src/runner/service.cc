@@ -180,12 +180,6 @@ bool ParseServiceRequest(const std::string& line, ServiceRequest* out, std::stri
         *error = "seeds=\"" + value + "\" is not BEGIN:END with BEGIN <= END";
         return false;
       }
-    } else if (key == "fast") {
-      if (value != "0" && value != "1") {
-        *error = "fast=\"" + value + "\" must be 0 or 1";
-        return false;
-      }
-      request.fast = value == "1";
     } else if (key == "shard") {
       std::string shard_error;
       if (!ParseShardSpec(value, &request.shard, &shard_error)) {
@@ -211,7 +205,6 @@ std::string SerializeServiceRequest(const ServiceRequest& request) {
   }
   line += " seeds=" + std::to_string(request.seed_begin) + ":" + std::to_string(request.seed_end);
   line += " seed=" + std::to_string(request.base_seed);
-  line += " fast=" + std::string(request.fast ? "1" : "0");
   line += " shard=" + std::to_string(request.shard.index) + "/" +
           std::to_string(request.shard.count);
   if (!request.cpus.empty()) {

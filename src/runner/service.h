@@ -14,7 +14,7 @@
 //   <- pong
 //
 //   -> sweep grids=difftest seeds=0:50 cpus=Skylake%20Client,Zen%203
-//            seed=1 fast=1 shard=0/2 [workloads=a,b] [configs=c,d]
+//            seed=1 shard=0/2 [workloads=a,b] [configs=c,d]
 //   <- ok cells=<selected> base_seed=<u64> grid=<hex16> total=<u64>
 //   <- cell <checksum> <payload>        (one per completed cell,
 //                                        completion order)
@@ -74,7 +74,10 @@ struct ServiceRequest {
   uint64_t base_seed = 1;
   uint64_t seed_begin = 0;  // difftest grid seed window
   uint64_t seed_end = 100;
-  bool fast = false;        // the CLI's --fast: smaller sampler budget
+  // Unread, and no wire key sets it. perfbench's request-to-grid mapping
+  // still copies it into NamedGridOptions::fast; both members go once
+  // perfbench drops that line.
+  bool fast = false;
   ShardSpec shard;
 };
 

@@ -163,9 +163,8 @@ const std::vector<std::string>& LeBench::KernelNames() {
   return kNames;
 }
 
-double LeBench::RunKernel(const std::string& name, const CpuModel& cpu,
-                          const MitigationConfig& config, uint64_t seed,
-                          CycleAttribution* attribution) {
+double LeBench::SimulateKernel(const std::string& name, const CpuModel& cpu,
+                               const MitigationConfig& config, CycleAttribution* attribution) {
   const KernelSpec spec = SpecFor(name);
   Kernel kernel(cpu, config);
   Process* partner = nullptr;
@@ -192,18 +191,28 @@ double LeBench::RunKernel(const std::string& name, const CpuModel& cpu,
   const uint64_t t0 = m.PeekData(static_cast<uint64_t>(kT0Slot));
   const uint64_t t1 = m.PeekData(static_cast<uint64_t>(kT1Slot));
   SPECBENCH_CHECK(t1 > t0);
-  const double per_op = static_cast<double>(t1 - t0) / spec.iterations;
-  return ApplyNoise(per_op, seed ^ std::hash<std::string>{}(name));
+  return static_cast<double>(t1 - t0) / spec.iterations;
+}
+
+std::map<std::string, double> LeBench::SimulateSuite(const CpuModel& cpu,
+                                                     const MitigationConfig& config) {
+  std::map<std::string, double> results;
+  for (const std::string& name : KernelNames()) {
+    results[name] = SimulateKernel(name, cpu, config);
+  }
+  return results;
+}
+
+double LeBench::RunKernel(const std::string& name, const CpuModel& cpu,
+                          const MitigationConfig& config, uint64_t seed,
+                          CycleAttribution* attribution) {
+  return NoisyKernel(name, SimulateKernel(name, cpu, config, attribution), seed);
 }
 
 std::map<std::string, double> LeBench::RunSuite(const CpuModel& cpu,
                                                 const MitigationConfig& config,
                                                 uint64_t seed) {
-  std::map<std::string, double> results;
-  for (const std::string& name : KernelNames()) {
-    results[name] = RunKernel(name, cpu, config, seed);
-  }
-  return results;
+  return NoisySuite(SimulateSuite(cpu, config), seed);
 }
 
 double LeBench::SuiteGeomean(const std::map<std::string, double>& results) {

@@ -9,6 +9,7 @@
 #ifndef SPECTREBENCH_SRC_WORKLOAD_LEBENCH_H_
 #define SPECTREBENCH_SRC_WORKLOAD_LEBENCH_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -23,17 +24,27 @@ class LeBench {
   // The kernels in the suite, in reporting order.
   static const std::vector<std::string>& KernelNames();
 
-  // Runs one named kernel on a fresh simulated kernel with `config` and
-  // returns average cycles per operation (lower is better), with seeded
-  // measurement noise. If `attribution` is non-null it is reset, attached to
-  // the machine's event bus for the run, and left holding the measurement
-  // window (the kernels bracket the timed loop with lfence+rdtsc, so
-  // WindowTotalCycles() is exactly the unnoised t1 - t0).
+  // Simulates one named kernel on a fresh simulated kernel with `config` and
+  // returns average cycles per operation (lower is better). Takes no seed:
+  // the simulation is deterministic. If `attribution` is non-null it is
+  // reset, attached to the machine's event bus for the run, and left holding
+  // the measurement window (the kernels bracket the timed loop with
+  // lfence+rdtsc, so WindowTotalCycles() is exactly t1 - t0).
+  static double SimulateKernel(const std::string& name, const CpuModel& cpu,
+                               const MitigationConfig& config,
+                               CycleAttribution* attribution = nullptr);
+
+  // Simulates the whole suite; returns kernel -> cycles/op.
+  static std::map<std::string, double> SimulateSuite(const CpuModel& cpu,
+                                                     const MitigationConfig& config);
+
+  // One seeded measurement: NoisyKernel(name, SimulateKernel(...), seed)
+  // (measurement.h).
   static double RunKernel(const std::string& name, const CpuModel& cpu,
                           const MitigationConfig& config, uint64_t seed,
                           CycleAttribution* attribution = nullptr);
 
-  // Runs the whole suite; returns kernel -> cycles/op.
+  // One seeded measurement of the whole suite: NoisySuite(SimulateSuite(...)).
   static std::map<std::string, double> RunSuite(const CpuModel& cpu,
                                                 const MitigationConfig& config, uint64_t seed);
 

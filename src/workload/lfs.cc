@@ -1,9 +1,6 @@
 #include "src/workload/lfs.h"
 
-#include <functional>
-
 #include "src/util/check.h"
-#include "src/workload/measurement.h"
 
 namespace specbench {
 
@@ -66,9 +63,9 @@ const std::vector<std::string>& Lfs::KernelNames() {
   return kNames;
 }
 
-LfsResult Lfs::RunKernel(const std::string& name, const CpuModel& cpu,
-                         const MitigationConfig& guest_config, const HostConfig& host_config,
-                         uint64_t seed) {
+LfsResult Lfs::SimulateKernel(const std::string& name, const CpuModel& cpu,
+                              const MitigationConfig& guest_config,
+                              const HostConfig& host_config) {
   Kernel kernel(cpu, guest_config);
   Hypervisor hv(kernel, host_config);
   ProgramBuilder& b = kernel.builder();
@@ -83,8 +80,7 @@ LfsResult Lfs::RunKernel(const std::string& name, const CpuModel& cpu,
   kernel.Finalize();
   const auto run = kernel.Run("guest_main");
   LfsResult result;
-  result.cycles = ApplyNoise(static_cast<double>(run.cycles),
-                             seed ^ std::hash<std::string>{}(name));
+  result.cycles = static_cast<double>(run.cycles);
   result.vm_exits = hv.vm_exits();
   return result;
 }

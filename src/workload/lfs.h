@@ -11,6 +11,7 @@
 #ifndef SPECTREBENCH_SRC_WORKLOAD_LFS_H_
 #define SPECTREBENCH_SRC_WORKLOAD_LFS_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,9 +28,11 @@ class Lfs {
  public:
   static const std::vector<std::string>& KernelNames();  // {smallfile, largefile}
 
-  static LfsResult RunKernel(const std::string& name, const CpuModel& cpu,
-                             const MitigationConfig& guest_config,
-                             const HostConfig& host_config, uint64_t seed);
+  // Simulates one kernel in a guest under `host_config`. Takes no seed: the
+  // simulation is deterministic.
+  static LfsResult SimulateKernel(const std::string& name, const CpuModel& cpu,
+                                  const MitigationConfig& guest_config,
+                                  const HostConfig& host_config);
 };
 
 }  // namespace specbench

@@ -305,9 +305,9 @@ const std::vector<std::string>& Octane::KernelNames() {
   return kNames;
 }
 
-double Octane::RunKernel(const std::string& name, const CpuModel& cpu,
-                         const JitConfig& jit_config, const MitigationConfig& os_config,
-                         uint64_t seed, CycleAttribution* attribution) {
+double Octane::SimulateKernel(const std::string& name, const CpuModel& cpu,
+                              const JitConfig& jit_config, const MitigationConfig& os_config,
+                              CycleAttribution* attribution) {
   const OctaneKernel spec = KernelFor(name);
   Kernel kernel(cpu, os_config);
   // The browser is a seccomp-sandboxed process: the kernel's SSBD policy
@@ -362,19 +362,24 @@ double Octane::RunKernel(const std::string& name, const CpuModel& cpu,
   const uint64_t t1 = m.PeekData(static_cast<uint64_t>(kT1Slot));
   SPECBENCH_CHECK(t1 > t0);
   const double cycles_per_iter = static_cast<double>(t1 - t0) / spec.iterations;
-  const double score = 1.0e6 / cycles_per_iter;
-  return ApplyNoise(score, seed ^ std::hash<std::string>{}(name));
+  return 1.0e6 / cycles_per_iter;
+}
+
+std::map<std::string, double> Octane::SimulateSuite(const CpuModel& cpu,
+                                                    const JitConfig& jit_config,
+                                                    const MitigationConfig& os_config) {
+  std::map<std::string, double> results;
+  for (const std::string& name : KernelNames()) {
+    results[name] = SimulateKernel(name, cpu, jit_config, os_config);
+  }
+  return results;
 }
 
 std::map<std::string, double> Octane::RunSuite(const CpuModel& cpu,
                                                const JitConfig& jit_config,
                                                const MitigationConfig& os_config,
                                                uint64_t seed) {
-  std::map<std::string, double> results;
-  for (const std::string& name : KernelNames()) {
-    results[name] = RunKernel(name, cpu, jit_config, os_config, seed);
-  }
-  return results;
+  return NoisySuite(SimulateSuite(cpu, jit_config, os_config), seed);
 }
 
 double Octane::SuiteScore(const std::map<std::string, double>& results) {

@@ -11,6 +11,7 @@
 #ifndef SPECTREBENCH_SRC_WORKLOAD_OCTANE_H_
 #define SPECTREBENCH_SRC_WORKLOAD_OCTANE_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,15 +26,22 @@ class Octane {
  public:
   static const std::vector<std::string>& KernelNames();
 
-  // Runs one kernel; returns an Octane-style score (higher is better,
-  // inversely proportional to cycles per iteration), with seeded noise.
-  // If `attribution` is non-null it is reset, attached for the run, and left
-  // holding the lfence+rdtsc measurement window (see LeBench::RunKernel).
-  static double RunKernel(const std::string& name, const CpuModel& cpu,
-                          const JitConfig& jit_config, const MitigationConfig& os_config,
-                          uint64_t seed, CycleAttribution* attribution = nullptr);
+  // Simulates one kernel; returns an Octane-style score (higher is better,
+  // inversely proportional to cycles per iteration). Takes no seed: the
+  // simulation is deterministic. If `attribution` is non-null it is reset,
+  // attached for the run, and left holding the lfence+rdtsc measurement
+  // window (see LeBench::SimulateKernel).
+  static double SimulateKernel(const std::string& name, const CpuModel& cpu,
+                               const JitConfig& jit_config, const MitigationConfig& os_config,
+                               CycleAttribution* attribution = nullptr);
 
-  // Runs the whole suite; returns kernel -> score.
+  // Simulates the whole suite; returns kernel -> score.
+  static std::map<std::string, double> SimulateSuite(const CpuModel& cpu,
+                                                     const JitConfig& jit_config,
+                                                     const MitigationConfig& os_config);
+
+  // One seeded measurement of the whole suite: NoisySuite(SimulateSuite(...))
+  // (measurement.h).
   static std::map<std::string, double> RunSuite(const CpuModel& cpu,
                                                 const JitConfig& jit_config,
                                                 const MitigationConfig& os_config,

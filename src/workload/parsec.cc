@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
+#include <list>
 #include <mutex>
-#include <utility>
+#include <string>
 
 #include "src/os/kernel.h"
 #include "src/uarch/machine_pool.h"
@@ -159,17 +159,31 @@ double ComputeNosmtCharge(const std::string& name, const CpuModel& cpu) {
 
 // ComputeNosmtCharge, once per (CPU, kernel) per process: cells that ask for
 // the same charge concurrently wait for the first one instead of repeating it.
+// The CPU is compared by value, as MachineLease compares it: a modified copy
+// of a catalog model is a different CPU with its own charge.
 double MeasuredNosmtCharge(const std::string& name, const CpuModel& cpu) {
   struct Charge {
+    CpuModel cpu;
+    std::string name;
     std::once_flag once;
     double value = 0.0;
   };
   static std::mutex mu;
-  static std::map<std::pair<int, std::string>, Charge> cache;
+  static std::list<Charge> cache;
   Charge* charge = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu);
-    charge = &cache[{static_cast<int>(cpu.uarch), name}];
+    for (Charge& known : cache) {
+      if (known.name == name && known.cpu == cpu) {
+        charge = &known;
+        break;
+      }
+    }
+    if (charge == nullptr) {
+      charge = &cache.emplace_back();
+      charge->cpu = cpu;
+      charge->name = name;
+    }
   }
   std::call_once(charge->once, [&] { charge->value = ComputeNosmtCharge(name, cpu); });
   return charge->value;
@@ -182,8 +196,8 @@ const std::vector<std::string>& Parsec::KernelNames() {
   return kNames;
 }
 
-double Parsec::RunKernel(const std::string& name, const CpuModel& cpu,
-                         const MitigationConfig& config, uint64_t seed) {
+double Parsec::SimulateKernel(const std::string& name, const CpuModel& cpu,
+                              const MitigationConfig& config) {
   // nosmt: the PARSEC suite is the multithreaded half of the study — with
   // the sibling thread disabled, each core retires one stream instead of
   // two overlapping ones. Charge the *measured* co-run throughput from
@@ -204,17 +218,16 @@ double Parsec::RunKernel(const std::string& name, const CpuModel& cpu,
   }
   SeedData(kernel.machine());
   const auto result = kernel.Run("user_main");
-  const double cycles = static_cast<double>(result.cycles) * nosmt_charge;
-  return ApplyNoise(cycles, seed ^ std::hash<std::string>{}(name), 0.004);
+  return static_cast<double>(result.cycles) * nosmt_charge;
 }
 
-std::map<std::string, double> Parsec::RunSuite(const CpuModel& cpu,
-                                               const MitigationConfig& config, uint64_t seed) {
-  std::map<std::string, double> results;
-  for (const std::string& name : KernelNames()) {
-    results[name] = RunKernel(name, cpu, config, seed);
-  }
-  return results;
+double Parsec::Noisy(const std::string& name, double simulated, uint64_t seed) {
+  return NoisyKernel(name, simulated, seed, 0.004);
+}
+
+double Parsec::RunKernel(const std::string& name, const CpuModel& cpu,
+                         const MitigationConfig& config, uint64_t seed) {
+  return Noisy(name, SimulateKernel(name, cpu, config), seed);
 }
 
 }  // namespace specbench

@@ -15,7 +15,7 @@
 #ifndef SPECTREBENCH_SRC_WORKLOAD_PARSEC_H_
 #define SPECTREBENCH_SRC_WORKLOAD_PARSEC_H_
 
-#include <map>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,13 +27,19 @@ class Parsec {
  public:
   static const std::vector<std::string>& KernelNames();
 
-  // Runs one kernel to completion under `config`; returns total runtime in
-  // cycles (lower is better), with seeded noise.
+  // Simulates one kernel to completion under `config`; returns total runtime
+  // in cycles (lower is better). Takes no seed: the simulation is
+  // deterministic.
+  static double SimulateKernel(const std::string& name, const CpuModel& cpu,
+                               const MitigationConfig& config);
+
+  // The suite's noise rule: NoisyKernel (measurement.h) with a smaller
+  // sigma, 0.004.
+  static double Noisy(const std::string& name, double simulated, uint64_t seed);
+
+  // One seeded measurement: Noisy(name, SimulateKernel(...), seed).
   static double RunKernel(const std::string& name, const CpuModel& cpu,
                           const MitigationConfig& config, uint64_t seed);
-
-  static std::map<std::string, double> RunSuite(const CpuModel& cpu,
-                                                const MitigationConfig& config, uint64_t seed);
 };
 
 }  // namespace specbench

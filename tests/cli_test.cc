@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace specbench {
 namespace {
@@ -138,15 +139,37 @@ TEST(CliFlags, DifftestRejectsUnknownFlag) {
 }
 
 // The oracle has one engine, so difftest takes no --fast or
-// --cross-validate: both are rejected like any other unknown option.
+// --cross-validate: both are rejected like any other unknown option. The
+// sampled experiments have one sampler budget, so no command takes --fast.
 TEST(CliFlags, DifftestRejectsFastAndCrossValidate) {
   const char* kValid =
       "(valid options: --seeds --cpus --configs --jobs --inject-alu-fault --corpus-out "
       "--replay --arch-hashes)\n";
-  const RunOutput fast = RunCli("difftest --seeds=0:1 --fast");
-  EXPECT_EQ(fast.exit_code, 2);
-  EXPECT_EQ(fast.output,
-            std::string("spectrebench difftest: unrecognized option '--fast' ") + kValid);
+  struct FastCase {
+    const char* args;
+    const char* command;
+    const char* valid;
+  };
+  const std::vector<FastCase> cases = {
+      {"difftest --seeds=0:1 --fast", "difftest", kValid},
+      {"fig2 --fast", "fig2", "(valid options: --csv --jobs --cpus)\n"},
+      {"fig3 --fast", "fig3", "(valid options: --csv --jobs --cpus)\n"},
+      {"sec44 --fast", "sec44", "(valid options: --cpus)\n"},
+      {"sec45 --fast", "sec45", "(valid options: --jobs --cpus)\n"},
+      {"sweep --fast", "sweep",
+       "(valid options: --csv --quiet --jobs --seed --seeds --cpus --grids --workloads "
+       "--configs --shard --checkpoint --resume)\n"},
+      {"submit --fast", "submit",
+       "(valid options: --socket --grids --seeds --cpus --workloads --configs --seed --shard "
+       "--checkpoint --ping --shutdown)\n"},
+  };
+  for (const FastCase& c : cases) {
+    const RunOutput fast = RunCli(c.args);
+    EXPECT_EQ(fast.exit_code, 2) << c.args;
+    EXPECT_EQ(fast.output, std::string("spectrebench ") + c.command +
+                               ": unrecognized option '--fast' " + c.valid)
+        << c.args;
+  }
   const RunOutput xval = RunCli("difftest --seeds=0:1 --cross-validate");
   EXPECT_EQ(xval.exit_code, 2);
   EXPECT_EQ(xval.output,

@@ -6,6 +6,7 @@
 #include "src/core/microbench.h"
 #include "src/core/paper_expectations.h"
 #include "src/workload/lebench.h"
+#include "src/workload/measurement.h"
 #include "src/workload/octane.h"
 
 namespace specbench {
@@ -42,7 +43,7 @@ TEST(Attribution, SyntheticMeasureDecomposesExactly) {
   // A synthetic cost function with known per-knob contributions must come
   // back decomposed into exactly those contributions.
   const CpuModel& cpu = GetCpuModel(Uarch::kBroadwell);
-  auto measure = [](const MitigationConfig& c, uint64_t) {
+  auto measure = [](const MitigationConfig& c) -> SampleFn {
     double cost = 100.0;
     if (c.pti) {
       cost += 20.0;
@@ -53,7 +54,7 @@ TEST(Attribution, SyntheticMeasureDecomposesExactly) {
     if (c.retpoline != RetpolineMode::kNone) {
       cost += 5.0;
     }
-    return cost;
+    return [cost](uint64_t) { return cost; };
   };
   const AttributionReport report =
       AttributeOsMitigations(cpu, "synthetic", measure, /*lower_is_better=*/true, FastSampler());
@@ -70,8 +71,10 @@ TEST(Attribution, SegmentsRoughlySumToTotal) {
   const CpuModel& cpu = GetCpuModel(Uarch::kSkylakeClient);
   const AttributionReport report = AttributeOsMitigations(
       cpu, "lebench",
-      [&cpu](const MitigationConfig& config, uint64_t seed) {
-        return LeBench::RunKernel("getpid", cpu, config, seed);
+      [&cpu](const MitigationConfig& config) -> SampleFn {
+        return [getpid = LeBench::SimulateKernel("getpid", cpu, config)](uint64_t seed) {
+          return NoisyKernel("getpid", getpid, seed);
+        };
       },
       /*lower_is_better=*/true, FastSampler());
   EXPECT_GT(report.total_overhead_pct.value, 10.0);
@@ -85,8 +88,10 @@ TEST(Attribution, BroadwellLeBenchDominatedByPtiAndMds) {
   const CpuModel& cpu = GetCpuModel(Uarch::kBroadwell);
   const AttributionReport report = AttributeOsMitigations(
       cpu, "lebench",
-      [&cpu](const MitigationConfig& config, uint64_t seed) {
-        return LeBench::SuiteGeomean(LeBench::RunSuite(cpu, config, seed));
+      [&cpu](const MitigationConfig& config) -> SampleFn {
+        return [suite = LeBench::SimulateSuite(cpu, config)](uint64_t seed) {
+          return LeBench::SuiteGeomean(NoisySuite(suite, seed));
+        };
       },
       /*lower_is_better=*/true, FastSampler());
   double pti = 0;
@@ -113,15 +118,53 @@ TEST(Attribution, BrowserReportHasTheFigure3Segments) {
   const CpuModel& cpu = GetCpuModel(Uarch::kZen3);
   const AttributionReport report = AttributeBrowserMitigations(
       cpu,
-      [&cpu](const JitConfig& jit, const MitigationConfig& os, uint64_t seed) {
-        // One kernel keeps the test fast; the full suite runs in the bench.
-        return Octane::RunKernel("crypto", cpu, jit, os, seed);
+      [&cpu](const JitConfig& jit, const MitigationConfig& os) -> SampleFn {
+        // One kernel keeps the test fast; the full suite runs in fig3.
+        return [crypto = Octane::SimulateKernel("crypto", cpu, jit, os)](uint64_t seed) {
+          return NoisyKernel("crypto", crypto, seed);
+        };
       },
       FastSampler());
   ASSERT_EQ(report.segments.size(), 5u);
   EXPECT_EQ(report.segments[0].id, "index_masking");
   EXPECT_EQ(report.segments[3].id, "ssbd");
   EXPECT_GT(report.total_overhead_pct.value, 3.0);
+}
+
+// The simulation is deterministic, so each configuration is simulated once
+// and the sampler only draws its noise: one callback call per configuration
+// measured, while every configuration still gets at least min_samples.
+TEST(Attribution, SimulatesEachConfigOnceAndSamplesItsNoise) {
+  const CpuModel& cpu = GetCpuModel(Uarch::kBroadwell);
+  const SamplerOptions sampler = FastSampler();
+  size_t os_simulations = 0;
+  const AttributionReport os = AttributeOsMitigations(
+      cpu, "getpid",
+      [&](const MitigationConfig& config) -> SampleFn {
+        os_simulations++;
+        return [getpid = LeBench::SimulateKernel("getpid", cpu, config)](uint64_t seed) {
+          return NoisyKernel("getpid", getpid, seed);
+        };
+      },
+      /*lower_is_better=*/true, sampler);
+  // The defaults, then one configuration per knob the sweep disables.
+  EXPECT_EQ(os_simulations, 1 + os.segments.size());
+  EXPECT_EQ(os_simulations, 1 + OsMitigationKnobs().size());  // all five matter on Broadwell
+  EXPECT_GE(os.total_samples, sampler.min_samples * os_simulations);
+
+  size_t browser_simulations = 0;
+  const AttributionReport browser = AttributeBrowserMitigations(
+      cpu,
+      [&](const JitConfig& jit, const MitigationConfig& config) -> SampleFn {
+        browser_simulations++;
+        return [crypto = Octane::SimulateKernel("crypto", cpu, jit, config)](uint64_t seed) {
+          return NoisyKernel("crypto", crypto, seed);
+        };
+      },
+      sampler);
+  EXPECT_EQ(browser_simulations, 1 + browser.segments.size());
+  EXPECT_EQ(browser_simulations, 6u);  // everything on, then five steps
+  EXPECT_GE(browser.total_samples, sampler.min_samples * browser_simulations);
 }
 
 TEST(Experiments, Table1RenderMatchesVulnerabilityMatrix) {

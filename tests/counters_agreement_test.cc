@@ -33,6 +33,7 @@
 #include "src/core/counters.h"
 #include "src/cpu/cpu_model.h"
 #include "src/workload/lebench.h"
+#include "src/workload/measurement.h"
 #include "src/workload/octane.h"
 
 namespace specbench {
@@ -147,8 +148,10 @@ TEST(CountersAgreement, OsMitigationsOnFigure2Cells) {
         MeasureLeBenchCounters(cpu, MitigationConfig::Defaults(cpu), c.kernel);
     const AttributionReport report = AttributeOsMitigations(
         cpu, "lebench:" + c.kernel,
-        [&](const MitigationConfig& config, uint64_t seed) {
-          return LeBench::RunKernel(c.kernel, cpu, config, seed);
+        [&](const MitigationConfig& config) -> SampleFn {
+          return [&c, simulated = LeBench::SimulateKernel(c.kernel, cpu, config)](uint64_t seed) {
+            return NoisyKernel(c.kernel, simulated, seed);
+          };
         },
         /*lower_is_better=*/true, FastSampler());
     CheckAgreement(std::string(UarchName(cpu.uarch)) + " lebench:" + c.kernel, row, report,
@@ -163,8 +166,10 @@ TEST(CountersAgreement, BrowserMitigationsOnFigure3Cells) {
         cpu, JitConfig::AllOn(), MitigationConfig::Defaults(cpu), "richards");
     const AttributionReport report = AttributeBrowserMitigations(
         cpu,
-        [&](const JitConfig& jit, const MitigationConfig& os, uint64_t seed) {
-          return Octane::RunKernel("richards", cpu, jit, os, seed);
+        [&](const JitConfig& jit, const MitigationConfig& os) -> SampleFn {
+          return [richards = Octane::SimulateKernel("richards", cpu, jit, os)](uint64_t seed) {
+            return NoisyKernel("richards", richards, seed);
+          };
         },
         FastSampler());
     CheckAgreement(std::string(UarchName(cpu.uarch)) + " octane:richards", row, report,

@@ -535,5 +535,35 @@ TEST(SweepService, OverlongRequestLineGetsAnErrorAndIsDisconnected) {
   server.join();
 }
 
+// The sampler budget is fixed, so the protocol has no fast= key: a request
+// that still sends one gets the protocol's unknown-key error reply, and the
+// client never writes one.
+TEST(SweepService, FastKeyIsAnUnknownRequestKey) {
+  const std::string path =
+      testing::TempDir() + "specbench-fast-key-" + std::to_string(::getpid()) + ".sock";
+  ServiceOptions options;
+  options.socket_path = path;
+  options.jobs = 1;
+  options.quiet = true;
+  SweepService service(options, [](const ServiceRequest&, Sweep*, std::string* error) {
+    *error = "no grids in this test";
+    return false;
+  });
+  std::string error;
+  ASSERT_TRUE(service.Start(&error)) << error;
+  std::thread server([&service] { service.Serve(); });
+
+  const int client = ConnectTo(path);
+  ASSERT_GE(client, 0);
+  const std::string requests = "sweep grids=fig2 fast=1\nshutdown\n";
+  ASSERT_EQ(::send(client, requests.data(), requests.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(requests.size()));
+  EXPECT_EQ(ReadUntilClosed(client), "err unknown request key \"fast\"\nbye\n");
+  ::close(client);
+  server.join();
+
+  EXPECT_EQ(SerializeServiceRequest(ServiceRequest()).find("fast"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace specbench

@@ -198,6 +198,29 @@ TEST(ParsecSuite, NosmtChargeIsFreeWithoutASibling) {
   }
 }
 
+TEST(ParsecSuite, NosmtChargeIsMeasuredPerCpuModelValue) {
+  // The co-run charge is cached per CPU model compared by value, not by
+  // uarch: a perturbed copy of a catalog model (a 10% slower memory) is a
+  // different CPU with its own measured charge, and asking for it neither
+  // returns nor replaces the catalog model's charge.
+  const CpuModel& broadwell = GetCpuModel(Uarch::kBroadwell);
+  CpuModel slower_memory = broadwell;
+  slower_memory.latency.mem_latency = broadwell.latency.mem_latency * 11 / 10;
+  ASSERT_TRUE(slower_memory.smt);
+  MitigationConfig nosmt = MitigationConfig::AllOff();
+  nosmt.smt_off = true;
+  auto charge = [&nosmt](const CpuModel& cpu) {
+    return Parsec::SimulateKernel("facesim", cpu, nosmt) /
+           Parsec::SimulateKernel("facesim", cpu, MitigationConfig::AllOff());
+  };
+  const double catalog = charge(broadwell);
+  const double perturbed = charge(slower_memory);
+  EXPECT_NE(perturbed, catalog);
+  EXPECT_GE(perturbed, 1.0);
+  EXPECT_LE(perturbed, 2.0);
+  EXPECT_EQ(charge(broadwell), catalog);
+}
+
 TEST(ParsecSuite, SsbdHurtsFacesimMost) {
   const CpuModel& cpu = GetCpuModel(Uarch::kZen3);
   MitigationConfig ssbd = MitigationConfig::AllOff();
@@ -230,10 +253,10 @@ TEST(ParsecSuite, SsbdTrendsWorseOnNewerCpus) {
 
 TEST(LfsSuite, SmallfileHasMoreExitsPerWork) {
   const CpuModel& cpu = GetCpuModel(Uarch::kBroadwell);
-  const LfsResult small = Lfs::RunKernel("smallfile", cpu, MitigationConfig::AllOff(),
-                                         HostConfig::AllOff(), 17);
-  const LfsResult large = Lfs::RunKernel("largefile", cpu, MitigationConfig::AllOff(),
-                                         HostConfig::AllOff(), 18);
+  const LfsResult small =
+      Lfs::SimulateKernel("smallfile", cpu, MitigationConfig::AllOff(), HostConfig::AllOff());
+  const LfsResult large =
+      Lfs::SimulateKernel("largefile", cpu, MitigationConfig::AllOff(), HostConfig::AllOff());
   EXPECT_GT(small.vm_exits, large.vm_exits);
   const double small_exit_rate = small.vm_exits / small.cycles;
   const double large_exit_rate = large.vm_exits / large.cycles;
@@ -246,12 +269,11 @@ TEST(LfsSuite, HostMitigationOverheadModest) {
   // because exits are rare relative to work.
   const CpuModel& cpu = GetCpuModel(Uarch::kBroadwell);
   for (const std::string& name : Lfs::KernelNames()) {
-    const double off = Lfs::RunKernel(name, cpu, MitigationConfig::AllOff(),
-                                      HostConfig::AllOff(), 19)
-                           .cycles;
-    const double on = Lfs::RunKernel(name, cpu, MitigationConfig::AllOff(),
-                                     HostConfig::Defaults(cpu), 20)
-                          .cycles;
+    const double off =
+        Lfs::SimulateKernel(name, cpu, MitigationConfig::AllOff(), HostConfig::AllOff()).cycles;
+    const double on =
+        Lfs::SimulateKernel(name, cpu, MitigationConfig::AllOff(), HostConfig::Defaults(cpu))
+            .cycles;
     const double overhead = (on / off - 1.0) * 100.0;
     EXPECT_GE(overhead, -1.0) << name;
     EXPECT_LT(overhead, 25.0) << name;

@@ -1,10 +1,9 @@
 // spectrebench command-line interface: run any of the paper's experiments
-// (or the ground-truth attack suite) by name, with CPU filtering and a fast
-// mode for quick iterations.
+// (or the ground-truth attack suite) by name, with CPU filtering.
 //
 //   spectrebench list
 //   spectrebench table1|table2|...|table8|tables9-10|sec622
-//   spectrebench fig2|fig3|fig5|sec44|sec45 [--fast] [--cpus=Zen 3,Broadwell]
+//   spectrebench fig2|fig3|fig5|sec44|sec45 [--cpus=Zen 3,Broadwell]
 //   spectrebench scorecard [--jobs=N]
 //   spectrebench sweep [--grids=fig2,fig3,sec45,difftest,harden] [--jobs=N]
 //   spectrebench attacks [--cpus=...]
@@ -50,7 +49,6 @@ using namespace specbench;
 namespace {
 
 struct CliOptions {
-  bool fast = false;            // smaller sampler budget (SamplerForFast)
   bool json = false;
   bool csv = false;
   bool quiet = false;           // suppress sweep progress lines on stderr
@@ -133,21 +131,21 @@ const std::vector<CommandSpec>& CommandSpecs() {
       {"table8", {}},
       {"tables9-10", {}},
       {"sec622", {}},
-      {"fig2", {"--fast", "--csv", "--jobs", "--cpus"}},
-      {"fig3", {"--fast", "--csv", "--jobs", "--cpus"}},
+      {"fig2", {"--csv", "--jobs", "--cpus"}},
+      {"fig3", {"--csv", "--jobs", "--cpus"}},
       {"fig5", {"--cpus"}},
-      {"sec44", {"--fast", "--cpus"}},
-      {"sec45", {"--fast", "--jobs", "--cpus"}},
+      {"sec44", {"--cpus"}},
+      {"sec45", {"--jobs", "--cpus"}},
       {"scorecard", {"--jobs"}},
       {"fig2-kernels", {"--cpus"}},
       {"sweep",
-       {"--fast", "--csv", "--quiet", "--jobs", "--seed", "--seeds", "--cpus", "--grids",
-        "--workloads", "--configs", "--shard", "--checkpoint", "--resume"}},
+       {"--csv", "--quiet", "--jobs", "--seed", "--seeds", "--cpus", "--grids", "--workloads",
+        "--configs", "--shard", "--checkpoint", "--resume"}},
       {"merge", {"--inputs", "--csv"}},
       {"serve", {"--socket", "--jobs", "--quiet"}},
       {"submit",
        {"--socket", "--grids", "--seeds", "--cpus", "--workloads", "--configs", "--seed",
-        "--fast", "--shard", "--checkpoint", "--ping", "--shutdown"}},
+        "--shard", "--checkpoint", "--ping", "--shutdown"}},
       {"counters", {"--cpus", "--workloads", "--boot-params", "--strict-boot-params"}},
       {"attacks", {"--cpus"}},
       {"pareto", {"--json", "--csv", "--jobs", "--trials", "--seed", "--cpus"}},
@@ -206,8 +204,6 @@ bool Contains(const std::vector<std::string>& haystack, const std::string& needl
   }
   return false;
 }
-
-SamplerOptions SamplerFor(const CliOptions& options) { return SamplerForFast(options.fast); }
 
 RunnerOptions RunnerFor(const CliOptions& options) {
   RunnerOptions runner;
@@ -288,7 +284,7 @@ void EmitArchHashes(const Program& program, const std::vector<Uarch>& cpus,
 // applied. Shared between `sweep` and the serve-mode GridFactory so a
 // service batch is cell-for-cell the grid the one-shot command would run.
 bool BuildFilteredSweep(const std::vector<std::string>& grids, const std::vector<Uarch>& cpus,
-                        bool fast, uint64_t seed_begin, uint64_t seed_end,
+                        uint64_t seed_begin, uint64_t seed_end,
                         const std::vector<std::string>& workloads,
                         const std::vector<std::string>& configs, Sweep* out, std::string* error) {
   NamedGridOptions grid;
@@ -296,7 +292,6 @@ bool BuildFilteredSweep(const std::vector<std::string>& grids, const std::vector
   grid.cpus = cpus;
   grid.seed_begin = seed_begin;
   grid.seed_end = seed_end;
-  grid.fast = fast;
   if (!BuildNamedGrids(grid, out, error)) {
     return false;
   }
@@ -332,8 +327,8 @@ int RunSweep(const CliOptions& options) {
 
   Sweep sweep;
   std::string error;
-  if (!BuildFilteredSweep(options.grids, options.cpus, options.fast, options.seed_begin,
-                          options.seed_end, options.workloads, options.configs, &sweep, &error)) {
+  if (!BuildFilteredSweep(options.grids, options.cpus, options.seed_begin, options.seed_end,
+                          options.workloads, options.configs, &sweep, &error)) {
     std::fprintf(stderr, "sweep: %s\n", error.c_str());
     return 2;
   }
@@ -477,8 +472,8 @@ int RunServe(const CliOptions& options) {
       *error = "empty difftest seed range";
       return false;
     }
-    return BuildFilteredSweep(request.grids, cpus, request.fast, request.seed_begin,
-                              request.seed_end, request.workloads, request.configs, out, error);
+    return BuildFilteredSweep(request.grids, cpus, request.seed_begin, request.seed_end,
+                              request.workloads, request.configs, out, error);
   };
   SweepService service(std::move(service_options), factory);
   std::string error;
@@ -523,7 +518,6 @@ int RunSubmit(const CliOptions& options) {
   request.base_seed = options.seed;
   request.seed_begin = options.seed_begin;
   request.seed_end = options.seed_end;
-  request.fast = options.fast;
   request.shard = options.shard;
   if (!SubmitRequestLine(options.socket_path, SerializeServiceRequest(request), &ok_line, &reply,
                          &error)) {
@@ -974,9 +968,9 @@ int RunAttackSuite(const CliOptions& options) {
 
 void PrintUsage() {
   std::printf(
-      "usage: spectrebench <command> [--fast] [--cpus=Name1,Name2]\n"
-      "  --fast: a smaller sampler budget (3-6 samples, 3%% CI target) for the\n"
-      "  sampled experiments (fig2, fig3, sec44, sec45, sweep, submit)\n\n"
+      "usage: spectrebench <command> [--cpus=Name1,Name2]\n"
+      "  the sampled experiments (fig2, fig3, sec44, sec45, sweep, submit) take\n"
+      "  5-20 samples per configuration at a 1%% CI target\n\n"
       "commands:\n"
       "  list         experiments and CPU models\n"
       "  table1       default mitigation matrix        table2  CPU inventory\n"
@@ -995,7 +989,7 @@ void PrintUsage() {
       "  sweep        run experiment grids on the deterministic parallel\n"
       "               runner: [--grids=fig2,fig3,sec45,difftest,harden]\n"
       "               [--jobs=N] [--seed=S] [--workloads=a,b] [--configs=c]\n"
-      "               [--csv] [--quiet] [--fast]; the difftest grid takes\n"
+      "               [--csv] [--quiet]; the difftest grid takes\n"
       "               [--seeds=A:B]; JSON/CSV on stdout is byte-identical\n"
       "               for any --jobs;\n"
       "               [--checkpoint=FILE] journals each finished cell\n"
@@ -1071,9 +1065,7 @@ int main(int argc, char** argv) {
     if (!FlagAllowed(*spec, arg)) {
       return RejectFlag(command, *spec, arg);
     }
-    if (arg == "--fast") {
-      options.fast = true;
-    } else if (arg == "--json") {
+    if (arg == "--json") {
       options.json = true;
     } else if (arg == "--csv") {
       options.csv = true;
@@ -1209,8 +1201,8 @@ int main(int argc, char** argv) {
   if (command == "fig2" || command == "fig3") {
     const bool fig2 = command == "fig2";
     const std::vector<AttributionReport> reports =
-        fig2 ? RunFigure2LeBench(SamplerFor(options), options.cpus, RunnerFor(options))
-             : RunFigure3Octane(SamplerFor(options), options.cpus, RunnerFor(options));
+        fig2 ? RunFigure2LeBench(kExperimentSampler, options.cpus, RunnerFor(options))
+             : RunFigure3Octane(kExperimentSampler, options.cpus, RunnerFor(options));
     const std::string text = options.csv ? RenderAttributionCsv(reports)
                              : fig2      ? RenderFigure2(reports)
                                          : RenderFigure3(reports);
@@ -1223,11 +1215,11 @@ int main(int argc, char** argv) {
   }
   if (command == "sec44") {
     std::printf("%s\n",
-                RenderSection44(RunSection44Vm(SamplerFor(options), options.cpus)).c_str());
+                RenderSection44(RunSection44Vm(kExperimentSampler, options.cpus)).c_str());
     return 0;
   }
   if (command == "sec45") {
-    std::printf("%s\n", RenderSection45(RunSection45Parsec(SamplerFor(options), options.cpus,
+    std::printf("%s\n", RenderSection45(RunSection45Parsec(kExperimentSampler, options.cpus,
                                                           RunnerFor(options)))
                              .c_str());
     return 0;
