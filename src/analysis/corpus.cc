@@ -42,11 +42,18 @@ int32_t FirstCondBranchAtOrAfter(const Program& p, const std::string& symbol) {
   return -1;
 }
 
-bool RecoveredSecret(Machine& m) {
-  return CacheTimingChannel(kProbeBase, kCandidates).Recover(m) == static_cast<int>(kSecret);
+// The flush+reload receiver, built once per process (its reload programs
+// are shared read-only by every thread).
+const CacheTimingChannel& ProbeChannel() {
+  static const CacheTimingChannel channel(kProbeBase, kCandidates);
+  return channel;
 }
 
-void FlushProbe(Machine& m) { CacheTimingChannel(kProbeBase, kCandidates).Flush(m); }
+bool RecoveredSecret(Machine& m) {
+  return ProbeChannel().Recover(m) == static_cast<int>(kSecret);
+}
+
+void FlushProbe(Machine& m) { ProbeChannel().Flush(m); }
 
 // Address space with an unmapped sampling window (for the MDS replay).
 class UnmappedWindowMap : public MemoryMap {

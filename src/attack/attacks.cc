@@ -73,15 +73,19 @@ void TrainGuard(Machine& m, const Program& p, int32_t branch_index) {
 }
 
 AttackResult Finish(Machine& m, uint64_t secret) {
-  CacheTimingChannel channel(kProbeBase, kCandidates);
   AttackResult result;
   result.expected = secret;
-  result.recovered = channel.Recover(m);
+  result.recovered = AttackProbeChannel().Recover(m);
   result.leaked = result.recovered == static_cast<int>(secret);
   return result;
 }
 
 }  // namespace
+
+const CacheTimingChannel& AttackProbeChannel() {
+  static const CacheTimingChannel channel(kProbeBase, kCandidates);
+  return channel;
+}
 
 AttackResult RunSpectreV1Attack(const CpuModel& cpu, bool index_masking, uint64_t secret) {
   SPECBENCH_CHECK(secret < kCandidates);
@@ -127,7 +131,7 @@ AttackResult RunSpectreV1Attack(const CpuModel& cpu, bool index_masking, uint64_
     m.Run(p.VaddrOf(0));
   }
   SPECBENCH_CHECK(p.at(branch_index).op == Op::kBranchNz);
-  CacheTimingChannel(kProbeBase, kCandidates).Flush(m);
+  AttackProbeChannel().Flush(m);
   m.caches().Clflush(kGuardAddr);
   m.SetReg(0, oob_index);
   m.Run(p.VaddrOf(0));
@@ -216,7 +220,7 @@ AttackResult RunSpectreV2Attack(const CpuModel& cpu, const SpectreV2Options& opt
     m.btb().FlushAll();  // the kernel's IBPB on the attacker->victim switch
   }
   m.PokeData(kPtrSlot, p.SymbolVaddr("benign"));
-  CacheTimingChannel(kProbeBase, kCandidates).Flush(m);
+  AttackProbeChannel().Flush(m);
   m.Run(p.SymbolVaddr("victim_entry"));
   return Finish(m, secret);
 }
@@ -260,7 +264,7 @@ AttackResult RunSpectreRsbAttack(const CpuModel& cpu, bool rsb_stuffing, uint64_
   } else {
     m.rsb().Clear();   // bare underflow: ret predicts via the poisoned BTB
   }
-  CacheTimingChannel(kProbeBase, kCandidates).Flush(m);
+  AttackProbeChannel().Flush(m);
   m.Run(p.SymbolVaddr("victim_ret"));
   return Finish(m, secret);
 }
@@ -315,7 +319,7 @@ AttackResult RunMeltdownAttack(const CpuModel& cpu, bool pti, uint64_t secret) {
     m.physical_memory().Write(kSecretSlot, secret);
   }
   TrainGuard(m, p, branch_index);
-  CacheTimingChannel(kProbeBase, kCandidates).Flush(m);
+  AttackProbeChannel().Flush(m);
   m.Run(p.VaddrOf(0));
   return Finish(m, secret);
 }
@@ -381,7 +385,7 @@ AttackResult RunMdsAttack(const CpuModel& cpu, bool verw_clear, uint64_t secret,
   m.caches().Clflush(kSecretSlot);  // so the victim load refills the LFB
   m.cond_predictor().Train(p.VaddrOf(branch_index), true);
   m.cond_predictor().Train(p.VaddrOf(branch_index), true);
-  CacheTimingChannel(kProbeBase, kCandidates).Flush(m);
+  AttackProbeChannel().Flush(m);
   m.Run(p.VaddrOf(0));
   return Finish(m, secret);
 }
@@ -449,7 +453,7 @@ AttackResult RunSpectreV2SmtAttack(const CpuModel& cpu, bool stibp, uint64_t sec
   m.PokeData(kSecretSlot, secret);
   m.PokeData(kPtrSlot, p.SymbolVaddr("gadget"));
   m.PokeData(kPtrSlot2, p.SymbolVaddr("benign"));
-  CacheTimingChannel(kProbeBase, kCandidates).Flush(m);
+  AttackProbeChannel().Flush(m);
 
   // Genuinely co-resident: the attacker trains from the sibling hardware
   // thread while the victim spins, in one lockstep co-run on the shared
@@ -537,7 +541,7 @@ AttackResult RunMdsSmtAttack(const CpuModel& cpu, const MdsSmtOptions& options,
   for (uint32_t i = 0; i < noise; i++) {
     m.PokeData(kNoiseBase + 64 * i, NoiseValue(secret, i));
   }
-  CacheTimingChannel(kProbeBase, kCandidates).Flush(m);
+  AttackProbeChannel().Flush(m);
 
   auto run_attacker_once = [&] {
     m.cond_predictor().Train(p.VaddrOf(branch_index), true);
@@ -697,7 +701,7 @@ AttackResult RunSsbAttack(const CpuModel& cpu, bool ssbd, uint64_t secret) {
   m.PokeData(kGuardAddr, 0);
   m.cond_predictor().Train(p.VaddrOf(branch_index), true);
   m.cond_predictor().Train(p.VaddrOf(branch_index), true);
-  CacheTimingChannel(kProbeBase, kCandidates).Flush(m);
+  AttackProbeChannel().Flush(m);
   m.Run(p.VaddrOf(0));
   return Finish(m, secret);
 }
@@ -732,7 +736,7 @@ AttackResult RunLazyFpAttack(const CpuModel& cpu, bool eager_fpu, uint64_t secre
   Program p = b.Build();
   m.LoadProgram(&p);
   TrainGuard(m, p, branch_index);
-  CacheTimingChannel(kProbeBase, kCandidates).Flush(m);
+  AttackProbeChannel().Flush(m);
   m.Run(p.VaddrOf(0));
   AttackResult result = Finish(m, secret);
   if (eager_fpu && result.recovered == 0) {
@@ -799,7 +803,7 @@ AttackResult RunL1tfAttack(const CpuModel& cpu, bool pte_inversion, uint64_t sec
   m.LoadProgram(&p);
   m.SetMode(Mode::kUser);
   TrainGuard(m, p, branch_index);
-  CacheTimingChannel(kProbeBase, kCandidates).Flush(m);
+  AttackProbeChannel().Flush(m);
   m.Run(p.VaddrOf(0));
   return Finish(m, secret);
 }

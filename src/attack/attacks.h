@@ -16,6 +16,14 @@
 
 namespace specbench {
 
+class CacheTimingChannel;
+
+// The flush+reload receiver every attack here decodes through: a
+// 16-candidate probe array at 0x40000000 (src/attack/side_channel.h). One
+// const channel per process, so its reload programs are built once and
+// shared by every thread.
+const CacheTimingChannel& AttackProbeChannel();
+
 struct AttackResult {
   bool attempted = true;   // false when the configuration is N/A for the CPU
   bool leaked = false;     // recovered == the planted secret

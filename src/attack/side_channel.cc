@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "src/isa/program.h"
 #include "src/util/check.h"
 
 namespace specbench {
@@ -10,6 +9,18 @@ namespace specbench {
 CacheTimingChannel::CacheTimingChannel(uint64_t base, uint64_t candidates, uint64_t stride)
     : base_(base), candidates_(candidates), stride_(stride) {
   SPECBENCH_CHECK(candidates > 0);
+  reload_programs_.reserve(candidates_);
+  for (uint64_t v = 0; v < candidates_; v++) {
+    ProgramBuilder b;
+    b.MovImm(0, static_cast<int64_t>(LineAddress(v)));
+    b.Lfence();
+    b.Rdtsc(1);
+    b.Load(2, MemRef{.base = 0});
+    b.Lfence();
+    b.Rdtsc(3);
+    b.Halt();
+    reload_programs_.push_back(b.Build());
+  }
 }
 
 void CacheTimingChannel::Flush(Machine& m) const {
@@ -25,16 +36,7 @@ std::vector<uint64_t> CacheTimingChannel::MeasureAll(Machine& m) const {
   const Program* original = m.program();
   std::vector<uint64_t> latencies;
   latencies.reserve(candidates_);
-  for (uint64_t v = 0; v < candidates_; v++) {
-    ProgramBuilder b;
-    b.MovImm(0, static_cast<int64_t>(LineAddress(v)));
-    b.Lfence();
-    b.Rdtsc(1);
-    b.Load(2, MemRef{.base = 0});
-    b.Lfence();
-    b.Rdtsc(3);
-    b.Halt();
-    Program p = b.Build();
+  for (const Program& p : reload_programs_) {
     m.LoadProgram(&p);
     m.Run(p.VaddrOf(0));
     latencies.push_back(m.reg(3) - m.reg(1));

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/isa/program.h"
 #include "src/uarch/machine.h"
 
 namespace specbench {
@@ -20,6 +21,9 @@ namespace specbench {
 // classic Spectre layout (Figure 1 of the paper).
 inline constexpr uint64_t kProbeStride = 4096;
 
+// The reload programs are built once, in the constructor, and only read
+// afterwards: one const channel (a function-local static) may serve every
+// thread, each running it on its own Machine.
 class CacheTimingChannel {
  public:
   // `base` is the probe array's virtual address; `candidates` the number of
@@ -44,6 +48,8 @@ class CacheTimingChannel {
   uint64_t base_;
   uint64_t candidates_;
   uint64_t stride_;
+  // One lfence+rdtsc-timed load of each candidate line, in candidate order.
+  std::vector<Program> reload_programs_;
 };
 
 }  // namespace specbench

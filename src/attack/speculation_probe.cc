@@ -34,13 +34,13 @@ struct ProbeProgram {
   Program program;
 };
 
-// Decides the outcome from the uarch event stream: the sink (attached for
-// the probe run) accumulates divider-active cycles observed inside squashed
-// speculative episodes, the real counter behind Figure 6. The architectural
+// Decides the outcome from the cycle accountant: attached for the probe run,
+// it accumulates divider-active cycles observed inside squashed speculative
+// episodes, the real counter behind Figure 6. The architectural
 // rdpmc delta the program stored at kResultSlot must agree — the two count
 // the same transient divider activity through independent paths.
-ProbeOutcome OutcomeFrom(Machine& m, const CycleAttribution& sink) {
-  const bool speculated = sink.episode_divider_cycles() > 0;
+ProbeOutcome OutcomeFrom(Machine& m, const CycleAttribution& attribution) {
+  const bool speculated = attribution.episode_divider_cycles() > 0;
   SPECBENCH_CHECK_MSG(speculated == (m.PeekData(kResultSlot) > 0),
                       "episode divider cycles disagree with the rdpmc delta");
   return speculated ? ProbeOutcome::kSpeculated : ProbeOutcome::kSafe;
@@ -190,15 +190,15 @@ ProbeOutcome SpeculationProbe::Run(const ProbeCase& probe_case) const {
                                       probe_case.victim_mode == Mode::kKernel &&
                                       !probe_case.intervening_syscall;
   if (kernel_to_kernel_fused) {
-    // Train and probe inside one kernel entry. The sink covers training too,
-    // but training calls the same site the probe uses, so episode divider
+    // Train and probe inside one kernel entry. The accountant covers training
+    // too, but training calls the same site the probe uses, so episode divider
     // activity is possible exactly when the probe itself speculates.
-    CycleAttribution sink;
-    m.event_bus().AddSink(&sink);
+    CycleAttribution attribution;
+    m.SetCycleAttribution(&attribution);
     m.PokeData(kFlagSlot, static_cast<uint64_t>(kFlagTrainAndVictim));
     m.Run(p.SymbolVaddr("user_do_syscall"));
-    m.event_bus().RemoveSink(&sink);
-    return OutcomeFrom(m, sink);
+    m.SetCycleAttribution(nullptr);
+    return OutcomeFrom(m, attribution);
   }
 
   // Train.
@@ -218,9 +218,9 @@ ProbeOutcome SpeculationProbe::Run(const ProbeCase& probe_case) const {
   }
 
   // Probe: repoint the branch at nop_target and watch the divider through
-  // the event bus (training ran unobserved; only the victim run counts).
-  CycleAttribution sink;
-  m.event_bus().AddSink(&sink);
+  // the cycle accountant (training ran unobserved; only the victim run counts).
+  CycleAttribution attribution;
+  m.SetCycleAttribution(&attribution);
   m.PokeData(kPtrSlot, p.SymbolVaddr("nop_target"));
   if (probe_case.victim_mode == Mode::kUser) {
     m.Run(p.SymbolVaddr("user_victim"));
@@ -228,8 +228,8 @@ ProbeOutcome SpeculationProbe::Run(const ProbeCase& probe_case) const {
     m.PokeData(kFlagSlot, static_cast<uint64_t>(kFlagVictim));
     m.Run(p.SymbolVaddr("user_do_syscall"));
   }
-  m.event_bus().RemoveSink(&sink);
-  return OutcomeFrom(m, sink);
+  m.SetCycleAttribution(nullptr);
+  return OutcomeFrom(m, attribution);
 }
 
 ProbeOutcome SpeculationProbe::RunSameSiteControl() const {
@@ -246,13 +246,13 @@ ProbeOutcome SpeculationProbe::RunSameSiteControl() const {
   for (int i = 0; i < 6; i++) {
     m.Run(p.SymbolVaddr("user_victim"));
   }
-  CycleAttribution sink;
-  m.event_bus().AddSink(&sink);
+  CycleAttribution attribution;
+  m.SetCycleAttribution(&attribution);
   m.PokeData(kPtrSlot, p.SymbolVaddr("nop_target"));
   m.PokeData(kResultSlot, 0);
   m.Run(p.SymbolVaddr("user_victim"));
-  m.event_bus().RemoveSink(&sink);
-  return OutcomeFrom(m, sink);
+  m.SetCycleAttribution(nullptr);
+  return OutcomeFrom(m, attribution);
 }
 
 }  // namespace specbench

@@ -11,26 +11,27 @@ namespace specbench {
 namespace {
 
 CounterBreakdown FoldWindow(const CpuModel& cpu, const std::string& workload,
-                            const CycleAttribution& sink) {
-  SPECBENCH_CHECK_MSG(sink.HasWindow(), "workload did not bracket a measurement window");
+                            const CycleAttribution& attribution) {
+  SPECBENCH_CHECK_MSG(attribution.HasWindow(),
+                      "workload did not bracket a measurement window");
   CounterBreakdown row;
   row.cpu = UarchName(cpu.uarch);
   row.workload = workload;
-  row.window_cycles = sink.WindowTotalCycles();
+  row.window_cycles = attribution.WindowTotalCycles();
   uint64_t sum = 0;
   for (size_t i = 0; i < kNumCauseTags; i++) {
-    row.cause_cycles[i] = sink.WindowCauseCycles(static_cast<CauseTag>(i));
+    row.cause_cycles[i] = attribution.WindowCauseCycles(static_cast<CauseTag>(i));
     sum += row.cause_cycles[i];
   }
   // The accounting identity: every in-window cycle is charged to exactly one
   // cause (machine.cc Step epilogue), so the buckets partition the window.
   SPECBENCH_CHECK_MSG(sum == row.window_cycles, "cause buckets do not partition the window");
-  row.retired = sink.retired();
-  row.episodes = sink.episodes();
-  row.cache_fills = sink.cache_fills();
-  row.fill_buffer_touches = sink.fill_buffer_touches();
-  row.tlb_flushes = sink.tlb_flushes();
-  row.store_buffer_drains = sink.store_buffer_drains();
+  row.retired = attribution.retired();
+  row.episodes = attribution.episodes();
+  row.cache_fills = attribution.cache_fills();
+  row.fill_buffer_touches = attribution.fill_buffer_touches();
+  row.tlb_flushes = attribution.tlb_flushes();
+  row.store_buffer_drains = attribution.store_buffer_drains();
   return row;
 }
 
@@ -54,17 +55,17 @@ double CounterBreakdown::TotalOverheadPct() const {
 
 CounterBreakdown MeasureLeBenchCounters(const CpuModel& cpu, const MitigationConfig& config,
                                         const std::string& kernel) {
-  CycleAttribution sink;
-  LeBench::SimulateKernel(kernel, cpu, config, &sink);
-  return FoldWindow(cpu, "lebench:" + kernel, sink);
+  CycleAttribution attribution;
+  LeBench::SimulateKernel(kernel, cpu, config, &attribution);
+  return FoldWindow(cpu, "lebench:" + kernel, attribution);
 }
 
 CounterBreakdown MeasureOctaneCounters(const CpuModel& cpu, const JitConfig& jit_config,
                                        const MitigationConfig& os_config,
                                        const std::string& kernel) {
-  CycleAttribution sink;
-  Octane::SimulateKernel(kernel, cpu, jit_config, os_config, &sink);
-  return FoldWindow(cpu, "octane:" + kernel, sink);
+  CycleAttribution attribution;
+  Octane::SimulateKernel(kernel, cpu, jit_config, os_config, &attribution);
+  return FoldWindow(cpu, "octane:" + kernel, attribution);
 }
 
 std::string RenderCountersJson(const std::vector<CounterBreakdown>& rows) {

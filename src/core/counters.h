@@ -1,12 +1,12 @@
-// First-class per-mitigation cycle counters, read from the uarch event bus.
+// First-class per-mitigation cycle counters, read from the cycle accountant.
 //
 // The paper infers each mitigation's cost by difference-of-runs (§4.1,
 // src/core/attribution.h). The decomposed machine can do better: every
-// cycle the simulator spends is charged to a CauseTag on the event bus, so
+// cycle the simulator spends is charged to a CauseTag in the accountant, so
 // one run under the default configuration yields the whole breakdown. This
 // module packages that as `CounterBreakdown` rows for the `spectrebench
 // counters` subcommand (byte-stable JSON, golden-tested) and for the
-// agreement test that cross-checks the bus-derived totals against the
+// agreement test that cross-checks the accountant's totals against the
 // difference-of-runs estimate on the Figure 2/3 grids (docs/uarch.md
 // discusses where and why the two methods diverge).
 #ifndef SPECTREBENCH_SRC_CORE_COUNTERS_H_
@@ -49,11 +49,13 @@ struct CounterBreakdown {
   double OverheadPct(CauseTag tag) const;
   // Total mitigation overhead: (window - baseline) / baseline * 100.
   double TotalOverheadPct() const;
+
+  bool operator==(const CounterBreakdown&) const = default;
 };
 
-// Runs one LEBench / Octane kernel with a CycleAttribution sink attached and
+// Runs one LEBench / Octane kernel with a CycleAttribution accountant attached and
 // folds the window into a CounterBreakdown. Deterministic: the measurement
-// noise model only perturbs the workload's returned score, never the bus.
+// noise model only perturbs the workload's returned score, never the counts.
 CounterBreakdown MeasureLeBenchCounters(const CpuModel& cpu, const MitigationConfig& config,
                                         const std::string& kernel);
 CounterBreakdown MeasureOctaneCounters(const CpuModel& cpu, const JitConfig& jit_config,

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "src/core/counters.h"
 #include "src/jit/jit.h"
@@ -55,35 +56,69 @@ double ExactDouble(uint64_t count) {
   return static_cast<double>(count);
 }
 
-// One basket cell's metrics: the cycles of every ParetoWorkloads() entry in
-// order (id = workload), then the in-window cycles of every cause tag summed
-// over the counters workloads (id = tag name).
-CellOutput MeasureBasket(const CpuModel& cpu, const MitigationConfig& config) {
-  CellOutput out;
-  std::array<uint64_t, kNumCauseTags> cause_cycles{};
-  for (const std::string& workload : ParetoWorkloads()) {
-    const size_t colon = workload.find(':');
-    const std::string suite = workload.substr(0, colon);
-    const std::string kernel = workload.substr(colon + 1);
-    double cycles = 0.0;
-    if (suite == "parsec") {
-      cycles = Parsec::RunKernel(kernel, cpu, config, /*seed=*/1);
-    } else {
-      SPECBENCH_CHECK_MSG(suite == "lebench" || suite == "octane",
-                          "unknown pareto workload suite");
-      const CounterBreakdown row =
-          suite == "lebench" ? MeasureLeBenchCounters(cpu, config, kernel)
-                             : MeasureOctaneCounters(cpu, JitConfig::AllOn(), config, kernel);
-      cycles = ExactDouble(row.window_cycles);
-      for (size_t i = 0; i < kNumCauseTags; i++) {
-        cause_cycles[i] += row.cause_cycles[i];
-      }
+// The configs of one CPU's matrix that differ only in smt_off, as matrix
+// indices in matrix order; groups are ordered by their first member.
+std::vector<std::vector<size_t>> SmtTwinGroups(const std::vector<NamedConfig>& matrix) {
+  std::vector<MitigationConfig> keys;
+  std::vector<std::vector<size_t>> groups;
+  for (size_t k = 0; k < matrix.size(); k++) {
+    MitigationConfig key = matrix[k].config;
+    key.smt_off = false;
+    size_t g = 0;
+    while (g < keys.size() && !(keys[g] == key)) {
+      g++;
     }
-    out.metrics.push_back(CellMetric{workload, "window cycles", Estimate{cycles, 0.0}});
+    if (g == keys.size()) {
+      keys.push_back(key);
+      groups.emplace_back();
+    }
+    groups[g].push_back(k);
   }
-  for (size_t i = 0; i < kNumCauseTags; i++) {
-    out.metrics.push_back(CellMetric{CauseTagName(static_cast<CauseTag>(i)), "cause cycles",
-                                     Estimate{ExactDouble(cause_cycles[i]), 0.0}});
+  return groups;
+}
+
+// One basket cell prices one smt_off twin group. LEBench and Octane cannot
+// see smt_off (the nosmt charge is a PARSEC co-run cost), so their counters
+// run once, under the group's first config, and its twins reuse them; PARSEC
+// runs per config. For every config of the group in order (label = its
+// name), the metrics are the cycles of every ParetoWorkloads() entry (id =
+// workload), then the in-window cycles of every cause tag summed over the
+// counters workloads (id = tag name).
+CellOutput MeasureBasket(const CpuModel& cpu, const std::vector<NamedConfig>& group) {
+  CellOutput out;
+  std::vector<double> counter_cycles(ParetoWorkloads().size());
+  std::array<uint64_t, kNumCauseTags> cause_cycles{};
+  for (const NamedConfig& named : group) {
+    const bool simulate_counters = &named == &group.front();
+    for (size_t w = 0; w < ParetoWorkloads().size(); w++) {
+      const std::string& workload = ParetoWorkloads()[w];
+      const size_t colon = workload.find(':');
+      const std::string suite = workload.substr(0, colon);
+      const std::string kernel = workload.substr(colon + 1);
+      double cycles = 0.0;
+      if (suite == "parsec") {
+        cycles = Parsec::RunKernel(kernel, cpu, named.config, /*seed=*/1);
+      } else {
+        SPECBENCH_CHECK_MSG(suite == "lebench" || suite == "octane",
+                            "unknown pareto workload suite");
+        if (simulate_counters) {
+          const CounterBreakdown row =
+              suite == "lebench"
+                  ? MeasureLeBenchCounters(cpu, named.config, kernel)
+                  : MeasureOctaneCounters(cpu, JitConfig::AllOn(), named.config, kernel);
+          counter_cycles[w] = ExactDouble(row.window_cycles);
+          for (size_t i = 0; i < kNumCauseTags; i++) {
+            cause_cycles[i] += row.cause_cycles[i];
+          }
+        }
+        cycles = counter_cycles[w];
+      }
+      out.metrics.push_back(CellMetric{workload, named.name, Estimate{cycles, 0.0}});
+    }
+    for (size_t i = 0; i < kNumCauseTags; i++) {
+      out.metrics.push_back(CellMetric{CauseTagName(static_cast<CauseTag>(i)), named.name,
+                                       Estimate{ExactDouble(cause_cycles[i]), 0.0}});
+    }
   }
   return out;
 }
@@ -111,23 +146,34 @@ ParetoReport BuildParetoReport(const ParetoOptions& options) {
   suite_options.jobs = options.jobs;
   suite_options.base_seed = options.base_seed;
 
-  // The attack suite and one basket cell per (cpu, config) run as one grid:
-  // a single barrier, then the pure join below. Basket cells ignore their
-  // runner seed; their inputs are fixed. Cells are registered one CPU at a
-  // time, its long basket cells before its short attack cells, so a worker's
-  // leased machine (MachineLease) changes model once per CPU and the run
-  // ends on short cells instead of a tail of basket cells.
+  // The attack suite and one basket cell per (cpu, smt_off twin group) run
+  // as one grid: a single barrier, then the pure join below. Basket cells
+  // ignore their runner seed; their inputs are fixed. Cells are registered
+  // one CPU at a time, its long basket cells before its short attack cells,
+  // so a worker's leased machine (MachineLease) changes model once per CPU
+  // and the run ends on short cells instead of a tail of basket cells.
   Sweep grid;
   report.suite.options = suite_options;
-  std::vector<size_t> first_basket_cell;
+  // Per CPU and per matrix config: the basket cell that prices it and the
+  // offset of its metrics within that cell.
+  std::vector<std::vector<std::pair<size_t, size_t>>> basket_slots;
   std::vector<std::vector<NamedConfig>> matrices;
+  const size_t metrics_per_config = ParetoWorkloads().size() + kNumCauseTags;
   for (Uarch u : options.cpus) {
     const CpuModel& cpu = GetCpuModel(u);
-    first_basket_cell.push_back(grid.size());
     matrices.push_back(MitigationConfigMatrix(cpu));
-    for (const NamedConfig& named : matrices.back()) {
-      grid.Add(SweepCellKey{UarchName(u), named.name, kBasketWorkload},
-               [&cpu, config = named.config](uint64_t) { return MeasureBasket(cpu, config); });
+    const std::vector<NamedConfig>& matrix = matrices.back();
+    basket_slots.emplace_back(matrix.size());
+    for (const std::vector<size_t>& indices : SmtTwinGroups(matrix)) {
+      std::vector<NamedConfig> group;
+      for (size_t k : indices) {
+        basket_slots.back()[k] = {grid.size(), group.size() * metrics_per_config};
+        group.push_back(matrix[k]);
+      }
+      SweepCellKey key{UarchName(u), group.front().name, kBasketWorkload};
+      grid.Add(std::move(key),
+               [&cpu, group = std::move(group)](uint64_t) { return MeasureBasket(cpu, group); });
+      report.basket_cells++;
     }
     SuiteOptions one_cpu = suite_options;
     one_cpu.cpus = {u};
@@ -144,22 +190,27 @@ ParetoReport BuildParetoReport(const ParetoOptions& options) {
   const size_t num_workloads = ParetoWorkloads().size();
   for (size_t c = 0; c < options.cpus.size(); c++) {
     const CpuModel& cpu = GetCpuModel(options.cpus[c]);
-    size_t cell_index = first_basket_cell[c];
     const std::vector<NamedConfig>& matrix = matrices[c];
 
     CpuPareto row;
     row.cpu = UarchName(options.cpus[c]);
 
+    // This config's basket metrics, out of the cell that priced its group.
+    const auto basket_metrics = [&](size_t k) {
+      const auto [cell_index, offset] = basket_slots[c][k];
+      const SweepCellResult& cell = result.cells[cell_index];
+      SPECBENCH_CHECK(cell.key.cpu == row.cpu && cell.key.workload == kBasketWorkload &&
+                      cell.output.metrics[offset].label == matrix[k].name);
+      return &cell.output.metrics[offset];
+    };
+
     // The "off" row is the overhead baseline for every config of this CPU.
-    const std::vector<CellMetric>& baseline = result.cells[cell_index].output.metrics;
     SPECBENCH_CHECK(matrix[0].name == "off");
+    const auto baseline = basket_metrics(0);
 
     for (size_t k = 0; k < matrix.size(); k++) {
       const NamedConfig& named = matrix[k];
-      const SweepCellResult& cell = result.cells[cell_index++];
-      SPECBENCH_CHECK(cell.key.cpu == row.cpu && cell.key.config == named.name &&
-                      cell.key.workload == kBasketWorkload);
-      const std::vector<CellMetric>& metrics = cell.output.metrics;
+      const auto metrics = basket_metrics(k);
 
       ConfigEvaluation eval;
       eval.config = named.name;

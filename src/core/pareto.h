@@ -2,8 +2,8 @@
 //
 // Joins the attack-suite verdict matrix (src/attack/suite.h) with overhead
 // measurements over a fixed workload basket — LEBench getpid and
-// context-switch, Octane richards (all three with the PR-5 CycleAttribution
-// sink attached for cause-level breakdowns), plus PARSEC swaptions and
+// context-switch, Octane richards (all three with a CycleAttribution
+// accountant attached for cause-level breakdowns), plus PARSEC swaptions and
 // facesim (which price SSBD and nosmt, the knobs invisible to the syscall
 // benchmarks). For every CPU the report ranks the Table-1 configuration
 // axis, marks the non-dominated frontier, names the *cheapest fully
@@ -13,15 +13,16 @@
 // load-bearing ("which knob saved you") and which are redundant.
 //
 // Everything is deterministic and byte-stable for any job count: attack
-// cells and one basket cell per (cpu, config) run in one Sweep::Run (one
-// barrier, then a pure join), all randomness derives from (base_seed, cell
-// identity), and the renderers emit fixed key order with fixed-precision
-// numbers (no timestamps, durations, or host facts).
+// cells and one basket cell per (cpu, smt_off twin group) run in one
+// Sweep::Run (one barrier, then a pure join), all randomness derives from
+// (base_seed, cell identity), and the renderers emit fixed key order with
+// fixed-precision numbers (no timestamps, durations, or host facts).
 // tests/pareto_golden_test.cc pins the exact bytes.
 #ifndef SPECTREBENCH_SRC_CORE_PARETO_H_
 #define SPECTREBENCH_SRC_CORE_PARETO_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -86,6 +87,9 @@ struct CpuPareto {
 struct ParetoReport {
   SuiteResult suite;          // the full verdict matrix
   std::vector<CpuPareto> cpus;
+  // Basket cells the grid ran: one per CPU and smt_off twin group (configs
+  // that differ only in smt_off share their LEBench/Octane simulation).
+  size_t basket_cells = 0;
 };
 
 // The measurement basket (suite:kernel names, fixed order).

@@ -128,9 +128,9 @@ enum class Pmc : uint8_t {
 // and the cycles it charges — belongs to. Mitigation code emitters (the OS
 // substrate's entry/exit paths, the JIT's hardening sequences) stamp their
 // instructions with the owning mitigation; everything else is kNone
-// (baseline work). The uarch event bus carries these tags on every event so
-// a CycleAttribution sink can decompose a run's cycles per mitigation
-// without difference-of-runs. The OS-side values mirror the knob ids of the
+// (baseline work). The machine charges every cycle to one of these tags, so
+// its CycleAttribution accountant can decompose a run's cycles per
+// mitigation without difference-of-runs. The OS-side values mirror the knob ids of the
 // §4.1 successive-disable sweep (src/core/attribution.cc).
 enum class CauseTag : uint8_t {
   kNone = 0,        // baseline (unmitigated) work

@@ -73,8 +73,11 @@ struct MitigationConfig {
   bool MitigatesMds(const CpuModel& cpu) const;
   bool MitigatesSpectreV2Kernel(const CpuModel& cpu) const;
 
-  // One-line summary for logs.
+  // One-line summary for logs. Omits smt_off, so it is not a key: compare
+  // configs by value.
   std::string Describe() const;
+
+  bool operator==(const MitigationConfig&) const = default;
 };
 
 // Applies Linux-style boot parameter tokens to a config, e.g. {"nopti",

@@ -180,6 +180,11 @@ bool ParseServiceRequest(const std::string& line, ServiceRequest* out, std::stri
         *error = "seeds=\"" + value + "\" is not BEGIN:END with BEGIN <= END";
         return false;
       }
+      if (request.seed_end - request.seed_begin > kMaxServiceSeedWindow) {
+        *error = "seeds=\"" + value + "\" spans more than " +
+                 std::to_string(kMaxServiceSeedWindow) + " seeds";
+        return false;
+      }
     } else if (key == "shard") {
       std::string shard_error;
       if (!ParseShardSpec(value, &request.shard, &shard_error)) {

@@ -28,7 +28,8 @@
 //                                        request)
 //
 // A line longer than kMaxServiceLineBytes gets "err request line exceeds
-// <N> bytes" and the service closes that connection.
+// <N> bytes" and the service closes that connection. A seeds= window wider
+// than kMaxServiceSeedWindow gets "err ..." and the connection stays open.
 //
 // The `cell` lines are exactly the checkpoint journal records of
 // src/runner/checkpoint.h, and the `ok` line carries the journal header
@@ -64,6 +65,12 @@ namespace specbench {
 // request is a few hundred bytes and a cell record a few KiB; the bound stops
 // a client that never sends '\n' from growing the service's buffer.
 inline constexpr size_t kMaxServiceLineBytes = size_t{1} << 20;
+
+// Widest seeds=BEGIN:END window a request may ask for (END - BEGIN). Every
+// difftest grid cell loops over the whole window, so an unbounded one would
+// hold the shared pool for as long as the client likes; a wider window gets
+// an "err ..." reply and the connection stays open.
+inline constexpr uint64_t kMaxServiceSeedWindow = uint64_t{1} << 16;
 
 // One parsed "sweep ..." request line.
 struct ServiceRequest {

@@ -4,48 +4,6 @@
 
 namespace specbench {
 
-void CycleAttribution::OnEvent(const UarchEvent& event) {
-  switch (event.kind) {
-    case EventKind::kIssue:
-      if (event.op == Op::kRdtsc) {
-        snapshots_.push_back(totals_);
-      }
-      break;
-    case EventKind::kRetire:
-      retired_++;
-      Charge(event.cause, event.cycles);
-      break;
-    case EventKind::kSerializationStall:
-      if (event.cause == CauseTag::kNone) {
-        untagged_stall_cycles_ += event.cycles;
-      }
-      Charge(event.cause, event.cycles);
-      break;
-    case EventKind::kExternalCharge:
-      external_cycles_ += event.cycles;
-      Charge(event.cause, event.cycles);
-      break;
-    case EventKind::kEpisodeStart:
-      episodes_++;
-      break;
-    case EventKind::kEpisodeEnd:
-      episode_divider_cycles_ += event.arg;
-      break;
-    case EventKind::kCacheFill:
-      cache_fills_++;
-      break;
-    case EventKind::kFillBufferTouch:
-      fill_buffer_touches_++;
-      break;
-    case EventKind::kTlbFlush:
-      tlb_flushes_++;
-      break;
-    case EventKind::kStoreBufferDrain:
-      store_buffer_drains_ += event.arg;
-      break;
-  }
-}
-
 void CycleAttribution::Reset() { *this = CycleAttribution(); }
 
 uint64_t CycleAttribution::WindowTotalCycles() const {

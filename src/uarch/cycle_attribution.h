@@ -1,38 +1,43 @@
-// CycleAttribution: an EventSink that folds the uarch event stream into
-// per-mitigation cycle totals, without difference-of-runs.
+// CycleAttribution: the machine's cycle accountant. It folds what the
+// pipeline components report into per-mitigation cycle totals, without
+// difference-of-runs.
+//
+// A Machine holds at most one accountant (Machine::SetCycleAttribution);
+// with none attached every accounting site is one branch on a null pointer.
+// The components call the concrete inline methods below directly: no event
+// is built and nothing is dispatched through a virtual call.
 //
 // Accounting contract (enforced by the Step() epilogue in machine.cc): for
 // every retired instruction, the issue-clock advance decomposes into
-//   * untagged serialization/backpressure slack (kSerializationStall with
-//     cause kNone),
+//   * untagged serialization/backpressure slack (OnStall with cause kNone),
 //   * explicit cause-tagged stalls (SSBD discipline, eIBRS scrubs) and
 //     external charges (AddCycles from OS hooks), and
 //   * the instruction's direct cost, charged to its static CauseTag
-//     (kRetire.cycles).
+//     (OnRetire).
 // Summing all three classes therefore reproduces the issue clock exactly;
 // bucketing them by cause yields the attribution.
 //
 // Measurement windows: workloads bracket their timed region with
-// lfence+rdtsc pairs. The sink snapshots its totals at every kRdtsc issue;
-// the difference between the first and last snapshot is the in-window
-// attribution and (because of the fence) matches the workload's own
-// t1 - t0 cycle count exactly. docs/uarch.md discusses how this compares
+// lfence+rdtsc pairs. The accountant snapshots its totals at every rdtsc
+// issue; the difference between the first and last snapshot is the
+// in-window attribution and (because of the fence) matches the workload's
+// own t1 - t0 cycle count exactly. docs/uarch.md discusses how this compares
 // with the §4.1 difference-of-runs estimate and where the two diverge.
 #ifndef SPECTREBENCH_SRC_UARCH_CYCLE_ATTRIBUTION_H_
 #define SPECTREBENCH_SRC_UARCH_CYCLE_ATTRIBUTION_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "src/isa/isa.h"
-#include "src/uarch/event.h"
 
 namespace specbench {
 
 inline constexpr size_t kNumCauseTags = static_cast<size_t>(CauseTag::kCount);
 
-class CycleAttribution : public EventSink {
+class CycleAttribution {
  public:
   struct Totals {
     std::array<uint64_t, kNumCauseTags> cause_cycles{};
@@ -43,9 +48,42 @@ class CycleAttribution : public EventSink {
     }
   };
 
-  void OnEvent(const UarchEvent& event) override;
+  // --- Accounting (called by the machine) ---------------------------------
+  // An instruction committed; `direct_cycles` is the issue-clock advance
+  // left to its own cause once stalls and charges were reported.
+  void OnRetire(CauseTag cause, uint64_t direct_cycles) {
+    retired_++;
+    Charge(cause, direct_cycles);
+  }
+  // Issue waited: fences, SSBD discipline, eIBRS scrubs, ROB backpressure.
+  void OnStall(CauseTag cause, uint64_t cycles) {
+    if (cause == CauseTag::kNone) {
+      untagged_stall_cycles_ += cycles;
+    }
+    Charge(cause, cycles);
+  }
+  // Cycles charged outside instruction execution (AddCycles: OS handler
+  // work, IBPB on switch, ...).
+  void OnExternalCharge(CauseTag cause, uint64_t cycles) {
+    external_cycles_ += cycles;
+    Charge(cause, cycles);
+  }
+  // An rdtsc issued: a measurement boundary.
+  void OnRdtsc() { snapshots_.push_back(totals_); }
+  // A speculative episode ran and was squashed after `divider_cycles` of
+  // divider activity.
+  void OnEpisode(uint64_t divider_cycles) {
+    episodes_++;
+    episode_divider_cycles_ += divider_cycles;
+  }
+  void OnCacheFill() { cache_fills_++; }
+  void OnFillBufferTouch() { fill_buffer_touches_++; }
+  void OnTlbFlush() { tlb_flushes_++; }
+  void OnStoreBufferDrain(uint64_t entries) { store_buffer_drains_ += entries; }
+
   void Reset();
 
+  // --- Readout ------------------------------------------------------------
   // Cumulative since attach (or Reset).
   const Totals& totals() const { return totals_; }
   uint64_t retired() const { return retired_; }
@@ -58,7 +96,7 @@ class CycleAttribution : public EventSink {
   uint64_t tlb_flushes() const { return tlb_flushes_; }
   uint64_t store_buffer_drains() const { return store_buffer_drains_; }
 
-  // Totals snapshotted at each kRdtsc issue (measurement boundaries).
+  // Totals snapshotted at each rdtsc issue (measurement boundaries).
   const std::vector<Totals>& rdtsc_snapshots() const { return snapshots_; }
   // In-window view: difference between the last and first rdtsc snapshot.
   // Requires at least two snapshots.

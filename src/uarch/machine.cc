@@ -66,7 +66,7 @@ void Machine::Reset() {
   }
   active_hw_ = -1;
 
-  bus_.Clear();
+  attribution_ = nullptr;
   step_stall_cycles_ = 0;
   step_tagged_cycles_ = 0;
   pmcs_.fill(0);
@@ -162,10 +162,9 @@ void Machine::ResetPmcs() { pmcs_.fill(0); }
 void Machine::AddCycles(uint64_t cycles, CauseTag cause) {
   Serialize();
   now_ += cycles;
-  if (bus_.active() && cycles > 0) {
+  if (attribution_ != nullptr && cycles > 0) {
     step_tagged_cycles_ += cycles;
-    bus_.Emit(UarchEvent{EventKind::kExternalCharge, cause, Op::kKcall, mode_,
-                         -1, now_, cycles, 0});
+    attribution_->OnExternalCharge(cause, cycles);
   }
 }
 
@@ -177,15 +176,14 @@ void Machine::DrainPipeline() {
 void Machine::DrainStoreBuffer() {
   const size_t drained =
       mem_.store_buffer.DrainAll([this](const StoreBuffer::Entry& entry) { ApplyStore(entry); });
-  if (bus_.active() && drained != 0) {
-    bus_.Emit(UarchEvent{EventKind::kStoreBufferDrain, CauseTag::kNone,
-                         Op::kNop, mode_, -1, cycles(), 0, drained});
+  if (attribution_ != nullptr && drained != 0) {
+    attribution_->OnStoreBufferDrain(drained);
   }
 }
 
 void Machine::Serialize() {
   if (retire_frontier_ > now_) {
-    if (bus_.active()) {
+    if (attribution_ != nullptr) {
       step_stall_cycles_ += retire_frontier_ - now_;
     }
     now_ = retire_frontier_;
@@ -194,10 +192,9 @@ void Machine::Serialize() {
 
 void Machine::ChargeStall(uint64_t cycles, CauseTag cause) {
   now_ += cycles;
-  if (bus_.active() && cycles > 0) {
+  if (attribution_ != nullptr && cycles > 0) {
     step_tagged_cycles_ += cycles;
-    bus_.Emit(UarchEvent{EventKind::kSerializationStall, cause, Op::kNop,
-                         mode_, -1, now_, cycles, 0});
+    attribution_->OnStall(cause, cycles);
   }
 }
 
@@ -276,29 +273,29 @@ void Machine::Step() {
   SPECBENCH_CHECK(rip_ >= 0 && rip_ < program_->size());
   const Instruction& in = program_->at(rip_);
   const uint64_t pc = program_->VaddrOf(rip_);
-  const int32_t index = rip_;
   instructions_++;
   if (has_trace_hook_) {
     trace_hook_(TraceRecord{rip_, pc, in.op, mode_, cycles()});
   }
 
-  // Cycle accounting is armed only while a sink listens; with the bus idle
-  // the whole block is one predictable branch.
-  const bool accounting = bus_.active();
+  // Cycle accounting is armed only while an accountant is attached; without
+  // one the whole block is one predictable branch.
+  CycleAttribution* const accounting = attribution_;
   uint64_t step_start_now = 0;
-  if (accounting) {
+  if (accounting != nullptr) {
     step_start_now = now_;
     step_stall_cycles_ = 0;
     step_tagged_cycles_ = 0;
-    bus_.Emit(UarchEvent{EventKind::kIssue, in.cause, in.op, mode_, index,
-                         cycles(), 0, 0});
+    if (in.op == Op::kRdtsc) {
+      accounting->OnRdtsc();
+    }
   }
 
   // ROB backpressure: issue may run at most one speculation window ahead of
   // completion.
   if (retire_frontier_ > now_ + cpu_.speculation_window) {
     const uint64_t target = retire_frontier_ - cpu_.speculation_window;
-    if (accounting) {
+    if (accounting != nullptr) {
       step_stall_cycles_ += target - now_;
     }
     now_ = target;
@@ -326,7 +323,7 @@ void Machine::Step() {
   }
   rip_ = next;
 
-  if (accounting) {
+  if (accounting != nullptr) {
     // Invariant: every issue-clock advance of this step is either slack
     // (ROB backpressure / fence catch-up, reported untagged), an explicit
     // tagged charge (SSBD discipline, eIBRS scrub, AddCycles), or the
@@ -334,11 +331,9 @@ void Machine::Step() {
     const uint64_t advance = now_ - step_start_now;
     const uint64_t direct = advance - step_stall_cycles_ - step_tagged_cycles_;
     if (step_stall_cycles_ > 0) {
-      bus_.Emit(UarchEvent{EventKind::kSerializationStall, CauseTag::kNone,
-                           in.op, mode_, index, now_, step_stall_cycles_, 0});
+      accounting->OnStall(CauseTag::kNone, step_stall_cycles_);
     }
-    bus_.Emit(UarchEvent{EventKind::kRetire, in.cause, in.op, mode_, index,
-                         now_, direct, 0});
+    accounting->OnRetire(in.cause, direct);
   }
 }
 

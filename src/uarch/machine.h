@@ -14,8 +14,8 @@
 // components — the frontend/prediction unit (src/uarch/frontend.h), the
 // execute/scoreboard unit (machine_exec.cc), the memory subsystem
 // (src/uarch/memory_unit.h, machine_mem.cc) and the speculative-episode
-// engine (speculation.cc) — publishing typed, cause-tagged events on a
-// uarch event bus (src/uarch/event.h). Mitigation behaviour is never
+// engine (speculation.cc) — charging cause-tagged cycles to one optional
+// cycle accountant (src/uarch/cycle_attribution.h). Mitigation behaviour is never
 // branched on inline; it is compiled once into a MitigationEffects policy
 // (src/uarch/mitigation_effects.h) whenever the mitigation state changes.
 //
@@ -48,8 +48,8 @@
 #include "src/isa/isa.h"
 #include "src/isa/program.h"
 #include "src/uarch/cache.h"
+#include "src/uarch/cycle_attribution.h"
 #include "src/uarch/decoded_trace.h"
-#include "src/uarch/event.h"
 #include "src/uarch/frontend.h"
 #include "src/uarch/memory.h"
 #include "src/uarch/memory_unit.h"
@@ -117,13 +117,14 @@ class Machine {
     has_trace_hook_ = static_cast<bool>(trace_hook_);
   }
 
-  // --- Uarch event bus ----------------------------------------------------
-  // Typed, cause-tagged events from the pipeline components (src/uarch/
-  // event.h). Sinks observe only: attaching one never changes timing or
-  // architectural results, and with no sinks attached every emission site
-  // short-circuits on the bus's cached `active()` bool.
-  EventBus& event_bus() { return bus_; }
-  const EventBus& event_bus() const { return bus_; }
+  // --- Cycle accountant ---------------------------------------------------
+  // The pipeline components charge cause-tagged cycles and count fills, TLB
+  // flushes, drains and episodes into the attached accountant (src/uarch/
+  // cycle_attribution.h). It observes only: attaching one never changes
+  // timing or architectural results. Null (the default, and after Reset())
+  // means nobody is counting, and every accounting site is one branch.
+  void SetCycleAttribution(CycleAttribution* attribution) { attribution_ = attribution; }
+  CycleAttribution* cycle_attribution() const { return attribution_; }
   // The compiled mitigation policy currently in force (tests, tools).
   const MitigationEffects& effects() const { return effects_; }
 
@@ -274,8 +275,8 @@ class Machine {
   uint64_t PmcValue(Pmc counter) const;
   void ResetPmcs();
   // Adds cycles directly (used by OS hooks to charge handler work). The
-  // cause tags who pays for them on the event bus (kExternalCharge);
-  // timing is identical regardless of the tag.
+  // cause tags who pays for them in the cycle accountant
+  // (OnExternalCharge); timing is identical regardless of the tag.
   void AddCycles(uint64_t cycles, CauseTag cause = CauseTag::kNone);
   // Makes all in-flight work complete (used at measurement boundaries).
   void DrainPipeline();
@@ -403,12 +404,12 @@ class Machine {
   // on during execution.
   MitigationEffects effects_;
 
-  // Event bus + per-step cycle accounting (valid only while a sink is
+  // Cycle accountant + per-step cycle accounting (valid only while one is
   // attached; see Step()). `step_stall_cycles_` collects serialization /
   // backpressure slack, `step_tagged_cycles_` collects cause-tagged charges
   // already reported, so the residual issue-clock advance can be charged to
   // the retiring instruction's own cause tag.
-  EventBus bus_;
+  CycleAttribution* attribution_ = nullptr;
   uint64_t step_stall_cycles_ = 0;
   uint64_t step_tagged_cycles_ = 0;
 

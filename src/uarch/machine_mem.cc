@@ -58,9 +58,8 @@ uint64_t Machine::CommittedLoad(uint64_t vaddr, uint64_t issue_at, uint64_t* rea
   const uint32_t latency = mem_.caches.Access(paddr);
   if (latency > mem_.caches.l1().latency()) {
     mem_.fill_buffers.RecordFill(paddr, mem_.memory.Read(paddr));
-    if (bus_.active()) {
-      bus_.Emit(UarchEvent{EventKind::kCacheFill, CauseTag::kNone, Op::kLoad,
-                           mode_, -1, exec_at, 0, paddr});
+    if (attribution_ != nullptr) {
+      attribution_->OnCacheFill();
     }
   }
   *ready_at = exec_at + latency;

@@ -62,9 +62,8 @@ int32_t Machine::StepSystem(const Instruction& in, uint64_t srcs_ready) {
       cr3_ = regs_[in.src1];
       if (effects_.flush_tlb_on_cr3_write) {
         mem_.tlb.FlushAll();
-        if (bus_.active()) {
-          bus_.Emit(UarchEvent{EventKind::kTlbFlush, CauseTag::kNone, in.op,
-                               mode_, -1, now_, 0, ~UINT64_C(0)});
+        if (attribution_ != nullptr) {
+          attribution_->OnTlbFlush();
         }
       }
       break;
@@ -76,9 +75,8 @@ int32_t Machine::StepSystem(const Instruction& in, uint64_t srcs_ready) {
         // Microcode-patched verw: clears fill buffers, store buffer, ports.
         mem_.fill_buffers.Clear();
         DrainStoreBuffer();
-        if (bus_.active()) {
-          bus_.Emit(UarchEvent{EventKind::kFillBufferTouch, CauseTag::kMds,
-                               in.op, mode_, -1, now_, 0, 0});
+        if (attribution_ != nullptr) {
+          attribution_->OnFillBufferTouch();
         }
       }
       break;

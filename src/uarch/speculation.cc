@@ -2,8 +2,8 @@
 // misprediction, with its own register file copy, store set and RSB/call
 // stack snapshots. Episodes have no architectural effects but leave real
 // microarchitectural traces (cache fills, fill-buffer samples, divider
-// activity) — and report themselves on the event bus (kEpisodeStart /
-// kEpisodeEnd with the divider-active cycles the paper's probe keys on).
+// activity) — and report themselves to the cycle accountant (OnEpisode, with
+// the divider-active cycles the paper's probe keys on).
 #include <algorithm>
 #include <map>
 #include <vector>
@@ -31,9 +31,8 @@ uint64_t Machine::SpeculativeLoad(uint64_t vaddr, uint64_t at,
     // No translation at all. On MDS-vulnerable parts the load "completes"
     // with stale fill-buffer data (RIDL-style); otherwise it yields zero.
     if (effects_.mds_leak) {
-      if (bus_.active()) {
-        bus_.Emit(UarchEvent{EventKind::kFillBufferTouch, CauseTag::kNone,
-                             Op::kLoad, mode_, -1, at, 0, vaddr});
+      if (attribution_ != nullptr) {
+        attribution_->OnFillBufferTouch();
       }
       return mem_.fill_buffers.Sample(vaddr);
     }
@@ -54,9 +53,8 @@ uint64_t Machine::SpeculativeLoad(uint64_t vaddr, uint64_t at,
       const uint32_t latency = mem_.caches.Access(paddr);
       if (latency > mem_.caches.l1().latency()) {
         mem_.fill_buffers.RecordFill(paddr, mem_.memory.Read(paddr));
-        if (bus_.active()) {
-          bus_.Emit(UarchEvent{EventKind::kCacheFill, CauseTag::kNone,
-                               Op::kLoad, mode_, -1, at, 0, paddr});
+        if (attribution_ != nullptr) {
+          attribution_->OnCacheFill();
         }
       }
       return mem_.memory.Read(paddr);
@@ -83,9 +81,8 @@ uint64_t Machine::SpeculativeLoad(uint64_t vaddr, uint64_t at,
   const uint32_t latency = mem_.caches.Access(paddr);
   if (latency > mem_.caches.l1().latency()) {
     mem_.fill_buffers.RecordFill(paddr, mem_.memory.Read(paddr));
-    if (bus_.active()) {
-      bus_.Emit(UarchEvent{EventKind::kCacheFill, CauseTag::kNone, Op::kLoad,
-                           mode_, -1, at, 0, paddr});
+    if (attribution_ != nullptr) {
+      attribution_->OnCacheFill();
     }
   }
   return mem_.memory.Read(paddr);
@@ -95,18 +92,12 @@ void Machine::RunSpeculativeEpisode(int32_t index, uint64_t t0, uint64_t budget)
   if (index < 0 || program_ == nullptr || index >= program_->size()) {
     return;
   }
-  if (!bus_.active()) {
-    SpeculativeEpisodeBody(index, t0, budget);
-    return;
-  }
-  bus_.Emit(UarchEvent{EventKind::kEpisodeStart, CauseTag::kNone,
-                       program_->at(index).op, mode_, index, t0, 0, budget});
   const uint64_t divider_before = pmcs_[static_cast<size_t>(Pmc::kArithDividerActive)];
   SpeculativeEpisodeBody(index, t0, budget);
-  const uint64_t divider_cycles =
-      pmcs_[static_cast<size_t>(Pmc::kArithDividerActive)] - divider_before;
-  bus_.Emit(UarchEvent{EventKind::kEpisodeEnd, CauseTag::kNone,
-                       program_->at(index).op, mode_, index, t0, 0, divider_cycles});
+  if (attribution_ != nullptr) {
+    attribution_->OnEpisode(pmcs_[static_cast<size_t>(Pmc::kArithDividerActive)] -
+                            divider_before);
+  }
 }
 
 void Machine::SpeculativeEpisodeBody(int32_t index, uint64_t t0, uint64_t budget) {

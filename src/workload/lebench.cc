@@ -181,11 +181,11 @@ double LeBench::SimulateKernel(const std::string& name, const CpuModel& cpu,
   }
   if (attribution != nullptr) {
     attribution->Reset();
-    kernel.machine().event_bus().AddSink(attribution);
+    kernel.machine().SetCycleAttribution(attribution);
   }
   kernel.Run("user_main");
   if (attribution != nullptr) {
-    kernel.machine().event_bus().RemoveSink(attribution);
+    kernel.machine().SetCycleAttribution(nullptr);
   }
   Machine& m = kernel.machine();
   const uint64_t t0 = m.PeekData(static_cast<uint64_t>(kT0Slot));

@@ -27,8 +27,8 @@ class LeBench {
   // Simulates one named kernel on a fresh simulated kernel with `config` and
   // returns average cycles per operation (lower is better). Takes no seed:
   // the simulation is deterministic. If `attribution` is non-null it is
-  // reset, attached to the machine's event bus for the run, and left holding
-  // the measurement window (the kernels bracket the timed loop with
+  // reset, attached as the machine's cycle accountant for the run, and left
+  // holding the measurement window (the kernels bracket the timed loop with
   // lfence+rdtsc, so WindowTotalCycles() is exactly t1 - t0).
   static double SimulateKernel(const std::string& name, const CpuModel& cpu,
                                const MitigationConfig& config,

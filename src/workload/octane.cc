@@ -350,11 +350,11 @@ double Octane::SimulateKernel(const std::string& name, const CpuModel& cpu,
   spec.setup(kernel.machine(), jit_config);
   if (attribution != nullptr) {
     attribution->Reset();
-    kernel.machine().event_bus().AddSink(attribution);
+    kernel.machine().SetCycleAttribution(attribution);
   }
   kernel.Run("user_main");
   if (attribution != nullptr) {
-    kernel.machine().event_bus().RemoveSink(attribution);
+    kernel.machine().SetCycleAttribution(nullptr);
   }
 
   Machine& m = kernel.machine();

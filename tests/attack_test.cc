@@ -3,6 +3,10 @@
 // the planted value through the real flush+reload timing channel.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "src/attack/attacks.h"
 #include "src/attack/side_channel.h"
 #include "src/attack/speculation_probe.h"
@@ -232,6 +236,78 @@ TEST(CacheTimingChannel, MeasureAllShowsLatencyContrast) {
   const auto latencies = channel.MeasureAll(m);
   ASSERT_EQ(latencies.size(), 4u);
   EXPECT_LT(latencies[2] * 2, latencies[0]);
+}
+
+// What a channel reads off fresh machines of one CPU with one planted line:
+// every candidate's reload latency, and the recovered value.
+struct ChannelReading {
+  std::vector<uint64_t> latencies;
+  int recovered = -1;
+};
+
+ChannelReading ReadPlanted(const CacheTimingChannel& channel, Uarch u, uint64_t planted) {
+  ChannelReading reading;
+  for (bool recover : {false, true}) {
+    Machine m(GetCpuModel(u));
+    channel.Flush(m);
+    m.caches().Access(channel.LineAddress(planted));
+    if (recover) {
+      reading.recovered = channel.Recover(m);
+    } else {
+      reading.latencies = channel.MeasureAll(m);
+    }
+  }
+  return reading;
+}
+
+// The attacks decode through one process-wide channel whose reload programs
+// were built once. It must read every CPU exactly as a channel built in
+// place with the same geometry does.
+TEST(SharedProbeChannel, MatchesAChannelBuiltInPlaceOnEveryCpu) {
+  const CacheTimingChannel in_place(0x40000000, 16);
+  const std::vector<Uarch> cpus = AllUarches();
+  for (size_t i = 0; i < cpus.size(); i++) {
+    const uint64_t planted = (3 * i + 1) % 16;
+    const ChannelReading want = ReadPlanted(in_place, cpus[i], planted);
+    const ChannelReading got = ReadPlanted(AttackProbeChannel(), cpus[i], planted);
+    EXPECT_EQ(got.latencies, want.latencies) << UarchName(cpus[i]);
+    EXPECT_EQ(got.recovered, want.recovered) << UarchName(cpus[i]);
+    EXPECT_EQ(got.recovered, static_cast<int>(planted)) << UarchName(cpus[i]);
+  }
+}
+
+// Several threads read through the shared channel at once, each on its own
+// machines (the sanitizer CI job runs this under TSan): the shared Programs
+// are only read, so every thread sees the in-place latencies.
+TEST(SharedProbeChannel, ConcurrentReadersSeeTheSameLatencies) {
+  const CacheTimingChannel in_place(0x40000000, 16);
+  const std::vector<Uarch> cpus = AllUarches();
+  std::vector<ChannelReading> want;
+  for (size_t i = 0; i < cpus.size(); i++) {
+    want.push_back(ReadPlanted(in_place, cpus[i], i % 16));
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<ChannelReading>> got(kThreads,
+                                               std::vector<ChannelReading>(cpus.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&cpus, &got, t] {
+      for (size_t k = 0; k < cpus.size(); k++) {
+        const size_t i = (k + static_cast<size_t>(t)) % cpus.size();  // staggered start
+        got[t][i] = ReadPlanted(AttackProbeChannel(), cpus[i], i % 16);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; t++) {
+    for (size_t i = 0; i < cpus.size(); i++) {
+      const std::string where = "thread " + std::to_string(t) + " " + UarchName(cpus[i]);
+      EXPECT_EQ(got[t][i].latencies, want[i].latencies) << where;
+      EXPECT_EQ(got[t][i].recovered, want[i].recovered) << where;
+    }
+  }
 }
 
 }  // namespace

@@ -124,6 +124,27 @@ TEST(Describe, MentionsKeyKnobs) {
   EXPECT_NE(s.find("retpoline=generic"), std::string::npos);
 }
 
+// Configs compare by value, every knob included. smt_off is one of them,
+// and Describe() omits it, so Describe() cannot stand in for equality.
+TEST(Equality, ComparesEveryKnobIncludingSmtOff) {
+  const CpuModel& cpu = GetCpuModel(Uarch::kSkylakeClient);
+  const MitigationConfig defaults = MitigationConfig::Defaults(cpu);
+  EXPECT_EQ(defaults, MitigationConfig::Defaults(cpu));
+  EXPECT_FALSE(defaults == MitigationConfig::AllOff());
+
+  MitigationConfig nosmt = defaults;
+  nosmt.smt_off = true;
+  EXPECT_FALSE(nosmt == defaults);
+  EXPECT_EQ(nosmt.Describe(), defaults.Describe());
+
+  MitigationConfig ssbd = defaults;
+  ssbd.ssbd = SsbdMode::kAlways;
+  EXPECT_FALSE(ssbd == defaults);
+  MitigationConfig nopcid = defaults;
+  nopcid.pcid = false;
+  EXPECT_FALSE(nopcid == defaults);
+}
+
 TEST(Names, EnumToString) {
   EXPECT_STREQ(RetpolineModeName(RetpolineMode::kAmd), "amd");
   EXPECT_STREQ(IbrsModeName(IbrsMode::kEibrs), "eibrs");

@@ -16,8 +16,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "src/core/counters.h"
 #include "src/core/pareto.h"
+#include "src/jit/jit.h"
 
 namespace specbench {
 namespace {
@@ -129,6 +133,62 @@ TEST(ParetoGolden, StibpDefendsCrossThreadV2CheaperThanNosmtSomewhere) {
     }
   }
   EXPECT_GT(cpus_where_stibp_wins, 0);
+}
+
+// The basket's grouping premise: LEBench and Octane cannot see smt_off, so
+// on every CPU each smt_off twin's counters equal its partner's, field for
+// field, and one simulation prices both.
+TEST(ParetoBasket, SmtOffTwinsHaveIdenticalCounters) {
+  const std::pair<const char*, const char*> kTwins[] = {
+      {"defaults", "defaults+nosmt"}, {"defaults+ssbd", "defaults+nosmt+ssbd"}};
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    const std::vector<NamedConfig> matrix = MitigationConfigMatrix(cpu);
+    const auto config = [&matrix](const std::string& name) {
+      for (const NamedConfig& named : matrix) {
+        if (named.name == name) {
+          return named.config;
+        }
+      }
+      ADD_FAILURE() << "no config " << name;
+      return MitigationConfig{};
+    };
+    for (const auto& [smt_on, smt_off] : kTwins) {
+      const MitigationConfig on = config(smt_on);
+      MitigationConfig off = config(smt_off);
+      ASSERT_FALSE(on.smt_off);
+      ASSERT_TRUE(off.smt_off);
+      for (const std::string& workload : ParetoWorkloads()) {
+        const size_t colon = workload.find(':');
+        const std::string suite = workload.substr(0, colon);
+        const std::string kernel = workload.substr(colon + 1);
+        const std::string where = std::string(UarchName(u)) + " " + smt_off + " " + workload;
+        if (suite == "lebench") {
+          EXPECT_EQ(MeasureLeBenchCounters(cpu, on, kernel),
+                    MeasureLeBenchCounters(cpu, off, kernel))
+              << where;
+        } else if (suite == "octane") {
+          EXPECT_EQ(MeasureOctaneCounters(cpu, JitConfig::AllOn(), on, kernel),
+                    MeasureOctaneCounters(cpu, JitConfig::AllOn(), off, kernel))
+              << where;
+        }
+      }
+      off.smt_off = false;
+      EXPECT_EQ(off, on) << UarchName(u) << ": the twins differ in more than smt_off";
+    }
+  }
+}
+
+// 80 configs, 64 basket cells: the two smt_off twin pairs of each CPU's
+// matrix share one cell.
+TEST(ParetoBasket, GridRunsOneBasketCellPerSmtTwinGroup) {
+  const ParetoReport& report = DefaultReport();
+  size_t rows = 0;
+  for (const CpuPareto& cpu : report.cpus) {
+    rows += cpu.configs.size();
+  }
+  EXPECT_EQ(rows, 80u);
+  EXPECT_EQ(report.basket_cells, 64u);
 }
 
 TEST(ParetoGolden, TextAndCsvAreDeterministic) {

@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -270,6 +273,69 @@ TEST(SweepServiceCli, ServeShardsMergeByteIdentical) {
   for (const std::string& journal : journals) {
     std::remove(journal.c_str());
   }
+}
+
+// The seeds= window is bounded: every difftest cell loops over all of it,
+// so the parser refuses a window wider than kMaxServiceSeedWindow.
+TEST(SweepServiceRequest, SeedWindowIsBounded) {
+  const auto parse = [](const std::string& seeds, std::string* error) {
+    ServiceRequest request;
+    return ParseServiceRequest("sweep grids=difftest seeds=" + seeds, &request, error);
+  };
+  std::string error;
+  EXPECT_TRUE(parse("0:" + std::to_string(kMaxServiceSeedWindow), &error)) << error;
+  EXPECT_TRUE(parse("7:" + std::to_string(7 + kMaxServiceSeedWindow), &error)) << error;
+  EXPECT_TRUE(parse("18446744073709551615:18446744073709551615", &error)) << error;
+  EXPECT_FALSE(parse("0:" + std::to_string(kMaxServiceSeedWindow + 1), &error));
+  EXPECT_EQ(error, "seeds=\"0:65537\" spans more than 65536 seeds");
+  EXPECT_FALSE(parse("0:18446744073709551615", &error));
+  EXPECT_FALSE(parse("0:100000000000", &error));
+}
+
+// Raw client connection to a serve socket; -1 on failure.
+int ConnectTo(const std::string& path) {
+  sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// A real server answers an over-wide seeds= window with one "err" line at
+// once, instead of looping over it, and keeps serving the same connection.
+TEST(SweepServiceCli, WideSeedWindowGetsAnErrorAndTheConnectionStaysOpen) {
+  const std::string socket_path = TempPath("wide");
+  const pid_t server = SpawnCli({"serve", "--socket=" + socket_path, "--jobs=1", "--quiet"});
+  ASSERT_GT(server, 0);
+  int client = -1;
+  for (int attempt = 0; attempt < 100 && client < 0; attempt++) {
+    client = ConnectTo(socket_path);
+    if (client < 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  }
+  ASSERT_GE(client, 0);
+
+  const std::string requests = "sweep grids=difftest seeds=0:100000000000\nping\nshutdown\n";
+  ASSERT_EQ(::send(client, requests.data(), requests.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(requests.size()));
+  std::string reply;
+  char chunk[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(client, chunk, sizeof(chunk), 0)) > 0) {
+    reply.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(client);
+  EXPECT_EQ(reply, "err seeds=\"0:100000000000\" spans more than 65536 seeds\npong\nbye\n");
+
+  int status = 0;
+  ASSERT_EQ(::waitpid(server, &status, 0), server);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
 }  // namespace

@@ -1,142 +1,74 @@
-// The uarch event bus: dispatch contract, attribution-sink accounting, and
-// the two properties the decomposition must never lose — sinks are
-// observation-only, and an unsubscribed bus costs (next to) nothing.
+// The cycle accountant: the CycleAttribution bucketing contract, and the two
+// properties the machine must never lose — attaching an accountant is
+// observation-only, and running without one costs (next to) nothing.
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <vector>
 
 #include "src/cpu/cpu_model.h"
 #include "src/isa/program.h"
 #include "src/uarch/cycle_attribution.h"
-#include "src/uarch/event.h"
 #include "src/uarch/machine.h"
 
 namespace specbench {
 namespace {
 
-class RecordingSink : public EventSink {
- public:
-  void OnEvent(const UarchEvent& event) override { events.push_back(event); }
-  std::vector<UarchEvent> events;
-};
-
-TEST(EventBus, InactiveUntilASinkSubscribes) {
-  EventBus bus;
-  EXPECT_FALSE(bus.active());
-  RecordingSink sink;
-  bus.AddSink(&sink);
-  EXPECT_TRUE(bus.active());
-  bus.RemoveSink(&sink);
-  EXPECT_FALSE(bus.active());
-}
-
-TEST(EventBus, NullAndUnknownSinksAreIgnored) {
-  EventBus bus;
-  bus.AddSink(nullptr);
-  EXPECT_FALSE(bus.active());
-  RecordingSink sink;
-  bus.RemoveSink(&sink);  // never added: no-op
-  EXPECT_FALSE(bus.active());
-}
-
-TEST(EventBus, FansOutToEverySink) {
-  EventBus bus;
-  RecordingSink a;
-  RecordingSink b;
-  bus.AddSink(&a);
-  bus.AddSink(&b);
-  UarchEvent event;
-  event.kind = EventKind::kCacheFill;
-  event.arg = 42;
-  bus.Emit(event);
-  bus.RemoveSink(&a);
-  bus.Emit(event);
-  ASSERT_EQ(a.events.size(), 1u);
-  ASSERT_EQ(b.events.size(), 2u);
-  EXPECT_EQ(b.events[1].arg, 42u);
-  EXPECT_TRUE(bus.active());
-}
-
-TEST(EventBus, KindAndCauseNames) {
-  EXPECT_STREQ(EventKindName(EventKind::kIssue), "issue");
-  EXPECT_STREQ(EventKindName(EventKind::kRetire), "retire");
-  EXPECT_STREQ(EventKindName(EventKind::kEpisodeStart), "episode_start");
-  EXPECT_STREQ(EventKindName(EventKind::kEpisodeEnd), "episode_end");
-  EXPECT_STREQ(EventKindName(EventKind::kCacheFill), "cache_fill");
-  EXPECT_STREQ(EventKindName(EventKind::kFillBufferTouch), "fill_buffer_touch");
-  EXPECT_STREQ(EventKindName(EventKind::kTlbFlush), "tlb_flush");
-  EXPECT_STREQ(EventKindName(EventKind::kSerializationStall), "serialization_stall");
-  EXPECT_STREQ(EventKindName(EventKind::kStoreBufferDrain), "store_buffer_drain");
-  EXPECT_STREQ(EventKindName(EventKind::kExternalCharge), "external_charge");
+TEST(CycleAttribution, CauseTagNames) {
   EXPECT_STREQ(CauseTagName(CauseTag::kNone), "baseline");
   EXPECT_STREQ(CauseTagName(CauseTag::kSpectreV2), "spectre_v2");
   EXPECT_STREQ(CauseTagName(CauseTag::kJsIndexMasking), "js_index_masking");
 }
 
-UarchEvent Make(EventKind kind, CauseTag cause, uint64_t cycles, uint64_t arg = 0) {
-  UarchEvent event;
-  event.kind = kind;
-  event.cause = cause;
-  event.cycles = cycles;
-  event.arg = arg;
-  return event;
-}
-
 TEST(CycleAttribution, BucketsEveryEventClass) {
-  CycleAttribution sink;
-  sink.OnEvent(Make(EventKind::kRetire, CauseTag::kNone, 3));
-  sink.OnEvent(Make(EventKind::kRetire, CauseTag::kPti, 7));
-  sink.OnEvent(Make(EventKind::kSerializationStall, CauseTag::kNone, 5));
-  sink.OnEvent(Make(EventKind::kSerializationStall, CauseTag::kSsbd, 11));
-  sink.OnEvent(Make(EventKind::kExternalCharge, CauseTag::kSpectreV2, 13));
-  sink.OnEvent(Make(EventKind::kEpisodeStart, CauseTag::kNone, 0));
-  sink.OnEvent(Make(EventKind::kEpisodeEnd, CauseTag::kNone, 0, /*arg=*/4));
-  sink.OnEvent(Make(EventKind::kCacheFill, CauseTag::kNone, 0));
-  sink.OnEvent(Make(EventKind::kFillBufferTouch, CauseTag::kNone, 0));
-  sink.OnEvent(Make(EventKind::kTlbFlush, CauseTag::kNone, 0));
-  sink.OnEvent(Make(EventKind::kStoreBufferDrain, CauseTag::kNone, 0, /*arg=*/6));
+  CycleAttribution attribution;
+  attribution.OnRetire(CauseTag::kNone, 3);
+  attribution.OnRetire(CauseTag::kPti, 7);
+  attribution.OnStall(CauseTag::kNone, 5);
+  attribution.OnStall(CauseTag::kSsbd, 11);
+  attribution.OnExternalCharge(CauseTag::kSpectreV2, 13);
+  attribution.OnEpisode(/*divider_cycles=*/4);
+  attribution.OnCacheFill();
+  attribution.OnFillBufferTouch();
+  attribution.OnTlbFlush();
+  attribution.OnStoreBufferDrain(/*entries=*/6);
 
-  EXPECT_EQ(sink.retired(), 2u);
-  EXPECT_EQ(sink.totals().Cause(CauseTag::kNone), 8u);
-  EXPECT_EQ(sink.totals().Cause(CauseTag::kPti), 7u);
-  EXPECT_EQ(sink.totals().Cause(CauseTag::kSsbd), 11u);
-  EXPECT_EQ(sink.totals().Cause(CauseTag::kSpectreV2), 13u);
-  EXPECT_EQ(sink.totals().total_cycles, 3u + 7u + 5u + 11u + 13u);
-  EXPECT_EQ(sink.untagged_stall_cycles(), 5u);
-  EXPECT_EQ(sink.external_cycles(), 13u);
-  EXPECT_EQ(sink.episodes(), 1u);
-  EXPECT_EQ(sink.episode_divider_cycles(), 4u);
-  EXPECT_EQ(sink.cache_fills(), 1u);
-  EXPECT_EQ(sink.fill_buffer_touches(), 1u);
-  EXPECT_EQ(sink.tlb_flushes(), 1u);
-  EXPECT_EQ(sink.store_buffer_drains(), 6u);
+  EXPECT_EQ(attribution.retired(), 2u);
+  EXPECT_EQ(attribution.totals().Cause(CauseTag::kNone), 8u);
+  EXPECT_EQ(attribution.totals().Cause(CauseTag::kPti), 7u);
+  EXPECT_EQ(attribution.totals().Cause(CauseTag::kSsbd), 11u);
+  EXPECT_EQ(attribution.totals().Cause(CauseTag::kSpectreV2), 13u);
+  EXPECT_EQ(attribution.totals().total_cycles, 3u + 7u + 5u + 11u + 13u);
+  EXPECT_EQ(attribution.untagged_stall_cycles(), 5u);
+  EXPECT_EQ(attribution.external_cycles(), 13u);
+  EXPECT_EQ(attribution.episodes(), 1u);
+  EXPECT_EQ(attribution.episode_divider_cycles(), 4u);
+  EXPECT_EQ(attribution.cache_fills(), 1u);
+  EXPECT_EQ(attribution.fill_buffer_touches(), 1u);
+  EXPECT_EQ(attribution.tlb_flushes(), 1u);
+  EXPECT_EQ(attribution.store_buffer_drains(), 6u);
 
-  sink.Reset();
-  EXPECT_EQ(sink.totals().total_cycles, 0u);
-  EXPECT_EQ(sink.retired(), 0u);
-  EXPECT_FALSE(sink.HasWindow());
+  attribution.Reset();
+  EXPECT_EQ(attribution.totals().total_cycles, 0u);
+  EXPECT_EQ(attribution.retired(), 0u);
+  EXPECT_FALSE(attribution.HasWindow());
 }
 
 TEST(CycleAttribution, RdtscIssuesSnapshotTheWindow) {
-  CycleAttribution sink;
-  sink.OnEvent(Make(EventKind::kRetire, CauseTag::kNone, 10));
-  UarchEvent rdtsc = Make(EventKind::kIssue, CauseTag::kNone, 0);
-  rdtsc.op = Op::kRdtsc;
-  sink.OnEvent(rdtsc);
-  EXPECT_FALSE(sink.HasWindow());
-  sink.OnEvent(Make(EventKind::kRetire, CauseTag::kMds, 20));
-  sink.OnEvent(Make(EventKind::kRetire, CauseTag::kNone, 30));
-  sink.OnEvent(rdtsc);
-  ASSERT_TRUE(sink.HasWindow());
-  EXPECT_EQ(sink.WindowTotalCycles(), 50u);
-  EXPECT_EQ(sink.WindowCauseCycles(CauseTag::kMds), 20u);
-  EXPECT_EQ(sink.WindowCauseCycles(CauseTag::kNone), 30u);
-  // Non-rdtsc issues don't snapshot.
-  UarchEvent other = rdtsc;
-  other.op = Op::kAlu;
-  sink.OnEvent(other);
-  EXPECT_EQ(sink.rdtsc_snapshots().size(), 2u);
+  CycleAttribution attribution;
+  attribution.OnRetire(CauseTag::kNone, 10);
+  attribution.OnRdtsc();
+  EXPECT_FALSE(attribution.HasWindow());
+  attribution.OnRetire(CauseTag::kMds, 20);
+  attribution.OnRetire(CauseTag::kNone, 30);
+  attribution.OnRdtsc();
+  ASSERT_TRUE(attribution.HasWindow());
+  EXPECT_EQ(attribution.WindowTotalCycles(), 50u);
+  EXPECT_EQ(attribution.WindowCauseCycles(CauseTag::kMds), 20u);
+  EXPECT_EQ(attribution.WindowCauseCycles(CauseTag::kNone), 30u);
+  // Charges after the last mark are outside the window.
+  attribution.OnRetire(CauseTag::kMds, 40);
+  EXPECT_EQ(attribution.rdtsc_snapshots().size(), 2u);
+  EXPECT_EQ(attribution.WindowCauseCycles(CauseTag::kMds), 20u);
 }
 
 // A small fixed workload: loads, stores, arithmetic and branches, bracketed
@@ -161,7 +93,7 @@ Program BuildWorkload(int iterations) {
   return b.Build();
 }
 
-TEST(EventBusMachine, AttachingASinkIsObservationOnly) {
+TEST(CycleAttributionMachine, AttachingIsObservationOnly) {
   const CpuModel& cpu = GetCpuModel(Uarch::kSkylakeClient);
   Program p = BuildWorkload(500);
 
@@ -171,8 +103,8 @@ TEST(EventBusMachine, AttachingASinkIsObservationOnly) {
 
   Machine observed(cpu);
   observed.LoadProgram(&p);
-  CycleAttribution sink;
-  observed.event_bus().AddSink(&sink);
+  CycleAttribution attribution;
+  observed.SetCycleAttribution(&attribution);
   const Machine::RunResult r_observed = observed.Run(p.VaddrOf(0));
 
   EXPECT_EQ(r_plain.cycles, r_observed.cycles);
@@ -184,22 +116,33 @@ TEST(EventBusMachine, AttachingASinkIsObservationOnly) {
 
   // The accounting identity, end to end on real hardware paths: the window's
   // charged cycles equal the program's own rdtsc delta exactly.
-  ASSERT_TRUE(sink.HasWindow());
-  EXPECT_EQ(sink.WindowTotalCycles(), observed.reg(11) - observed.reg(10));
-  EXPECT_EQ(sink.retired(), r_observed.instructions);
+  ASSERT_TRUE(attribution.HasWindow());
+  EXPECT_EQ(attribution.WindowTotalCycles(), observed.reg(11) - observed.reg(10));
+  EXPECT_EQ(attribution.retired(), r_observed.instructions);
 }
 
-// Satellite guard: the bus must be provably free when nobody listens. An
-// unsubscribed run has to sustain a healthy simulated instruction rate —
+// Reset() detaches the accountant: a reused machine must not keep charging
+// an accountant owned by the previous run's harness.
+TEST(CycleAttributionMachine, ResetDetachesTheAccountant) {
+  Machine m(GetCpuModel(Uarch::kSkylakeClient));
+  CycleAttribution attribution;
+  m.SetCycleAttribution(&attribution);
+  EXPECT_EQ(m.cycle_attribution(), &attribution);
+  m.Reset();
+  EXPECT_EQ(m.cycle_attribution(), nullptr);
+}
+
+// Guard: accounting must be provably free when nobody counts. A run with no
+// accountant attached has to sustain a healthy simulated instruction rate —
 // the threshold is deliberately an order of magnitude under what the
 // simulator does on a developer machine (~10M+ instr/s), so it only trips
-// if dispatch regresses to unconditional event construction (or worse).
-TEST(EventBusMachine, UnsubscribedDispatchSustainsThroughput) {
+// if the accounting sites regress to unconditional work (or worse).
+TEST(CycleAttributionMachine, UnattachedRunSustainsThroughput) {
   const CpuModel& cpu = GetCpuModel(Uarch::kSkylakeClient);
   Program p = BuildWorkload(200'000);
   Machine m(cpu);
   m.LoadProgram(&p);
-  ASSERT_FALSE(m.event_bus().active());
+  ASSERT_EQ(m.cycle_attribution(), nullptr);
 
   const auto start = std::chrono::steady_clock::now();
   const Machine::RunResult r = m.Run(p.VaddrOf(0), /*max_instructions=*/10'000'000);
@@ -209,7 +152,7 @@ TEST(EventBusMachine, UnsubscribedDispatchSustainsThroughput) {
   const double seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(elapsed).count();
   const double instr_per_sec = static_cast<double>(r.instructions) / seconds;
-  EXPECT_GT(instr_per_sec, 1e6) << "unsubscribed event dispatch became load-bearing: "
+  EXPECT_GT(instr_per_sec, 1e6) << "unattached cycle accounting became load-bearing: "
                                 << r.instructions << " instructions took " << seconds << "s";
 }
 
