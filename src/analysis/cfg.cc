@@ -112,29 +112,4 @@ Cfg Cfg::Build(const Program& program) {
   return cfg;
 }
 
-std::string Cfg::Dump() const {
-  std::string out;
-  for (const BasicBlock& bb : blocks_) {
-    out.append("B").append(std::to_string(bb.id)).append(" [");
-    out.append(std::to_string(bb.first)).append("..").append(std::to_string(bb.last));
-    out.append("]");
-    if (bb.is_entry) {
-      out += " entry";
-    }
-    out += " ->";
-    for (int32_t s : bb.successors) {
-      out.append(" B").append(std::to_string(s));
-    }
-    if (bb.has_indirect_successor) {
-      out += " (indirect)";
-    }
-    out += "\n  ";
-    for (int32_t i = bb.first; i <= bb.last; i++) {
-      out += OpName(program_->at(i).op);
-      out += i == bb.last ? "\n" : " ";
-    }
-  }
-  return out;
-}
-
 }  // namespace specbench

@@ -54,9 +54,6 @@ class Cfg {
   // Entry block ids (program start plus exported symbols).
   const std::vector<int32_t>& entries() const { return entries_; }
 
-  // Human-readable dump (tests, debugging).
-  std::string Dump() const;
-
  private:
   const Program* program_ = nullptr;
   std::vector<BasicBlock> blocks_;

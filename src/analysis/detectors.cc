@@ -33,14 +33,6 @@ std::vector<Finding> AnalysisResult::OfKind(FindingKind kind) const {
   return out;
 }
 
-int AnalysisResult::DistinctKinds() const {
-  std::set<FindingKind> kinds;
-  for (const Finding& f : findings) {
-    kinds.insert(f.kind);
-  }
-  return static_cast<int>(kinds.size());
-}
-
 namespace {
 
 std::string Describe(const Program& p, int32_t index) {

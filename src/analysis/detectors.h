@@ -89,8 +89,6 @@ struct AnalysisResult {
 
   std::vector<Finding> OfKind(FindingKind kind) const;
   bool Has(FindingKind kind) const { return !OfKind(kind).empty(); }
-  // Number of distinct kinds present.
-  int DistinctKinds() const;
 };
 
 // Runs CFG construction, the taint pass and all enabled detectors against

@@ -4,8 +4,6 @@
 #include <cstdarg>
 #include <cstdio>
 
-#include "src/isa/isa.h"
-
 namespace specbench {
 
 namespace {
@@ -52,24 +50,6 @@ void AppendFindingJson(std::string& out, const Finding& f, const char* verdict) 
 }
 
 }  // namespace
-
-std::string RenderFindingsText(const AnalysisResult& analysis, const Program& program) {
-  std::string out;
-  Appendf(out, "  %d instructions, %d basic blocks, %zu finding(s)\n",
-          analysis.num_instructions, analysis.num_blocks, analysis.findings.size());
-  for (const Finding& f : analysis.findings) {
-    const char* op = (f.index >= 0 && f.index < program.size())
-                         ? OpName(program.at(f.index).op)
-                         : "?";
-    Appendf(out, "  [%-26s] @%-3d (0x%" PRIx64 ", %s)", FindingKindName(f.kind),
-            f.index, f.vaddr, op);
-    if (f.aux_index >= 0) {
-      Appendf(out, " aux=@%d", f.aux_index);
-    }
-    Appendf(out, ": %s\n", f.detail.c_str());
-  }
-  return out;
-}
 
 std::string RenderCorpusText(const CorpusReport& report) {
   std::string out;

@@ -24,9 +24,6 @@ struct CorpusReport {
   std::vector<CorpusReportEntry> entries;
 };
 
-// Findings for one program, one line per finding.
-std::string RenderFindingsText(const AnalysisResult& analysis, const Program& program);
-
 // Full corpus + cross-validation summary for one CPU.
 std::string RenderCorpusText(const CorpusReport& report);
 std::string RenderCorpusJson(const CorpusReport& report);

@@ -72,6 +72,28 @@ void TrainGuard(Machine& m, const Program& p, int32_t branch_index) {
   m.caches().Clflush(kGuardAddr);
 }
 
+// Identity map with the attacker's sampling page left unmapped, so the
+// MDS sampling load faults and reads the fill buffers transiently.
+const MemoryMap& MdsSampleMap() {
+  class Map : public MemoryMap {
+   public:
+    Translation Translate(uint64_t vaddr, uint64_t, Mode) const override {
+      Translation t;
+      if (vaddr >= kMdsSampleBase && vaddr < kMdsSampleBase + kPageBytes) {
+        return t;
+      }
+      t.mapped = true;
+      t.present = true;
+      t.user_accessible = true;
+      t.paddr = vaddr;
+      t.valid = true;
+      return t;
+    }
+  };
+  static const Map map;
+  return map;
+}
+
 AttackResult Finish(Machine& m, uint64_t secret) {
   AttackResult result;
   result.expected = secret;
@@ -329,23 +351,7 @@ AttackResult RunMdsAttack(const CpuModel& cpu, bool verw_clear, uint64_t secret,
   SPECBENCH_CHECK(secret < kCandidates);
   MachineLease lease(cpu);
   Machine& m = *lease;
-  class MdsMap : public MemoryMap {
-   public:
-    Translation Translate(uint64_t vaddr, uint64_t, Mode) const override {
-      Translation t;
-      if (vaddr >= kMdsSampleBase && vaddr < kMdsSampleBase + kPageBytes) {
-        return t;  // the attacker's unmapped sampling address
-      }
-      t.mapped = true;
-      t.present = true;
-      t.user_accessible = true;
-      t.paddr = vaddr;
-      t.valid = true;
-      return t;
-    }
-  };
-  static MdsMap map;
-  m.SetMemoryMap(&map);
+  m.SetMemoryMap(&MdsSampleMap());
 
   ProgramBuilder b;
   // Victim: load the secret (fills a line-fill buffer), plus any benign
@@ -480,23 +486,7 @@ AttackResult RunMdsSmtAttack(const CpuModel& cpu, const MdsSmtOptions& options,
   SPECBENCH_CHECK(secret < kCandidates);
   MachineLease lease(cpu);
   Machine& m = *lease;
-  class SmtMap : public MemoryMap {
-   public:
-    Translation Translate(uint64_t vaddr, uint64_t, Mode) const override {
-      Translation t;
-      if (vaddr >= kMdsSampleBase && vaddr < kMdsSampleBase + kPageBytes) {
-        return t;  // the attacker's unmapped sampling window
-      }
-      t.mapped = true;
-      t.present = true;
-      t.user_accessible = true;
-      t.paddr = vaddr;
-      t.valid = true;
-      return t;
-    }
-  };
-  static SmtMap map;
-  m.SetMemoryMap(&map);
+  m.SetMemoryMap(&MdsSampleMap());
 
   // One program, two threads. The victim repeatedly pulls its secret line
   // through the fill buffers; the attacker runs the one-shot sampling gadget.

@@ -45,14 +45,6 @@ double CounterBreakdown::OverheadPct(CauseTag tag) const {
   return 100.0 * static_cast<double>(Cause(tag)) / static_cast<double>(base);
 }
 
-double CounterBreakdown::TotalOverheadPct() const {
-  const uint64_t base = baseline_cycles();
-  if (base == 0) {
-    return 0.0;
-  }
-  return 100.0 * static_cast<double>(window_cycles - base) / static_cast<double>(base);
-}
-
 CounterBreakdown MeasureLeBenchCounters(const CpuModel& cpu, const MitigationConfig& config,
                                         const std::string& kernel) {
   CycleAttribution attribution;

@@ -47,8 +47,6 @@ struct CounterBreakdown {
   // This mitigation's in-window cost as a percentage of the baseline work —
   // the bus-side analogue of the §4.1 relative overhead.
   double OverheadPct(CauseTag tag) const;
-  // Total mitigation overhead: (window - baseline) / baseline * 100.
-  double TotalOverheadPct() const;
 
   bool operator==(const CounterBreakdown&) const = default;
 };

@@ -247,14 +247,6 @@ ProgramBuilder& ProgramBuilder::BranchZ(uint8_t reg, Label target) {
   return EmitBranch(Op::kBranchZ, reg, target);
 }
 
-ProgramBuilder& ProgramBuilder::BranchEqImm(uint8_t reg, int64_t imm, Label target) {
-  EmitBranch(Op::kBranchEqImm, reg, target);
-  Instruction& instr = instructions_.back();
-  instr.use_imm = true;
-  instr.imm = imm;
-  return *this;
-}
-
 ProgramBuilder& ProgramBuilder::Call(Label target) {
   return EmitBranch(Op::kCall, kNoReg, target);
 }

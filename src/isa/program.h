@@ -106,8 +106,6 @@ class ProgramBuilder {
   ProgramBuilder& Jmp(Label target);
   ProgramBuilder& BranchNz(uint8_t reg, Label target);
   ProgramBuilder& BranchZ(uint8_t reg, Label target);
-  // if reg == imm then jump (compare-against-constant dispatch step).
-  ProgramBuilder& BranchEqImm(uint8_t reg, int64_t imm, Label target);
   ProgramBuilder& Call(Label target);
   ProgramBuilder& Ret();
   ProgramBuilder& IndirectJmp(uint8_t reg);

@@ -133,8 +133,4 @@ Estimate RelativeOverheadPercent(const Estimate& slow, const Estimate& fast) {
   return Estimate{(ratio - 1.0) * 100.0, ratio_err * 100.0};
 }
 
-Estimate Difference(const Estimate& a, const Estimate& b) {
-  return Estimate{a.value - b.value, std::sqrt(a.ci95 * a.ci95 + b.ci95 * b.ci95)};
-}
-
 }  // namespace specbench

@@ -71,9 +71,6 @@ struct Estimate {
 //   overhead% = (slow/fast - 1) * 100.
 Estimate RelativeOverheadPercent(const Estimate& slow, const Estimate& fast);
 
-// Difference (a - b) with combined CI.
-Estimate Difference(const Estimate& a, const Estimate& b);
-
 }  // namespace specbench
 
 #endif  // SPECTREBENCH_SRC_STATS_SUMMARY_H_

@@ -157,8 +157,6 @@ uint64_t Machine::PmcValue(Pmc counter) const {
   return pmcs_[static_cast<size_t>(counter)];
 }
 
-void Machine::ResetPmcs() { pmcs_.fill(0); }
-
 void Machine::AddCycles(uint64_t cycles, CauseTag cause) {
   Serialize();
   now_ += cycles;

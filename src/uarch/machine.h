@@ -273,7 +273,6 @@ class Machine {
   // Total cycle count: issue clock / completion frontier, whichever is later.
   uint64_t cycles() const;
   uint64_t PmcValue(Pmc counter) const;
-  void ResetPmcs();
   // Adds cycles directly (used by OS hooks to charge handler work). The
   // cause tags who pays for them in the cycle accountant
   // (OnExternalCharge); timing is identical regardless of the tag.

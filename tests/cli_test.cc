@@ -1,13 +1,19 @@
 // Golden tests for the CLI's argument validation: strict --seeds=A:B
-// parsing, per-subcommand flag allowlists, and the unknown-command path.
+// parsing, per-subcommand flag allowlists, the usage text generated from
+// them, boot parameters, and the unknown-command path.
 // Each case runs the real spectrebench binary (SPECBENCH_CLI_PATH, injected
 // by CMake) as a subprocess and asserts on the exit code and the exact
 // diagnostic text — the error strings are part of the user interface, so
 // changes to them must be deliberate.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -177,10 +183,144 @@ TEST(CliFlags, DifftestRejectsFastAndCrossValidate) {
                 kValid);
 }
 
+// Every command's allowlist, in its `valid options:` order.
+struct Allowlist {
+  const char* command;
+  const char* valid;  // space-separated flags, or "none"
+};
+const Allowlist kAllowlists[] = {
+    {"list", "none"},
+    {"table1", "none"},
+    {"table2", "none"},
+    {"table3", "none"},
+    {"table4", "none"},
+    {"table5", "none"},
+    {"table6", "none"},
+    {"table7", "none"},
+    {"table8", "none"},
+    {"tables9-10", "none"},
+    {"sec622", "none"},
+    {"fig2", "--csv --jobs --cpus"},
+    {"fig3", "--csv --jobs --cpus"},
+    {"fig5", "--cpus"},
+    {"sec44", "--cpus"},
+    {"sec45", "--jobs --cpus"},
+    {"scorecard", "--jobs"},
+    {"fig2-kernels", "--cpus"},
+    {"sweep",
+     "--csv --quiet --jobs --seed --seeds --cpus --grids --workloads --configs --shard "
+     "--checkpoint --resume"},
+    {"merge", "--inputs --csv"},
+    {"serve", "--socket --jobs --quiet"},
+    {"submit",
+     "--socket --grids --seeds --cpus --workloads --configs --seed --shard --checkpoint --ping "
+     "--shutdown"},
+    {"counters", "--cpus --workloads --boot-params"},
+    {"attacks", "--cpus"},
+    {"pareto", "--json --csv --jobs --trials --seed --cpus"},
+    {"analyze", "--json --cpus"},
+    {"harden", "--seeds --passes --json --cpus"},
+    {"difftest",
+     "--seeds --cpus --configs --jobs --inject-alu-fault --corpus-out --replay --arch-hashes"},
+};
+
+TEST(CliFlags, EveryCommandRejectsAnUnknownFlagWithItsAllowlist) {
+  for (const Allowlist& a : kAllowlists) {
+    const RunOutput r = RunCli(std::string(a.command) + " --no-such-flag");
+    EXPECT_EQ(r.exit_code, 2) << a.command;
+    EXPECT_EQ(r.output, std::string("spectrebench ") + a.command +
+                            ": unrecognized option '--no-such-flag' (valid options: " + a.valid +
+                            ")\n")
+        << a.command;
+  }
+}
+
+// Every `--name` token in `text`.
+std::set<std::string> FlagsIn(const std::string& text) {
+  std::set<std::string> flags;
+  for (size_t at = text.find("--"); at != std::string::npos; at = text.find("--", at)) {
+    size_t end = at + 2;
+    while (end < text.size() && (std::islower(static_cast<unsigned char>(text[end])) ||
+                                 std::isdigit(static_cast<unsigned char>(text[end])) ||
+                                 text[end] == '-')) {
+      end++;
+    }
+    if (end > at + 2) {
+      flags.insert(text.substr(at, end - at));
+    }
+    at = end;
+  }
+  return flags;
+}
+
+// `list` is generated from the command table: each command's entry names
+// exactly the flags the command accepts, and the header names none.
+TEST(CliFlags, ListShowsExactlyTheFlagsEachCommandAccepts) {
+  const RunOutput r = RunCli("list");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const size_t commands_at = r.output.find("\ncommands:\n");
+  ASSERT_NE(commands_at, std::string::npos) << r.output;
+  EXPECT_EQ(FlagsIn(r.output.substr(0, commands_at)), std::set<std::string>());
+  for (const Allowlist& a : kAllowlists) {
+    // The entry is the "  <name> ..." line plus its continuation lines,
+    // which are indented further.
+    const std::string head = std::string("\n  ") + a.command + " ";
+    const size_t begin = r.output.find(head, commands_at);
+    ASSERT_NE(begin, std::string::npos) << a.command;
+    size_t end = r.output.find('\n', begin + 1);
+    while (end != std::string::npos && r.output.compare(end, 4, "\n   ") == 0) {
+      end = r.output.find('\n', end + 1);
+    }
+    const std::string entry = r.output.substr(begin, end - begin);
+    std::set<std::string> accepted;
+    if (std::string(a.valid) != "none") {
+      std::istringstream words(a.valid);
+      for (std::string flag; words >> flag;) {
+        accepted.insert(flag);
+      }
+    }
+    EXPECT_EQ(FlagsIn(entry), accepted) << entry;
+  }
+}
+
+// A switch given a value, or a valued flag given none, is rejected by name.
+TEST(CliFlags, FlagValueShapeIsChecked) {
+  const RunOutput with_value = RunCli("pareto --json=1");
+  EXPECT_EQ(with_value.exit_code, 2);
+  EXPECT_EQ(with_value.output, "spectrebench pareto: option '--json' takes no value\n");
+  const RunOutput without_value = RunCli("pareto --jobs");
+  EXPECT_EQ(without_value.exit_code, 2);
+  EXPECT_EQ(without_value.output,
+            "spectrebench pareto: option '--jobs' needs a value (--jobs=N)\n");
+}
+
 TEST(CliFlags, UnknownCommandReportedBeforeFlags) {
   const RunOutput r = RunCli("bogus --bogus");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_EQ(r.output.rfind("unknown command: bogus\n", 0), 0u) << r.output;
+}
+
+// --- Boot parameters -------------------------------------------------------
+
+// A boot parameter that is not applied (unrecognized, or unsupported on the
+// CPU) is an error: one stderr line per CPU, nothing measured, exit 2.
+TEST(CliBootParams, UnappliedTokenExitsTwo) {
+  const RunOutput bogus = RunCli("counters --cpus=Broadwell --boot-params=bogus");
+  EXPECT_EQ(bogus.exit_code, 2);
+  EXPECT_EQ(bogus.output,
+            "counters: boot parameter \"bogus\" not applied on Broadwell (unrecognized or "
+            "unsupported)\n");
+  const RunOutput ibrs_on_zen = RunCli("counters --cpus=Zen --boot-params=spectre_v2=ibrs");
+  EXPECT_EQ(ibrs_on_zen.exit_code, 2);
+  EXPECT_EQ(ibrs_on_zen.output,
+            "counters: boot parameter \"spectre_v2=ibrs\" not applied on Zen (unrecognized "
+            "or unsupported)\n");
+}
+
+TEST(CliBootParams, AppliedTokenMeasures) {
+  const RunOutput r = RunCli("counters --cpus=Broadwell --boot-params=nopti");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("\"spectrebench-counters-v1\""), std::string::npos) << r.output;
 }
 
 // --- Malformed .difftest corpus files -------------------------------------
@@ -221,6 +361,31 @@ TEST(CliCorpus, ReplayRejectsUnsupportedOpcodeOnBothPaths) {
   }
 }
 
+// --corpus-out writes one shrunk reproducer per divergence; a write that
+// fails is reported and exits 2 instead of claiming the file was written.
+TEST(CliCorpus, CorpusOutReportsFailedWrites) {
+  const std::string dir =
+      ::testing::TempDir() + "cli_test_corpus_out_" + std::to_string(getpid());
+  const std::string args =
+      "difftest --seeds=4:5 '--cpus=Skylake Client' --configs=off --inject-alu-fault=1 "
+      "--corpus-out=" + dir;
+  const std::string file = dir + "/seed-4-Skylake-Client-off.difftest";
+  std::filesystem::remove_all(dir);
+
+  const RunOutput missing = RunCli(args);
+  EXPECT_EQ(missing.exit_code, 2) << missing.output;
+  EXPECT_NE(missing.output.find("difftest: cannot write " + file + "\n"), std::string::npos)
+      << missing.output;
+  EXPECT_EQ(missing.output.find("difftest: wrote"), std::string::npos) << missing.output;
+
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const RunOutput written = RunCli(args);
+  EXPECT_EQ(written.exit_code, 1) << written.output;  // the injected divergence
+  EXPECT_NE(written.output.find("difftest: wrote " + file + "\n"), std::string::npos)
+      << written.output;
+  EXPECT_TRUE(std::filesystem::exists(file));
+  std::filesystem::remove_all(dir);
+}
 
 TEST(CliFlags, DifftestAcceptsItsFlags) {
   const RunOutput r = RunCli("difftest --seeds=0:2 --jobs=2 --configs=off,ssbd");

@@ -1,13 +1,11 @@
 // spectrebench command-line interface: run any of the paper's experiments
 // (or the ground-truth attack suite) by name, with CPU filtering.
 //
-//   spectrebench list
-//   spectrebench table1|table2|...|table8|tables9-10|sec622
-//   spectrebench fig2|fig3|fig5|sec44|sec45 [--cpus=Zen 3,Broadwell]
-//   spectrebench scorecard [--jobs=N]
-//   spectrebench sweep [--grids=fig2,fig3,sec45,difftest,harden] [--jobs=N]
-//   spectrebench attacks [--cpus=...]
-//   spectrebench difftest [--seeds=A:B] [--cpus=...] [--configs=...] [--jobs=N]
+//   spectrebench list                 every command and the flags it takes
+//   spectrebench <command> [--flag=value ...]
+//
+// Each command is one entry of Commands() (name, flags, usage, handler) and
+// each flag one entry of Flags(); `list` prints the usage generated from them.
 #include <algorithm>
 #include <climits>
 #include <cstdint>
@@ -60,7 +58,6 @@ struct CliOptions {
   std::vector<std::string> workloads;  // empty = all
   std::vector<std::string> configs;    // empty = all
   std::vector<std::string> boot_params;  // Linux-style tokens for `counters`
-  bool strict_boot_params = false;     // unrecognized token => exit non-zero
   // difftest options.
   uint64_t seed_begin = 0;             // --seeds=A:B (B exclusive)
   uint64_t seed_end = 100;
@@ -107,93 +104,6 @@ bool ParseSeedRange(const std::string& value, uint64_t* begin, uint64_t* end,
     return false;
   }
   return true;
-}
-
-// Per-subcommand flag allowlist. A flag that parses fine but does nothing
-// for the given command (e.g. `attacks --seeds=0:5`, `table1 --json`) is a
-// user error worth exit code 2, not something to silently ignore. The error
-// text is golden-tested (tests/cli_test.cc) — change it deliberately.
-struct CommandSpec {
-  const char* name;
-  std::vector<const char*> flags;  // allowed, without the =value suffix
-};
-
-const std::vector<CommandSpec>& CommandSpecs() {
-  static const std::vector<CommandSpec> specs = {
-      {"list", {}},
-      {"table1", {}},
-      {"table2", {}},
-      {"table3", {}},
-      {"table4", {}},
-      {"table5", {}},
-      {"table6", {}},
-      {"table7", {}},
-      {"table8", {}},
-      {"tables9-10", {}},
-      {"sec622", {}},
-      {"fig2", {"--csv", "--jobs", "--cpus"}},
-      {"fig3", {"--csv", "--jobs", "--cpus"}},
-      {"fig5", {"--cpus"}},
-      {"sec44", {"--cpus"}},
-      {"sec45", {"--jobs", "--cpus"}},
-      {"scorecard", {"--jobs"}},
-      {"fig2-kernels", {"--cpus"}},
-      {"sweep",
-       {"--csv", "--quiet", "--jobs", "--seed", "--seeds", "--cpus", "--grids", "--workloads",
-        "--configs", "--shard", "--checkpoint", "--resume"}},
-      {"merge", {"--inputs", "--csv"}},
-      {"serve", {"--socket", "--jobs", "--quiet"}},
-      {"submit",
-       {"--socket", "--grids", "--seeds", "--cpus", "--workloads", "--configs", "--seed",
-        "--shard", "--checkpoint", "--ping", "--shutdown"}},
-      {"counters", {"--cpus", "--workloads", "--boot-params", "--strict-boot-params"}},
-      {"attacks", {"--cpus"}},
-      {"pareto", {"--json", "--csv", "--jobs", "--trials", "--seed", "--cpus"}},
-      {"analyze", {"--json", "--cpus"}},
-      {"harden", {"--seeds", "--passes", "--json", "--cpus"}},
-      {"difftest",
-       {"--seeds", "--cpus", "--configs", "--jobs", "--inject-alu-fault", "--corpus-out",
-        "--replay", "--arch-hashes"}},
-  };
-  return specs;
-}
-
-const CommandSpec* FindCommandSpec(const std::string& command) {
-  for (const CommandSpec& spec : CommandSpecs()) {
-    if (command == spec.name) {
-      return &spec;
-    }
-  }
-  return nullptr;
-}
-
-// Exit-2 diagnostic for a flag the command does not take (or that no
-// command takes). Lists the valid options so the fix is one glance away.
-int RejectFlag(const std::string& command, const CommandSpec& spec, const std::string& arg) {
-  const std::string flag = arg.substr(0, arg.find('='));
-  std::string valid;
-  for (const char* f : spec.flags) {
-    if (!valid.empty()) {
-      valid += " ";
-    }
-    valid += f;
-  }
-  if (valid.empty()) {
-    valid = "none";
-  }
-  std::fprintf(stderr, "spectrebench %s: unrecognized option '%s' (valid options: %s)\n",
-               command.c_str(), flag.c_str(), valid.c_str());
-  return 2;
-}
-
-bool FlagAllowed(const CommandSpec& spec, const std::string& arg) {
-  const std::string flag = arg.substr(0, arg.find('='));
-  for (const char* f : spec.flags) {
-    if (flag == f) {
-      return true;
-    }
-  }
-  return false;
 }
 
 bool Contains(const std::vector<std::string>& haystack, const std::string& needle) {
@@ -645,16 +555,20 @@ int RunDifftestCommand(const CliOptions& options) {
               << d.detail << "\n"
               << "repro: " << d.repro;
       std::ofstream out(path.str());
-      out << SerializeCorpusProgram(d.shrunk, comment.str());
+      if (!out || !(out << SerializeCorpusProgram(d.shrunk, comment.str())) || !out.flush()) {
+        std::fprintf(stderr, "difftest: cannot write %s\n", path.str().c_str());
+        return 2;
+      }
       std::fprintf(stderr, "difftest: wrote %s\n", path.str().c_str());
     }
   }
   return report.ok() ? 0 : 1;
 }
 
-// Per-mitigation cycle counters from the uarch event bus: one run per
+// Per-mitigation cycle counters from the cycle accountant: one run per
 // (cpu, workload) under the boot-param-adjusted default configuration,
 // byte-stable JSON on stdout (golden-tested; no timing-environment fields).
+// A boot parameter that is not applied on some CPU exits 2 with no stdout.
 int RunCounters(const CliOptions& options) {
   const std::vector<std::string> workloads =
       options.workloads.empty()
@@ -679,6 +593,9 @@ int RunCounters(const CliOptions& options) {
         bad_boot_param = true;
       }
     }
+    if (bad_boot_param) {
+      continue;  // exit 2 below: no point measuring
+    }
     for (const std::string& workload : workloads) {
       const size_t colon = workload.find(':');
       const std::string suite = workload.substr(0, colon);
@@ -697,7 +614,7 @@ int RunCounters(const CliOptions& options) {
       }
     }
   }
-  if (options.strict_boot_params && bad_boot_param) {
+  if (bad_boot_param) {
     return 2;
   }
   std::printf("%s", RenderCountersJson(rows).c_str());
@@ -966,81 +883,351 @@ int RunAttackSuite(const CliOptions& options) {
   return bad == 0 ? 0 : 1;
 }
 
+// --- Flags ----------------------------------------------------------------
+
+// One command-line flag. `value` is the placeholder usage prints after '='
+// (nullptr for a switch, which takes no value); `set` stores the value in
+// CliOptions, or prints a one-line diagnostic and returns false (exit 2).
+struct Flag {
+  const char* name;
+  const char* value;
+  bool (*set)(const std::string& value, CliOptions* options);
+};
+
+const std::vector<Flag>& Flags() {
+  static const std::vector<Flag> flags = {
+      {"--json", nullptr, [](const std::string&, CliOptions* o) { o->json = true; return true; }},
+      {"--csv", nullptr, [](const std::string&, CliOptions* o) { o->csv = true; return true; }},
+      {"--quiet", nullptr, [](const std::string&, CliOptions* o) { o->quiet = true; return true; }},
+      {"--cpus", "Name1,Name2",
+       [](const std::string& v, CliOptions* o) {
+         o->cpus = ParseCpuList(v);
+         o->cpus_given = true;
+         return true;
+       }},
+      {"--grids", "fig2,fig3,sec45,difftest,harden",
+       [](const std::string& v, CliOptions* o) { o->grids = SplitList(v); return true; }},
+      {"--workloads", "a,b",
+       [](const std::string& v, CliOptions* o) { o->workloads = SplitList(v); return true; }},
+      {"--configs", "a,b",
+       [](const std::string& v, CliOptions* o) { o->configs = SplitList(v); return true; }},
+      {"--boot-params", "nopti,mds=off,...",
+       [](const std::string& v, CliOptions* o) { o->boot_params = SplitList(v); return true; }},
+      {"--jobs", "N",
+       [](const std::string& v, CliOptions* o) { return ParseJobsFlag(v, &o->jobs); }},
+      {"--trials", "T",
+       [](const std::string& v, CliOptions* o) {
+         uint64_t trials = 0;
+         if (!ParseU64Strict(v, &trials) || trials < 1 ||
+             trials > static_cast<uint64_t>(INT_MAX)) {
+           std::fprintf(stderr, "--trials=%s: want a positive repeat count\n", v.c_str());
+           return false;
+         }
+         o->trials = static_cast<int>(trials);
+         return true;
+       }},
+      {"--seed", "S",
+       [](const std::string& v, CliOptions* o) {
+         if (!ParseU64Strict(v, &o->seed)) {
+           std::fprintf(stderr, "--seed=%s: want a decimal seed\n", v.c_str());
+           return false;
+         }
+         return true;
+       }},
+      {"--seeds", "A:B",
+       [](const std::string& v, CliOptions* o) {
+         std::string error;
+         if (!ParseSeedRange(v, &o->seed_begin, &o->seed_end, &error)) {
+           std::fprintf(stderr, "--seeds=%s: %s\n", v.c_str(), error.c_str());
+           return false;
+         }
+         o->seeds_given = true;
+         return true;
+       }},
+      {"--passes", "targeted-lfence,...",
+       [](const std::string& v, CliOptions* o) { o->passes = SplitList(v); return true; }},
+      {"--inject-alu-fault", "N",
+       [](const std::string& v, CliOptions* o) {
+         if (!ParseU64Strict(v, &o->inject_alu_fault)) {
+           std::fprintf(stderr, "--inject-alu-fault=%s: want a decimal ALU-op count\n",
+                        v.c_str());
+           return false;
+         }
+         return true;
+       }},
+      {"--corpus-out", "DIR",
+       [](const std::string& v, CliOptions* o) { o->corpus_out = v; return true; }},
+      {"--replay", "FILE", [](const std::string& v, CliOptions* o) { o->replay = v; return true; }},
+      {"--arch-hashes", nullptr,
+       [](const std::string&, CliOptions* o) { o->arch_hashes = true; return true; }},
+      {"--shard", "i/N",
+       [](const std::string& v, CliOptions* o) {
+         std::string error;
+         if (!ParseShardSpec(v, &o->shard, &error)) {
+           std::fprintf(stderr, "--shard=%s: %s\n", v.c_str(), error.c_str());
+           return false;
+         }
+         return true;
+       }},
+      {"--checkpoint", "FILE",
+       [](const std::string& v, CliOptions* o) { o->checkpoint = v; return true; }},
+      {"--resume", nullptr,
+       [](const std::string&, CliOptions* o) { o->resume = true; return true; }},
+      {"--inputs", "a.journal,b.journal,...",
+       [](const std::string& v, CliOptions* o) { o->inputs = SplitList(v); return true; }},
+      {"--socket", "PATH",
+       [](const std::string& v, CliOptions* o) { o->socket_path = v; return true; }},
+      {"--ping", nullptr, [](const std::string&, CliOptions* o) { o->ping = true; return true; }},
+      {"--shutdown", nullptr,
+       [](const std::string&, CliOptions* o) { o->send_shutdown = true; return true; }},
+  };
+  return flags;
+}
+
+const Flag* FindFlag(const std::string& name) {
+  for (const Flag& flag : Flags()) {
+    if (name == flag.name) {
+      return &flag;
+    }
+  }
+  return nullptr;
+}
+
+// --- Commands -------------------------------------------------------------
+
+// One subcommand. `flags` is its allowlist: a flag that parses fine but does
+// nothing for this command (e.g. `attacks --seeds=0:5`, `table1 --json`) is
+// a user error worth exit code 2, not something to silently ignore. The
+// order is the `valid options:` order, golden-tested in tests/cli_test.cc.
+struct Command {
+  const char* name;
+  std::vector<const char*> flags;
+  const char* usage;
+  int (*run)(const CliOptions& options);
+};
+
+int PrintText(const std::string& text) {
+  std::printf("%s\n", text.c_str());
+  return 0;
+}
+
+// Handler of a command that prints one renderer's text.
+template <std::string (*Render)()>
+int PrintRendered(const CliOptions&) {
+  return PrintText(Render());
+}
+
+// Per-kernel LEBench drill-down: which operations carry the overhead.
+int RunKernelDrillDown(const CliOptions& options) {
+  for (Uarch u : options.cpus) {
+    const CpuModel& cpu = GetCpuModel(u);
+    std::printf("%s: per-kernel overhead of the default mitigation set\n", UarchName(u));
+    for (const std::string& name : LeBench::KernelNames()) {
+      const double def = LeBench::RunKernel(name, cpu, MitigationConfig::Defaults(cpu), 1);
+      const double off = LeBench::RunKernel(name, cpu, MitigationConfig::AllOff(), 2);
+      std::printf("  %-16s %8.0f vs %8.0f cycles/op  (%+.1f%%)\n", name.c_str(), def, off,
+                  (def / off - 1.0) * 100.0);
+    }
+    std::printf("\n");
+  }
+  return 0;
+}
+
+int RunList(const CliOptions& options);
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"list", {}, "every command with the flags it takes, and the CPU models", RunList},
+      {"table1", {}, "default mitigation matrix", PrintRendered<RenderTable1MitigationMatrix>},
+      {"table2", {}, "CPU inventory", PrintRendered<RenderTable2CpuInfo>},
+      {"table3", {}, "syscall/sysret/cr3 cycles", PrintRendered<RenderTable3EntryExit>},
+      {"table4", {}, "verw cycles", PrintRendered<RenderTable4Verw>},
+      {"table5", {}, "indirect branch variants", PrintRendered<RenderTable5IndirectBranch>},
+      {"table6", {}, "IBPB cycles", PrintRendered<RenderTable6Ibpb>},
+      {"table7", {}, "RSB stuffing cycles", PrintRendered<RenderTable7RsbStuff>},
+      {"table8", {}, "lfence cycles", PrintRendered<RenderTable8Lfence>},
+      {"tables9-10", {}, "the speculation probe matrix", PrintRendered<RenderTables9And10>},
+      {"sec622", {}, "eIBRS bimodality", PrintRendered<RenderEibrsBimodal>},
+      {"fig2", {"--csv", "--jobs", "--cpus"}, "LEBench attribution (per CPU)",
+       [](const CliOptions& o) {
+         const auto reports = RunFigure2LeBench(kExperimentSampler, o.cpus, RunnerFor(o));
+         return PrintText(o.csv ? RenderAttributionCsv(reports) : RenderFigure2(reports));
+       }},
+      {"fig3", {"--csv", "--jobs", "--cpus"}, "Octane 2 attribution (per CPU)",
+       [](const CliOptions& o) {
+         const auto reports = RunFigure3Octane(kExperimentSampler, o.cpus, RunnerFor(o));
+         return PrintText(o.csv ? RenderAttributionCsv(reports) : RenderFigure3(reports));
+       }},
+      {"fig5", {"--cpus"}, "SSBD on PARSEC (per CPU)",
+       [](const CliOptions& o) { return PrintText(RenderFigure5(RunFigure5Ssbd(o.cpus))); }},
+      {"sec44", {"--cpus"}, "VM workloads",
+       [](const CliOptions& o) {
+         return PrintText(RenderSection44(RunSection44Vm(kExperimentSampler, o.cpus)));
+       }},
+      {"sec45", {"--jobs", "--cpus"}, "PARSEC defaults",
+       [](const CliOptions& o) {
+         return PrintText(
+             RenderSection45(RunSection45Parsec(kExperimentSampler, o.cpus, RunnerFor(o))));
+       }},
+      {"scorecard", {"--jobs"},
+       "every paper claim, paper vs measured, match/miss; byte-identical for any --jobs",
+       [](const CliOptions& o) {
+         std::printf("%s", RenderScorecard(BuildScorecard(RunnerFor(o))).c_str());
+         return 0;
+       }},
+      {"fig2-kernels", {"--cpus"}, "per-kernel LEBench overhead drill-down", RunKernelDrillDown},
+      {"sweep",
+       {"--csv", "--quiet", "--jobs", "--seed", "--seeds", "--cpus", "--grids", "--workloads",
+        "--configs", "--shard", "--checkpoint", "--resume"},
+       "run experiment grids on the deterministic parallel runner; JSON/CSV on stdout is "
+       "byte-identical for any --jobs; the difftest grid takes --seeds; --checkpoint "
+       "journals each finished cell (crash-safe, fsynced) and --resume restarts a killed run "
+       "from the journal; --shard runs slice i of N (requires --checkpoint; combine the "
+       "journals with merge)",
+       RunSweep},
+      {"merge", {"--inputs", "--csv"},
+       "combine shard journals (--inputs is required) into the full-grid output, "
+       "byte-identical to the one-shot sweep",
+       RunMerge},
+      {"serve", {"--socket", "--jobs", "--quiet"},
+       "sweep-as-a-service on a Unix socket (--socket is required); client batches share one "
+       "thread pool (protocol: src/runner/service.h; docs/runner.md)",
+       RunServe},
+      {"submit",
+       {"--socket", "--grids", "--seeds", "--cpus", "--workloads", "--configs", "--seed",
+        "--shard", "--checkpoint", "--ping", "--shutdown"},
+       "client for serve: sends one sweep batch and writes the returned records as a journal "
+       "for merge (to stdout without --checkpoint); --ping and --shutdown send only that "
+       "request",
+       RunSubmit},
+      {"counters", {"--cpus", "--workloads", "--boot-params"},
+       "per-mitigation cycle counters from the cycle accountant, byte-stable JSON on stdout; "
+       "a boot parameter that is not applied on a CPU exits 2",
+       RunCounters},
+      {"attacks", {"--cpus"}, "run the full attack ground-truth suite", RunAttackSuite},
+      {"pareto", {"--json", "--csv", "--jobs", "--trials", "--seed", "--cpus"},
+       "security x overhead frontier: every attack spec against every (CPU x mitigation "
+       "config) cell plus the overhead basket; per CPU ranks configs, marks the non-dominated "
+       "frontier, names the cheapest fully-protecting config vs the most protected one, and "
+       "attributes which knob blocks each attack; output is byte-identical for any --jobs "
+       "(JSON is golden-tested)",
+       RunPareto},
+      {"analyze", {"--json", "--cpus"},
+       "static gadget analysis of the corpus, cross-validated against the simulator",
+       RunAnalyze},
+      {"harden", {"--seeds", "--passes", "--json", "--cpus"},
+       "mitigation-pass framework: rewrite programs with the registered passes and verify "
+       "each rewrite (analyze->harden->analyze fixpoint + architectural equivalence); "
+       "default runs the gadget corpus, --seeds runs the difftest generator corpus instead "
+       "and re-simulates every hardened program on a machine panel; exit 0 iff every check "
+       "passes",
+       RunHarden},
+      {"difftest",
+       {"--seeds", "--cpus", "--configs", "--jobs", "--inject-alu-fault", "--corpus-out",
+        "--replay", "--arch-hashes"},
+       "differential-execution oracle: random programs on the reference interpreter vs the "
+       "machine under every CPU x mitigation config (off, defaults, ssbd, ibrs, nopcid, "
+       "stibp); output is byte-identical for any --jobs; exit 0 iff architecturally "
+       "equivalent; --replay with --arch-hashes prints the architectural end-state digests "
+       "(the refactor-guard golden format)",
+       RunDifftestCommand},
+  };
+  return commands;
+}
+
+const Command* FindCommand(const std::string& name) {
+  for (const Command& command : Commands()) {
+    if (name == command.name) {
+      return &command;
+    }
+  }
+  return nullptr;
+}
+
+// Usage lines are at most kUsageWidth columns; descriptions and flag lists
+// start at column kUsageIndent.
+constexpr size_t kUsageWidth = 78;
+constexpr size_t kUsageIndent = 16;
+
+// Prints `words` space-separated, starting at the description column and
+// wrapping onto lines indented to it.
+void PrintWrapped(const std::vector<std::string>& words) {
+  size_t column = kUsageIndent;
+  for (const std::string& word : words) {
+    if (column > kUsageIndent && column + 1 + word.size() > kUsageWidth) {
+      std::printf("\n%*s", static_cast<int>(kUsageIndent), "");
+      column = kUsageIndent;
+    }
+    if (column > kUsageIndent) {
+      std::printf(" ");
+      column++;
+    }
+    std::printf("%s", word.c_str());
+    column += word.size();
+  }
+  std::printf("\n");
+}
+
+// The usage text, generated from Commands() and Flags(): each command lists
+// exactly the flags it accepts.
 void PrintUsage() {
   std::printf(
-      "usage: spectrebench <command> [--cpus=Name1,Name2]\n"
+      "usage: spectrebench <command> [flags]\n"
       "  the sampled experiments (fig2, fig3, sec44, sec45, sweep, submit) take\n"
       "  5-20 samples per configuration at a 1%% CI target\n\n"
-      "commands:\n"
-      "  list         experiments and CPU models\n"
-      "  table1       default mitigation matrix        table2  CPU inventory\n"
-      "  table3       syscall/sysret/cr3 cycles        table4  verw cycles\n"
-      "  table5       indirect branch variants         table6  IBPB cycles\n"
-      "  table7       RSB stuffing cycles              table8  lfence cycles\n"
-      "  tables9-10   the speculation probe matrix     sec622  eIBRS bimodality\n"
-      "  fig2         LEBench attribution (per CPU) [--csv] [--jobs=N]\n"
-      "  fig3         Octane 2 attribution (per CPU) [--csv] [--jobs=N]\n"
-      "  fig5         SSBD on PARSEC (per CPU)\n"
-      "  sec44        VM workloads                     sec45   PARSEC defaults\n"
-      "               (sec45 takes [--jobs=N])\n"
-      "  scorecard    every paper claim, paper vs measured, match/miss\n"
-      "               [--jobs=N]; byte-identical for any --jobs\n"
-      "  fig2-kernels per-kernel LEBench overhead drill-down\n"
-      "  sweep        run experiment grids on the deterministic parallel\n"
-      "               runner: [--grids=fig2,fig3,sec45,difftest,harden]\n"
-      "               [--jobs=N] [--seed=S] [--workloads=a,b] [--configs=c]\n"
-      "               [--csv] [--quiet]; the difftest grid takes\n"
-      "               [--seeds=A:B]; JSON/CSV on stdout is byte-identical\n"
-      "               for any --jobs;\n"
-      "               [--checkpoint=FILE] journals each finished cell\n"
-      "               (crash-safe, fsynced) and [--resume] restarts a killed\n"
-      "               run from the journal; [--shard=i/N] runs slice i of N\n"
-      "               (requires --checkpoint; combine the journals with merge)\n"
-      "  merge        combine shard journals into the full-grid output,\n"
-      "               byte-identical to the one-shot sweep:\n"
-      "               --inputs=a.journal,b.journal,... [--csv]\n"
-      "  serve        sweep-as-a-service on a Unix socket; client batches\n"
-      "               share one thread pool: --socket=PATH [--jobs=N]\n"
-      "               [--quiet] (protocol: src/runner/service.h;\n"
-      "               docs/runner.md)\n"
-      "  submit       client for serve: sends one sweep batch and writes the\n"
-      "               returned records as a journal for merge: --socket=PATH\n"
-      "               [sweep grid/filter flags] [--shard=i/N]\n"
-      "               [--checkpoint=FILE (default stdout)] | --ping |\n"
-      "               --shutdown\n"
-      "  counters     per-mitigation cycle counters from the uarch event bus:\n"
-      "               [--cpus=...] [--workloads=lebench:getpid,octane:richards]\n"
-      "               [--boot-params=nopti,mds=off,...] [--strict-boot-params];\n"
-      "               byte-stable JSON on stdout; tokens ApplyBootParam rejects\n"
-      "               warn on stderr (exit non-zero under --strict-boot-params)\n"
-      "  attacks      run the full attack ground-truth suite\n"
-      "  pareto       security x overhead frontier: every attack spec against\n"
-      "               every (CPU x mitigation config) cell plus the overhead\n"
-      "               basket; per CPU ranks configs, marks the non-dominated\n"
-      "               frontier, names the cheapest fully-protecting config vs\n"
-      "               the most protected one, and attributes which knob blocks\n"
-      "               each attack: [--json|--csv] [--jobs=N] [--trials=T]\n"
-      "               [--seed=S] [--cpus=...]; output is byte-identical for\n"
-      "               any --jobs (JSON is golden-tested)\n"
-      "  analyze      static gadget analysis of the corpus, cross-validated\n"
-      "               against the simulator [--json]\n"
-      "  harden       mitigation-pass framework: rewrite programs with the\n"
-      "               registered passes and verify each rewrite\n"
-      "               (analyze->harden->analyze fixpoint + architectural\n"
-      "               equivalence): [--passes=targeted-lfence,...] [--json]\n"
-      "               [--cpus=...]; default runs the gadget corpus, with\n"
-      "               --seeds=A:B runs the difftest generator corpus instead\n"
-      "               and re-simulates every hardened program on a machine\n"
-      "               panel; exit 0 iff every check passes\n"
-      "  difftest     differential-execution oracle: random programs on the\n"
-      "               reference interpreter vs the machine under every CPU x\n"
-      "               mitigation config: [--seeds=A:B] [--cpus=...] \n"
-      "               [--configs=off,defaults,ssbd,ibrs,nopcid,stibp]\n"
-      "               [--jobs=N] [--corpus-out=DIR] [--replay=FILE]\n"
-      "               [--inject-alu-fault=N]; output is byte-identical for\n"
-      "               any --jobs; exit 0 iff architecturally equivalent;\n"
-      "               --replay=FILE --arch-hashes prints the architectural\n"
-      "               end-state digests (the refactor-guard golden format)\n");
+      "commands:\n");
+  for (const Command& command : Commands()) {
+    std::printf("  %-*s", static_cast<int>(kUsageIndent - 2), command.name);
+    PrintWrapped(SplitList(command.usage, ' '));
+    if (command.flags.empty()) {
+      continue;
+    }
+    std::vector<std::string> flags;
+    for (const char* name : command.flags) {
+      const char* value = FindFlag(name)->value;
+      flags.push_back(std::string("[") + name + (value ? std::string("=") + value : "") + "]");
+    }
+    std::printf("%*s", static_cast<int>(kUsageIndent), "");
+    PrintWrapped(flags);
+  }
+}
+
+int RunList(const CliOptions&) {
+  PrintUsage();
+  std::printf("\nCPU models:\n");
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    std::printf("  %-16s %s %s\n", UarchName(u), VendorName(cpu.vendor), cpu.model_name.c_str());
+  }
+  return 0;
+}
+
+// Exit-2 diagnostic for a flag the command does not take (or that no
+// command takes). Lists the valid options so the fix is one glance away.
+int RejectFlag(const Command& command, const std::string& flag) {
+  std::string valid;
+  for (const char* f : command.flags) {
+    if (!valid.empty()) {
+      valid += " ";
+    }
+    valid += f;
+  }
+  if (valid.empty()) {
+    valid = "none";
+  }
+  std::fprintf(stderr, "spectrebench %s: unrecognized option '%s' (valid options: %s)\n",
+               command.name, flag.c_str(), valid.c_str());
+  return 2;
+}
+
+// The command's entry for `name`, or nullptr if the command does not accept it.
+const Flag* AcceptedFlag(const Command& command, const std::string& name) {
+  for (const char* accepted : command.flags) {
+    if (name == accepted) {
+      return FindFlag(name);
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -1050,230 +1237,36 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 2;
   }
-  const std::string command = argv[1];
   // Validate the command before touching any flags so `spectrebench bogus
   // --bogus` reports the actual problem.
-  const CommandSpec* spec = FindCommandSpec(command);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown command: %s\n\n", command.c_str());
+  const Command* entry = FindCommand(argv[1]);
+  if (entry == nullptr) {
+    std::fprintf(stderr, "unknown command: %s\n\n", argv[1]);
     PrintUsage();
     return 2;
   }
   CliOptions options;
   for (int i = 2; i < argc; i++) {
     const std::string arg = argv[i];
-    if (!FlagAllowed(*spec, arg)) {
-      return RejectFlag(command, *spec, arg);
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const Flag* flag = AcceptedFlag(*entry, name);
+    if (flag == nullptr) {
+      return RejectFlag(*entry, name);
     }
-    if (arg == "--json") {
-      options.json = true;
-    } else if (arg == "--csv") {
-      options.csv = true;
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else if (arg.rfind("--cpus=", 0) == 0) {
-      options.cpus = ParseCpuList(arg.substr(7));
-      options.cpus_given = true;
-    } else if (arg.rfind("--grids=", 0) == 0) {
-      options.grids = SplitList(arg.substr(8));
-    } else if (arg.rfind("--workloads=", 0) == 0) {
-      options.workloads = SplitList(arg.substr(12));
-    } else if (arg.rfind("--configs=", 0) == 0) {
-      options.configs = SplitList(arg.substr(10));
-    } else if (arg.rfind("--boot-params=", 0) == 0) {
-      options.boot_params = SplitList(arg.substr(14));
-    } else if (arg == "--strict-boot-params") {
-      options.strict_boot_params = true;
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      if (!ParseJobsFlag(arg.substr(7), &options.jobs)) {
-        return 2;
-      }
-    } else if (arg.rfind("--trials=", 0) == 0) {
-      uint64_t trials = 0;
-      if (!ParseU64Strict(arg.substr(9), &trials) || trials < 1 ||
-          trials > static_cast<uint64_t>(INT_MAX)) {
-        std::fprintf(stderr, "%s: want a positive repeat count\n", arg.c_str());
-        return 2;
-      }
-      options.trials = static_cast<int>(trials);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      if (!ParseU64Strict(arg.substr(7), &options.seed)) {
-        std::fprintf(stderr, "%s: want a decimal seed\n", arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--seeds=", 0) == 0) {
-      const std::string value = arg.substr(8);
-      std::string error;
-      if (!ParseSeedRange(value, &options.seed_begin, &options.seed_end, &error)) {
-        std::fprintf(stderr, "--seeds=%s: %s\n", value.c_str(), error.c_str());
-        return 2;
-      }
-      options.seeds_given = true;
-    } else if (arg.rfind("--passes=", 0) == 0) {
-      options.passes = SplitList(arg.substr(9));
-    } else if (arg.rfind("--inject-alu-fault=", 0) == 0) {
-      if (!ParseU64Strict(arg.substr(19), &options.inject_alu_fault)) {
-        std::fprintf(stderr, "%s: want a decimal ALU-op count\n", arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--corpus-out=", 0) == 0) {
-      options.corpus_out = arg.substr(13);
-    } else if (arg.rfind("--replay=", 0) == 0) {
-      options.replay = arg.substr(9);
-    } else if (arg == "--arch-hashes") {
-      options.arch_hashes = true;
-    } else if (arg.rfind("--shard=", 0) == 0) {
-      const std::string value = arg.substr(8);
-      std::string error;
-      if (!ParseShardSpec(value, &options.shard, &error)) {
-        std::fprintf(stderr, "--shard=%s: %s\n", value.c_str(), error.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--checkpoint=", 0) == 0) {
-      options.checkpoint = arg.substr(13);
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg.rfind("--inputs=", 0) == 0) {
-      options.inputs = SplitList(arg.substr(9));
-    } else if (arg.rfind("--socket=", 0) == 0) {
-      options.socket_path = arg.substr(9);
-    } else if (arg == "--ping") {
-      options.ping = true;
-    } else if (arg == "--shutdown") {
-      options.send_shutdown = true;
-    } else {
-      // Allowlisted but not handled above: a CommandSpec / parser mismatch.
-      std::fprintf(stderr, "internal error: unhandled option %s\n", arg.c_str());
+    if (flag->value != nullptr && eq == std::string::npos) {
+      std::fprintf(stderr, "spectrebench %s: option '%s' needs a value (%s=%s)\n",
+                   entry->name, name.c_str(), name.c_str(), flag->value);
+      return 2;
+    }
+    if (flag->value == nullptr && eq != std::string::npos) {
+      std::fprintf(stderr, "spectrebench %s: option '%s' takes no value\n", entry->name,
+                   name.c_str());
+      return 2;
+    }
+    if (!flag->set(eq == std::string::npos ? std::string() : arg.substr(eq + 1), &options)) {
       return 2;
     }
   }
-
-  if (command == "list") {
-    PrintUsage();
-    std::printf("\nCPU models:\n");
-    for (Uarch u : AllUarches()) {
-      const CpuModel& cpu = GetCpuModel(u);
-      std::printf("  %-16s %s %s\n", UarchName(u), VendorName(cpu.vendor),
-                  cpu.model_name.c_str());
-    }
-    return 0;
-  }
-  if (command == "table1") {
-    std::printf("%s\n", RenderTable1MitigationMatrix().c_str());
-    return 0;
-  }
-  if (command == "table2") {
-    std::printf("%s\n", RenderTable2CpuInfo().c_str());
-    return 0;
-  }
-  if (command == "table3") {
-    std::printf("%s\n", RenderTable3EntryExit().c_str());
-    return 0;
-  }
-  if (command == "table4") {
-    std::printf("%s\n", RenderTable4Verw().c_str());
-    return 0;
-  }
-  if (command == "table5") {
-    std::printf("%s\n", RenderTable5IndirectBranch().c_str());
-    return 0;
-  }
-  if (command == "table6") {
-    std::printf("%s\n", RenderTable6Ibpb().c_str());
-    return 0;
-  }
-  if (command == "table7") {
-    std::printf("%s\n", RenderTable7RsbStuff().c_str());
-    return 0;
-  }
-  if (command == "table8") {
-    std::printf("%s\n", RenderTable8Lfence().c_str());
-    return 0;
-  }
-  if (command == "tables9-10") {
-    std::printf("%s\n", RenderTables9And10().c_str());
-    return 0;
-  }
-  if (command == "sec622") {
-    std::printf("%s\n", RenderEibrsBimodal().c_str());
-    return 0;
-  }
-  if (command == "fig2" || command == "fig3") {
-    const bool fig2 = command == "fig2";
-    const std::vector<AttributionReport> reports =
-        fig2 ? RunFigure2LeBench(kExperimentSampler, options.cpus, RunnerFor(options))
-             : RunFigure3Octane(kExperimentSampler, options.cpus, RunnerFor(options));
-    const std::string text = options.csv ? RenderAttributionCsv(reports)
-                             : fig2      ? RenderFigure2(reports)
-                                         : RenderFigure3(reports);
-    std::printf("%s\n", text.c_str());
-    return 0;
-  }
-  if (command == "fig5") {
-    std::printf("%s\n", RenderFigure5(RunFigure5Ssbd(options.cpus)).c_str());
-    return 0;
-  }
-  if (command == "sec44") {
-    std::printf("%s\n",
-                RenderSection44(RunSection44Vm(kExperimentSampler, options.cpus)).c_str());
-    return 0;
-  }
-  if (command == "sec45") {
-    std::printf("%s\n", RenderSection45(RunSection45Parsec(kExperimentSampler, options.cpus,
-                                                          RunnerFor(options)))
-                             .c_str());
-    return 0;
-  }
-  if (command == "scorecard") {
-    std::printf("%s", RenderScorecard(BuildScorecard(RunnerFor(options))).c_str());
-    return 0;
-  }
-  if (command == "fig2-kernels") {
-    // Per-kernel LEBench drill-down: which operations carry the overhead.
-    for (Uarch u : options.cpus) {
-      const CpuModel& cpu = GetCpuModel(u);
-      std::printf("%s: per-kernel overhead of the default mitigation set\n", UarchName(u));
-      for (const std::string& name : LeBench::KernelNames()) {
-        const double def = LeBench::RunKernel(name, cpu, MitigationConfig::Defaults(cpu), 1);
-        const double off = LeBench::RunKernel(name, cpu, MitigationConfig::AllOff(), 2);
-        std::printf("  %-16s %8.0f vs %8.0f cycles/op  (%+.1f%%)\n", name.c_str(), def, off,
-                    (def / off - 1.0) * 100.0);
-      }
-      std::printf("\n");
-    }
-    return 0;
-  }
-  if (command == "sweep") {
-    return RunSweep(options);
-  }
-  if (command == "merge") {
-    return RunMerge(options);
-  }
-  if (command == "serve") {
-    return RunServe(options);
-  }
-  if (command == "submit") {
-    return RunSubmit(options);
-  }
-  if (command == "counters") {
-    return RunCounters(options);
-  }
-  if (command == "attacks") {
-    return RunAttackSuite(options);
-  }
-  if (command == "pareto") {
-    return RunPareto(options);
-  }
-  if (command == "harden") {
-    return RunHarden(options);
-  }
-  if (command == "analyze") {
-    return RunAnalyze(options);
-  }
-  if (command == "difftest") {
-    return RunDifftestCommand(options);
-  }
-  std::fprintf(stderr, "unknown command: %s\n\n", command.c_str());
-  PrintUsage();
-  return 2;
+  return entry->run(options);
 }
