@@ -131,13 +131,15 @@ class RsbWalker {
   RsbWalker(const Cfg& cfg, uint32_t rsb_depth, AnalysisResult* result)
       : cfg_(cfg), p_(cfg.program()), rsb_depth_(rsb_depth), result_(result) {}
 
-  void Run(const std::vector<std::string>& root_symbols) {
-    // Roots are thread entry points, where call depth is genuinely zero.
-    // Arbitrary exported symbols are call targets — walking them at depth 0
-    // would flag every function epilogue.
+  void Run() {
+    // Roots are thread entry points, where call depth is genuinely zero: the
+    // program's first instruction plus any of these symbols. Arbitrary
+    // exported symbols are call targets (their rets match a caller) —
+    // walking them at depth 0 would flag every function epilogue.
+    static const char* const kRootSymbols[] = {"entry", "user_main", "main", "_start"};
     std::set<int32_t> roots;
     roots.insert(cfg_.BlockOf(0));
-    for (const std::string& name : root_symbols) {
+    for (const char* name : kRootSymbols) {
       if (p_.HasSymbol(name)) {
         roots.insert(cfg_.BlockOf(p_.SymbolIndex(name)));
       }
@@ -238,14 +240,14 @@ bool MayAlias(const MemRef& a, const MemRef& b) {
 }
 
 void DetectSsb(const Cfg& cfg, const TaintAnalysis& taint, const CpuModel& cpu,
-               const AnalyzerOptions& options, AnalysisResult* result) {
+               AnalysisResult* result) {
   if (!cpu.vuln.spec_store_bypass) {
     return;
   }
   const Program& p = cfg.program();
-  const uint32_t window = options.ssb_window_instructions != 0
-                              ? options.ssb_window_instructions
-                              : std::max(4u, cpu.latency.store_resolve_delay);
+  // How many instructions a store's address/data stays unresolved for the
+  // bypass machinery.
+  const uint32_t window = std::max(4u, cpu.latency.store_resolve_delay);
   struct PendingStore {
     int32_t index;
     MemRef mem;
@@ -364,9 +366,10 @@ bool PathHasBefore(const Cfg& cfg, int32_t index, uint32_t budget, Pred want) {
 }
 
 void DetectTransitions(const Cfg& cfg, const TaintAnalysis& taint, const CpuModel& cpu,
-                       const AnalyzerOptions& options, AnalysisResult* result) {
+                       AnalysisResult* result) {
   const Program& p = cfg.program();
-  const uint32_t budget = options.transition_scan_instructions;
+  // Backward scan budget for the incoming-path checks.
+  const uint32_t budget = 64;
   for (int32_t i = 0; i < p.size(); i++) {
     const Op op = p.at(i).op;
     if (!taint.at(i).reachable) {
@@ -411,29 +414,22 @@ void DetectTransitions(const Cfg& cfg, const TaintAnalysis& taint, const CpuMode
 
 }  // namespace
 
-AnalysisResult Analyze(const Program& program, const CpuModel& cpu,
-                       const AnalyzerOptions& options) {
+AnalysisResult Analyze(const Program& program, const CpuModel& cpu) {
   const Cfg cfg = Cfg::Build(program);
-  const TaintAnalysis taint = TaintAnalysis::Run(cfg, cpu, options.taint);
+  const TaintAnalysis taint = TaintAnalysis::Run(cfg, cpu);
 
   AnalysisResult result;
   result.num_blocks = cfg.num_blocks();
   result.num_instructions = program.size();
-  if (options.detect_spectre_v1 && cpu.vuln.spectre_v1) {
+  if (cpu.vuln.spectre_v1) {
     DetectSpectreV1(cfg, taint, &result);
   }
-  if (options.detect_indirect_branches) {
-    DetectIndirectBranches(cfg, taint, cpu, &result);
+  DetectIndirectBranches(cfg, taint, cpu, &result);
+  if (cpu.vuln.spectre_v2) {
+    RsbWalker(cfg, cpu.predictor.rsb_depth, &result).Run();
   }
-  if (options.detect_rsb_imbalance && cpu.vuln.spectre_v2) {
-    RsbWalker(cfg, cpu.predictor.rsb_depth, &result).Run(options.rsb_root_symbols);
-  }
-  if (options.detect_ssb) {
-    DetectSsb(cfg, taint, cpu, options, &result);
-  }
-  if (options.detect_transitions) {
-    DetectTransitions(cfg, taint, cpu, options, &result);
-  }
+  DetectSsb(cfg, taint, cpu, &result);
+  DetectTransitions(cfg, taint, cpu, &result);
   std::sort(result.findings.begin(), result.findings.end(),
             [](const Finding& a, const Finding& b) {
               return a.index != b.index ? a.index < b.index

@@ -63,25 +63,6 @@ struct Finding {
   std::string detail;      // one-line human-readable explanation
 };
 
-struct AnalyzerOptions {
-  TaintOptions taint;
-  // Detector toggles (all on by default).
-  bool detect_spectre_v1 = true;
-  bool detect_indirect_branches = true;
-  bool detect_rsb_imbalance = true;
-  bool detect_ssb = true;
-  bool detect_transitions = true;
-  // SSB: how many instructions a store's address/data stays unresolved for
-  // the bypass machinery; 0 derives from CpuModel::latency.store_resolve_delay.
-  uint32_t ssb_window_instructions = 0;
-  // Backward scan budget for the privilege-transition detectors.
-  uint32_t transition_scan_instructions = 64;
-  // RSB-balance walk roots: the program's first instruction plus any of
-  // these exported symbols. Exported symbols in general are *call targets*
-  // (their rets match a caller), so they must not seed a depth-0 walk.
-  std::vector<std::string> rsb_root_symbols = {"entry", "user_main", "main", "_start"};
-};
-
 struct AnalysisResult {
   std::vector<Finding> findings;
   int32_t num_blocks = 0;      // CFG size, for reporting
@@ -91,10 +72,9 @@ struct AnalysisResult {
   bool Has(FindingKind kind) const { return !OfKind(kind).empty(); }
 };
 
-// Runs CFG construction, the taint pass and all enabled detectors against
+// Runs CFG construction, the taint pass and every detector against
 // `program` as compiled for `cpu`.
-AnalysisResult Analyze(const Program& program, const CpuModel& cpu,
-                       const AnalyzerOptions& options = {});
+AnalysisResult Analyze(const Program& program, const CpuModel& cpu);
 
 }  // namespace specbench
 

@@ -417,8 +417,7 @@ int CountFindingsOfKinds(const AnalysisResult& analysis,
 }
 
 PassRunReport RunPassToFixpoint(const MitigationPass& pass, const Program& program,
-                                const CpuModel& cpu, const AnalyzerOptions& options,
-                                int max_iterations) {
+                                const CpuModel& cpu, int max_iterations) {
   if (max_iterations <= 0) {
     max_iterations = program.size() + 1;
   }
@@ -430,7 +429,7 @@ PassRunReport RunPassToFixpoint(const MitigationPass& pass, const Program& progr
     report.index_map[i] = i;
   }
 
-  AnalysisResult analysis = Analyze(report.hardened, cpu, options);
+  AnalysisResult analysis = Analyze(report.hardened, cpu);
   report.findings_before = CountFindingsOfKinds(analysis, kinds);
   for (int round = 0; round < max_iterations; round++) {
     RewriteResult result = pass.Run(report.hardened, analysis, cpu);
@@ -449,7 +448,7 @@ PassRunReport RunPassToFixpoint(const MitigationPass& pass, const Program& progr
       mapped = result.index_map[mapped];
     }
     report.hardened = std::move(result.program);
-    analysis = Analyze(report.hardened, cpu, options);
+    analysis = Analyze(report.hardened, cpu);
   }
   report.findings_after = CountFindingsOfKinds(analysis, kinds);
   return report;

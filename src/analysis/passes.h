@@ -89,8 +89,7 @@ struct PassRunReport {
 // mitigate at least one previously-unhandled original site, so that budget
 // always suffices for a convergent pass.
 PassRunReport RunPassToFixpoint(const MitigationPass& pass, const Program& program,
-                                const CpuModel& cpu, const AnalyzerOptions& options = {},
-                                int max_iterations = 0);
+                                const CpuModel& cpu, int max_iterations = 0);
 
 }  // namespace specbench
 

@@ -60,16 +60,6 @@ RegTaint UnionSources(const TaintState& state, const Instruction& instr) {
 
 }  // namespace
 
-RegTaint TaintAnalysis::AddressTaint(const TaintState& state, const Instruction& instr) {
-  uint8_t addr[2];
-  const int n = AddressRegs(instr, addr);
-  RegTaint out;
-  for (int i = 0; i < n; i++) {
-    out = Join(out, state.regs[addr[i]]);
-  }
-  return out;
-}
-
 void TaintAnalysis::Transfer(TaintState* state, const Instruction& instr, int32_t index,
                              uint32_t window) {
   // Age the speculative window across this instruction.
@@ -143,12 +133,10 @@ void TaintAnalysis::Transfer(TaintState* state, const Instruction& instr, int32_
   }
 }
 
-TaintAnalysis TaintAnalysis::Run(const Cfg& cfg, const CpuModel& cpu,
-                                 const TaintOptions& options) {
+TaintAnalysis TaintAnalysis::Run(const Cfg& cfg, const CpuModel& cpu) {
   const Program& program = cfg.program();
-  const uint32_t window = options.speculation_window_instructions != 0
-                              ? options.speculation_window_instructions
-                              : std::max(16u, cpu.speculation_window);
+  // Open-window length in instructions (issue rate is 1/cycle).
+  const uint32_t window = std::max(16u, cpu.speculation_window);
 
   TaintAnalysis analysis;
   analysis.states_.assign(static_cast<size_t>(program.size()), TaintState{});
@@ -157,8 +145,10 @@ TaintAnalysis TaintAnalysis::Run(const Cfg& cfg, const CpuModel& cpu,
   std::vector<TaintState> block_in(static_cast<size_t>(cfg.num_blocks()));
   TaintState entry_state;
   entry_state.reachable = true;
+  // Arguments arrive in registers: every GPR but the stack pointer is
+  // attacker-controlled at an analysis entry.
   for (uint8_t r = 0; r < kNumRegs; r++) {
-    if ((options.attacker_reg_mask >> r) & 1u) {
+    if (r != kRegSp) {
       entry_state.regs[r].bits = kTaintAttacker;
     }
   }

@@ -4,8 +4,8 @@
 // register:
 //   * kTaintAttacker — the value is (derived from) attacker-controlled input.
 //     Taint enters through the registers live at an analysis entry point
-//     (function arguments; configurable mask) and propagates through moves
-//     and arithmetic.
+//     (function arguments: every register but the stack pointer) and
+//     propagates through moves and arithmetic.
 //   * kTaintSecret — the value was produced by a *speculative* load whose
 //     address the attacker controls, i.e. it may be any byte of the address
 //     space. A later memory access whose address depends on such a value is
@@ -18,9 +18,9 @@
 //
 // Speculative windows: every conditional branch can be mistrained, so both
 // successors of a conditional branch are analyzed under an open speculative
-// window of `speculation_window_instructions` instructions (defaulted from
-// the CpuModel's cycle window). Serializing opcodes (see IsSerializing)
-// close the window, mirroring how Machine ends speculative episodes.
+// window of as many instructions as the CpuModel's cycle window (at least
+// 16). Serializing opcodes (see IsSerializing) close the window, mirroring
+// how Machine ends speculative episodes.
 //
 // The join is a plain union (may-analysis): everything the pass reports is
 // possible on *some* path, which makes the downstream detectors
@@ -42,15 +42,6 @@ inline constexpr uint8_t kTaintAttacker = 1u << 0;
 inline constexpr uint8_t kTaintSecret = 1u << 1;
 inline constexpr uint8_t kTaintSpecBlocked = 1u << 2;
 
-struct TaintOptions {
-  // Registers holding attacker-controlled data at analysis entries. Default:
-  // every GPR except the stack pointer (arguments arrive in registers).
-  uint16_t attacker_reg_mask = static_cast<uint16_t>(0xffffu & ~(1u << kRegSp));
-  // Open-window length in instructions after a conditional branch; 0 means
-  // "derive from CpuModel::speculation_window" (issue rate is 1/cycle).
-  uint32_t speculation_window_instructions = 0;
-};
-
 struct RegTaint {
   uint8_t bits = 0;
   // Instruction index of the speculative load that made this kTaintSecret
@@ -69,17 +60,12 @@ struct TaintState {
 class TaintAnalysis {
  public:
   // Runs the dataflow to fixpoint over `cfg`.
-  static TaintAnalysis Run(const Cfg& cfg, const CpuModel& cpu,
-                           const TaintOptions& options = {});
+  static TaintAnalysis Run(const Cfg& cfg, const CpuModel& cpu);
 
   // State on entry to instruction `index`.
   const TaintState& at(int32_t index) const {
     return states_[static_cast<size_t>(index)];
   }
-
-  // Taint union over the address registers of `instr` (memory operand or
-  // indirect-branch target register), evaluated in `state`.
-  static RegTaint AddressTaint(const TaintState& state, const Instruction& instr);
 
   // Applies one instruction's transfer function in place (exposed for
   // tests). `index` is the instruction's own index.

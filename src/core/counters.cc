@@ -37,14 +37,6 @@ CounterBreakdown FoldWindow(const CpuModel& cpu, const std::string& workload,
 
 }  // namespace
 
-double CounterBreakdown::OverheadPct(CauseTag tag) const {
-  const uint64_t base = baseline_cycles();
-  if (base == 0) {
-    return 0.0;
-  }
-  return 100.0 * static_cast<double>(Cause(tag)) / static_cast<double>(base);
-}
-
 CounterBreakdown MeasureLeBenchCounters(const CpuModel& cpu, const MitigationConfig& config,
                                         const std::string& kernel) {
   CycleAttribution attribution;

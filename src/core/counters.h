@@ -44,9 +44,6 @@ struct CounterBreakdown {
   }
   // Cycles not charged to any mitigation (CauseTag::kNone).
   uint64_t baseline_cycles() const { return Cause(CauseTag::kNone); }
-  // This mitigation's in-window cost as a percentage of the baseline work —
-  // the bus-side analogue of the §4.1 relative overhead.
-  double OverheadPct(CauseTag tag) const;
 
   bool operator==(const CounterBreakdown&) const = default;
 };

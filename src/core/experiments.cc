@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "src/attack/speculation_probe.h"
-#include "src/core/paper_expectations.h"
+#include "src/cpu/paper_expectations.h"
 #include "src/isa/program.h"
 #include "src/os/kernel.h"
 #include "src/uarch/machine.h"

@@ -11,8 +11,8 @@
 #include "src/attack/attacks.h"
 #include "src/attack/speculation_probe.h"
 #include "src/core/experiments.h"
-#include "src/core/paper_expectations.h"
 #include "src/core/sweep_grids.h"
+#include "src/cpu/paper_expectations.h"
 #include "src/util/check.h"
 #include "src/util/text_table.h"
 #include "src/workload/lebench.h"

@@ -1,6 +1,6 @@
 // The reproduction scorecard: one row per paper claim, checked by machine.
 //
-// Paper values and bands come from src/core/paper_expectations.h; the
+// Paper values and bands come from src/cpu/paper_expectations.h; the
 // measurements from the Run*/Measure* code behind the CLI's table, figure
 // and section commands, plus the ablation loops. The predicates come from
 // the paper's text, so a claim that misses stays a miss.

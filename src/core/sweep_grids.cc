@@ -1,5 +1,6 @@
 #include "src/core/sweep_grids.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/difftest/difftest.h"
@@ -16,6 +17,17 @@ namespace {
 // Seeds per oracle block in a difftest grid cell: bounds the programs a cell
 // holds (~15 KiB each) for any window; 500 seeds build only two machines.
 constexpr uint64_t kGridBlockSeeds = 256;
+
+// The first item that appears earlier in `items` too, or nullptr.
+template <typename T>
+const T* FirstRepeat(const std::vector<T>& items) {
+  for (auto it = items.begin(); it != items.end(); ++it) {
+    if (std::find(items.begin(), it, *it) != it) {
+      return &*it;
+    }
+  }
+  return nullptr;
+}
 
 }  // namespace
 
@@ -183,6 +195,16 @@ Sweep BuildDifftestGrid(const DifftestGridOptions& options) {
 }
 
 bool BuildNamedGrids(const NamedGridOptions& options, Sweep* out, std::string* error) {
+  // A repeated name would add the same cells, with the same keys and
+  // seeds, twice.
+  if (const Uarch* cpu = FirstRepeat(options.cpus)) {
+    *error = std::string("repeated CPU model: \"") + UarchName(*cpu) + "\"";
+    return false;
+  }
+  if (const std::string* grid = FirstRepeat(options.grids)) {
+    *error = "repeated grid: \"" + *grid + "\"";
+    return false;
+  }
   Sweep sweep;
   GridOptions grid;
   grid.sampler = kExperimentSampler;

@@ -60,7 +60,7 @@ inline constexpr SamplerOptions kExperimentSampler{
 // "difftest", "harden") in list order. `seed_begin`/`seed_end` only affect
 // the difftest grid; the figure/section grids sample with
 // kExperimentSampler. Returns false with a one-line reason for an unknown
-// grid name.
+// grid name or a name repeated in `grids` or `cpus`.
 struct NamedGridOptions {
   std::vector<std::string> grids;
   std::vector<Uarch> cpus = AllUarches();

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <optional>
 
+#include "src/cpu/paper_expectations.h"
 #include "src/util/check.h"
 
 namespace specbench {
@@ -34,8 +37,46 @@ std::string CpuSlug(const std::string& name) {
 
 namespace {
 
-// Shorthand so each model reads like a spec sheet. All latencies calibrated
-// against the paper's Tables 3-8; commented with the table they come from.
+// A paper cell as a cycle count; every Tables 3-8 cell is a whole number.
+uint32_t Cycles(double paper) {
+  SPECBENCH_CHECK(paper >= 0 && paper == static_cast<double>(static_cast<uint32_t>(paper)));
+  return static_cast<uint32_t>(paper);
+}
+
+// Sets every input the paper's own microbenchmarks measure from the table
+// that measures it (src/cpu/paper_expectations.h), so each number is written
+// once. A cell the paper marks N/A leaves the Make*() model choice in place.
+void CalibrateFromPaper(CpuModel* m) {
+  LatencyTable& lat = m->latency;
+  const PaperTable3Row t3 = PaperTable3(m->uarch);
+  lat.syscall = Cycles(t3.syscall);
+  lat.sysret = Cycles(t3.sysret);
+  if (t3.swap_cr3) {
+    lat.swap_cr3 = Cycles(*t3.swap_cr3);  // the Meltdown parts
+  }
+  if (const std::optional<double> verw = PaperTable4(m->uarch)) {
+    lat.verw_clear = Cycles(*verw);  // the MDS parts
+  }
+  const PaperTable5Row t5 = PaperTable5(m->uarch);
+  lat.indirect_predicted = Cycles(t5.baseline);
+  // Legacy IBRS: every indirect branch waits for the front end to redirect.
+  if (m->predictor.ibrs_supported && !m->predictor.eibrs) {
+    lat.frontend_redirect = Cycles(*t5.ibrs_delta);
+  }
+  // The generic retpoline thunk pays one mispredicted return: the generic
+  // retpoline delta - 3 + the baseline.
+  lat.mispredict_penalty = Cycles(t5.generic_delta - 3 + t5.baseline);
+  lat.ibpb = Cycles(PaperTable6Ibpb(m->uarch));
+  lat.rsb_stuff = Cycles(PaperTable7RsbStuff(m->uarch));
+  lat.lfence = Cycles(PaperTable8Lfence(m->uarch));
+  if (m->predictor.eibrs) {
+    m->predictor.eibrs_scrub_cycles = Cycles(kSection622ExtraCycles);
+  }
+}
+
+// Shorthand so each model reads like a spec sheet. The inputs the paper
+// measures (Tables 3-8, the §6.2.2 scrub cost) are left out here:
+// CalibrateFromPaper sets them from the paper's tables.
 CpuModel MakeBroadwell() {
   CpuModel m;
   m.uarch = Uarch::kBroadwell;
@@ -47,16 +88,6 @@ CpuModel MakeBroadwell() {
   m.clock_ghz = 2.4;
   m.cores = 10;
 
-  m.latency.syscall = 49;            // Table 3
-  m.latency.sysret = 40;             // Table 3
-  m.latency.swap_cr3 = 206;          // Table 3
-  m.latency.verw_clear = 610;        // Table 4
-  m.latency.indirect_predicted = 16; // Table 5 baseline
-  m.latency.frontend_redirect = 32;  // Table 5 IBRS delta
-  m.latency.mispredict_penalty = 41; // Table 5 generic retpoline delta - 3 + baseline
-  m.latency.ibpb = 5600;             // Table 6
-  m.latency.rsb_stuff = 130;         // Table 7
-  m.latency.lfence = 28;             // Table 8
   m.latency.mem_latency = 230;
   m.latency.ssbd_forward_stall = 1;
   m.latency.xsave = 110;
@@ -85,16 +116,6 @@ CpuModel MakeSkylakeClient() {
   m.clock_ghz = 2.6;
   m.cores = 2;
 
-  m.latency.syscall = 42;            // Table 3
-  m.latency.sysret = 42;             // Table 3
-  m.latency.swap_cr3 = 191;          // Table 3
-  m.latency.verw_clear = 518;        // Table 4
-  m.latency.indirect_predicted = 11; // Table 5
-  m.latency.frontend_redirect = 15;  // Table 5 IBRS delta
-  m.latency.mispredict_penalty = 27;
-  m.latency.ibpb = 4500;             // Table 6
-  m.latency.rsb_stuff = 130;         // Table 7
-  m.latency.lfence = 20;             // Table 8
   m.latency.mem_latency = 210;
   m.latency.ssbd_forward_stall = 1;
   m.latency.xsave = 100;
@@ -123,16 +144,8 @@ CpuModel MakeCascadeLake() {
   m.clock_ghz = 2.4;
   m.cores = 10;
 
-  m.latency.syscall = 70;            // Table 3 (stands out as slower)
-  m.latency.sysret = 43;             // Table 3
   m.latency.swap_cr3 = 180;          // unused: not Meltdown-vulnerable
-  m.latency.verw_clear = 458;        // Table 4 (still MDS-vulnerable)
-  m.latency.indirect_predicted = 3;  // Table 5
   m.latency.frontend_redirect = 30;
-  m.latency.mispredict_penalty = 49;
-  m.latency.ibpb = 340;              // Table 6 (hardware-assisted)
-  m.latency.rsb_stuff = 120;         // Table 7
-  m.latency.lfence = 15;             // Table 8
   m.latency.mem_latency = 220;
   m.latency.ssbd_forward_stall = 2;
   m.latency.xsave = 80;
@@ -144,7 +157,6 @@ CpuModel MakeCascadeLake() {
   m.predictor.btb_mode_tagged = true;   // eIBRS-class BTB
   m.predictor.eibrs = true;
   m.predictor.eibrs_scrub_period = 12;  // §6.2.2 bimodal kernel entries
-  m.predictor.eibrs_scrub_cycles = 210;
 
   m.vuln.mds = true;                    // Table 1: still clears CPU buffers
   return m;
@@ -161,17 +173,10 @@ CpuModel MakeIceLakeClient() {
   m.clock_ghz = 1.0;
   m.cores = 4;
 
-  m.latency.syscall = 21;            // Table 3 (low base clock)
-  m.latency.sysret = 29;             // Table 3
   m.latency.swap_cr3 = 170;
   m.latency.verw_clear = 25;         // not MDS-vulnerable: legacy path only
   m.latency.verw_legacy = 25;
-  m.latency.indirect_predicted = 5;  // Table 5
   m.latency.frontend_redirect = 20;
-  m.latency.mispredict_penalty = 23;
-  m.latency.ibpb = 2500;             // Table 6 (bucks the trend)
-  m.latency.rsb_stuff = 40;          // Table 7
-  m.latency.lfence = 8;              // Table 8
   m.latency.mem_latency = 190;
   m.latency.ssbd_forward_stall = 3;
   m.latency.xsave = 70;
@@ -184,7 +189,6 @@ CpuModel MakeIceLakeClient() {
   m.predictor.eibrs = true;
   m.predictor.eibrs_blocks_kernel_prediction = true;  // Table 10 quirk
   m.predictor.eibrs_scrub_period = 16;
-  m.predictor.eibrs_scrub_cycles = 210;
   return m;
 }
 
@@ -199,17 +203,10 @@ CpuModel MakeIceLakeServer() {
   m.clock_ghz = 3.0;
   m.cores = 18;
 
-  m.latency.syscall = 45;            // Table 3
-  m.latency.sysret = 32;             // Table 3
   m.latency.swap_cr3 = 170;
   m.latency.verw_clear = 25;
   m.latency.verw_legacy = 25;
-  m.latency.indirect_predicted = 1;  // Table 5
   m.latency.frontend_redirect = 30;
-  m.latency.mispredict_penalty = 48;
-  m.latency.ibpb = 840;              // Table 6
-  m.latency.rsb_stuff = 69;          // Table 7
-  m.latency.lfence = 13;             // Table 8
   m.latency.mem_latency = 210;
   m.latency.ssbd_forward_stall = 3;
   m.latency.xsave = 70;
@@ -221,7 +218,6 @@ CpuModel MakeIceLakeServer() {
   m.predictor.btb_mode_tagged = true;
   m.predictor.eibrs = true;
   m.predictor.eibrs_scrub_period = 10;
-  m.predictor.eibrs_scrub_cycles = 210;
   return m;
 }
 
@@ -237,16 +233,9 @@ CpuModel MakeZen1() {
   m.cores = 4;
   m.smt = false;                     // Table 2: the one non-SMT part
 
-  m.latency.syscall = 63;            // Table 3
-  m.latency.sysret = 53;             // Table 3
   m.latency.swap_cr3 = 190;
   m.latency.verw_legacy = 20;
-  m.latency.indirect_predicted = 30; // Table 5
   m.latency.frontend_redirect = 25;
-  m.latency.mispredict_penalty = 52;
-  m.latency.ibpb = 7400;             // Table 6
-  m.latency.rsb_stuff = 114;         // Table 7
-  m.latency.lfence = 48;             // Table 8 (lfence is heavier on AMD)
   m.latency.mem_latency = 240;
   m.latency.ssbd_forward_stall = 1;
   m.latency.xsave = 100;
@@ -270,16 +259,8 @@ CpuModel MakeZen2() {
   m.clock_ghz = 2.35;
   m.cores = 32;
 
-  m.latency.syscall = 53;            // Table 3
-  m.latency.sysret = 46;             // Table 3
   m.latency.swap_cr3 = 180;
   m.latency.verw_legacy = 20;
-  m.latency.indirect_predicted = 3;  // Table 5
-  m.latency.frontend_redirect = 13;  // Table 5 IBRS delta
-  m.latency.mispredict_penalty = 14;
-  m.latency.ibpb = 1100;             // Table 6
-  m.latency.rsb_stuff = 68;          // Table 7
-  m.latency.lfence = 4;              // Table 8 (AMD retpoline is free here)
   m.latency.mem_latency = 220;
   m.latency.ssbd_forward_stall = 3;
   m.latency.xsave = 80;
@@ -303,16 +284,8 @@ CpuModel MakeZen3() {
   m.clock_ghz = 3.7;
   m.cores = 6;
 
-  m.latency.syscall = 83;            // Table 3
-  m.latency.sysret = 55;             // Table 3
   m.latency.swap_cr3 = 180;
   m.latency.verw_legacy = 20;
-  m.latency.indirect_predicted = 23; // Table 5
-  m.latency.frontend_redirect = 19;  // Table 5 IBRS delta
-  m.latency.mispredict_penalty = 33;
-  m.latency.ibpb = 800;              // Table 6
-  m.latency.rsb_stuff = 94;          // Table 7
-  m.latency.lfence = 30;             // Table 8
   m.latency.mem_latency = 200;
   m.latency.ssbd_forward_stall = 4; // Figure 5: worst SSBD slowdown
   m.latency.xsave = 70;
@@ -338,6 +311,9 @@ std::array<CpuModel, static_cast<size_t>(Uarch::kCount)> BuildCatalog() {
   catalog[static_cast<size_t>(Uarch::kZen1)] = MakeZen1();
   catalog[static_cast<size_t>(Uarch::kZen2)] = MakeZen2();
   catalog[static_cast<size_t>(Uarch::kZen3)] = MakeZen3();
+  for (CpuModel& m : catalog) {
+    CalibrateFromPaper(&m);
+  }
   return catalog;
 }
 

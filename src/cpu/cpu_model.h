@@ -6,9 +6,10 @@
 // predictor policies (which generate Tables 9/10 behaviour).
 //
 // Calibration: scalar instruction latencies are set from the paper's own
-// microbenchmarks (Tables 3-8); they are *inputs*. All end-to-end overheads
-// (Figures 2/3/5, the VM and PARSEC results) are *outputs* that must emerge
-// from simulation. EXPERIMENTS.md records how well they do.
+// microbenchmarks (Tables 3-8, src/cpu/paper_expectations.h, applied by
+// CalibrateFromPaper in cpu_model.cc); they are *inputs*. All end-to-end
+// overheads (Figures 2/3/5, the VM and PARSEC results) are *outputs* that
+// must emerge from simulation. EXPERIMENTS.md records how well they do.
 #ifndef SPECTREBENCH_SRC_CPU_CPU_MODEL_H_
 #define SPECTREBENCH_SRC_CPU_CPU_MODEL_H_
 
@@ -47,7 +48,7 @@ struct CacheGeometry {
   bool operator==(const CacheGeometry&) const = default;
 };
 
-// Per-opcode-class latencies in cycles. Values calibrated per CPU against the
+// Per-opcode-class latencies in cycles. Values calibrated per CPU from the
 // paper's Tables 3-8 where measured; everything else uses generation-typical
 // figures.
 struct LatencyTable {
@@ -58,18 +59,18 @@ struct LatencyTable {
   uint32_t mem_latency = 200;    // DRAM access
   uint32_t branch_base = 1;      // correctly predicted conditional branch
   uint32_t mispredict_penalty = 16;
-  uint32_t indirect_predicted = 10;   // Table 5 "Baseline" column
+  uint32_t indirect_predicted = 10;  // correctly predicted indirect branch
   uint32_t frontend_redirect = 20;    // unpredicted indirect branch resolve
-  uint32_t syscall = 45;         // Table 3
-  uint32_t sysret = 40;          // Table 3
-  uint32_t swap_cr3 = 200;       // Table 3 (PTI cost per switch)
+  uint32_t syscall = 45;
+  uint32_t sysret = 40;
+  uint32_t swap_cr3 = 200;       // PTI cost per switch
   uint32_t verw_clear = 500;     // Table 4 (MDS-patched verw)
   uint32_t verw_legacy = 20;     // verw without the MDS microcode behaviour
   uint32_t wrmsr_spec_ctrl = 60; // IBRS toggle on kernel entry/exit
   uint32_t wrmsr_other = 50;
-  uint32_t ibpb = 1000;          // Table 6
-  uint32_t lfence = 20;          // Table 8
-  uint32_t rsb_stuff = 100;      // Table 7
+  uint32_t ibpb = 1000;
+  uint32_t lfence = 20;
+  uint32_t rsb_stuff = 100;
   uint32_t xsave = 90;           // eager-FPU save (xsaveopt-era cost)
   uint32_t xrstor = 90;
   uint32_t fp_trap = 700;        // lazy-FPU device-not-available trap

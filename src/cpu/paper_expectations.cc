@@ -1,4 +1,4 @@
-#include "src/core/paper_expectations.h"
+#include "src/cpu/paper_expectations.h"
 
 #include "src/util/check.h"
 

@@ -1,13 +1,14 @@
 // The paper's published numbers and claims: the one place they live.
 //
-// Tables 3-8 are *calibration inputs* (the CPU models were parameterized
-// from them); the tolerances say how closely the measured instruction paths
-// must reproduce them. Everything else is an *output* claim the simulation
-// must reproduce without having been given the number: a band or bound from
-// the paper's text. The scorecard (src/core/scorecard.h) checks them all;
+// Tables 3-8 are *calibration inputs*: the CPU catalog reads its calibrated
+// latencies from them (CalibrateFromPaper in src/cpu/cpu_model.cc), and the
+// tolerances say how closely the measured instruction paths must reproduce
+// them. Everything else is an *output* claim the simulation must reproduce
+// without having been given the number: a band or bound from the paper's
+// text. The scorecard (src/core/scorecard.h) checks them all;
 // tests and report renderers read them from here.
-#ifndef SPECTREBENCH_SRC_CORE_PAPER_EXPECTATIONS_H_
-#define SPECTREBENCH_SRC_CORE_PAPER_EXPECTATIONS_H_
+#ifndef SPECTREBENCH_SRC_CPU_PAPER_EXPECTATIONS_H_
+#define SPECTREBENCH_SRC_CPU_PAPER_EXPECTATIONS_H_
 
 #include <cmath>
 #include <limits>
@@ -130,4 +131,4 @@ inline constexpr double kSection622ExtraCycles = 210.0;
 
 }  // namespace specbench
 
-#endif  // SPECTREBENCH_SRC_CORE_PAPER_EXPECTATIONS_H_
+#endif  // SPECTREBENCH_SRC_CPU_PAPER_EXPECTATIONS_H_

@@ -8,6 +8,15 @@
 
 namespace specbench {
 
+namespace {
+
+// Bounds a runaway program, on the reference and on the machine alike.
+constexpr uint64_t kMaxInstructions = 1'000'000;
+// The dead-stack window: [kGenStackTop - kStackWindowBytes, kGenStackTop).
+constexpr uint64_t kStackWindowBytes = 4096;
+
+}  // namespace
+
 EquivalenceReport CheckRewriteEquivalence(const Program& original, const Program& hardened,
                                           const std::vector<int32_t>& index_map,
                                           const EquivalenceOptions& options) {
@@ -17,7 +26,7 @@ EquivalenceReport CheckRewriteEquivalence(const Program& original, const Program
 
   std::vector<std::pair<uint64_t, uint64_t>> memory_original;
   const ReferenceResult ref_original =
-      RunReference(original, options.max_instructions, &memory_original);
+      RunReference(original, kMaxInstructions, &memory_original);
   if (!ref_original.ok) {
     // Outside the deterministic user-mode subset (or non-terminating):
     // the reference cannot supply ground truth, so there is nothing to
@@ -29,7 +38,7 @@ EquivalenceReport CheckRewriteEquivalence(const Program& original, const Program
 
   std::vector<std::pair<uint64_t, uint64_t>> memory_hardened;
   const ReferenceResult ref_hardened =
-      RunReference(hardened, options.max_instructions, &memory_hardened);
+      RunReference(hardened, kMaxInstructions, &memory_hardened);
   if (!ref_hardened.ok) {
     report.divergence = "hardened program failed on the reference: " + ref_hardened.error;
     return report;
@@ -74,12 +83,11 @@ EquivalenceReport CheckRewriteEquivalence(const Program& original, const Program
 
   // Memory, word by word (the digests cannot match: relocated code
   // addresses stored to memory legitimately differ).
-  const bool ignore_dead_stack = options.stack_window_bytes > 0 &&
-                                 so.regs[kRegSp] == options.stack_top &&
-                                 sh.regs[kRegSp] == options.stack_top;
+  const bool ignore_dead_stack =
+      so.regs[kRegSp] == kGenStackTop && sh.regs[kRegSp] == kGenStackTop;
   auto in_dead_stack = [&](uint64_t addr) {
-    return ignore_dead_stack && addr < options.stack_top &&
-           addr >= options.stack_top - options.stack_window_bytes;
+    return ignore_dead_stack && addr < kGenStackTop &&
+           addr >= kGenStackTop - kStackWindowBytes;
   };
   std::map<uint64_t, std::pair<uint64_t, uint64_t>> words;  // addr -> (orig, hardened)
   for (const auto& [addr, value] : memory_original) {
@@ -107,7 +115,7 @@ EquivalenceReport CheckRewriteEquivalence(const Program& original, const Program
     const CpuModel& cpu = GetCpuModel(uarch);
     for (const DiffConfig& config : configs) {
       const ArchState machine =
-          RunMachineArch(hardened, cpu, config, options.max_instructions);
+          RunMachineArch(hardened, cpu, config, kMaxInstructions);
       if (!(machine == sh)) {
         report.divergence = std::string("hardened program diverges on ") + UarchName(uarch) +
                             "/" + config.name + ": " + DescribeArchDivergence(sh, machine);

@@ -15,7 +15,7 @@
 //     read them without another pop), but a rewrite that re-routes a call
 //     through a stub (switchpoline) legitimately leaves a *different* dead
 //     value behind. When both runs end with the stack pointer back at
-//     `stack_top`, words in the window below it are excluded.
+//     kGenStackTop, words in the 4 KiB below it are excluded.
 //
 // Optionally the hardened program is also run on uarch::Machine across a
 // CPU x config panel and required to match its own reference state exactly —
@@ -36,12 +36,6 @@
 namespace specbench {
 
 struct EquivalenceOptions {
-  uint64_t max_instructions = 1'000'000;
-  // Dead-stack window: when BOTH runs end with regs[kRegSp] == stack_top,
-  // words in [stack_top - stack_window_bytes, stack_top) are ignored.
-  // 0 bytes disables the carve-out.
-  uint64_t stack_top = kGenStackTop;
-  uint64_t stack_window_bytes = 4096;
   // Machine-side oracle panel: run the hardened program on uarch::Machine
   // for each cpu x config and require exact agreement with its reference
   // state. Empty `cpus` skips the machine runs; empty `configs` means

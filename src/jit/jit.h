@@ -10,7 +10,7 @@
 //     stored XOR-ed with a poison value and unpoisoned on load, putting an
 //     ALU dependency on every pointer chase.
 // The paper's Octane 2 costs of the first two are in
-// src/core/paper_expectations.h.
+// src/cpu/paper_expectations.h.
 //
 // JsEmitter emits JS-level operations (array element access, shape-guarded
 // field access, poisoned pointer loads) into a ProgramBuilder, inserting the

@@ -131,12 +131,6 @@ void CacheHierarchy::Clflush(uint64_t paddr) {
 
 void CacheHierarchy::FlushL1() { l1_.FlushAll(); }
 
-void CacheHierarchy::FlushAll() {
-  l1_.FlushAll();
-  l2_.FlushAll();
-  l3_.FlushAll();
-}
-
 void CacheHierarchy::Reset() {
   l1_.Reset();
   l2_.Reset();

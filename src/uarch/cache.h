@@ -72,7 +72,6 @@ class CacheHierarchy {
   int LevelOf(uint64_t paddr) const;
   void Clflush(uint64_t paddr);
   void FlushL1();
-  void FlushAll();
   // As-new hierarchy (all levels empty, stats zeroed) in O(1).
   void Reset();
 

@@ -122,7 +122,7 @@ TEST(Taint, SpeculativeAttackerLoadProducesSecretAndCmovBlocks) {
   const Program p = b.Build();
 
   const Cfg cfg = Cfg::Build(p);
-  const TaintAnalysis taint = TaintAnalysis::Run(cfg, Baseline(), TaintOptions{});
+  const TaintAnalysis taint = TaintAnalysis::Run(cfg, Baseline());
   EXPECT_GT(taint.at(4).spec_remaining, 0u);
   EXPECT_NE(taint.at(5).regs[8].bits & kTaintSecret, 0u);
   EXPECT_EQ(taint.at(5).regs[8].secret_origin, 4);

@@ -10,7 +10,7 @@
 #include "src/attack/attacks.h"
 #include "src/attack/side_channel.h"
 #include "src/attack/speculation_probe.h"
-#include "src/core/paper_expectations.h"
+#include "src/cpu/paper_expectations.h"
 
 namespace specbench {
 namespace {
@@ -157,7 +157,7 @@ TEST_P(AllCpus, DifferentSecretsRecovered) {
 // --- The §6 speculation probe: Tables 9 and 10 ------------------------------
 
 // Expected Tables 9 (IBRS disabled) and 10 (IBRS enabled) rows, one 'y'/'n'
-// per Table9Columns() entry, from src/core/paper_expectations.h.
+// per Table9Columns() entry, from src/cpu/paper_expectations.h.
 TEST(SpeculationProbe, Table9IbrsDisabled) {
   for (Uarch u : AllUarches()) {
     const std::string expect = PaperTable9(u);

@@ -1,6 +1,7 @@
 // Golden tests for the CLI's argument validation: strict --seeds=A:B
-// parsing, per-subcommand flag allowlists, the usage text generated from
-// them, boot parameters, and the unknown-command path.
+// parsing, repeated names in lists, per-subcommand flag allowlists, the
+// usage text generated from them, boot parameters, and the unknown-command
+// path.
 // Each case runs the real spectrebench binary (SPECBENCH_CLI_PATH, injected
 // by CMake) as a subprocess and asserts on the exit code and the exact
 // diagnostic text — the error strings are part of the user interface, so
@@ -85,6 +86,26 @@ TEST(CliSeeds, HardenRejectsReversedRange) {
   const RunOutput r = RunCli("harden --seeds=9:3");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_EQ(r.output, "--seeds=9:3: empty range (B must be greater than A)\n");
+}
+
+// --- Lists of names --------------------------------------------------------
+
+// A repeated name would run (and print) the same cells twice, with the
+// same keys and seeds: it exits 2 with one line, like an unknown name.
+TEST(CliLists, RepeatedNameExitsTwoWithOneLine) {
+  const struct {
+    const char* args;
+    const char* want;
+  } kCases[] = {
+      {"fig2 --cpus=Zen,Zen", "repeated CPU model: \"Zen\"\n"},
+      {"difftest --seeds=0:1 '--cpus=Zen 2,Zen,Zen 2'", "repeated CPU model: \"Zen 2\"\n"},
+      {"sweep --grids=fig2,fig2 --cpus=Zen", "sweep: repeated grid: \"fig2\"\n"},
+  };
+  for (const auto& c : kCases) {
+    const RunOutput r = RunCli(c.args);
+    EXPECT_EQ(r.exit_code, 2) << c.args;
+    EXPECT_EQ(r.output, c.want) << c.args;
+  }
 }
 
 // --- Strict numeric flags -------------------------------------------------

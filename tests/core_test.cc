@@ -4,7 +4,7 @@
 #include "src/core/attribution.h"
 #include "src/core/experiments.h"
 #include "src/core/microbench.h"
-#include "src/core/paper_expectations.h"
+#include "src/cpu/paper_expectations.h"
 #include "src/workload/lebench.h"
 #include "src/workload/measurement.h"
 #include "src/workload/octane.h"

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/cpu/cpu_model.h"
+#include "src/cpu/paper_expectations.h"
 
 namespace specbench {
 namespace {
@@ -34,6 +35,48 @@ TEST(Catalog, Table3Latencies) {
   EXPECT_EQ(GetCpuModel(Uarch::kCascadeLake).latency.syscall, 70u);
   EXPECT_EQ(GetCpuModel(Uarch::kIceLakeClient).latency.syscall, 21u);
   EXPECT_EQ(GetCpuModel(Uarch::kZen3).latency.syscall, 83u);
+}
+
+// Each input the paper's own microbenchmarks measure (Tables 3-8, and the
+// §6.2.2 scrub cost) is that table's cell. A cell the paper marks N/A is a
+// model choice, not an input, and the N/A cells are exactly the parts the
+// mitigation does not apply to.
+TEST(Catalog, CalibratedInputsAreThePaperCells) {
+  int checked = 0;
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    const LatencyTable& lat = cpu.latency;
+    auto expect = [&](uint32_t input, double paper, const char* what) {
+      EXPECT_EQ(static_cast<double>(input), paper) << UarchName(u) << " " << what;
+      checked++;
+    };
+    const PaperTable3Row t3 = PaperTable3(u);
+    expect(lat.syscall, t3.syscall, "syscall");
+    expect(lat.sysret, t3.sysret, "sysret");
+    EXPECT_EQ(t3.swap_cr3.has_value(), cpu.vuln.meltdown) << UarchName(u);
+    if (t3.swap_cr3) {
+      expect(lat.swap_cr3, *t3.swap_cr3, "swap_cr3");
+    }
+    const std::optional<double> verw = PaperTable4(u);
+    EXPECT_EQ(verw.has_value(), cpu.vuln.mds) << UarchName(u);
+    if (verw) {
+      expect(lat.verw_clear, *verw, "verw_clear");
+    }
+    const PaperTable5Row t5 = PaperTable5(u);
+    expect(lat.indirect_predicted, t5.baseline, "indirect_predicted");
+    EXPECT_EQ(t5.ibrs_delta.has_value(), cpu.predictor.ibrs_supported) << UarchName(u);
+    if (cpu.predictor.ibrs_supported && !cpu.predictor.eibrs) {
+      expect(lat.frontend_redirect, *t5.ibrs_delta, "frontend_redirect");
+    }
+    expect(lat.mispredict_penalty, t5.generic_delta - 3 + t5.baseline, "mispredict_penalty");
+    expect(lat.ibpb, PaperTable6Ibpb(u), "ibpb");
+    expect(lat.rsb_stuff, PaperTable7RsbStuff(u), "rsb_stuff");
+    expect(lat.lfence, PaperTable8Lfence(u), "lfence");
+    if (cpu.predictor.eibrs) {
+      expect(cpu.predictor.eibrs_scrub_cycles, kSection622ExtraCycles, "eibrs_scrub_cycles");
+    }
+  }
+  EXPECT_EQ(checked, 68);
 }
 
 TEST(Catalog, Table1VulnerabilityMatrix) {

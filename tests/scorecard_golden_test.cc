@@ -1,7 +1,7 @@
 // Byte-exact golden-file test for `spectrebench scorecard`.
 //
 // The scorecard is the reproduction's claim matrix: one row per paper claim
-// with the paper's value or band (src/core/paper_expectations.h), the
+// with the paper's value or band (src/cpu/paper_expectations.h), the
 // measured value and match/miss. The fixture pins the exact bytes, so any
 // change to a measured number or a verdict shows up as a diff; regenerate
 // after an intentional model change with

@@ -306,12 +306,16 @@ int ConnectTo(const std::string& path) {
   return fd;
 }
 
-// A real server answers an over-wide seeds= window with one "err" line at
-// once, instead of looping over it, and keeps serving the same connection.
-TEST(SweepServiceCli, WideSeedWindowGetsAnErrorAndTheConnectionStaysOpen) {
-  const std::string socket_path = TempPath("wide");
+// Starts a real server, sends `requests` (ending in "shutdown") on one
+// connection and returns every byte the server replies; the server must
+// then exit 0.
+std::string ServeOneConnection(const std::string& name, const std::string& requests) {
+  const std::string socket_path = TempPath(name);
   const pid_t server = SpawnCli({"serve", "--socket=" + socket_path, "--jobs=1", "--quiet"});
-  ASSERT_GT(server, 0);
+  if (server <= 0) {
+    ADD_FAILURE() << "could not start the server";
+    return "";
+  }
   int client = -1;
   for (int attempt = 0; attempt < 100 && client < 0; attempt++) {
     client = ConnectTo(socket_path);
@@ -319,10 +323,13 @@ TEST(SweepServiceCli, WideSeedWindowGetsAnErrorAndTheConnectionStaysOpen) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   }
-  ASSERT_GE(client, 0);
-
-  const std::string requests = "sweep grids=difftest seeds=0:100000000000\nping\nshutdown\n";
-  ASSERT_EQ(::send(client, requests.data(), requests.size(), MSG_NOSIGNAL),
+  if (client < 0) {
+    ADD_FAILURE() << "no connection to " << socket_path;
+    ::kill(server, SIGKILL);
+    ::waitpid(server, nullptr, 0);
+    return "";
+  }
+  EXPECT_EQ(::send(client, requests.data(), requests.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(requests.size()));
   std::string reply;
   char chunk[4096];
@@ -331,11 +338,30 @@ TEST(SweepServiceCli, WideSeedWindowGetsAnErrorAndTheConnectionStaysOpen) {
     reply.append(chunk, static_cast<size_t>(n));
   }
   ::close(client);
-  EXPECT_EQ(reply, "err seeds=\"0:100000000000\" spans more than 65536 seeds\npong\nbye\n");
 
   int status = 0;
-  ASSERT_EQ(::waitpid(server, &status, 0), server);
+  EXPECT_EQ(::waitpid(server, &status, 0), server);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  return reply;
+}
+
+// A real server answers an over-wide seeds= window with one "err" line at
+// once, instead of looping over it, and keeps serving the same connection.
+TEST(SweepServiceCli, WideSeedWindowGetsAnErrorAndTheConnectionStaysOpen) {
+  EXPECT_EQ(ServeOneConnection("wide",
+                               "sweep grids=difftest seeds=0:100000000000\nping\nshutdown\n"),
+            "err seeds=\"0:100000000000\" spans more than 65536 seeds\npong\nbye\n");
+}
+
+// A name repeated in cpus= or grids= would run the same cells, with the
+// same keys and seeds, twice: the server refuses the request and keeps
+// serving the connection.
+TEST(SweepServiceCli, RepeatedNameGetsAnErrorAndTheConnectionStaysOpen) {
+  EXPECT_EQ(ServeOneConnection("repeat",
+                               "sweep grids=difftest seeds=0:2 cpus=Zen,Zen\n"
+                               "sweep grids=difftest,difftest seeds=0:2 cpus=Zen\n"
+                               "ping\nshutdown\n"),
+            "err repeated CPU model: \"Zen\"\nerr repeated grid: \"difftest\"\npong\nbye\n");
 }
 
 }  // namespace

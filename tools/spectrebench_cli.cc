@@ -132,6 +132,10 @@ std::vector<Uarch> ParseCpuList(const std::string& list) {
       }
       std::exit(2);
     }
+    if (std::find(cpus.begin(), cpus.end(), model->uarch) != cpus.end()) {
+      std::fprintf(stderr, "repeated CPU model: \"%s\"\n", name.c_str());
+      std::exit(2);
+    }
     cpus.push_back(model->uarch);
   }
   if (cpus.empty()) {
