@@ -1,100 +1,64 @@
-// Attack lab: every transient-execution attack in the study, run against
-// every CPU model, with and without its mitigation — the security ground
-// truth behind the paper's Table 1.
+// Attack lab: every registered transient-execution attack (AttackSuite()),
+// run against every CPU model with and without the knobs that defend it —
+// the security ground truth behind the paper's Table 1.
 //
-// Each attack plants a 4-bit secret, triggers the transient leak, and
-// recovers the value through a flush+reload cache timing channel; "LEAK"
-// means the recovered value matched the planted one.
+// Each attack plants a secret, triggers the transient leak, and recovers the
+// value through a flush+reload cache timing channel; "LEAK" means the
+// recovered value matched the planted one. Every run starts from the
+// "paranoid" config (every knob on); the "(off)" row disables the attack's
+// own knobs, the second row keeps them.
 //
 // Build & run:  ./build/examples/attack_lab
 #include <cstdio>
-#include <functional>
 #include <string>
-#include <vector>
 
-#include "src/attack/attacks.h"
+#include "src/attack/suite.h"
 
 using namespace specbench;
 
 namespace {
 
-struct LabEntry {
-  std::string attack;
-  std::string mitigation;
-  std::function<AttackResult(const CpuModel&, bool mitigated)> run;
-  // Does the attack depend on a hardware vulnerability flag? (Spectre-class
-  // attacks affect every CPU.)
-  std::function<bool(const CpuModel&)> hardware_vulnerable;
-};
-
-const char* Cell(const AttackResult& result) {
-  if (!result.attempted) {
-    return "  n/a ";
+// One cell; counts a leak only where the hardware is vulnerable.
+void PrintCell(const AttackSpec& spec, const CpuModel& cpu, bool mitigated, int* leaks) {
+  if (!spec.vulnerable(cpu)) {
+    std::printf(" %-15s", "  n/a");
+    return;
   }
-  return result.leaked ? " LEAK " : " safe ";
+  const bool leaked = RunCanonicalTrial(spec, cpu, mitigated).leaked;
+  *leaks += leaked ? 1 : 0;
+  std::printf(" %-15s", leaked ? " LEAK" : " safe");
 }
 
 }  // namespace
 
 int main() {
-  const std::vector<LabEntry> lab = {
-      {"Spectre V1", "index masking",
-       [](const CpuModel& cpu, bool mitigated) { return RunSpectreV1Attack(cpu, mitigated); },
-       [](const CpuModel& cpu) { return cpu.vuln.spectre_v1; }},
-      {"Spectre V2", "generic retpoline",
-       [](const CpuModel& cpu, bool mitigated) {
-         SpectreV2Options options;
-         options.generic_retpoline = mitigated;
-         return RunSpectreV2Attack(cpu, options);
-       },
-       [](const CpuModel& cpu) { return !cpu.predictor.btb_bhb_indexed; }},
-      {"SpectreRSB", "RSB stuffing",
-       [](const CpuModel& cpu, bool mitigated) { return RunSpectreRsbAttack(cpu, mitigated); },
-       [](const CpuModel&) { return true; }},
-      {"Meltdown", "page table isolation",
-       [](const CpuModel& cpu, bool mitigated) { return RunMeltdownAttack(cpu, mitigated); },
-       [](const CpuModel& cpu) { return cpu.vuln.meltdown; }},
-      {"MDS / RIDL", "verw buffer clear",
-       [](const CpuModel& cpu, bool mitigated) { return RunMdsAttack(cpu, mitigated); },
-       [](const CpuModel& cpu) { return cpu.vuln.mds; }},
-      {"Spec. Store Bypass", "SSBD",
-       [](const CpuModel& cpu, bool mitigated) { return RunSsbAttack(cpu, mitigated); },
-       [](const CpuModel& cpu) { return cpu.vuln.spec_store_bypass; }},
-      {"LazyFP", "eager FPU switching",
-       [](const CpuModel& cpu, bool mitigated) { return RunLazyFpAttack(cpu, mitigated); },
-       [](const CpuModel& cpu) { return cpu.vuln.lazy_fp; }},
-      {"L1 Terminal Fault", "PTE inversion",
-       [](const CpuModel& cpu, bool mitigated) { return RunL1tfAttack(cpu, mitigated); },
-       [](const CpuModel& cpu) { return cpu.vuln.l1tf; }},
-  };
-
-  std::printf("%-20s %-22s", "attack", "mitigation");
+  std::printf("%-16s %-26s", "attack", "defending knobs");
   for (Uarch u : AllUarches()) {
-    std::printf(" %-14s", UarchName(u));
+    std::printf(" %-15s", UarchName(u));
   }
   std::printf("\n");
 
   int leaks_unmitigated = 0;
   int leaks_mitigated = 0;
-  for (const LabEntry& entry : lab) {
-    std::printf("%-20s %-22s", entry.attack.c_str(), "(off)");
-    for (Uarch u : AllUarches()) {
-      const AttackResult result = entry.run(GetCpuModel(u), /*mitigated=*/false);
-      leaks_unmitigated += result.leaked ? 1 : 0;
-      std::printf(" %-14s", Cell(result));
+  for (const AttackSpec& spec : AttackSuite()) {
+    std::string knobs;
+    for (SuiteKnob knob : spec.knobs) {
+      knobs += (knobs.empty() ? "" : ",") + std::string(SuiteKnobName(knob));
     }
-    std::printf("\n%-20s %-22s", "", entry.mitigation.c_str());
+    std::printf("%-16s %-26s", spec.name.c_str(), "(off)");
     for (Uarch u : AllUarches()) {
-      const AttackResult result = entry.run(GetCpuModel(u), /*mitigated=*/true);
-      leaks_mitigated += result.leaked ? 1 : 0;
-      std::printf(" %-14s", Cell(result));
+      PrintCell(spec, GetCpuModel(u), /*mitigated=*/false, &leaks_unmitigated);
+    }
+    std::printf("\n%-16s %-26s", "", knobs.c_str());
+    for (Uarch u : AllUarches()) {
+      PrintCell(spec, GetCpuModel(u), /*mitigated=*/true, &leaks_mitigated);
     }
     std::printf("\n");
   }
 
-  std::printf("\n%d leaks with mitigations off; %d with mitigations on.\n",
-              leaks_unmitigated, leaks_mitigated);
-  std::printf("(Blank 'safe' cells in the off rows are CPUs whose hardware is not\n"
-              " vulnerable — the reason newer parts can drop the mitigation.)\n");
+  std::printf("\n%d leaks with the knobs off; %d with them on.\n", leaks_unmitigated,
+              leaks_mitigated);
+  std::printf("(n/a cells are CPUs whose hardware is not vulnerable — the reason\n"
+              " newer parts can drop the mitigation.)\n");
   return leaks_mitigated == 0 ? 0 : 1;
 }

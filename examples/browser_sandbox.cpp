@@ -77,14 +77,14 @@ int main() {
   options.min_samples = 4;
   options.max_samples = 10;
   options.target_relative_ci = 0.015;
-  const AttributionReport report = AttributeBrowserMitigations(
-      cpu,
+  const AttributionReport report = AttributeMitigations(
+      cpu, "octane2", BrowserMitigationKnobs(),
       [&cpu](const JitConfig& jit, const MitigationConfig& os) -> SampleFn {
         return [suite = Octane::SimulateSuite(cpu, jit, os)](uint64_t seed) {
           return Octane::SuiteScore(NoisySuite(suite, seed));
         };
       },
-      options);
+      /*lower_is_better=*/false, options);
 
   std::printf("Octane 2 slowdown attribution on %s:\n", report.cpu.c_str());
   for (const AttributionSegment& segment : report.segments) {

@@ -1,5 +1,6 @@
 #include "src/attack/suite.h"
 
+#include <algorithm>
 #include <string>
 
 #include "src/runner/seed.h"
@@ -423,6 +424,20 @@ std::vector<NamedConfig> MitigationConfigMatrix(const CpuModel& cpu) {
   }
 
   return configs;
+}
+
+AttackResult RunCanonicalTrial(const AttackSpec& spec, const CpuModel& cpu, bool mitigated) {
+  const std::vector<NamedConfig> matrix = MitigationConfigMatrix(cpu);
+  const auto paranoid = std::find_if(matrix.begin(), matrix.end(),
+                                     [](const NamedConfig& c) { return c.name == "paranoid"; });
+  SPECBENCH_CHECK(paranoid != matrix.end());
+  MitigationConfig config = paranoid->config;
+  if (!mitigated) {
+    for (SuiteKnob knob : spec.knobs) {
+      config = WithKnobDisabled(config, knob);
+    }
+  }
+  return spec.run(cpu, config, spec.canonical_secret, /*trial_salt=*/0);
 }
 
 const SuiteCell* SuiteResult::Find(const std::string& cpu, const std::string& config,

@@ -107,6 +107,12 @@ struct NamedConfig {
 // straw man).
 std::vector<NamedConfig> MitigationConfigMatrix(const CpuModel& cpu);
 
+// The canonical trial of `spec` on `cpu` (spec.canonical_secret, salt 0)
+// under the matrix's "paranoid" config, with each of spec.knobs disabled
+// unless `mitigated`: the two verdicts `spectrebench attacks` and
+// examples/attack_lab print per (CPU, attack).
+AttackResult RunCanonicalTrial(const AttackSpec& spec, const CpuModel& cpu, bool mitigated);
+
 // One (cpu, config, attack) verdict.
 struct SuiteCell {
   std::string cpu;

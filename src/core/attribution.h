@@ -5,11 +5,12 @@
 // default set of mitigations enabled, and then use kernel boot parameters to
 // successively disable them to determine the overhead that each one causes."
 //
-// AttributeOsMitigations does exactly that: measure the default
-// configuration (sampling until the 95% CI converges), then disable one
-// mitigation at a time — in a fixed order — re-measuring after each step
-// down to mitigations=off. The per-mitigation overhead is the successive
-// difference; the segments stack to the total (Figures 2 and 3).
+// AttributeMitigations does exactly that, once for both figures: measure the
+// default configuration (sampling until the 95% CI converges), then disable
+// one mitigation at a time — in a fixed knob order — re-measuring after each
+// step. The per-mitigation overhead is the successive difference; the
+// segments stack to the total. Figure 2 runs it over OsMitigationKnobs() on
+// LEBench, Figure 3 over BrowserMitigationKnobs() on Octane 2.
 #ifndef SPECTREBENCH_SRC_CORE_ATTRIBUTION_H_
 #define SPECTREBENCH_SRC_CORE_ATTRIBUTION_H_
 
@@ -25,14 +26,15 @@
 
 namespace specbench {
 
-// One OS-level mitigation knob in the successive-disable sweep.
+// One mitigation knob in the successive-disable chain.
 struct MitigationKnob {
   std::string id;
   std::string label;
-  // Whether the knob does anything in this CPU's default configuration.
+  // Whether the knob does anything under the chain's current OS
+  // configuration; a knob without one is always measured.
   std::function<bool(const CpuModel&, const MitigationConfig&)> relevant;
   // Turns the mitigation off.
-  std::function<void(MitigationConfig*)> disable;
+  std::function<void(JitConfig*, MitigationConfig*)> disable;
 };
 
 // The knobs measured for Figure 2, in the disable order used by the sweep:
@@ -40,6 +42,12 @@ struct MitigationKnob {
 // RSB stuffing), Spectre V1 (lfence + masking), and "other" (everything
 // remaining down to mitigations=off).
 const std::vector<MitigationKnob>& OsMitigationKnobs();
+
+// The knobs measured for Figure 3: the JavaScript mitigations first (index
+// masking, object guards, other JavaScript), then the OS ones that matter to
+// a seccomp-sandboxed browser (SSBD, then everything else down to
+// mitigations=off). Every step is measured on every CPU.
+const std::vector<MitigationKnob>& BrowserMitigationKnobs();
 
 struct AttributionSegment {
   std::string id;
@@ -66,39 +74,27 @@ struct AttributionReport {
   double SegmentSum() const;
 };
 
-// One configuration's noisy sample: a score or cost for the whole workload,
-// with the run-to-run noise drawn from `seed`.
-using SampleFn = std::function<double(uint64_t seed)>;
+// A measurement under one (JIT, OS) configuration. The simulation is
+// deterministic and only the injected noise varies, so the callback
+// simulates the configuration once (it takes no seed) and returns its
+// SampleFn; the sampler varies the seed per sample so the noise exercises
+// the CI machinery.
+using MeasureFn = std::function<SampleFn(const JitConfig&, const MitigationConfig&)>;
 
-// A measurement under one OS configuration. The simulation is deterministic
-// and only the injected noise varies, so the callback simulates the
-// configuration once (it takes no seed) and returns its SampleFn; the sampler
-// varies the seed per sample so the noise exercises the CI machinery.
-using OsMeasureFn = std::function<SampleFn(const MitigationConfig&)>;
-
-// Default `base_seed` for the attribution sweeps below. Seeds for the
-// per-configuration measurements are derived from the base via SplitMix64,
-// so a caller (e.g. a parallel sweep cell) can substitute its own
-// deterministic seed and get results independent of execution order.
+// Default `base_seed` for AttributeMitigations. Each configuration's first
+// sample seed is the next SplitMix64 draw from the base, so a caller (e.g. a
+// parallel sweep cell) can substitute its own deterministic seed and get
+// results independent of execution order.
 inline constexpr uint64_t kDefaultAttributionSeed = 1000;
 
-// Successively disables knobs on top of the CPU's default configuration.
-// `lower_is_better` selects cost (cycles) vs score (Octane) semantics.
-AttributionReport AttributeOsMitigations(const CpuModel& cpu, const std::string& workload,
-                                         const OsMeasureFn& measure, bool lower_is_better,
-                                         const SamplerOptions& options = SamplerOptions(),
-                                         uint64_t base_seed = kDefaultAttributionSeed);
-
-// Browser-side attribution (Figure 3): sweeps the JIT mitigations (index
-// masking, object guards, other JavaScript) and then the OS-side knobs that
-// matter to a seccomp-sandboxed browser (SSBD, other OS).
-// As OsMeasureFn: simulates one (JIT, OS) configuration once.
-using BrowserMeasureFn = std::function<SampleFn(const JitConfig&, const MitigationConfig&)>;
-
-AttributionReport AttributeBrowserMitigations(const CpuModel& cpu,
-                                              const BrowserMeasureFn& measure,
-                                              const SamplerOptions& options = SamplerOptions(),
-                                              uint64_t base_seed = kDefaultAttributionSeed);
+// Successively disables `knobs`, starting from JitConfig::AllOn() and the
+// CPU's default OS configuration. `lower_is_better` selects cost (cycles,
+// Figure 2) vs score (Octane, Figure 3) semantics.
+AttributionReport AttributeMitigations(const CpuModel& cpu, const std::string& workload,
+                                       const std::vector<MitigationKnob>& knobs,
+                                       const MeasureFn& measure, bool lower_is_better,
+                                       const SamplerOptions& sampler = SamplerOptions(),
+                                       uint64_t base_seed = kDefaultAttributionSeed);
 
 }  // namespace specbench
 

@@ -220,8 +220,7 @@ double GuestNoisy(double simulated, uint64_t seed) { return ApplyNoise(simulated
 
 }  // namespace
 
-std::vector<VmWorkloadResult> RunSection44Vm(const SamplerOptions& options,
-                                             const std::vector<Uarch>& cpus) {
+std::vector<VmWorkloadResult> RunSection44Vm(const std::vector<Uarch>& cpus) {
   std::vector<VmWorkloadResult> results;
   for (Uarch u : cpus) {
     const CpuModel& cpu = GetCpuModel(u);
@@ -232,17 +231,14 @@ std::vector<VmWorkloadResult> RunSection44Vm(const SamplerOptions& options,
     {
       const double sim_on = RunGuestLeBenchLike(cpu, host_on);
       const double sim_off = RunGuestLeBenchLike(cpu, host_off);
-      uint64_t seed_on = 100;
-      uint64_t seed_off = 5100;
-      const Estimate on =
-          SampleUntilConverged([&] { return GuestNoisy(sim_on, seed_on++); }, options).estimate;
-      const Estimate off =
-          SampleUntilConverged([&] { return GuestNoisy(sim_off, seed_off++); }, options)
-              .estimate;
+      const SampleResult on = SampleUntilConverged(
+          [&](uint64_t seed) { return GuestNoisy(sim_on, seed); }, 100, kExperimentSampler);
+      const SampleResult off = SampleUntilConverged(
+          [&](uint64_t seed) { return GuestNoisy(sim_off, seed); }, 5100, kExperimentSampler);
       VmWorkloadResult r;
       r.cpu = UarchName(u);
       r.workload = "lebench-in-vm";
-      r.overhead_pct = RelativeOverheadPercent(on, off);
+      r.overhead_pct = RelativeOverheadPercent(on.estimate, off.estimate);
       results.push_back(r);
     }
 
@@ -251,20 +247,16 @@ std::vector<VmWorkloadResult> RunSection44Vm(const SamplerOptions& options,
       const MitigationConfig guest = MitigationConfig::Defaults(cpu);
       const LfsResult sim_on = Lfs::SimulateKernel(name, cpu, guest, host_on);
       const LfsResult sim_off = Lfs::SimulateKernel(name, cpu, guest, host_off);
-      uint64_t seed_on = 200;
-      uint64_t seed_off = 7200;
-      const Estimate on =
-          SampleUntilConverged([&] { return NoisyKernel(name, sim_on.cycles, seed_on++); },
-                               options)
-              .estimate;
-      const Estimate off =
-          SampleUntilConverged([&] { return NoisyKernel(name, sim_off.cycles, seed_off++); },
-                               options)
-              .estimate;
+      const SampleResult on = SampleUntilConverged(
+          [&](uint64_t seed) { return NoisyKernel(name, sim_on.cycles, seed); }, 200,
+          kExperimentSampler);
+      const SampleResult off = SampleUntilConverged(
+          [&](uint64_t seed) { return NoisyKernel(name, sim_off.cycles, seed); }, 7200,
+          kExperimentSampler);
       VmWorkloadResult r;
       r.cpu = UarchName(u);
       r.workload = "lfs-" + name;
-      r.overhead_pct = RelativeOverheadPercent(on, off);
+      r.overhead_pct = RelativeOverheadPercent(on.estimate, off.estimate);
       r.vm_exits_protected = sim_on.vm_exits;
       results.push_back(r);
     }

@@ -17,6 +17,13 @@
 
 namespace specbench {
 
+// The one sampler budget of the sampled experiments (fig2, fig3, sec44,
+// sec45), used by the CLI, the scorecard and the named grids: 5-20 samples
+// per configuration at a 1% CI target. Each configuration is simulated once
+// and only its noise is sampled, so a smaller budget would save no time.
+inline constexpr SamplerOptions kExperimentSampler{
+    .min_samples = 5, .max_samples = 20, .target_relative_ci = 0.01};
+
 // --- Tables 1 and 2: configuration ------------------------------------------
 std::string RenderTable1MitigationMatrix();
 std::string RenderTable2CpuInfo();
@@ -34,8 +41,7 @@ std::string RenderFigure2(const std::vector<AttributionReport>& reports);
 std::string RenderAttributionCsv(const std::vector<AttributionReport>& reports);
 
 // --- Figure 3: Octane 2 overhead attribution --------------------------------
-std::vector<AttributionReport> RunFigure3Octane(const SamplerOptions& options,
-                                                const std::vector<Uarch>& cpus = AllUarches(),
+std::vector<AttributionReport> RunFigure3Octane(const std::vector<Uarch>& cpus = AllUarches(),
                                                 const RunnerOptions& runner = RunnerOptions());
 std::string RenderFigure3(const std::vector<AttributionReport>& reports);
 
@@ -46,8 +52,7 @@ struct VmWorkloadResult {
   Estimate overhead_pct;          // host mitigations on vs off
   uint64_t vm_exits_protected = 0;
 };
-std::vector<VmWorkloadResult> RunSection44Vm(const SamplerOptions& options,
-                                             const std::vector<Uarch>& cpus = AllUarches());
+std::vector<VmWorkloadResult> RunSection44Vm(const std::vector<Uarch>& cpus = AllUarches());
 std::string RenderSection44(const std::vector<VmWorkloadResult>& results);
 
 // --- Section 4.5: PARSEC under default mitigations --------------------------
@@ -57,8 +62,7 @@ struct ParsecDefaultResult {
   Estimate overhead_pct;
 };
 std::vector<ParsecDefaultResult> RunSection45Parsec(
-    const SamplerOptions& options, const std::vector<Uarch>& cpus = AllUarches(),
-    const RunnerOptions& runner = RunnerOptions());
+    const std::vector<Uarch>& cpus = AllUarches(), const RunnerOptions& runner = RunnerOptions());
 std::string RenderSection45(const std::vector<ParsecDefaultResult>& results);
 
 // --- Tables 3-8: per-mitigation microbenchmarks -----------------------------

@@ -406,13 +406,12 @@ void AddAblationRows(Rows& rows) {
 }  // namespace
 
 std::vector<ScorecardRow> BuildScorecard(const RunnerOptions& runner) {
-  const SamplerOptions& sampler = kExperimentSampler;  // the CLI commands' budget
   Rows rows;
   AddMicrobenchRows(rows);
   AddProbeRows(rows);
-  AddFigureRows(rows, RunFigure2LeBench(sampler, AllUarches(), runner),
-                RunFigure3Octane(sampler, AllUarches(), runner));
-  AddSectionRows(rows, RunSection44Vm(sampler), RunSection45Parsec(sampler, AllUarches(), runner));
+  AddFigureRows(rows, RunFigure2LeBench(kExperimentSampler, AllUarches(), runner),
+                RunFigure3Octane(AllUarches(), runner));
+  AddSectionRows(rows, RunSection44Vm(), RunSection45Parsec(AllUarches(), runner));
   AddAblationRows(rows);
   return rows;
 }

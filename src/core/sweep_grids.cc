@@ -49,10 +49,10 @@ Sweep BuildFigure2Grid(const GridOptions& options) {
     sweep.Add(SweepCellKey{UarchName(u), "attribution", "lebench"},
               [u, sampler = options.sampler](uint64_t seed) {
                 const CpuModel& cpu = GetCpuModel(u);
-                return CellOutputFromAttribution(AttributeOsMitigations(
-                    cpu, "lebench",
-                    [&cpu](const MitigationConfig& config) -> SampleFn {
-                      return [suite = LeBench::SimulateSuite(cpu, config)](uint64_t sample_seed) {
+                return CellOutputFromAttribution(AttributeMitigations(
+                    cpu, "lebench", OsMitigationKnobs(),
+                    [&cpu](const JitConfig&, const MitigationConfig& os) -> SampleFn {
+                      return [suite = LeBench::SimulateSuite(cpu, os)](uint64_t sample_seed) {
                         return LeBench::SuiteGeomean(NoisySuite(suite, sample_seed));
                       };
                     },
@@ -68,14 +68,14 @@ Sweep BuildFigure3Grid(const GridOptions& options) {
     sweep.Add(SweepCellKey{UarchName(u), "attribution", "octane2"},
               [u, sampler = options.sampler](uint64_t seed) {
                 const CpuModel& cpu = GetCpuModel(u);
-                return CellOutputFromAttribution(AttributeBrowserMitigations(
-                    cpu,
+                return CellOutputFromAttribution(AttributeMitigations(
+                    cpu, "octane2", BrowserMitigationKnobs(),
                     [&cpu](const JitConfig& jit, const MitigationConfig& os) -> SampleFn {
                       return [suite = Octane::SimulateSuite(cpu, jit, os)](uint64_t sample_seed) {
                         return Octane::SuiteScore(NoisySuite(suite, sample_seed));
                       };
                     },
-                    sampler, seed));
+                    /*lower_is_better=*/false, sampler, seed));
               });
   }
   return sweep;
@@ -89,16 +89,16 @@ Sweep BuildSection45Grid(const GridOptions& options) {
                 [u, name, sampler = options.sampler](uint64_t seed) {
                   const CpuModel& cpu = GetCpuModel(u);
                   uint64_t stream = seed;
-                  uint64_t seed_def = SplitMix64Next(&stream);
-                  uint64_t seed_off = SplitMix64Next(&stream);
                   const double sim_def =
                       Parsec::SimulateKernel(name, cpu, MitigationConfig::Defaults(cpu));
                   const double sim_off =
                       Parsec::SimulateKernel(name, cpu, MitigationConfig::AllOff());
                   const SampleResult def = SampleUntilConverged(
-                      [&] { return Parsec::Noisy(name, sim_def, seed_def++); }, sampler);
+                      [&](uint64_t s) { return Parsec::Noisy(name, sim_def, s); },
+                      SplitMix64Next(&stream), sampler);
                   const SampleResult off = SampleUntilConverged(
-                      [&] { return Parsec::Noisy(name, sim_off, seed_off++); }, sampler);
+                      [&](uint64_t s) { return Parsec::Noisy(name, sim_off, s); },
+                      SplitMix64Next(&stream), sampler);
                   CellOutput out;
                   out.metrics.push_back(
                       CellMetric{"total", "Default-mitigation overhead",
@@ -241,16 +241,16 @@ std::vector<AttributionReport> RunFigure2LeBench(const SamplerOptions& options,
   return AttributionReportsFromSweep(BuildFigure2Grid(GridOptions{options, cpus}).Run(runner));
 }
 
-std::vector<AttributionReport> RunFigure3Octane(const SamplerOptions& options,
-                                                const std::vector<Uarch>& cpus,
+std::vector<AttributionReport> RunFigure3Octane(const std::vector<Uarch>& cpus,
                                                 const RunnerOptions& runner) {
-  return AttributionReportsFromSweep(BuildFigure3Grid(GridOptions{options, cpus}).Run(runner));
+  return AttributionReportsFromSweep(
+      BuildFigure3Grid(GridOptions{kExperimentSampler, cpus}).Run(runner));
 }
 
-std::vector<ParsecDefaultResult> RunSection45Parsec(const SamplerOptions& options,
-                                                    const std::vector<Uarch>& cpus,
+std::vector<ParsecDefaultResult> RunSection45Parsec(const std::vector<Uarch>& cpus,
                                                     const RunnerOptions& runner) {
-  return ParsecResultsFromSweep(BuildSection45Grid(GridOptions{options, cpus}).Run(runner));
+  return ParsecResultsFromSweep(
+      BuildSection45Grid(GridOptions{kExperimentSampler, cpus}).Run(runner));
 }
 
 }  // namespace specbench

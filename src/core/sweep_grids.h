@@ -48,13 +48,6 @@ Sweep BuildDifftestGrid(const DifftestGridOptions& options);
 // and seed-free, so its bytes are identical for any --jobs.
 Sweep BuildHardenGrid(const std::vector<Uarch>& cpus);
 
-// The one sampler budget of the sampled experiments (fig2, fig3, sec44,
-// sec45), used by the CLI, the scorecard and the named grids: 5-20 samples
-// per configuration at a 1% CI target. Each configuration is simulated once
-// and only its noise is sampled, so a smaller budget would save no time.
-inline constexpr SamplerOptions kExperimentSampler{
-    .min_samples = 5, .max_samples = 20, .target_relative_ci = 0.01};
-
 // Shared grid-name dispatcher for `spectrebench sweep` and the sweep
 // service: builds and merges the named grids ("fig2", "fig3", "sec45",
 // "difftest", "harden") in list order. `seed_begin`/`seed_end` only affect

@@ -33,6 +33,58 @@ constexpr uint64_t kPercpuCurrentPid = 32;
 constexpr uint64_t kHeapPtScratch = 0x8000;
 constexpr uint64_t kHeapIpcQueue = 0x10000;
 
+// Cost model of one user->kernel->user crossing outside the syscall path
+// (page faults), split by the mitigation that owns each term. It mirrors the
+// mitigation work the IR entry/exit paths do.
+struct CrossingCost {
+  uint64_t baseline = 0;
+  uint64_t v1 = 0;
+  uint64_t v2 = 0;
+  uint64_t pti = 0;
+  uint64_t mds = 0;
+};
+
+CrossingCost SplitBoundaryCrossing(const CpuModel& cpu, const MitigationConfig& config) {
+  const LatencyTable& lat = cpu.latency;
+  CrossingCost cost;
+  cost.baseline = lat.syscall + lat.sysret + 2 * lat.swapgs;
+  if (config.lfence_after_swapgs) {
+    cost.v1 += lat.lfence;
+  }
+  if (config.pti) {
+    cost.pti += 2 * lat.swap_cr3;
+  }
+  if (config.mds_clear_buffers) {
+    cost.mds += cpu.vuln.mds ? lat.verw_clear : lat.verw_legacy;
+  }
+  if (config.ibrs == IbrsMode::kLegacyIbrs) {
+    cost.v2 += 2 * lat.wrmsr_spec_ctrl;
+  }
+  // Dispatch through the protected indirect branch.
+  switch (config.retpoline) {
+    case RetpolineMode::kNone:
+      cost.baseline += lat.indirect_predicted;
+      break;
+    case RetpolineMode::kAmd:
+      cost.v2 += lat.lfence;
+      cost.baseline += lat.indirect_predicted;
+      break;
+    case RetpolineMode::kGeneric: {
+      // The thunk replaces a plain predicted dispatch: charge what the
+      // unmitigated dispatch would have cost to baseline and the rest to V2.
+      const uint64_t total = 7 + lat.mispredict_penalty;
+      const uint64_t base = std::min<uint64_t>(lat.indirect_predicted, total);
+      cost.baseline += base;
+      cost.v2 += total - base;
+      break;
+    }
+  }
+  if (config.kernel_index_masking) {
+    cost.v1 += 3;
+  }
+  return cost;
+}
+
 }  // namespace
 
 Kernel::Kernel(const CpuModel& cpu, const MitigationConfig& config)
@@ -705,84 +757,20 @@ Machine::RunResult Kernel::Run(const std::string& symbol, uint64_t max_instructi
 }
 
 uint64_t Kernel::BoundaryCrossingCost() const {
-  const LatencyTable& lat = cpu_.latency;
-  uint64_t cost = lat.syscall + lat.sysret + 2 * lat.swapgs;
-  if (config_.lfence_after_swapgs) {
-    cost += lat.lfence;
-  }
-  if (config_.pti) {
-    cost += 2 * lat.swap_cr3;
-  }
-  if (config_.mds_clear_buffers) {
-    cost += cpu_.vuln.mds ? lat.verw_clear : lat.verw_legacy;
-  }
-  if (config_.ibrs == IbrsMode::kLegacyIbrs) {
-    cost += 2 * lat.wrmsr_spec_ctrl;
-  }
-  // Dispatch through the protected indirect branch.
-  switch (config_.retpoline) {
-    case RetpolineMode::kNone:
-      cost += lat.indirect_predicted;
-      break;
-    case RetpolineMode::kAmd:
-      cost += lat.lfence + lat.indirect_predicted;
-      break;
-    case RetpolineMode::kGeneric:
-      cost += 7 + lat.mispredict_penalty;
-      break;
-  }
-  if (config_.kernel_index_masking) {
-    cost += 3;
-  }
-  return cost;
+  const CrossingCost cost = SplitBoundaryCrossing(cpu_, config_);
+  return cost.baseline + cost.v1 + cost.v2 + cost.pti + cost.mds;
 }
 
 void Kernel::ChargeBoundaryCrossing() {
-  // The same cost model as BoundaryCrossingCost(), split by the mitigation
-  // that owns each term so CycleAttribution sees page faults the way it sees
-  // real syscall crossings. The per-cause charges sum exactly to
-  // BoundaryCrossingCost() (os_kernel_test cross-checks this).
-  const LatencyTable& lat = cpu_.latency;
-  uint64_t baseline = lat.syscall + lat.sysret + 2 * lat.swapgs;
-  uint64_t v1 = 0, v2 = 0, pti = 0, mds = 0;
-  if (config_.lfence_after_swapgs) {
-    v1 += lat.lfence;
-  }
-  if (config_.pti) {
-    pti += 2 * lat.swap_cr3;
-  }
-  if (config_.mds_clear_buffers) {
-    mds += cpu_.vuln.mds ? lat.verw_clear : lat.verw_legacy;
-  }
-  if (config_.ibrs == IbrsMode::kLegacyIbrs) {
-    v2 += 2 * lat.wrmsr_spec_ctrl;
-  }
-  switch (config_.retpoline) {
-    case RetpolineMode::kNone:
-      baseline += lat.indirect_predicted;
-      break;
-    case RetpolineMode::kAmd:
-      v2 += lat.lfence;
-      baseline += lat.indirect_predicted;
-      break;
-    case RetpolineMode::kGeneric: {
-      // The thunk replaces a plain predicted dispatch: charge what the
-      // unmitigated dispatch would have cost to baseline and the rest to V2.
-      const uint64_t total = 7 + lat.mispredict_penalty;
-      const uint64_t base = std::min<uint64_t>(lat.indirect_predicted, total);
-      baseline += base;
-      v2 += total - base;
-      break;
-    }
-  }
-  if (config_.kernel_index_masking) {
-    v1 += 3;
-  }
-  machine_->AddCycles(baseline, CauseTag::kNone);
-  machine_->AddCycles(v1, CauseTag::kSpectreV1);
-  machine_->AddCycles(v2, CauseTag::kSpectreV2);
-  machine_->AddCycles(pti, CauseTag::kPti);
-  machine_->AddCycles(mds, CauseTag::kMds);
+  // Charged per cause so CycleAttribution sees page faults the way it sees
+  // real syscall crossings. Each AddCycles serializes the pipeline, so the
+  // order of the five charges is part of the timing.
+  const CrossingCost cost = SplitBoundaryCrossing(cpu_, config_);
+  machine_->AddCycles(cost.baseline, CauseTag::kNone);
+  machine_->AddCycles(cost.v1, CauseTag::kSpectreV1);
+  machine_->AddCycles(cost.v2, CauseTag::kSpectreV2);
+  machine_->AddCycles(cost.pti, CauseTag::kPti);
+  machine_->AddCycles(cost.mds, CauseTag::kMds);
 }
 
 }  // namespace specbench

@@ -149,7 +149,7 @@ class Kernel {
   // cross-checked against the measured null syscall in tests.
   uint64_t BoundaryCrossingCost() const;
   // Charges BoundaryCrossingCost() to the machine, decomposed per CauseTag
-  // (the per-cause charges sum exactly to BoundaryCrossingCost()).
+  // (the per-cause charges sum exactly to BoundaryCrossingCost(); tested).
   void ChargeBoundaryCrossing();
 
   // Number of faults serviced (page-fault benchmark instrumentation).

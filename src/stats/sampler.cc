@@ -6,7 +6,7 @@
 
 namespace specbench {
 
-SampleResult SampleUntilConverged(const std::function<double()>& measure,
+SampleResult SampleUntilConverged(const SampleFn& measure, uint64_t first_seed,
                                   const SamplerOptions& options) {
   SPECBENCH_CHECK(options.min_samples >= 2);
   SPECBENCH_CHECK(options.max_samples >= options.min_samples);
@@ -18,8 +18,8 @@ SampleResult SampleUntilConverged(const std::function<double()>& measure,
   // draw cannot poison the mean and silently disable convergence.
   size_t draws = 0;
   while (draws < options.max_samples) {
+    const double sample = measure(first_seed + draws);
     draws++;
-    const double sample = measure();
     if (!std::isfinite(sample)) {
       result.non_finite_samples++;
       continue;

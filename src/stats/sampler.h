@@ -3,10 +3,15 @@
 // Mirrors the paper's methodology (§4.1): individual benchmark runs vary by a
 // couple percent, but repeating each configuration until the confidence
 // interval converges gives an accurate estimate of the true average.
+//
+// The sampler owns the seed sequence: repetition i of a measurement draws its
+// run-to-run noise from `first_seed + i`, so a caller names only where the
+// sequence starts.
 #ifndef SPECTREBENCH_SRC_STATS_SAMPLER_H_
 #define SPECTREBENCH_SRC_STATS_SAMPLER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "src/stats/summary.h"
@@ -35,10 +40,14 @@ struct SampleResult {
   bool saw_non_finite() const { return non_finite_samples > 0; }
 };
 
-// Repeatedly invokes `measure` (each call returns one benchmark score or
-// cycle count) until the 95% CI half-width relative to the mean drops below
-// the target, then returns the mean estimate.
-SampleResult SampleUntilConverged(const std::function<double()>& measure,
+// One noisy sample of a measurement (a score or a cycle count), with the
+// run-to-run noise drawn from `seed`.
+using SampleFn = std::function<double(uint64_t seed)>;
+
+// Calls `measure` with first_seed, first_seed + 1, ... until the 95% CI
+// half-width relative to the mean drops below the target, then returns the
+// mean estimate. A non-finite draw still uses up its seed.
+SampleResult SampleUntilConverged(const SampleFn& measure, uint64_t first_seed,
                                   const SamplerOptions& options = SamplerOptions());
 
 }  // namespace specbench

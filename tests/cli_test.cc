@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "src/attack/suite.h"
+
 namespace specbench {
 namespace {
 
@@ -106,6 +108,31 @@ TEST(CliLists, RepeatedNameExitsTwoWithOneLine) {
     EXPECT_EQ(r.exit_code, 2) << c.args;
     EXPECT_EQ(r.output, c.want) << c.args;
   }
+}
+
+// A list flag given no names is an error, not "all" or "no filter".
+TEST(CliFlags, EmptyListFlagExitsTwo) {
+  const struct {
+    const char* args;
+    const char* flag;
+  } kCases[] = {
+      {"sweep --grids= --cpus=Zen", "--grids"},
+      {"sweep --grids=harden --cpus=Zen --workloads=", "--workloads"},
+      {"counters --cpus=Zen --workloads=,", "--workloads"},
+      {"sweep --grids=harden --cpus=Zen --configs=", "--configs"},
+      {"difftest --seeds=0:1 --cpus=Zen --configs=", "--configs"},
+      {"counters --cpus=Zen --boot-params=", "--boot-params"},
+      {"harden --cpus=Zen --passes=", "--passes"},
+      {"merge --inputs=", "--inputs"},
+  };
+  for (const auto& c : kCases) {
+    const RunOutput r = RunCli(c.args);
+    EXPECT_EQ(r.exit_code, 2) << c.args;
+    EXPECT_EQ(r.output, std::string(c.flag) + "= needs at least one name\n") << c.args;
+  }
+  const RunOutput cpus = RunCli("fig2 --cpus=");
+  EXPECT_EQ(cpus.exit_code, 2);
+  EXPECT_EQ(cpus.output.rfind("--cpus= needs at least one name", 0), 0u) << cpus.output;
 }
 
 // --- Strict numeric flags -------------------------------------------------
@@ -342,6 +369,41 @@ TEST(CliBootParams, AppliedTokenMeasures) {
   const RunOutput r = RunCli("counters --cpus=Broadwell --boot-params=nopti");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("\"spectrebench-counters-v1\""), std::string::npos) << r.output;
+}
+
+// --- The attack table -------------------------------------------------------
+
+// `attacks` prints one row per AttackSuite() spec for each CPU, in
+// registration order. A CPU whose hardware is not vulnerable prints n/a; a
+// vulnerable one leaks with the spec's knobs off and is safe with them on.
+TEST(CliAttacks, EveryRegisteredAttackHasARow) {
+  const RunOutput r = RunCli("attacks");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  std::istringstream lines(r.output);
+  std::string line;
+  std::getline(lines, line);  // header
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    for (const AttackSpec& spec : AttackSuite()) {
+      ASSERT_TRUE(std::getline(lines, line)) << UarchName(u) << " " << spec.name;
+      char prefix[64];
+      std::snprintf(prefix, sizeof(prefix), "%-16s %-16s ", UarchName(u), spec.name.c_str());
+      ASSERT_EQ(line.rfind(prefix, 0), 0u) << "want \"" << prefix << "\", got: " << line;
+      std::istringstream verdicts(line.substr(std::string(prefix).size()));
+      std::string off;
+      std::string on;
+      verdicts >> off >> on;
+      if (spec.vulnerable(cpu)) {
+        EXPECT_EQ(off + " " + on, "LEAK safe") << line;
+      } else {
+        EXPECT_EQ(off + " " + on, "n/a n/a") << line;
+      }
+    }
+  }
+  std::getline(lines, line);
+  EXPECT_EQ(line, "");
+  std::getline(lines, line);
+  EXPECT_EQ(line, "0 leaks with mitigations enabled (expected 0).");
 }
 
 // --- Malformed .difftest corpus files -------------------------------------

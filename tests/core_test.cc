@@ -43,7 +43,7 @@ TEST(Attribution, SyntheticMeasureDecomposesExactly) {
   // A synthetic cost function with known per-knob contributions must come
   // back decomposed into exactly those contributions.
   const CpuModel& cpu = GetCpuModel(Uarch::kBroadwell);
-  auto measure = [](const MitigationConfig& c) -> SampleFn {
+  auto measure = [](const JitConfig&, const MitigationConfig& c) -> SampleFn {
     double cost = 100.0;
     if (c.pti) {
       cost += 20.0;
@@ -57,7 +57,8 @@ TEST(Attribution, SyntheticMeasureDecomposesExactly) {
     return [cost](uint64_t) { return cost; };
   };
   const AttributionReport report =
-      AttributeOsMitigations(cpu, "synthetic", measure, /*lower_is_better=*/true, FastSampler());
+      AttributeMitigations(cpu, "synthetic", OsMitigationKnobs(), measure,
+                           /*lower_is_better=*/true, FastSampler());
   EXPECT_NEAR(report.total_overhead_pct.value, 35.0, 0.3);
   ASSERT_GE(report.segments.size(), 3u);
   // pti: (135/115 - 1) relative to the config with pti removed.
@@ -69,9 +70,9 @@ TEST(Attribution, SyntheticMeasureDecomposesExactly) {
 
 TEST(Attribution, SegmentsRoughlySumToTotal) {
   const CpuModel& cpu = GetCpuModel(Uarch::kSkylakeClient);
-  const AttributionReport report = AttributeOsMitigations(
-      cpu, "lebench",
-      [&cpu](const MitigationConfig& config) -> SampleFn {
+  const AttributionReport report = AttributeMitigations(
+      cpu, "lebench", OsMitigationKnobs(),
+      [&cpu](const JitConfig&, const MitigationConfig& config) -> SampleFn {
         return [getpid = LeBench::SimulateKernel("getpid", cpu, config)](uint64_t seed) {
           return NoisyKernel("getpid", getpid, seed);
         };
@@ -86,9 +87,9 @@ TEST(Attribution, SegmentsRoughlySumToTotal) {
 
 TEST(Attribution, BroadwellLeBenchDominatedByPtiAndMds) {
   const CpuModel& cpu = GetCpuModel(Uarch::kBroadwell);
-  const AttributionReport report = AttributeOsMitigations(
-      cpu, "lebench",
-      [&cpu](const MitigationConfig& config) -> SampleFn {
+  const AttributionReport report = AttributeMitigations(
+      cpu, "lebench", OsMitigationKnobs(),
+      [&cpu](const JitConfig&, const MitigationConfig& config) -> SampleFn {
         return [suite = LeBench::SimulateSuite(cpu, config)](uint64_t seed) {
           return LeBench::SuiteGeomean(NoisySuite(suite, seed));
         };
@@ -116,15 +117,15 @@ TEST(Attribution, BroadwellLeBenchDominatedByPtiAndMds) {
 
 TEST(Attribution, BrowserReportHasTheFigure3Segments) {
   const CpuModel& cpu = GetCpuModel(Uarch::kZen3);
-  const AttributionReport report = AttributeBrowserMitigations(
-      cpu,
+  const AttributionReport report = AttributeMitigations(
+      cpu, "octane2", BrowserMitigationKnobs(),
       [&cpu](const JitConfig& jit, const MitigationConfig& os) -> SampleFn {
         // One kernel keeps the test fast; the full suite runs in fig3.
         return [crypto = Octane::SimulateKernel("crypto", cpu, jit, os)](uint64_t seed) {
           return NoisyKernel("crypto", crypto, seed);
         };
       },
-      FastSampler());
+      /*lower_is_better=*/false, FastSampler());
   ASSERT_EQ(report.segments.size(), 5u);
   EXPECT_EQ(report.segments[0].id, "index_masking");
   EXPECT_EQ(report.segments[3].id, "ssbd");
@@ -138,9 +139,9 @@ TEST(Attribution, SimulatesEachConfigOnceAndSamplesItsNoise) {
   const CpuModel& cpu = GetCpuModel(Uarch::kBroadwell);
   const SamplerOptions sampler = FastSampler();
   size_t os_simulations = 0;
-  const AttributionReport os = AttributeOsMitigations(
-      cpu, "getpid",
-      [&](const MitigationConfig& config) -> SampleFn {
+  const AttributionReport os = AttributeMitigations(
+      cpu, "getpid", OsMitigationKnobs(),
+      [&](const JitConfig&, const MitigationConfig& config) -> SampleFn {
         os_simulations++;
         return [getpid = LeBench::SimulateKernel("getpid", cpu, config)](uint64_t seed) {
           return NoisyKernel("getpid", getpid, seed);
@@ -153,15 +154,15 @@ TEST(Attribution, SimulatesEachConfigOnceAndSamplesItsNoise) {
   EXPECT_GE(os.total_samples, sampler.min_samples * os_simulations);
 
   size_t browser_simulations = 0;
-  const AttributionReport browser = AttributeBrowserMitigations(
-      cpu,
+  const AttributionReport browser = AttributeMitigations(
+      cpu, "octane2", BrowserMitigationKnobs(),
       [&](const JitConfig& jit, const MitigationConfig& config) -> SampleFn {
         browser_simulations++;
         return [crypto = Octane::SimulateKernel("crypto", cpu, jit, config)](uint64_t seed) {
           return NoisyKernel("crypto", crypto, seed);
         };
       },
-      sampler);
+      /*lower_is_better=*/false, sampler);
   EXPECT_EQ(browser_simulations, 1 + browser.segments.size());
   EXPECT_EQ(browser_simulations, 6u);  // everything on, then five steps
   EXPECT_GE(browser.total_samples, sampler.min_samples * browser_simulations);

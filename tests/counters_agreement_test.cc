@@ -146,9 +146,9 @@ TEST(CountersAgreement, OsMitigationsOnFigure2Cells) {
     const CpuModel& cpu = GetCpuModel(c.uarch);
     const CounterBreakdown row =
         MeasureLeBenchCounters(cpu, MitigationConfig::Defaults(cpu), c.kernel);
-    const AttributionReport report = AttributeOsMitigations(
-        cpu, "lebench:" + c.kernel,
-        [&](const MitigationConfig& config) -> SampleFn {
+    const AttributionReport report = AttributeMitigations(
+        cpu, "lebench:" + c.kernel, OsMitigationKnobs(),
+        [&](const JitConfig&, const MitigationConfig& config) -> SampleFn {
           return [&c, simulated = LeBench::SimulateKernel(c.kernel, cpu, config)](uint64_t seed) {
             return NoisyKernel(c.kernel, simulated, seed);
           };
@@ -164,14 +164,14 @@ TEST(CountersAgreement, BrowserMitigationsOnFigure3Cells) {
     const CpuModel& cpu = GetCpuModel(u);
     const CounterBreakdown row = MeasureOctaneCounters(
         cpu, JitConfig::AllOn(), MitigationConfig::Defaults(cpu), "richards");
-    const AttributionReport report = AttributeBrowserMitigations(
-        cpu,
+    const AttributionReport report = AttributeMitigations(
+        cpu, "octane:richards", BrowserMitigationKnobs(),
         [&](const JitConfig& jit, const MitigationConfig& os) -> SampleFn {
           return [richards = Octane::SimulateKernel("richards", cpu, jit, os)](uint64_t seed) {
             return NoisyKernel("richards", richards, seed);
           };
         },
-        FastSampler());
+        /*lower_is_better=*/false, FastSampler());
     CheckAgreement(std::string(UarchName(cpu.uarch)) + " octane:richards", row, report,
                    &BrowserStepTags);
   }
@@ -183,9 +183,10 @@ TEST(CountersAgreement, EagerFpuIsInvisibleToDifferenceOfRuns) {
   // bus bucket for it is real cost that no difference-of-runs segment can
   // ever contain.
   const CpuModel& cpu = GetCpuModel(Uarch::kBroadwell);
+  JitConfig jit = JitConfig::AllOn();
   MitigationConfig config = MitigationConfig::Defaults(cpu);
   for (const MitigationKnob& knob : OsMitigationKnobs()) {
-    knob.disable(&config);
+    knob.disable(&jit, &config);
   }
   EXPECT_TRUE(config.eager_fpu);
   EXPECT_TRUE(MitigationConfig::AllOff().eager_fpu);

@@ -2,9 +2,12 @@
 // placement, context switching, demand paging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "src/os/kernel.h"
+#include "src/uarch/cycle_attribution.h"
 
 namespace specbench {
 namespace {
@@ -327,6 +330,40 @@ TEST(Kernel, BoundaryCrossingCostTracksMitigationDelta) {
     const double model_delta = static_cast<double>(k_def->BoundaryCrossingCost()) -
                                static_cast<double>(k_off->BoundaryCrossingCost());
     EXPECT_NEAR(measured_delta, model_delta, model_delta * 0.5 + 120.0) << UarchName(u);
+  }
+}
+
+// The page-fault path charges the fault-path cost model per cause: the
+// recorded causes sum to BoundaryCrossingCost(), and a generic retpoline
+// charges V2 only what its thunk costs beyond a predicted dispatch.
+TEST(Kernel, BoundaryCrossingChargeMatchesTheCostModel) {
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    std::vector<MitigationConfig> configs = {MitigationConfig::Defaults(cpu),
+                                             MitigationConfig::AllOff()};
+    for (RetpolineMode mode : {RetpolineMode::kNone, RetpolineMode::kGeneric,
+                               RetpolineMode::kAmd}) {
+      configs.push_back(MitigationConfig::AllOff());
+      configs.back().retpoline = mode;
+    }
+    for (const MitigationConfig& config : configs) {
+      auto kernel = GetpidKernel(u, config, 1);
+      CycleAttribution attribution;
+      kernel->machine().SetCycleAttribution(&attribution);
+      kernel->ChargeBoundaryCrossing();
+      const CycleAttribution::Totals& totals = attribution.totals();
+      uint64_t cause_sum = 0;
+      for (uint64_t cycles : totals.cause_cycles) {
+        cause_sum += cycles;
+      }
+      EXPECT_EQ(cause_sum, kernel->BoundaryCrossingCost()) << UarchName(u);
+      if (config.retpoline == RetpolineMode::kGeneric && config.ibrs == IbrsMode::kOff) {
+        const uint64_t thunk = 7 + cpu.latency.mispredict_penalty;
+        EXPECT_EQ(totals.Cause(CauseTag::kSpectreV2),
+                  thunk - std::min<uint64_t>(cpu.latency.indirect_predicted, thunk))
+            << UarchName(u);
+      }
+    }
   }
 }
 

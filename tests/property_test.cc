@@ -138,7 +138,8 @@ TEST_P(KnobSweep, DisablingAMitigationNeverSlowsTheBoundary) {
     GTEST_SKIP() << "knob not in this CPU's default set";
   }
   MitigationConfig without = with;
-  knob.disable(&without);
+  JitConfig jit = JitConfig::AllOn();
+  knob.disable(&jit, &without);
   const double cost_with = LeBench::RunKernel("getpid", cpu, with, 7);
   const double cost_without = LeBench::RunKernel("getpid", cpu, without, 7);
   EXPECT_GE(cost_with, cost_without * 0.97)

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "src/stats/sampler.h"
 #include "src/stats/summary.h"
@@ -134,7 +135,7 @@ TEST(RelativeOverhead, PropagatesError) {
 TEST(Sampler, ConvergesOnLowNoise) {
   Rng rng(123);
   const SampleResult result = SampleUntilConverged(
-      [&] { return 100.0 + rng.NextGaussian() * 0.5; });
+      [&](uint64_t) { return 100.0 + rng.NextGaussian() * 0.5; }, 0);
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.estimate.value, 100.0, 0.5);
   EXPECT_LT(result.samples, 200u);
@@ -146,7 +147,7 @@ TEST(Sampler, HitsMaxSamplesOnHighNoise) {
   options.max_samples = 12;
   options.target_relative_ci = 1e-6;
   const SampleResult result = SampleUntilConverged(
-      [&] { return 100.0 + rng.NextGaussian() * 30.0; }, options);
+      [&](uint64_t) { return 100.0 + rng.NextGaussian() * 30.0; }, 0, options);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.samples, 12u);
 }
@@ -156,11 +157,11 @@ TEST(Sampler, RespectsMinSamples) {
   SamplerOptions options;
   options.min_samples = 7;
   const SampleResult result = SampleUntilConverged(
-      [&] {
+      [&](uint64_t) {
         calls++;
         return 5.0;  // zero variance: converges at min_samples
       },
-      options);
+      0, options);
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(calls, 7);
 }
@@ -171,16 +172,18 @@ TEST(Sampler, ExcludesNonFiniteSamplesAndStillConverges) {
   // burned max_samples returning a NaN estimate. Non-finite draws are now
   // excluded from the statistics and surfaced via saw_non_finite().
   int calls = 0;
-  const SampleResult result = SampleUntilConverged([&] {
-    calls++;
-    if (calls == 2) {
-      return std::numeric_limits<double>::quiet_NaN();
-    }
-    if (calls == 4) {
-      return std::numeric_limits<double>::infinity();
-    }
-    return 42.0;
-  });
+  const SampleResult result = SampleUntilConverged(
+      [&](uint64_t) {
+        calls++;
+        if (calls == 2) {
+          return std::numeric_limits<double>::quiet_NaN();
+        }
+        if (calls == 4) {
+          return std::numeric_limits<double>::infinity();
+        }
+        return 42.0;
+      },
+      0);
   EXPECT_TRUE(result.converged);
   EXPECT_TRUE(result.saw_non_finite());
   EXPECT_EQ(result.non_finite_samples, 2u);
@@ -193,16 +196,33 @@ TEST(Sampler, AllNonFiniteTerminatesAtMaxSamples) {
   SamplerOptions options;
   options.max_samples = 25;
   const SampleResult result = SampleUntilConverged(
-      [&] {
+      [&](uint64_t) {
         calls++;
         return std::numeric_limits<double>::quiet_NaN();
       },
-      options);
+      0, options);
   EXPECT_EQ(calls, 25);  // non-finite draws still count against max_samples
   EXPECT_FALSE(result.converged);
   EXPECT_TRUE(result.saw_non_finite());
   EXPECT_EQ(result.non_finite_samples, 25u);
   EXPECT_EQ(result.samples, 0u);  // nothing usable was accumulated
+}
+
+TEST(Sampler, DrawsOneSeedPerSampleFromTheFirst) {
+  // The sampler owns the seed sequence: draw i gets first_seed + i, and a
+  // non-finite draw still uses up its seed.
+  std::vector<uint64_t> seeds;
+  SamplerOptions options;
+  options.min_samples = 3;
+  const SampleResult result = SampleUntilConverged(
+      [&](uint64_t seed) {
+        seeds.push_back(seed);
+        return seeds.size() == 2 ? std::numeric_limits<double>::quiet_NaN() : 7.0;
+      },
+      40, options);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.samples, 3u);
+  EXPECT_EQ(seeds, (std::vector<uint64_t>{40, 41, 42, 43}));
 }
 
 TEST(Sampler, CiCoversTrueMeanUsually) {
@@ -216,7 +236,7 @@ TEST(Sampler, CiCoversTrueMeanUsually) {
     options.min_samples = 20;
     options.max_samples = 20;  // fixed n, CI from data
     const SampleResult r = SampleUntilConverged(
-        [&] { return 50.0 + rng.NextGaussian() * 5.0; }, options);
+        [&](uint64_t) { return 50.0 + rng.NextGaussian() * 5.0; }, 0, options);
     if (std::fabs(r.estimate.value - 50.0) <= r.estimate.ci95) {
       covered++;
     }

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/corpus.h"
@@ -26,7 +27,7 @@
 #include "src/analysis/detectors.h"
 #include "src/analysis/passes.h"
 #include "src/analysis/report.h"
-#include "src/attack/attacks.h"
+#include "src/attack/suite.h"
 #include "src/core/counters.h"
 #include "src/core/experiments.h"
 #include "src/core/pareto.h"
@@ -55,15 +56,15 @@ struct CliOptions {
   uint64_t seed = 1;
   std::vector<Uarch> cpus = AllUarches();
   std::vector<std::string> grids = {"fig2", "fig3", "sec45"};
-  std::vector<std::string> workloads;  // empty = all
-  std::vector<std::string> configs;    // empty = all
+  std::vector<std::string> workloads;  // not given = all
+  std::vector<std::string> configs;    // not given = all
   std::vector<std::string> boot_params;  // Linux-style tokens for `counters`
   // difftest options.
   uint64_t seed_begin = 0;             // --seeds=A:B (B exclusive)
   uint64_t seed_end = 100;
   bool seeds_given = false;            // harden: --seeds selects fuzz mode
   bool cpus_given = false;             // --cpus appeared on the command line
-  std::vector<std::string> passes;     // harden: --passes=a,b (empty = all)
+  std::vector<std::string> passes;     // harden: --passes=a,b (not given = all)
   uint64_t inject_alu_fault = 0;       // oracle self-check: corrupt nth ALU op
   std::string corpus_out;              // directory for shrunk reproducers
   std::string replay;                  // corpus file to replay instead
@@ -856,31 +857,20 @@ int RunHarden(const CliOptions& options) {
 }
 
 int RunAttackSuite(const CliOptions& options) {
-  std::printf("%-16s %-12s %-10s %-10s\n", "CPU", "attack", "unmitigated", "mitigated");
+  std::printf("%-16s %-16s %-10s %-10s\n", "CPU", "attack", "unmitigated", "mitigated");
   int bad = 0;
   for (Uarch u : options.cpus) {
     const CpuModel& cpu = GetCpuModel(u);
-    struct Row {
-      const char* name;
-      AttackResult off;
-      AttackResult on;
-    };
-    const Row rows[] = {
-        {"spectre-v1", RunSpectreV1Attack(cpu, false), RunSpectreV1Attack(cpu, true)},
-        {"spectre-v2", RunSpectreV2Attack(cpu, {}),
-         RunSpectreV2Attack(cpu, {.generic_retpoline = true})},
-        {"spectre-rsb", RunSpectreRsbAttack(cpu, false), RunSpectreRsbAttack(cpu, true)},
-        {"meltdown", RunMeltdownAttack(cpu, false), RunMeltdownAttack(cpu, true)},
-        {"mds", RunMdsAttack(cpu, false), RunMdsAttack(cpu, true)},
-        {"ssb", RunSsbAttack(cpu, false), RunSsbAttack(cpu, true)},
-        {"lazyfp", RunLazyFpAttack(cpu, false), RunLazyFpAttack(cpu, true)},
-        {"l1tf", RunL1tfAttack(cpu, false), RunL1tfAttack(cpu, true)},
-        {"v2-smt", RunSpectreV2SmtAttack(cpu, false), RunSpectreV2SmtAttack(cpu, true)},
-    };
-    for (const Row& row : rows) {
-      std::printf("%-16s %-12s %-10s %-10s\n", UarchName(u), row.name,
-                  row.off.leaked ? "LEAK" : "safe", row.on.leaked ? "LEAK" : "safe");
-      bad += row.on.leaked ? 1 : 0;
+    for (const AttackSpec& spec : AttackSuite()) {
+      const char* off = "n/a";
+      const char* on = "n/a";
+      if (spec.vulnerable(cpu)) {  // Table 1's empty cells run nothing
+        off = RunCanonicalTrial(spec, cpu, /*mitigated=*/false).leaked ? "LEAK" : "safe";
+        const bool leaked = RunCanonicalTrial(spec, cpu, /*mitigated=*/true).leaked;
+        on = leaked ? "LEAK" : "safe";
+        bad += leaked ? 1 : 0;
+      }
+      std::printf("%-16s %-16s %-10s %-10s\n", UarchName(u), spec.name.c_str(), off, on);
     }
   }
   std::printf("\n%d leaks with mitigations enabled (expected 0).\n", bad);
@@ -891,12 +881,26 @@ int RunAttackSuite(const CliOptions& options) {
 
 // One command-line flag. `value` is the placeholder usage prints after '='
 // (nullptr for a switch, which takes no value); `set` stores the value in
-// CliOptions, or prints a one-line diagnostic and returns false (exit 2).
+// CliOptions, or prints a one-line diagnostic and returns false (exit 2). A
+// list flag (comma-separated names) names its CliOptions member in `list`
+// instead, and SetList stores it.
 struct Flag {
   const char* name;
   const char* value;
   bool (*set)(const std::string& value, CliOptions* options);
+  std::vector<std::string> CliOptions::*list = nullptr;
 };
+
+// The setter of every list flag: an empty list is an error, not "all".
+bool SetList(const Flag& flag, const std::string& value, CliOptions* options) {
+  std::vector<std::string> names = SplitList(value);
+  if (names.empty()) {
+    std::fprintf(stderr, "%s= needs at least one name\n", flag.name);
+    return false;
+  }
+  options->*flag.list = std::move(names);
+  return true;
+}
 
 const std::vector<Flag>& Flags() {
   static const std::vector<Flag> flags = {
@@ -909,14 +913,10 @@ const std::vector<Flag>& Flags() {
          o->cpus_given = true;
          return true;
        }},
-      {"--grids", "fig2,fig3,sec45,difftest,harden",
-       [](const std::string& v, CliOptions* o) { o->grids = SplitList(v); return true; }},
-      {"--workloads", "a,b",
-       [](const std::string& v, CliOptions* o) { o->workloads = SplitList(v); return true; }},
-      {"--configs", "a,b",
-       [](const std::string& v, CliOptions* o) { o->configs = SplitList(v); return true; }},
-      {"--boot-params", "nopti,mds=off,...",
-       [](const std::string& v, CliOptions* o) { o->boot_params = SplitList(v); return true; }},
+      {"--grids", "fig2,fig3,sec45,difftest,harden", nullptr, &CliOptions::grids},
+      {"--workloads", "a,b", nullptr, &CliOptions::workloads},
+      {"--configs", "a,b", nullptr, &CliOptions::configs},
+      {"--boot-params", "nopti,mds=off,...", nullptr, &CliOptions::boot_params},
       {"--jobs", "N",
        [](const std::string& v, CliOptions* o) { return ParseJobsFlag(v, &o->jobs); }},
       {"--trials", "T",
@@ -948,8 +948,7 @@ const std::vector<Flag>& Flags() {
          o->seeds_given = true;
          return true;
        }},
-      {"--passes", "targeted-lfence,...",
-       [](const std::string& v, CliOptions* o) { o->passes = SplitList(v); return true; }},
+      {"--passes", "targeted-lfence,...", nullptr, &CliOptions::passes},
       {"--inject-alu-fault", "N",
        [](const std::string& v, CliOptions* o) {
          if (!ParseU64Strict(v, &o->inject_alu_fault)) {
@@ -977,8 +976,7 @@ const std::vector<Flag>& Flags() {
        [](const std::string& v, CliOptions* o) { o->checkpoint = v; return true; }},
       {"--resume", nullptr,
        [](const std::string&, CliOptions* o) { o->resume = true; return true; }},
-      {"--inputs", "a.journal,b.journal,...",
-       [](const std::string& v, CliOptions* o) { o->inputs = SplitList(v); return true; }},
+      {"--inputs", "a.journal,b.journal,...", nullptr, &CliOptions::inputs},
       {"--socket", "PATH",
        [](const std::string& v, CliOptions* o) { o->socket_path = v; return true; }},
       {"--ping", nullptr, [](const std::string&, CliOptions* o) { o->ping = true; return true; }},
@@ -1059,19 +1057,18 @@ const std::vector<Command>& Commands() {
        }},
       {"fig3", {"--csv", "--jobs", "--cpus"}, "Octane 2 attribution (per CPU)",
        [](const CliOptions& o) {
-         const auto reports = RunFigure3Octane(kExperimentSampler, o.cpus, RunnerFor(o));
+         const auto reports = RunFigure3Octane(o.cpus, RunnerFor(o));
          return PrintText(o.csv ? RenderAttributionCsv(reports) : RenderFigure3(reports));
        }},
       {"fig5", {"--cpus"}, "SSBD on PARSEC (per CPU)",
        [](const CliOptions& o) { return PrintText(RenderFigure5(RunFigure5Ssbd(o.cpus))); }},
       {"sec44", {"--cpus"}, "VM workloads",
        [](const CliOptions& o) {
-         return PrintText(RenderSection44(RunSection44Vm(kExperimentSampler, o.cpus)));
+         return PrintText(RenderSection44(RunSection44Vm(o.cpus)));
        }},
       {"sec45", {"--jobs", "--cpus"}, "PARSEC defaults",
        [](const CliOptions& o) {
-         return PrintText(
-             RenderSection45(RunSection45Parsec(kExperimentSampler, o.cpus, RunnerFor(o))));
+         return PrintText(RenderSection45(RunSection45Parsec(o.cpus, RunnerFor(o))));
        }},
       {"scorecard", {"--jobs"},
        "every paper claim, paper vs measured, match/miss; byte-identical for any --jobs",
@@ -1268,7 +1265,9 @@ int main(int argc, char** argv) {
                    name.c_str());
       return 2;
     }
-    if (!flag->set(eq == std::string::npos ? std::string() : arg.substr(eq + 1), &options)) {
+    const std::string value = eq == std::string::npos ? std::string() : arg.substr(eq + 1);
+    if (!(flag->list != nullptr ? SetList(*flag, value, &options)
+                                : flag->set(value, &options))) {
       return 2;
     }
   }
