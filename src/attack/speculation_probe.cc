@@ -165,6 +165,14 @@ std::string ProbeCaseName(const ProbeCase& c) {
 
 SpeculationProbe::SpeculationProbe(const CpuModel& cpu) : cpu_(cpu) {}
 
+std::vector<ProbeOutcome> SpeculationProbe::RunTable9Row(bool ibrs) const {
+  std::vector<ProbeOutcome> outcomes;
+  for (const ProbeCase& c : Table9Columns(ibrs)) {
+    outcomes.push_back(Run(c));
+  }
+  return outcomes;
+}
+
 ProbeOutcome SpeculationProbe::Run(const ProbeCase& probe_case) const {
   SPECBENCH_CHECK(probe_case.train_mode == Mode::kUser ||
                   probe_case.train_mode == Mode::kKernel);

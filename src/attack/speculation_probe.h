@@ -48,6 +48,10 @@ class SpeculationProbe {
   // a power-on machine.
   ProbeOutcome Run(const ProbeCase& probe_case) const;
 
+  // This CPU's row of Table 9 (Table 10 with `ibrs`): Run() of each
+  // Table9Columns() case, in column order.
+  std::vector<ProbeOutcome> RunTable9Row(bool ibrs) const;
+
   // Control experiment: training and probing from the *same* call site in
   // the same mode. On Zen 3 this succeeds even though all the cross-context
   // cases fail — the paper's suspicion that Zen 3 "isn't immune, just

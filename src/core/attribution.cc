@@ -79,14 +79,6 @@ const std::vector<MitigationKnob>& BrowserMitigationKnobs() {
   return kKnobs;
 }
 
-double AttributionReport::SegmentSum() const {
-  double sum = 0.0;
-  for (const AttributionSegment& segment : segments) {
-    sum += segment.overhead_pct.value;
-  }
-  return sum;
-}
-
 AttributionReport AttributeMitigations(const CpuModel& cpu, const std::string& workload,
                                        const std::vector<MitigationKnob>& knobs,
                                        const MeasureFn& measure, bool lower_is_better,

@@ -69,9 +69,6 @@ struct AttributionReport {
   size_t total_samples = 0;
   bool converged = true;
   bool saw_non_finite = false;
-
-  // Sum of segment midpoints (== total up to measurement error).
-  double SegmentSum() const;
 };
 
 // A measurement under one (JIT, OS) configuration. The simulation is

@@ -220,45 +220,52 @@ double GuestNoisy(double simulated, uint64_t seed) { return ApplyNoise(simulated
 
 }  // namespace
 
+std::vector<VmWorkloadResult> MeasureSection44Vm(const CpuModel& cpu) {
+  const HostConfig host_on = HostConfig::Defaults(cpu);
+  const HostConfig host_off = HostConfig::AllOff();
+  std::vector<VmWorkloadResult> results;
+
+  // LEBench-like guest.
+  {
+    const double sim_on = RunGuestLeBenchLike(cpu, host_on);
+    const double sim_off = RunGuestLeBenchLike(cpu, host_off);
+    const SampleResult on = SampleUntilConverged(
+        [&](uint64_t seed) { return GuestNoisy(sim_on, seed); }, 100, kExperimentSampler);
+    const SampleResult off = SampleUntilConverged(
+        [&](uint64_t seed) { return GuestNoisy(sim_off, seed); }, 5100, kExperimentSampler);
+    VmWorkloadResult r;
+    r.cpu = UarchName(cpu.uarch);
+    r.workload = "lebench-in-vm";
+    r.overhead_pct = RelativeOverheadPercent(on.estimate, off.estimate);
+    results.push_back(r);
+  }
+
+  // LFS smallfile / largefile against the emulated disk.
+  for (const std::string& name : Lfs::KernelNames()) {
+    const MitigationConfig guest = MitigationConfig::Defaults(cpu);
+    const LfsResult sim_on = Lfs::SimulateKernel(name, cpu, guest, host_on);
+    const LfsResult sim_off = Lfs::SimulateKernel(name, cpu, guest, host_off);
+    const SampleResult on = SampleUntilConverged(
+        [&](uint64_t seed) { return NoisyKernel(name, sim_on.cycles, seed); }, 200,
+        kExperimentSampler);
+    const SampleResult off = SampleUntilConverged(
+        [&](uint64_t seed) { return NoisyKernel(name, sim_off.cycles, seed); }, 7200,
+        kExperimentSampler);
+    VmWorkloadResult r;
+    r.cpu = UarchName(cpu.uarch);
+    r.workload = "lfs-" + name;
+    r.overhead_pct = RelativeOverheadPercent(on.estimate, off.estimate);
+    r.vm_exits_protected = sim_on.vm_exits;
+    results.push_back(r);
+  }
+  return results;
+}
+
 std::vector<VmWorkloadResult> RunSection44Vm(const std::vector<Uarch>& cpus) {
   std::vector<VmWorkloadResult> results;
   for (Uarch u : cpus) {
-    const CpuModel& cpu = GetCpuModel(u);
-    const HostConfig host_on = HostConfig::Defaults(cpu);
-    const HostConfig host_off = HostConfig::AllOff();
-
-    // LEBench-like guest.
-    {
-      const double sim_on = RunGuestLeBenchLike(cpu, host_on);
-      const double sim_off = RunGuestLeBenchLike(cpu, host_off);
-      const SampleResult on = SampleUntilConverged(
-          [&](uint64_t seed) { return GuestNoisy(sim_on, seed); }, 100, kExperimentSampler);
-      const SampleResult off = SampleUntilConverged(
-          [&](uint64_t seed) { return GuestNoisy(sim_off, seed); }, 5100, kExperimentSampler);
-      VmWorkloadResult r;
-      r.cpu = UarchName(u);
-      r.workload = "lebench-in-vm";
-      r.overhead_pct = RelativeOverheadPercent(on.estimate, off.estimate);
-      results.push_back(r);
-    }
-
-    // LFS smallfile / largefile against the emulated disk.
-    for (const std::string& name : Lfs::KernelNames()) {
-      const MitigationConfig guest = MitigationConfig::Defaults(cpu);
-      const LfsResult sim_on = Lfs::SimulateKernel(name, cpu, guest, host_on);
-      const LfsResult sim_off = Lfs::SimulateKernel(name, cpu, guest, host_off);
-      const SampleResult on = SampleUntilConverged(
-          [&](uint64_t seed) { return NoisyKernel(name, sim_on.cycles, seed); }, 200,
-          kExperimentSampler);
-      const SampleResult off = SampleUntilConverged(
-          [&](uint64_t seed) { return NoisyKernel(name, sim_off.cycles, seed); }, 7200,
-          kExperimentSampler);
-      VmWorkloadResult r;
-      r.cpu = UarchName(u);
-      r.workload = "lfs-" + name;
-      r.overhead_pct = RelativeOverheadPercent(on.estimate, off.estimate);
-      r.vm_exits_protected = sim_on.vm_exits;
-      results.push_back(r);
+    for (VmWorkloadResult& r : MeasureSection44Vm(GetCpuModel(u))) {
+      results.push_back(std::move(r));
     }
   }
   return results;
@@ -360,23 +367,26 @@ std::string RenderTable8Lfence() {
                           MeasureLfence, PaperTable8Lfence);
 }
 
+Fig5Row MeasureFigure5Ssbd(const CpuModel& cpu) {
+  MitigationConfig ssbd = MitigationConfig::AllOff();
+  ssbd.ssbd = SsbdMode::kAlways;
+  auto slowdown = [&](const std::string& name) {
+    const double off = Parsec::RunKernel(name, cpu, MitigationConfig::AllOff(), 41);
+    const double on = Parsec::RunKernel(name, cpu, ssbd, 42);
+    return (on / off - 1.0) * 100.0;
+  };
+  Fig5Row row;
+  row.cpu = UarchName(cpu.uarch);
+  row.swaptions_pct = slowdown("swaptions");
+  row.facesim_pct = slowdown("facesim");
+  row.bodytrack_pct = slowdown("bodytrack");
+  return row;
+}
+
 std::vector<Fig5Row> RunFigure5Ssbd(const std::vector<Uarch>& cpus) {
   std::vector<Fig5Row> rows;
   for (Uarch u : cpus) {
-    const CpuModel& cpu = GetCpuModel(u);
-    MitigationConfig ssbd = MitigationConfig::AllOff();
-    ssbd.ssbd = SsbdMode::kAlways;
-    Fig5Row row;
-    row.cpu = UarchName(u);
-    auto slowdown = [&](const std::string& name) {
-      const double off = Parsec::RunKernel(name, cpu, MitigationConfig::AllOff(), 41);
-      const double on = Parsec::RunKernel(name, cpu, ssbd, 42);
-      return (on / off - 1.0) * 100.0;
-    };
-    row.swaptions_pct = slowdown("swaptions");
-    row.facesim_pct = slowdown("facesim");
-    row.bodytrack_pct = slowdown("bodytrack");
-    rows.push_back(row);
+    rows.push_back(MeasureFigure5Ssbd(GetCpuModel(u)));
   }
   return rows;
 }
@@ -405,10 +415,8 @@ std::string RenderTables9And10() {
     }
     t.SetHeader(header);
     for (Uarch u : AllUarches()) {
-      SpeculationProbe probe(GetCpuModel(u));
       std::vector<std::string> cells = {UarchName(u)};
-      for (const ProbeCase& c : Table9Columns(ibrs)) {
-        const ProbeOutcome outcome = probe.Run(c);
+      for (const ProbeOutcome outcome : SpeculationProbe(GetCpuModel(u)).RunTable9Row(ibrs)) {
         cells.push_back(outcome == ProbeOutcome::kSpeculated
                             ? "yes"
                             : (outcome == ProbeOutcome::kUnsupported ? "N/A" : ""));
@@ -429,42 +437,47 @@ std::string RenderTables9And10() {
   return out.str();
 }
 
+EibrsBimodalRow MeasureEibrsBimodal(const CpuModel& cpu) {
+  MachineLease lease(cpu);
+  Machine& m = *lease;
+  m.SetIbrs(true);
+  m.SetReg(kRegSp, 0x70000000);
+  ProgramBuilder b;
+  Label entry = b.NewLabel();
+  b.Syscall();
+  b.Halt();
+  b.Bind(entry);
+  b.Sysret();
+  Program p = b.Build();
+  m.LoadProgram(&p);
+  m.SetSyscallEntry(p.VaddrOf(2));
+  EibrsBimodalRow row;
+  row.cpu = UarchName(cpu.uarch);
+  double fast_sum = 0;
+  double slow_sum = 0;
+  for (int i = 0; i < 200; i++) {
+    const uint64_t before = m.cycles();
+    m.Run(p.VaddrOf(0));
+    const uint64_t cost = m.cycles() - before;
+    if (cost > cpu.latency.syscall + cpu.latency.sysret + 100) {
+      row.slow++;
+      slow_sum += static_cast<double>(cost);
+    } else {
+      row.fast++;
+      fast_sum += static_cast<double>(cost);
+    }
+  }
+  row.fast_avg = row.fast ? fast_sum / static_cast<double>(row.fast) : 0;
+  row.slow_avg = row.slow ? slow_sum / static_cast<double>(row.slow) : 0;
+  return row;
+}
+
 std::vector<EibrsBimodalRow> MeasureEibrsBimodal() {
   std::vector<EibrsBimodalRow> rows;
-  for (Uarch u : {Uarch::kCascadeLake, Uarch::kIceLakeClient, Uarch::kIceLakeServer}) {
-    const CpuModel& cpu = GetCpuModel(u);
-    MachineLease lease(cpu);
-    Machine& m = *lease;
-    m.SetIbrs(true);
-    m.SetReg(kRegSp, 0x70000000);
-    ProgramBuilder b;
-    Label entry = b.NewLabel();
-    b.Syscall();
-    b.Halt();
-    b.Bind(entry);
-    b.Sysret();
-    Program p = b.Build();
-    m.LoadProgram(&p);
-    m.SetSyscallEntry(p.VaddrOf(2));
-    EibrsBimodalRow row;
-    row.cpu = UarchName(u);
-    double fast_sum = 0;
-    double slow_sum = 0;
-    for (int i = 0; i < 200; i++) {
-      const uint64_t before = m.cycles();
-      m.Run(p.VaddrOf(0));
-      const uint64_t cost = m.cycles() - before;
-      if (cost > cpu.latency.syscall + cpu.latency.sysret + 100) {
-        row.slow++;
-        slow_sum += static_cast<double>(cost);
-      } else {
-        row.fast++;
-        fast_sum += static_cast<double>(cost);
-      }
+  for (Uarch u : AllUarches()) {
+    if (GetCpuModel(u).predictor.eibrs) {
+      rows.push_back(MeasureEibrsBimodal(GetCpuModel(u)));
     }
-    row.fast_avg = row.fast ? fast_sum / static_cast<double>(row.fast) : 0;
-    row.slow_avg = row.slow ? slow_sum / static_cast<double>(row.slow) : 0;
-    rows.push_back(row);
   }
   return rows;
 }

@@ -52,6 +52,8 @@ struct VmWorkloadResult {
   Estimate overhead_pct;          // host mitigations on vs off
   uint64_t vm_exits_protected = 0;
 };
+// One CPU's rows: LEBench-in-VM, then each LFS kernel.
+std::vector<VmWorkloadResult> MeasureSection44Vm(const CpuModel& cpu);
 std::vector<VmWorkloadResult> RunSection44Vm(const std::vector<Uarch>& cpus = AllUarches());
 std::string RenderSection44(const std::vector<VmWorkloadResult>& results);
 
@@ -82,6 +84,7 @@ struct Fig5Row {
   double facesim_pct = 0;
   double bodytrack_pct = 0;
 };
+Fig5Row MeasureFigure5Ssbd(const CpuModel& cpu);
 std::vector<Fig5Row> RunFigure5Ssbd(const std::vector<Uarch>& cpus = AllUarches());
 std::string RenderFigure5(const std::vector<Fig5Row>& rows);
 
@@ -100,6 +103,7 @@ struct EibrsBimodalRow {
   // Every Nth entry is slow (0 when none is).
   uint64_t SlowEntryPeriod() const { return slow != 0 ? (fast + slow) / slow : 0; }
 };
+EibrsBimodalRow MeasureEibrsBimodal(const CpuModel& cpu);
 std::vector<EibrsBimodalRow> MeasureEibrsBimodal();
 std::string RenderEibrsBimodal();
 

@@ -2,8 +2,13 @@
 //
 // Paper values and bands come from src/cpu/paper_expectations.h; the
 // measurements from the Run*/Measure* code behind the CLI's table, figure
-// and section commands, plus the ablation loops. The predicates come from
+// and section commands, and from the ablations. The predicates come from
 // the paper's text, so a claim that misses stays a miss.
+//
+// Each kind of claim is one family in scorecard.cc's ClaimFamilies() table:
+// the CPUs it covers, a one-CPU measurement and a join that formats its
+// rows. Every family's cells run on one Sweep::Run; the fig2, fig3 and sec45
+// families register the fig2/fig3/sec45 commands' own grids.
 #ifndef SPECTREBENCH_SRC_CORE_SCORECARD_H_
 #define SPECTREBENCH_SRC_CORE_SCORECARD_H_
 
@@ -28,8 +33,8 @@ struct ScorecardRow {
   bool match = false;
 };
 
-// The Figure 2/3 and §4.5 grids run on the parallel runner with `runner`;
-// the rows are identical for any `runner.jobs`.
+// Runs every claim family's cells on the parallel runner with `runner`; the
+// rows are identical for any `runner.jobs`.
 std::vector<ScorecardRow> BuildScorecard(const RunnerOptions& runner = RunnerOptions());
 
 // Byte-stable text table of the rows plus a match/miss summary line.

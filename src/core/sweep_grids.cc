@@ -29,6 +29,25 @@ const T* FirstRepeat(const std::vector<T>& items) {
   return nullptr;
 }
 
+// One grid `spectrebench sweep --grids` and the sweep service can name.
+struct NamedGrid {
+  const char* name;
+  Sweep (*build)(const NamedGridOptions& options);
+};
+
+const std::vector<NamedGrid>& NamedGrids() {
+  using Options = NamedGridOptions;
+  static const std::vector<NamedGrid> grids = {
+      {"fig2", [](const Options& o) { return BuildFigure2Grid({kExperimentSampler, o.cpus}); }},
+      {"fig3", [](const Options& o) { return BuildFigure3Grid({kExperimentSampler, o.cpus}); }},
+      {"sec45", [](const Options& o) { return BuildSection45Grid({kExperimentSampler, o.cpus}); }},
+      {"difftest",
+       [](const Options& o) { return BuildDifftestGrid({o.cpus, o.seed_begin, o.seed_end}); }},
+      {"harden", [](const Options& o) { return BuildHardenGrid(o.cpus); }},
+  };
+  return grids;
+}
+
 }  // namespace
 
 CellOutput CellOutputFromAttribution(const AttributionReport& report) {
@@ -205,29 +224,20 @@ bool BuildNamedGrids(const NamedGridOptions& options, Sweep* out, std::string* e
     *error = "repeated grid: \"" + *grid + "\"";
     return false;
   }
+  const std::vector<NamedGrid>& grids = NamedGrids();
   Sweep sweep;
-  GridOptions grid;
-  grid.sampler = kExperimentSampler;
-  grid.cpus = options.cpus;
   for (const std::string& name : options.grids) {
-    if (name == "fig2") {
-      sweep.Merge(BuildFigure2Grid(grid));
-    } else if (name == "fig3") {
-      sweep.Merge(BuildFigure3Grid(grid));
-    } else if (name == "sec45") {
-      sweep.Merge(BuildSection45Grid(grid));
-    } else if (name == "difftest") {
-      DifftestGridOptions difftest;
-      difftest.cpus = options.cpus;
-      difftest.seed_begin = options.seed_begin;
-      difftest.seed_end = options.seed_end;
-      sweep.Merge(BuildDifftestGrid(difftest));
-    } else if (name == "harden") {
-      sweep.Merge(BuildHardenGrid(options.cpus));
-    } else {
-      *error = "unknown grid: \"" + name + "\" (valid: fig2, fig3, sec45, difftest, harden)";
+    const auto it = std::find_if(grids.begin(), grids.end(),
+                                 [&name](const NamedGrid& grid) { return name == grid.name; });
+    if (it == grids.end()) {
+      std::string valid;
+      for (const NamedGrid& grid : grids) {
+        valid += (valid.empty() ? "" : ", ") + std::string(grid.name);
+      }
+      *error = "unknown grid: \"" + name + "\" (valid: " + valid + ")";
       return false;
     }
+    sweep.Merge(it->build(options));
   }
   *out = std::move(sweep);
   return true;

@@ -1,6 +1,5 @@
 #include "src/runner/parse.h"
 
-#include <climits>
 #include <cstdio>
 
 namespace specbench {
@@ -36,9 +35,9 @@ bool ParseU64Strict(const std::string& text, uint64_t* out, int base) {
 
 bool ParseJobsFlag(const std::string& value, int* jobs) {
   uint64_t parsed = 0;
-  if (!ParseU64Strict(value, &parsed) || parsed > static_cast<uint64_t>(INT_MAX)) {
-    std::fprintf(stderr, "--jobs=%s: want a thread count >= 0 (0 = all cores)\n",
-                 value.c_str());
+  if (!ParseU64Strict(value, &parsed) || parsed > static_cast<uint64_t>(kMaxJobs)) {
+    std::fprintf(stderr, "--jobs=%s: want a thread count from 0 to %d (0 = all cores)\n",
+                 value.c_str(), kMaxJobs);
     return false;
   }
   *jobs = static_cast<int>(parsed);

@@ -14,10 +14,12 @@ namespace specbench {
 // digits only (no sign, space or trailing garbage), no overflow.
 bool ParseU64Strict(const std::string& text, uint64_t* out, int base = 10);
 
-// A `--jobs=` value: a decimal in [0, INT_MAX], 0 meaning all cores
+// A `--jobs=` value: a decimal in [0, kMaxJobs], 0 meaning all cores
 // (ThreadCountForJobs). Anything else prints the one-line
 // "--jobs=<value>: ..." diagnostic to stderr and returns false; the caller
-// exits 2.
+// exits 2. The bound keeps a typo from asking the runner for more threads
+// than the system will start, which aborts instead of exiting 2.
+inline constexpr int kMaxJobs = 256;
 bool ParseJobsFlag(const std::string& value, int* jobs);
 
 // The non-empty items of a `sep`-separated list ("a,,b," -> {a, b}).

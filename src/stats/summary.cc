@@ -108,20 +108,6 @@ double GeometricMean(const std::vector<double>& values) {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-double Percentile(std::vector<double> values, double q) {
-  SPECBENCH_CHECK(!values.empty());
-  SPECBENCH_CHECK(q >= 0.0 && q <= 100.0);
-  std::sort(values.begin(), values.end());
-  if (values.size() == 1) {
-    return values[0];
-  }
-  const double rank = q / 100.0 * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 Estimate RelativeOverheadPercent(const Estimate& slow, const Estimate& fast) {
   SPECBENCH_CHECK(fast.value > 0.0);
   const double ratio = slow.value / fast.value;

@@ -52,14 +52,6 @@ double TCritical95(size_t dof);
 // LEBench scores are aggregated this way, as in the paper (§4.2).
 double GeometricMean(const std::vector<double>& values);
 
-// q-th percentile (0 <= q <= 100) by linear interpolation between order
-// statistics; used for the bimodal latency analysis (§6.2.2), where means
-// hide the second mode. Aborts on empty input.
-double Percentile(std::vector<double> values, double q);
-
-// Median shorthand.
-inline double Median(std::vector<double> values) { return Percentile(std::move(values), 50.0); }
-
 // A measured quantity with its 95% CI half-width.
 struct Estimate {
   double value = 0.0;

@@ -53,6 +53,4 @@ double Rng::NextGaussian() {
 
 uint64_t Rng::NextInRange(uint64_t lo, uint64_t hi) { return lo + NextBelow(hi - lo + 1); }
 
-Rng Rng::Fork() { return Rng(NextU64()); }
-
 }  // namespace specbench

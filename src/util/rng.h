@@ -40,10 +40,6 @@ class Rng {
   // Convenience: value in [lo, hi] inclusive.
   uint64_t NextInRange(uint64_t lo, uint64_t hi);
 
-  // Forks an independent stream; used to give each subsystem its own RNG
-  // without coupling their consumption order.
-  Rng Fork();
-
  private:
   uint64_t s_[4];
 };

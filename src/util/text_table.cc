@@ -13,10 +13,8 @@ void TextTable::SetHeader(std::vector<std::string> header) { header_ = std::move
 
 void TextTable::AddRow(std::vector<std::string> row) {
   assert(header_.empty() || row.size() == header_.size());
-  rows_.push_back(Row{std::move(row), /*separator=*/false});
+  rows_.push_back(std::move(row));
 }
-
-void TextTable::AddSeparator() { rows_.push_back(Row{{}, /*separator=*/true}); }
 
 std::string TextTable::Render() const {
   const size_t cols = header_.size();
@@ -24,12 +22,9 @@ std::string TextTable::Render() const {
   for (size_t c = 0; c < cols; c++) {
     widths[c] = header_[c].size();
   }
-  for (const Row& row : rows_) {
-    if (row.separator) {
-      continue;
-    }
-    for (size_t c = 0; c < row.cells.size() && c < cols; c++) {
-      widths[c] = std::max(widths[c], row.cells[c].size());
+  for (const std::vector<std::string>& row : rows_) {
+    for (size_t c = 0; c < row.size() && c < cols; c++) {
+      widths[c] = std::max(widths[c], row[c].size());
     }
   }
 
@@ -63,25 +58,17 @@ std::string TextTable::Render() const {
     out << "\n";
   };
 
-  auto emit_separator = [&](std::ostringstream& out) {
-    for (size_t c = 0; c < cols; c++) {
-      if (c > 0) {
-        out << "-+-";
-      }
-      out << std::string(widths[c], '-');
-    }
-    out << "\n";
-  };
-
   std::ostringstream out;
   emit_row(out, header_, /*right_align_numbers=*/false);
-  emit_separator(out);
-  for (const Row& row : rows_) {
-    if (row.separator) {
-      emit_separator(out);
-    } else {
-      emit_row(out, row.cells, /*right_align_numbers=*/true);
+  for (size_t c = 0; c < cols; c++) {
+    if (c > 0) {
+      out << "-+-";
     }
+    out << std::string(widths[c], '-');
+  }
+  out << "\n";
+  for (const std::vector<std::string>& row : rows_) {
+    emit_row(out, row, /*right_align_numbers=*/true);
   }
   return out.str();
 }

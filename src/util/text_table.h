@@ -20,9 +20,6 @@ class TextTable {
   // Appends a data row; must match the header's column count (checked).
   void AddRow(std::vector<std::string> row);
 
-  // Inserts a horizontal separator line before the next row.
-  void AddSeparator();
-
   // Renders with padded columns, e.g.:
   //   CPU             | syscall | sysret
   //   ----------------+---------+-------
@@ -32,13 +29,8 @@ class TextTable {
   size_t row_count() const { return rows_.size(); }
 
  private:
-  struct Row {
-    std::vector<std::string> cells;
-    bool separator = false;
-  };
-
   std::vector<std::string> header_;
-  std::vector<Row> rows_;
+  std::vector<std::vector<std::string>> rows_;
 };
 
 // One labelled, stacked horizontal bar: used to render the paper's stacked

@@ -144,12 +144,12 @@ TEST(CliNumbers, MalformedValuesExitTwoWithOneLine) {
     const char* args;
     const char* want;
   } kCases[] = {
-      {"pareto --jobs=-1", "--jobs=-1: want a thread count >= 0 (0 = all cores)\n"},
-      {"pareto --jobs=banana", "--jobs=banana: want a thread count >= 0 (0 = all cores)\n"},
-      {"pareto --jobs=4x", "--jobs=4x: want a thread count >= 0 (0 = all cores)\n"},
-      {"difftest --jobs=-3", "--jobs=-3: want a thread count >= 0 (0 = all cores)\n"},
-      {"fig3 --jobs=banana", "--jobs=banana: want a thread count >= 0 (0 = all cores)\n"},
-      {"scorecard --jobs=1.5", "--jobs=1.5: want a thread count >= 0 (0 = all cores)\n"},
+      {"pareto --jobs=-1", "--jobs=-1: want a thread count from 0 to 256 (0 = all cores)\n"},
+      {"pareto --jobs=banana", "--jobs=banana: want a thread count from 0 to 256 (0 = all cores)\n"},
+      {"pareto --jobs=4x", "--jobs=4x: want a thread count from 0 to 256 (0 = all cores)\n"},
+      {"difftest --jobs=-3", "--jobs=-3: want a thread count from 0 to 256 (0 = all cores)\n"},
+      {"fig3 --jobs=banana", "--jobs=banana: want a thread count from 0 to 256 (0 = all cores)\n"},
+      {"scorecard --jobs=1.5", "--jobs=1.5: want a thread count from 0 to 256 (0 = all cores)\n"},
       {"pareto --trials=2x --seed=abc", "--trials=2x: want a positive repeat count\n"},
       {"pareto --seed=abc", "--seed=abc: want a decimal seed\n"},
       {"difftest --inject-alu-fault=1e3",
@@ -159,6 +159,19 @@ TEST(CliNumbers, MalformedValuesExitTwoWithOneLine) {
     const RunOutput r = RunCli(c.args);
     EXPECT_EQ(r.exit_code, 2) << c.args;
     EXPECT_EQ(r.output, c.want) << c.args;
+  }
+}
+
+// A --jobs above the runner's bound would ask the thread pool for that many
+// threads, which aborts; it exits 2 with one line while the flags are parsed,
+// before any thread starts.
+TEST(CliFlags, JobsAboveTheBoundExitsTwo) {
+  for (const char* command :
+       {"scorecard", "fig2", "fig3", "sec45", "sweep", "pareto", "difftest"}) {
+    const RunOutput r = RunCli(std::string(command) + " --jobs=257");
+    EXPECT_EQ(r.exit_code, 2) << command;
+    EXPECT_EQ(r.output, "--jobs=257: want a thread count from 0 to 256 (0 = all cores)\n")
+        << command;
   }
 }
 

@@ -81,7 +81,11 @@ TEST(Attribution, SegmentsRoughlySumToTotal) {
   EXPECT_GT(report.total_overhead_pct.value, 10.0);
   // Successive-difference segments compound, so the sum is close to (and
   // slightly below) the total for small percentages.
-  EXPECT_NEAR(report.SegmentSum(), report.total_overhead_pct.value,
+  double segment_sum = 0;
+  for (const AttributionSegment& segment : report.segments) {
+    segment_sum += segment.overhead_pct.value;
+  }
+  EXPECT_NEAR(segment_sum, report.total_overhead_pct.value,
               report.total_overhead_pct.value * 0.35 + 3.0);
 }
 

@@ -1,14 +1,13 @@
 // Cross-module integration: attacks and mitigations exercised through the
 // *full* OS stack (real syscall paths, real context switches, real address
-// spaces) rather than the bare machine — plus tracer and percentile
-// plumbing used by the analysis tooling.
+// spaces) rather than the bare machine — plus the tracer plumbing used by
+// the analysis tooling.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "src/os/kernel.h"
-#include "src/stats/summary.h"
 #include "src/uarch/machine.h"
 
 namespace specbench {
@@ -266,34 +265,6 @@ TEST(Tracer, ModeTransitionsVisible) {
   EXPECT_EQ(modes[0], Mode::kUser);
   EXPECT_EQ(modes[1], Mode::kKernel);
   EXPECT_EQ(modes[2], Mode::kUser);
-}
-
-// --- Percentiles ------------------------------------------------------------------
-
-TEST(Percentile, BasicQuantiles) {
-  std::vector<double> v = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  EXPECT_DOUBLE_EQ(Percentile(v, 0), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 100), 10.0);
-  EXPECT_DOUBLE_EQ(Median(v), 5.5);
-  EXPECT_NEAR(Percentile(v, 25), 3.25, 1e-9);
-}
-
-TEST(Percentile, SingleValue) {
-  EXPECT_DOUBLE_EQ(Percentile({42.0}, 77.0), 42.0);
-}
-
-TEST(Percentile, SeparatesBimodalModes) {
-  // 90% fast (100) + 10% slow (300): the median sits on the fast mode, the
-  // 99th percentile on the slow one — the §6.2.2 analysis pattern.
-  std::vector<double> v;
-  for (int i = 0; i < 90; i++) {
-    v.push_back(100.0);
-  }
-  for (int i = 0; i < 10; i++) {
-    v.push_back(300.0);
-  }
-  EXPECT_DOUBLE_EQ(Median(v), 100.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 99), 300.0);
 }
 
 }  // namespace

@@ -7,15 +7,20 @@
 // after an intentional model change with
 //   SPECBENCH_REGEN_GOLDEN=1 ./scorecard_golden_test
 // and review the diff. A claim that misses stays a miss in the fixture.
+// Scorecard.EveryClaimFamilyRunsAsRunnerCells checks that every claim
+// family runs on the parallel runner.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "src/core/scorecard.h"
 
 namespace specbench {
 namespace {
@@ -105,6 +110,27 @@ TEST(ScorecardGolden, RowsCoverEveryPaperArtifact) {
     }
     EXPECT_TRUE(found) << "no scorecard row for " << prefix;
   }
+}
+
+// Every claim family runs as runner cells on the one Sweep::Run: the
+// measured families key their cells {cpu, "claim", family}, and fig2, fig3
+// and sec45 keep their commands' keys.
+TEST(Scorecard, EveryClaimFamilyRunsAsRunnerCells) {
+  std::set<std::string> ran;
+  RunnerOptions runner;
+  runner.on_cell_done = [&ran](size_t, const SweepCellResult& cell) {
+    ran.insert(cell.key.config + "/" + cell.key.workload);
+  };
+  BuildScorecard(runner);
+  for (const char* family :
+       {"table3", "table4", "table5", "table6", "table7", "table8", "table9", "table10",
+        "table9.same_site_control", "fig5", "sec44", "sec622", "ablation.spectre_v2",
+        "ablation.pcid", "ablation.browser", "ablation.smt_mds", "ablation.future_hw"}) {
+    EXPECT_EQ(ran.count(std::string("claim/") + family), 1u) << family;
+  }
+  EXPECT_EQ(ran.count("attribution/lebench"), 1u);  // fig2
+  EXPECT_EQ(ran.count("attribution/octane2"), 1u);  // fig3
+  EXPECT_EQ(ran.count("default-vs-off/swaptions"), 1u);  // sec45
 }
 
 }  // namespace

@@ -73,12 +73,6 @@ TEST(Rng, NextInRangeInclusive) {
   EXPECT_EQ(seen.size(), 4u);  // all four values hit
 }
 
-TEST(Rng, ForkIndependentStream) {
-  Rng a(5);
-  Rng child = a.Fork();
-  EXPECT_NE(a.NextU64(), child.NextU64());
-}
-
 TEST(TextTable, RendersAlignedColumns) {
   TextTable t;
   t.SetHeader({"CPU", "syscall"});
@@ -90,21 +84,6 @@ TEST(TextTable, RendersAlignedColumns) {
   EXPECT_NE(out.find("83"), std::string::npos);
   // Header separator line present.
   EXPECT_NE(out.find("---"), std::string::npos);
-}
-
-TEST(TextTable, SeparatorRows) {
-  TextTable t;
-  t.SetHeader({"a", "b"});
-  t.AddRow({"1", "2"});
-  t.AddSeparator();
-  t.AddRow({"3", "4"});
-  const std::string out = t.Render();
-  // Two data rows plus two separator lines (header + explicit).
-  size_t separators = 0;
-  for (size_t pos = out.find("--"); pos != std::string::npos; pos = out.find("--", pos + 2)) {
-    separators++;
-  }
-  EXPECT_GE(separators, 2u);
 }
 
 TEST(BarChart, RendersSegmentsAndLegend) {
