@@ -12,6 +12,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -417,6 +418,42 @@ TEST(CliAttacks, EveryRegisteredAttackHasARow) {
   EXPECT_EQ(line, "");
   std::getline(lines, line);
   EXPECT_EQ(line, "0 leaks with mitigations enabled (expected 0).");
+}
+
+// --- Output goldens ---------------------------------------------------------
+//
+// CLI outputs pinned byte for byte that no library-level golden covers.
+// Regenerate after an intentional change with
+//   SPECBENCH_REGEN_GOLDEN=1 ./cli_test --gtest_filter='CliGolden.*'
+// and review the diff.
+
+std::string CheckAgainstGolden(const std::string& actual, const std::string& name) {
+  const std::string path = std::string(SPECBENCH_TEST_SOURCE_DIR) + "/golden/" + name;
+  if (std::getenv("SPECBENCH_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    out << actual;
+    return actual;
+  }
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing fixture " << path
+                         << " (regenerate with SPECBENCH_REGEN_GOLDEN=1)";
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Corpus-mode `harden --json`: every CPU x pass x gadget-corpus program.
+TEST(CliGolden, HardenCorpusJsonMatchesGoldenFileByteForByte) {
+  const RunOutput r = RunCli("harden --json");
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_EQ(r.output, CheckAgainstGolden(r.output, "harden_corpus.json"));
+}
+
+// The `attacks` table: every AttackSuite() spec on every CPU, off and on.
+TEST(CliGolden, AttacksTableMatchesGoldenFileByteForByte) {
+  const RunOutput r = RunCli("attacks");
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_EQ(r.output, CheckAgainstGolden(r.output, "attacks.txt"));
 }
 
 // --- Malformed .difftest corpus files -------------------------------------

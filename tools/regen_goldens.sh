@@ -17,6 +17,8 @@
 #   * tests/golden/sweep.json / sweep.csv — sweep emitter fixtures
 #   * tests/golden/harden_grid.json       — the pass overhead matrix
 #   * tests/golden/scorecard.txt          — the paper-claim scorecard
+#   * tests/golden/harden_corpus.json / attacks.txt — `harden --json` over
+#     the gadget corpus and the `attacks` table, as the CLI prints them
 #
 # Every generator is byte-deterministic for any --jobs, so the script runs
 # them at full parallelism and the output is still reproducible.
@@ -34,7 +36,7 @@ fi
 cmake --build "${build_dir}" -j \
   --target spectrebench pareto_golden_test counters_golden_test \
            analyze_golden_test runner_test passes_test difftest_test \
-           scorecard_golden_test
+           scorecard_golden_test cli_test
 
 cd "${repo_root}"
 
@@ -65,6 +67,9 @@ echo "== scorecard.txt =="
 SPECBENCH_REGEN_GOLDEN=1 "${build_dir}/tests/scorecard_golden_test" \
   --gtest_filter='ScorecardGolden.CliOutputMatchesGoldenFileByteForByte'
 
+echo "== harden_corpus.json / attacks.txt =="
+SPECBENCH_REGEN_GOLDEN=1 "${build_dir}/tests/cli_test" --gtest_filter='CliGolden.*'
+
 echo "== verify: everything agrees with the refreshed fixtures =="
 "${build_dir}/tests/difftest_test" --gtest_filter='Corpus.ArchHashesMatchTheGoldenFile'
 "${build_dir}/tests/pareto_golden_test"
@@ -73,6 +78,7 @@ echo "== verify: everything agrees with the refreshed fixtures =="
 "${build_dir}/tests/runner_test" --gtest_filter='SweepEmitters.*'
 "${build_dir}/tests/passes_test" --gtest_filter='HardenGrid.*'
 "${build_dir}/tests/scorecard_golden_test"
+"${build_dir}/tests/cli_test" --gtest_filter='CliGolden.*'
 
 echo "regen_goldens: done — review the diff under tests/golden/"
 git -C "${repo_root}" --no-pager diff --stat -- tests/golden || true
