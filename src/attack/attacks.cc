@@ -1,5 +1,6 @@
 #include "src/attack/attacks.h"
 
+#include "src/attack/kit.h"
 #include "src/attack/side_channel.h"
 #include "src/isa/program.h"
 #include "src/uarch/machine.h"
@@ -10,18 +11,9 @@ namespace specbench {
 
 namespace {
 
-// Shared layout for the attack programs.
-constexpr uint64_t kProbeBase = 0x40000000;   // flush+reload probe array
-constexpr uint64_t kCandidates = 16;          // 4-bit secrets
-constexpr uint64_t kGuardAddr = 0x41000000;   // flushed branch guard
-constexpr uint64_t kArrayBase = 0x42000000;   // V1 victim array
-constexpr uint64_t kArrayLen = 16;
-constexpr uint64_t kSecretSlot = 0x43000000;  // where the secret value lives
-constexpr uint64_t kPtrSlot = 0x44000000;     // V2 function pointer
+// Layout beyond the kit's (src/attack/kit.h).
 constexpr uint64_t kPtrSlot2 = 0x44001000;    // the SMT victim's own pointer
 constexpr uint64_t kNoiseBase = 0x45000000;   // benign MDS victim fills
-constexpr uint64_t kStackTop = 0x48000000;
-constexpr uint64_t kMdsSampleBase = 0x50000000;  // unmapped sampling page
 
 // Leak-rate trial parameters derived from a salt (0 = canonical attack):
 // how many benign victim fills ride alongside the secret, and where within
@@ -40,13 +32,6 @@ uint64_t SampleVaddr(uint64_t trial_salt) {
 // that samples one of them recovers a wrong value rather than leaking.
 uint64_t NoiseValue(uint64_t secret, uint32_t i) {
   return (secret + 1 + i) % kCandidates;
-}
-
-// Emits "r(dst) = probe[r(value_reg) * 4096]" — the cache-encoding load.
-void EmitEncode(ProgramBuilder& b, uint8_t value_reg, uint8_t scratch, uint8_t dst) {
-  b.AluImm(AluOp::kShl, scratch, value_reg, 12);
-  b.MovImm(dst, static_cast<int64_t>(kProbeBase));
-  b.Load(dst, MemRef{.base = dst, .index = scratch, .scale = 1});
 }
 
 // Emits a mispredicted-branch shield: a branch on a flushed guard variable,
@@ -72,92 +57,11 @@ void TrainGuard(Machine& m, const Program& p, int32_t branch_index) {
   m.caches().Clflush(kGuardAddr);
 }
 
-// Identity map with the attacker's sampling page left unmapped, so the
-// MDS sampling load faults and reads the fill buffers transiently.
-const MemoryMap& MdsSampleMap() {
-  class Map : public MemoryMap {
-   public:
-    Translation Translate(uint64_t vaddr, uint64_t, Mode) const override {
-      Translation t;
-      if (vaddr >= kMdsSampleBase && vaddr < kMdsSampleBase + kPageBytes) {
-        return t;
-      }
-      t.mapped = true;
-      t.present = true;
-      t.user_accessible = true;
-      t.paddr = vaddr;
-      t.valid = true;
-      return t;
-    }
-  };
-  static const Map map;
-  return map;
-}
-
-AttackResult Finish(Machine& m, uint64_t secret) {
-  AttackResult result;
-  result.expected = secret;
-  result.recovered = AttackProbeChannel().Recover(m);
-  result.leaked = result.recovered == static_cast<int>(secret);
-  return result;
-}
-
 }  // namespace
 
-const CacheTimingChannel& AttackProbeChannel() {
-  static const CacheTimingChannel channel(kProbeBase, kCandidates);
-  return channel;
-}
-
 AttackResult RunSpectreV1Attack(const CpuModel& cpu, bool index_masking, uint64_t secret) {
-  SPECBENCH_CHECK(secret < kCandidates);
-  MachineLease lease(cpu);
-  Machine& m = *lease;
-  ProgramBuilder b;
-  // Victim: if (index < len) { x = array[index]; encode(x); }
-  Label in_bounds = b.NewLabel();
-  Label done = b.NewLabel();
-  b.MovImm(1, static_cast<int64_t>(kGuardAddr));  // guard doubles as length
-  b.Load(2, MemRef{.base = 1});
-  b.Alu(AluOp::kCmpLt, 3, 0, 2);
-  const int32_t branch_index = b.NextIndex();
-  b.BranchNz(3, in_bounds);
-  b.Jmp(done);
-  b.Bind(in_bounds);
-  uint8_t idx = 0;
-  if (index_masking) {
-    b.Mov(4, 0);
-    b.Alu(AluOp::kCmpGe, 5, 0, 2);
-    b.MovImm(6, 0);
-    b.Cmov(4, 6, 5);
-    idx = 4;
-  }
-  b.MovImm(7, static_cast<int64_t>(kArrayBase));
-  b.Load(8, MemRef{.base = 7, .index = idx, .scale = 8});
-  EmitEncode(b, 8, 9, 11);
-  b.Bind(done);
-  b.Halt();
-  Program p = b.Build();
-  m.LoadProgram(&p);
-
-  for (uint64_t i = 0; i < kArrayLen; i++) {
-    m.PokeData(kArrayBase + 8 * i, i % kCandidates);
-  }
-  m.PokeData(kGuardAddr, kArrayLen);
-  const uint64_t oob_index = (kSecretSlot - kArrayBase) / 8;
-  m.PokeData(kSecretSlot, secret);
-
-  // Train the bounds check with in-bounds accesses.
-  for (int i = 0; i < 6; i++) {
-    m.SetReg(0, static_cast<uint64_t>(i) % kArrayLen);
-    m.Run(p.VaddrOf(0));
-  }
-  SPECBENCH_CHECK(p.at(branch_index).op == Op::kBranchNz);
-  AttackProbeChannel().Flush(m);
-  m.caches().Clflush(kGuardAddr);
-  m.SetReg(0, oob_index);
-  m.Run(p.VaddrOf(0));
-  return Finish(m, secret);
+  return ReplaySpectreV1(
+      cpu, BuildSpectreV1Victim(index_masking ? V1Variant::kMasked : V1Variant::kNaked), secret);
 }
 
 AttackResult RunSpectreV2Attack(const CpuModel& cpu, const SpectreV2Options& options,
@@ -244,51 +148,11 @@ AttackResult RunSpectreV2Attack(const CpuModel& cpu, const SpectreV2Options& opt
   m.PokeData(kPtrSlot, p.SymbolVaddr("benign"));
   AttackProbeChannel().Flush(m);
   m.Run(p.SymbolVaddr("victim_entry"));
-  return Finish(m, secret);
+  return ReadAttackResult(m, secret);
 }
 
 AttackResult RunSpectreRsbAttack(const CpuModel& cpu, bool rsb_stuffing, uint64_t secret) {
-  SPECBENCH_CHECK(secret < kCandidates);
-  MachineLease lease(cpu);
-  Machine& m = *lease;
-  ProgramBuilder b;
-
-  b.BindSymbol("gadget");
-  b.MovImm(5, static_cast<int64_t>(kSecretSlot));
-  b.Load(6, MemRef{.base = 5});
-  EmitEncode(b, 6, 7, 8);
-  b.Ret();
-
-  // The victim ret whose RSB entry was lost across a context switch. Its
-  // return-address stack line is flushed so the ret resolves slowly.
-  b.BindSymbol("victim_ret");
-  b.Ret();
-
-  b.BindSymbol("after_call");
-  b.Halt();
-
-  Program p = b.Build();
-  m.LoadProgram(&p);
-  m.PokeData(kSecretSlot, secret);
-
-  // Attacker trained the BTB at the victim ret's pc: SpectreRSB exploits
-  // the BTB fallback on RSB underflow.
-  m.btb().Train(p.SymbolVaddr("victim_ret"), p.SymbolVaddr("gadget"), Mode::kUser,
-                m.caller_context());
-
-  // Architectural state as if the victim were mid-function when the context
-  // switch destroyed its RSB: the stack holds the true return address.
-  m.PokeData(kStackTop - 8, p.SymbolVaddr("after_call"));
-  m.SetReg(kRegSp, kStackTop - 8);
-  m.caches().Clflush(kStackTop - 8);
-  if (rsb_stuffing) {
-    m.rsb().Stuff(0);  // the kernel mitigation: benign entries, no underflow
-  } else {
-    m.rsb().Clear();   // bare underflow: ret predicts via the poisoned BTB
-  }
-  AttackProbeChannel().Flush(m);
-  m.Run(p.SymbolVaddr("victim_ret"));
-  return Finish(m, secret);
+  return ReplaySpectreRsb(cpu, BuildSpectreRsbVictim(), rsb_stuffing, secret);
 }
 
 AttackResult RunMeltdownAttack(const CpuModel& cpu, bool pti, uint64_t secret) {
@@ -343,7 +207,7 @@ AttackResult RunMeltdownAttack(const CpuModel& cpu, bool pti, uint64_t secret) {
   TrainGuard(m, p, branch_index);
   AttackProbeChannel().Flush(m);
   m.Run(p.VaddrOf(0));
-  return Finish(m, secret);
+  return ReadAttackResult(m, secret);
 }
 
 AttackResult RunMdsAttack(const CpuModel& cpu, bool verw_clear, uint64_t secret,
@@ -393,7 +257,7 @@ AttackResult RunMdsAttack(const CpuModel& cpu, bool verw_clear, uint64_t secret,
   m.cond_predictor().Train(p.VaddrOf(branch_index), true);
   AttackProbeChannel().Flush(m);
   m.Run(p.VaddrOf(0));
-  return Finish(m, secret);
+  return ReadAttackResult(m, secret);
 }
 
 AttackResult RunSpectreV2SmtAttack(const CpuModel& cpu, bool stibp, uint64_t secret) {
@@ -478,7 +342,7 @@ AttackResult RunSpectreV2SmtAttack(const CpuModel& cpu, bool stibp, uint64_t sec
   attacker.stibp = stibp;
   attacker.initial_regs = {{kRegSp, kStackTop - 4096}};
   m.RunCoResident(victim, attacker);
-  return Finish(m, secret);
+  return ReadAttackResult(m, secret);
 }
 
 AttackResult RunMdsSmtAttack(const CpuModel& cpu, const MdsSmtOptions& options,
@@ -567,7 +431,7 @@ AttackResult RunMdsSmtAttack(const CpuModel& cpu, const MdsSmtOptions& options,
       run_attacker_once();
     }
   }
-  return Finish(m, secret);
+  return ReadAttackResult(m, secret);
 }
 
 AttackResult RunSmotherSpectreAttack(const CpuModel& cpu, bool co_resident,
@@ -659,41 +523,7 @@ AttackResult RunSmotherSpectreAttack(const CpuModel& cpu, bool co_resident,
 }
 
 AttackResult RunSsbAttack(const CpuModel& cpu, bool ssbd, uint64_t secret) {
-  SPECBENCH_CHECK(secret < kCandidates);
-  MachineLease lease(cpu);
-  Machine& m = *lease;
-  m.SetSsbd(ssbd);
-  constexpr uint64_t kSlot = 0x51000000;
-  ProgramBuilder b;
-  Label spec = b.NewLabel();
-  Label done = b.NewLabel();
-  // Warm TLB/caches for the slot and guard.
-  b.MovImm(1, static_cast<int64_t>(kSlot));
-  b.MovImm(3, static_cast<int64_t>(kGuardAddr));
-  b.Load(9, MemRef{.base = 1});
-  b.Load(9, MemRef{.base = 3});
-  b.Lfence();
-  b.Clflush(MemRef{.base = 3});
-  b.Load(4, MemRef{.base = 3});    // slow guard
-  b.MovImm(2, 0);                  // overwrite value (not the secret)
-  b.Store(MemRef{.base = 1}, 2);   // store still unresolved at the branch
-  const int32_t branch_index = b.NextIndex();
-  b.BranchNz(4, spec);
-  b.Jmp(done);
-  b.Bind(spec);
-  b.Load(5, MemRef{.base = 1});    // bypasses the store: reads the secret
-  EmitEncode(b, 5, 6, 7);
-  b.Bind(done);
-  b.Halt();
-  Program p = b.Build();
-  m.LoadProgram(&p);
-  m.PokeData(kSlot, secret);       // the "old" value the bypass exposes
-  m.PokeData(kGuardAddr, 0);
-  m.cond_predictor().Train(p.VaddrOf(branch_index), true);
-  m.cond_predictor().Train(p.VaddrOf(branch_index), true);
-  AttackProbeChannel().Flush(m);
-  m.Run(p.VaddrOf(0));
-  return Finish(m, secret);
+  return ReplaySsb(cpu, BuildSsbVictim(/*mfence_after_store=*/false), ssbd, secret);
 }
 
 AttackResult RunLazyFpAttack(const CpuModel& cpu, bool eager_fpu, uint64_t secret) {
@@ -728,7 +558,7 @@ AttackResult RunLazyFpAttack(const CpuModel& cpu, bool eager_fpu, uint64_t secre
   TrainGuard(m, p, branch_index);
   AttackProbeChannel().Flush(m);
   m.Run(p.VaddrOf(0));
-  AttackResult result = Finish(m, secret);
+  AttackResult result = ReadAttackResult(m, secret);
   if (eager_fpu && result.recovered == 0) {
     // Encoding a zero is indistinguishable from "leaked the cleared reg";
     // either way the secret did not leak.
@@ -795,7 +625,7 @@ AttackResult RunL1tfAttack(const CpuModel& cpu, bool pte_inversion, uint64_t sec
   TrainGuard(m, p, branch_index);
   AttackProbeChannel().Flush(m);
   m.Run(p.VaddrOf(0));
-  return Finish(m, secret);
+  return ReadAttackResult(m, secret);
 }
 
 }  // namespace specbench

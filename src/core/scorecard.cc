@@ -97,12 +97,16 @@ double LeBenchGeomean(const CpuModel& cpu, const MitigationConfig& config, uint6
   return LeBench::SuiteGeomean(LeBench::RunSuite(cpu, config, seed));
 }
 
-// Octane 2 slowdown of (jit, os) against everything off.
-double OctaneSlowdown(const CpuModel& cpu, const JitConfig& jit, const MitigationConfig& os,
-                      uint64_t seed) {
-  const double base = Octane::SuiteScore(
+// The Octane 2 score with everything off: the baseline of OctaneSlowdown.
+double OctaneBaseline(const CpuModel& cpu) {
+  return Octane::SuiteScore(
       Octane::RunSuite(cpu, JitConfig::AllOff(), MitigationConfig::AllOff(), 1));
-  return (base / Octane::SuiteScore(Octane::RunSuite(cpu, jit, os, seed)) - 1.0) * 100.0;
+}
+
+// Octane 2 slowdown of (jit, os) against `baseline`.
+double OctaneSlowdown(double baseline, const CpuModel& cpu, const JitConfig& jit,
+                      const MitigationConfig& os, uint64_t seed) {
+  return (baseline / Octane::SuiteScore(Octane::RunSuite(cpu, jit, os, seed)) - 1.0) * 100.0;
 }
 
 // --- The claim families --------------------------------------------------------
@@ -508,9 +512,11 @@ const std::vector<ClaimFamily>& ClaimFamilies() {
          pre516.ssbd = SsbdMode::kSeccomp;
          MitigationConfig post516 = MitigationConfig::Defaults(cpu);
          post516.ssbd = SsbdMode::kPrctl;
-         return Metrics({{"post_5_16", OctaneSlowdown(cpu, JitConfig::AllOn(), post516, 3)},
-                         {"pre_5_16", OctaneSlowdown(cpu, JitConfig::AllOn(), pre516, 2)},
-                         {"slh", OctaneSlowdown(cpu, JitConfig::SlhOnly(), post516, 4)}});
+         const double base = OctaneBaseline(cpu);
+         return Metrics(
+             {{"post_5_16", OctaneSlowdown(base, cpu, JitConfig::AllOn(), post516, 3)},
+              {"pre_5_16", OctaneSlowdown(base, cpu, JitConfig::AllOn(), pre516, 2)},
+              {"slh", OctaneSlowdown(base, cpu, JitConfig::SlhOnly(), post516, 4)}});
        },
        [](const Cells& cells, const FamilyCells&, Rows& rows) {
          for (const Cell& cell : cells) {
@@ -553,7 +559,8 @@ const std::vector<ClaimFamily>& ClaimFamilies() {
          MitigationConfig os = MitigationConfig::Defaults(cpu);
          os.ssbd = SsbdMode::kSeccomp;
          auto leaked = [](const AttackResult& result) { return result.leaked ? 1.0 : 0.0; };
-         return Metrics({{"octane", OctaneSlowdown(cpu, JitConfig::AllOn(), os, 2)},
+         const double base = OctaneBaseline(cpu);
+         return Metrics({{"octane", OctaneSlowdown(base, cpu, JitConfig::AllOn(), os, 2)},
                          {"v1", leaked(RunSpectreV1Attack(cpu, /*index_masking=*/true))},
                          {"v1_secret_5", leaked(RunSpectreV1Attack(cpu, true, 5))},
                          {"ssb", leaked(RunSsbAttack(cpu, /*ssbd=*/false))}});

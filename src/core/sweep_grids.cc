@@ -213,6 +213,14 @@ Sweep BuildDifftestGrid(const DifftestGridOptions& options) {
   return sweep;
 }
 
+std::string NamedGridNames(const std::string& separator) {
+  std::string names;
+  for (const NamedGrid& grid : NamedGrids()) {
+    names += (names.empty() ? "" : separator) + grid.name;
+  }
+  return names;
+}
+
 bool BuildNamedGrids(const NamedGridOptions& options, Sweep* out, std::string* error) {
   // A repeated name would add the same cells, with the same keys and
   // seeds, twice.
@@ -230,11 +238,7 @@ bool BuildNamedGrids(const NamedGridOptions& options, Sweep* out, std::string* e
     const auto it = std::find_if(grids.begin(), grids.end(),
                                  [&name](const NamedGrid& grid) { return name == grid.name; });
     if (it == grids.end()) {
-      std::string valid;
-      for (const NamedGrid& grid : grids) {
-        valid += (valid.empty() ? "" : ", ") + std::string(grid.name);
-      }
-      *error = "unknown grid: \"" + name + "\" (valid: " + valid + ")";
+      *error = "unknown grid: \"" + name + "\" (valid: " + NamedGridNames(", ") + ")";
       return false;
     }
     sweep.Merge(it->build(options));

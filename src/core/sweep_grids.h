@@ -65,6 +65,10 @@ struct NamedGridOptions {
 };
 bool BuildNamedGrids(const NamedGridOptions& options, Sweep* out, std::string* error);
 
+// The grid names BuildNamedGrids accepts, in registration order, joined by
+// `separator`.
+std::string NamedGridNames(const std::string& separator);
+
 // Flattens an attribution report into cell metrics (segments + "total").
 CellOutput CellOutputFromAttribution(const AttributionReport& report);
 

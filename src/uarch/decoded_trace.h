@@ -34,8 +34,8 @@ enum class StepClass : uint8_t { kCompute, kMemory, kBranch, kSystem };
 StepClass ClassOf(Op op);
 
 // One instruction's decode facts: its dispatch class and the registers whose
-// `ready_at` the scoreboard consults before issue (the same selection as
-// Machine::SourcesReadyAt, precomputed).
+// `ready_at` cycles it waits for, both in Machine::Step and in speculative
+// episodes.
 struct DecodedOp {
   StepClass cls = StepClass::kSystem;
   uint8_t num_srcs = 0;

@@ -115,35 +115,12 @@ void Machine::SpeculativeEpisodeBody(int32_t index, uint64_t t0, uint64_t budget
     pmcs_[static_cast<size_t>(Pmc::kSquashedUops)]++;
     t++;
 
-    // Source readiness on the speculative timeline.
+    // Source readiness on the speculative timeline, over the sources the
+    // decoder selected (src/uarch/decoded_trace.cc).
+    const DecodedOp& decoded = decoded_->op(idx);
     uint64_t srcs = 0;
-    auto consider = [&](uint8_t r) {
-      if (r != kNoReg) {
-        srcs = std::max(srcs, s.ready_at[r]);
-      }
-    };
-    switch (in.op) {
-      case Op::kLoad:
-      case Op::kLea:
-        consider(in.mem.base);
-        consider(in.mem.index);
-        break;
-      case Op::kStore:
-        consider(in.mem.base);
-        consider(in.mem.index);
-        consider(in.src1);
-        break;
-      case Op::kCmov:
-        consider(in.dst);
-        consider(in.src1);
-        consider(in.src2);
-        break;
-      default:
-        consider(in.src1);
-        if (!in.use_imm) {
-          consider(in.src2);
-        }
-        break;
+    for (uint8_t i = 0; i < decoded.num_srcs; i++) {
+      srcs = std::max(srcs, s.ready_at[decoded.srcs[i]]);
     }
     const uint64_t exec_at = std::max(t, srcs);
     const bool executable = exec_at < deadline;

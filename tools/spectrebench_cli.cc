@@ -903,6 +903,7 @@ bool SetList(const Flag& flag, const std::string& value, CliOptions* options) {
 }
 
 const std::vector<Flag>& Flags() {
+  static const std::string grid_names = NamedGridNames(",");
   static const std::vector<Flag> flags = {
       {"--json", nullptr, [](const std::string&, CliOptions* o) { o->json = true; return true; }},
       {"--csv", nullptr, [](const std::string&, CliOptions* o) { o->csv = true; return true; }},
@@ -913,7 +914,7 @@ const std::vector<Flag>& Flags() {
          o->cpus_given = true;
          return true;
        }},
-      {"--grids", "fig2,fig3,sec45,difftest,harden", nullptr, &CliOptions::grids},
+      {"--grids", grid_names.c_str(), nullptr, &CliOptions::grids},
       {"--workloads", "a,b", nullptr, &CliOptions::workloads},
       {"--configs", "a,b", nullptr, &CliOptions::configs},
       {"--boot-params", "nopti,mds=off,...", nullptr, &CliOptions::boot_params},
