@@ -24,7 +24,8 @@ void PrintCell(const AttackSpec& spec, const CpuModel& cpu, bool mitigated, int*
     std::printf(" %-15s", "  n/a");
     return;
   }
-  const bool leaked = RunCanonicalTrial(spec, cpu, mitigated).leaked;
+  const bool leaked =
+      RunCanonicalTrial(spec, cpu, ParanoidConfig(spec, cpu, mitigated)).leaked;
   *leaks += leaked ? 1 : 0;
   std::printf(" %-15s", leaked ? " LEAK" : " safe");
 }

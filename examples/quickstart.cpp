@@ -9,7 +9,7 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
-#include "src/attack/attacks.h"
+#include "src/attack/suite.h"
 #include "src/os/kernel.h"
 #include "src/workload/lebench.h"
 
@@ -41,8 +41,11 @@ int main() {
 
   // 4. What the overhead buys: without PTI a user process reads kernel
   // memory transiently; with PTI the kernel page simply is not there.
-  const AttackResult unprotected = RunMeltdownAttack(cpu, /*pti=*/false);
-  const AttackResult protected_run = RunMeltdownAttack(cpu, /*pti=*/true);
+  const AttackSpec& meltdown = *FindAttackSpec("meltdown");
+  MitigationConfig no_pti = defaults;
+  no_pti.pti = false;
+  const AttackResult unprotected = RunCanonicalTrial(meltdown, cpu, no_pti);
+  const AttackResult protected_run = RunCanonicalTrial(meltdown, cpu, defaults);
   std::printf("Meltdown without PTI: %s (recovered %d, expected %llu)\n",
               unprotected.leaked ? "LEAKED" : "safe", unprotected.recovered,
               static_cast<unsigned long long>(unprotected.expected));

@@ -1,7 +1,6 @@
 #include "src/analysis/corpus.h"
 
 #include "src/attack/kit.h"
-#include "src/attack/side_channel.h"
 #include "src/isa/isa.h"
 #include "src/uarch/machine.h"
 #include "src/uarch/machine_pool.h"
@@ -14,8 +13,6 @@ namespace {
 // The planted secret; the layout and the V1, SpectreRSB and SSB scenarios
 // are the attack kit's (src/attack/kit.h).
 constexpr uint64_t kSecret = 11;
-
-bool RecoveredSecret(Machine& m) { return ReadAttackResult(m, kSecret).leaked; }
 
 // --- Indirect branches ----------------------------------------------------
 
@@ -30,32 +27,29 @@ Program BuildIndirectProgram(bool lfence_before_call) {
   }
   b.IndirectCall(11);
   b.Halt();
-  b.BindSymbol("gadget");
-  b.MovImm(5, static_cast<int64_t>(kSecretSlot));
-  b.Load(6, MemRef{.base = 5});
-  EmitEncode(b, 6, 7, 8);
-  b.Ret();
-  b.BindSymbol("benign");
-  b.Ret();
+  EmitSecretGadget(b);
   return b.Build();
 }
 
 bool ReplayIndirect(const CpuModel& cpu, const Program& p) {
-  MachineLease lease(cpu);
-  Machine& m = *lease;
-  m.LoadProgram(&p);
-  m.SetReg(kRegSp, kStackTop);
-  m.PokeData(kSecretSlot, kSecret);
-  // Train the BTB by calling through the pointer aimed at the gadget (the
-  // architectural gadget runs also encode; the channel is flushed after).
-  m.PokeData(kPtrSlot, p.SymbolVaddr("gadget"));
-  for (int i = 0; i < 4; i++) {
-    m.Run(p.SymbolVaddr("entry"));
-  }
-  m.PokeData(kPtrSlot, p.SymbolVaddr("benign"));
-  AttackProbeChannel().Flush(m);
-  m.Run(p.SymbolVaddr("entry"));
-  return RecoveredSecret(m);
+  const uint64_t entry = p.SymbolVaddr("entry");
+  return ProbeTrial(
+             cpu, kSecret,
+             [&](Machine& m) {
+               m.LoadProgram(&p);
+               m.SetReg(kRegSp, kStackTop);
+               m.PokeData(kSecretSlot, kSecret);
+               // Train the BTB by calling through the pointer aimed at the
+               // gadget (the architectural gadget runs also encode; the
+               // channel is flushed after).
+               m.PokeData(kPtrSlot, p.SymbolVaddr("gadget"));
+               for (int i = 0; i < 4; i++) {
+                 m.Run(entry);
+               }
+               m.PokeData(kPtrSlot, p.SymbolVaddr("benign"));
+             },
+             [&](Machine& m) { m.Run(entry); })
+      .leaked;
 }
 
 // --- RSB balance ----------------------------------------------------------
@@ -127,21 +121,21 @@ Program BuildSysretProgram(bool protected_exit) {
 }
 
 bool ReplaySysret(const CpuModel& cpu, const Program& p) {
-  MachineLease lease(cpu);
-  Machine& m = *lease;
-  m.SetMemoryMap(&MdsSampleMap());
-  m.LoadProgram(&p);
-  m.PokeData(kSecretSlot, kSecret);
-  m.caches().Clflush(kSecretSlot);  // so the kernel load refills the LFB
-  m.SetMode(Mode::kKernel);
-  m.SetSavedUserRip(p.SymbolVaddr("user_sampler"));
   const int32_t branch = FirstCondBranchAtOrAfter(p, "user_sampler");
   SPECBENCH_CHECK(branch >= 0);
-  m.cond_predictor().Train(p.VaddrOf(branch), true);
-  m.cond_predictor().Train(p.VaddrOf(branch), true);
-  AttackProbeChannel().Flush(m);
-  m.Run(p.SymbolVaddr("kernel_entry"));
-  return RecoveredSecret(m);
+  return ProbeTrial(
+             cpu, kSecret,
+             [&](Machine& m) {
+               m.SetMemoryMap(&AttackMap(SecretPage::kUser, AttackerPage::kUnmapped));
+               m.LoadProgram(&p);
+               m.PokeData(kSecretSlot, kSecret);
+               m.caches().Clflush(kSecretSlot);  // so the kernel load refills the LFB
+               m.SetMode(Mode::kKernel);
+               m.SetSavedUserRip(p.SymbolVaddr("user_sampler"));
+               TrainTaken(m, p.VaddrOf(branch));
+             },
+             [&](Machine& m) { m.Run(p.SymbolVaddr("kernel_entry")); })
+      .leaked;
 }
 
 // --- Benign control -------------------------------------------------------
@@ -165,15 +159,16 @@ Program BuildBenignLoopProgram() {
 }
 
 bool ReplayBenignLoop(const CpuModel& cpu, const Program& p) {
-  MachineLease lease(cpu);
-  Machine& m = *lease;
-  m.LoadProgram(&p);
-  for (uint64_t i = 0; i < kArrayLen; i++) {
-    m.PokeData(kArrayBase + 8 * i, i);
-  }
-  AttackProbeChannel().Flush(m);
-  m.Run(p.SymbolVaddr("entry"));
-  return RecoveredSecret(m);
+  return ProbeTrial(
+             cpu, kSecret,
+             [&](Machine& m) {
+               m.LoadProgram(&p);
+               for (uint64_t i = 0; i < kArrayLen; i++) {
+                 m.PokeData(kArrayBase + 8 * i, i);
+               }
+             },
+             [&](Machine& m) { m.Run(p.SymbolVaddr("entry")); })
+      .leaked;
 }
 
 }  // namespace

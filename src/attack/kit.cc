@@ -1,5 +1,7 @@
 #include "src/attack/kit.h"
 
+#include <vector>
+
 #include "src/attack/side_channel.h"
 #include "src/uarch/machine.h"
 #include "src/uarch/machine_pool.h"
@@ -11,6 +13,43 @@ namespace specbench {
 namespace {
 
 constexpr uint64_t kSsbSlot = 0x51000000;  // the SSB victim's store/load slot
+
+bool InPage(uint64_t vaddr, uint64_t page) { return vaddr >= page && vaddr < page + kPageBytes; }
+
+class AttackMemoryMap : public MemoryMap {
+ public:
+  AttackMemoryMap(SecretPage secret, AttackerPage attacker) : secret_(secret), attacker_(attacker) {}
+
+  Translation Translate(uint64_t vaddr, uint64_t, Mode mode) const override {
+    Translation t;
+    if (attacker_ == AttackerPage::kUnmapped && InPage(vaddr, kMdsSampleBase)) {
+      return t;
+    }
+    if (attacker_ != AttackerPage::kUnmapped && InPage(vaddr, kStalePteBase)) {
+      // Not present, so never valid; PTE inversion points the stale paddr
+      // at unpopulated memory.
+      t.mapped = true;
+      t.paddr = (attacker_ == AttackerPage::kStaleToSecret ? kSecretSlot : 0xdead0000000ULL) +
+                (vaddr - kStalePteBase);
+      t.user_accessible = true;
+      return t;
+    }
+    const bool secret_page = InPage(vaddr, kSecretSlot);
+    if (secret_page && secret_ == SecretPage::kAbsent) {
+      return t;
+    }
+    t.mapped = true;
+    t.present = true;
+    t.paddr = vaddr;
+    t.user_accessible = !secret_page || secret_ == SecretPage::kUser;
+    t.valid = t.user_accessible || (mode != Mode::kUser && mode != Mode::kGuestUser);
+    return t;
+  }
+
+ private:
+  SecretPage secret_;
+  AttackerPage attacker_;
+};
 
 }  // namespace
 
@@ -25,24 +64,33 @@ void EmitEncode(ProgramBuilder& b, uint8_t value_reg, uint8_t scratch, uint8_t d
   b.Load(dst, MemRef{.base = dst, .index = scratch, .scale = 1});
 }
 
-const MemoryMap& MdsSampleMap() {
-  class Map : public MemoryMap {
-   public:
-    Translation Translate(uint64_t vaddr, uint64_t, Mode) const override {
-      Translation t;
-      if (vaddr >= kMdsSampleBase && vaddr < kMdsSampleBase + kPageBytes) {
-        return t;
+void EmitSecretGadget(ProgramBuilder& b) {
+  b.BindSymbol("gadget");
+  b.MovImm(5, static_cast<int64_t>(kSecretSlot));
+  b.Load(6, MemRef{.base = 5});
+  EmitEncode(b, 6, 7, 8);
+  b.Ret();
+  b.BindSymbol("benign");
+  b.Ret();
+}
+
+const MemoryMap& AttackMap(SecretPage secret, AttackerPage attacker) {
+  // Every combination, built once; index = 3 * secret + attacker.
+  static const std::vector<AttackMemoryMap> maps = [] {
+    std::vector<AttackMemoryMap> all;
+    for (int s = 0; s < 3; s++) {
+      for (int a = 0; a < 3; a++) {
+        all.emplace_back(static_cast<SecretPage>(s), static_cast<AttackerPage>(a));
       }
-      t.mapped = true;
-      t.present = true;
-      t.user_accessible = true;
-      t.paddr = vaddr;
-      t.valid = true;
-      return t;
     }
-  };
-  static const Map map;
-  return map;
+    return all;
+  }();
+  return maps.at(3 * static_cast<size_t>(secret) + static_cast<size_t>(attacker));
+}
+
+void TrainTaken(Machine& m, uint64_t vaddr) {
+  m.cond_predictor().Train(vaddr, true);
+  m.cond_predictor().Train(vaddr, true);
 }
 
 int32_t FirstCondBranchAtOrAfter(const Program& p, const std::string& symbol) {
@@ -54,12 +102,36 @@ int32_t FirstCondBranchAtOrAfter(const Program& p, const std::string& symbol) {
   return -1;
 }
 
-AttackResult ReadAttackResult(Machine& m, uint64_t secret) {
+AttackResult ProbeTrial(const CpuModel& cpu, uint64_t secret,
+                        const std::function<void(Machine&)>& setup,
+                        const std::function<void(Machine&)>& trigger) {
+  SPECBENCH_CHECK(secret < kCandidates);
+  MachineLease lease(cpu);
+  Machine& m = *lease;
+  setup(m);
+  AttackProbeChannel().Flush(m);
+  trigger(m);
   AttackResult result;
   result.expected = secret;
   result.recovered = AttackProbeChannel().Recover(m);
   result.leaked = result.recovered == static_cast<int>(secret);
   return result;
+}
+
+uint64_t RunSiblings(Machine& m, const Program& p, bool stibp) {
+  Machine::CoResidentSpec victim;
+  victim.program = &p;
+  victim.entry_vaddr = p.SymbolVaddr("victim");
+  victim.smt_thread_id = 0;
+  victim.stibp = stibp;
+  victim.initial_regs = {{kRegSp, kStackTop}};
+  Machine::CoResidentSpec attacker;
+  attacker.program = &p;
+  attacker.entry_vaddr = p.SymbolVaddr("attacker");
+  attacker.smt_thread_id = 1;
+  attacker.stibp = stibp;
+  attacker.initial_regs = {{kRegSp, kStackTop - 4096}};
+  return m.RunCoResident(victim, attacker).thread[1].finish_cycles;
 }
 
 // --- Spectre V1 --------------------------------------------------------------
@@ -94,25 +166,26 @@ Program BuildSpectreV1Victim(V1Variant variant) {
 }
 
 AttackResult ReplaySpectreV1(const CpuModel& cpu, const Program& victim, uint64_t secret) {
-  SPECBENCH_CHECK(secret < kCandidates);
-  MachineLease lease(cpu);
-  Machine& m = *lease;
-  m.LoadProgram(&victim);
-  for (uint64_t i = 0; i < kArrayLen; i++) {
-    m.PokeData(kArrayBase + 8 * i, i % kCandidates);
-  }
-  m.PokeData(kGuardAddr, kArrayLen);
-  m.PokeData(kSecretSlot, secret);
   const uint64_t entry = victim.SymbolVaddr("entry");
-  for (int i = 0; i < 6; i++) {
-    m.SetReg(0, static_cast<uint64_t>(i) % kArrayLen);
-    m.Run(entry);
-  }
-  AttackProbeChannel().Flush(m);
-  m.caches().Clflush(kGuardAddr);
-  m.SetReg(0, (kSecretSlot - kArrayBase) / 8);  // out of bounds: the secret
-  m.Run(entry);
-  return ReadAttackResult(m, secret);
+  return ProbeTrial(
+      cpu, secret,
+      [&](Machine& m) {
+        m.LoadProgram(&victim);
+        for (uint64_t i = 0; i < kArrayLen; i++) {
+          m.PokeData(kArrayBase + 8 * i, i % kCandidates);
+        }
+        m.PokeData(kGuardAddr, kArrayLen);
+        m.PokeData(kSecretSlot, secret);
+        for (int i = 0; i < 6; i++) {
+          m.SetReg(0, static_cast<uint64_t>(i) % kArrayLen);
+          m.Run(entry);
+        }
+      },
+      [&](Machine& m) {
+        m.caches().Clflush(kGuardAddr);
+        m.SetReg(0, (kSecretSlot - kArrayBase) / 8);  // out of bounds: the secret
+        m.Run(entry);
+      });
 }
 
 // --- SpectreRSB --------------------------------------------------------------
@@ -133,26 +206,25 @@ Program BuildSpectreRsbVictim() {
 
 AttackResult ReplaySpectreRsb(const CpuModel& cpu, const Program& victim, bool rsb_stuffing,
                               uint64_t secret) {
-  SPECBENCH_CHECK(secret < kCandidates);
-  MachineLease lease(cpu);
-  Machine& m = *lease;
-  m.LoadProgram(&victim);
-  m.PokeData(kSecretSlot, secret);
-  m.btb().Train(victim.SymbolVaddr("entry"), victim.SymbolVaddr("gadget"), Mode::kUser,
-                m.caller_context());
-  // The victim is mid-function when a context switch destroyed its RSB: the
-  // stack holds the true return address, in a flushed line.
-  m.PokeData(kStackTop - 8, victim.SymbolVaddr("after"));
-  m.SetReg(kRegSp, kStackTop - 8);
-  m.caches().Clflush(kStackTop - 8);
-  if (rsb_stuffing) {
-    m.rsb().Stuff(0);
-  } else {
-    m.rsb().Clear();
-  }
-  AttackProbeChannel().Flush(m);
-  m.Run(victim.SymbolVaddr("entry"));
-  return ReadAttackResult(m, secret);
+  const uint64_t entry = victim.SymbolVaddr("entry");
+  return ProbeTrial(
+      cpu, secret,
+      [&](Machine& m) {
+        m.LoadProgram(&victim);
+        m.PokeData(kSecretSlot, secret);
+        m.btb().Train(entry, victim.SymbolVaddr("gadget"), Mode::kUser, m.caller_context());
+        // The victim is mid-function when a context switch destroyed its
+        // RSB: the stack holds the true return address, in a flushed line.
+        m.PokeData(kStackTop - 8, victim.SymbolVaddr("after"));
+        m.SetReg(kRegSp, kStackTop - 8);
+        m.caches().Clflush(kStackTop - 8);
+        if (rsb_stuffing) {
+          m.rsb().Stuff(0);
+        } else {
+          m.rsb().Clear();
+        }
+      },
+      [&](Machine& m) { m.Run(entry); });
 }
 
 // --- Speculative Store Bypass ------------------------------------------------
@@ -185,20 +257,18 @@ Program BuildSsbVictim(bool mfence_after_store) {
 }
 
 AttackResult ReplaySsb(const CpuModel& cpu, const Program& victim, bool ssbd, uint64_t secret) {
-  SPECBENCH_CHECK(secret < kCandidates);
-  MachineLease lease(cpu);
-  Machine& m = *lease;
-  m.SetSsbd(ssbd);
-  m.LoadProgram(&victim);
-  m.PokeData(kSsbSlot, secret);  // the "old" value the bypass exposes
-  m.PokeData(kGuardAddr, 0);
   const int32_t branch = FirstCondBranchAtOrAfter(victim, "entry");
   SPECBENCH_CHECK(branch >= 0);
-  m.cond_predictor().Train(victim.VaddrOf(branch), true);
-  m.cond_predictor().Train(victim.VaddrOf(branch), true);
-  AttackProbeChannel().Flush(m);
-  m.Run(victim.SymbolVaddr("entry"));
-  return ReadAttackResult(m, secret);
+  return ProbeTrial(
+      cpu, secret,
+      [&](Machine& m) {
+        m.SetSsbd(ssbd);
+        m.LoadProgram(&victim);
+        m.PokeData(kSsbSlot, secret);  // the "old" value the bypass exposes
+        m.PokeData(kGuardAddr, 0);
+        TrainTaken(m, victim.VaddrOf(branch));
+      },
+      [&](Machine& m) { m.Run(victim.SymbolVaddr("entry")); });
 }
 
 }  // namespace specbench

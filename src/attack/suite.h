@@ -1,19 +1,20 @@
-// The attack-suite conformance registry (ROADMAP item 4).
+// The attack-suite conformance registry.
 //
-// Adapts the ten attack primitives in src/attack/attacks.h into uniform
-// `AttackSpec` entries — name, hardware-vulnerability predicate, the
-// MitigationConfig knobs that defend it, and a runner — and executes every
-// spec against every (CpuModel x MitigationConfig) cell of a Table-1 style
-// configuration axis as cells of the sweep runner (src/runner/sweep.h), one
-// per attempted (cpu, config, attack). Output is byte-identical for any job
-// count: each cell derives its secrets from (base_seed, cell identity) alone
-// and the verdicts are folded back in registration order.
+// Each of the eleven attacks is one `AttackSpec` (src/attack/attacks.cc):
+// name, hardware-vulnerability predicate, the MitigationConfig knobs that
+// defend it, and its scenario, run on a (CpuModel, MitigationConfig). The
+// registry executes every spec against every (CpuModel x MitigationConfig)
+// cell of a Table-1 style configuration axis as cells of the sweep runner
+// (src/runner/sweep.h), one per attempted (cpu, config, attack). Output is
+// byte-identical for any job count: each cell derives its secrets from
+// (base_seed, cell identity) alone and the verdicts are folded back in
+// registration order.
 //
 // Each cell runs `trials` times with varied secrets (and, for the
 // fill-buffer attacks, varied victim noise and sampling salts), so
 // probabilistic recovery surfaces as a leak *rate* instead of a coin flip.
-// Trial 0 is always the canonical attack from attacks.h, which keeps the
-// ground truth sharp: an unmitigated vulnerable cell has leak_rate > 0, a
+// Trial 0 is always the spec's canonical trial, which keeps the ground
+// truth sharp: an unmitigated vulnerable cell has leak_rate > 0, a
 // mitigated one has leak_rate == 0.
 //
 // The registry's defended() claims are *predictions* cross-checked against
@@ -28,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "src/attack/attacks.h"
+#include "src/attack/kit.h"
 #include "src/cpu/cpu_model.h"
 #include "src/os/mitigation_config.h"
 #include "src/runner/sweep.h"
@@ -37,7 +38,9 @@ namespace specbench {
 
 // The MitigationConfig knobs the suite reasons about. Granularity follows
 // the attacks: one knob per independently-toggleable defense, so the
-// "which knob saved you" attribution can flip them one at a time.
+// "which knob saved you" attribution can flip them one at a time. Each knob
+// is one row of the knob table in suite.cc (name, active, disable), which
+// the three functions below read.
 enum class SuiteKnob {
   kPti = 0,
   kMdsClearBuffers,
@@ -66,10 +69,11 @@ bool KnobActive(const MitigationConfig& config, SuiteKnob knob);
 // attribution probe: if defended() flips, the knob was load-bearing).
 MitigationConfig WithKnobDisabled(const MitigationConfig& config, SuiteKnob knob);
 
-// One attack adapted to the uniform registry interface.
+// One attack, whole: everything the suite knows about it.
 struct AttackSpec {
   std::string name;   // stable id, e.g. "spectre-v1" (JSON/CSV key)
   std::string label;  // human-readable description
+  uint64_t canonical_secret = 0;  // the secret of trial 0
   // Knobs that can defend this attack (candidates for attribution).
   std::vector<SuiteKnob> knobs;
   // Hardware susceptibility: false => the cell is reported attempted=false
@@ -77,18 +81,20 @@ struct AttackSpec {
   std::function<bool(const CpuModel& cpu)> vulnerable;
   // The registry's claim that `config` blocks the attack on `cpu`.
   std::function<bool(const CpuModel& cpu, const MitigationConfig& config)> defended;
-  // Executes one trial. trial_salt 0 must reproduce the canonical attack.
+  // The scenario: one trial on a fresh machine of `cpu`, defended as
+  // `config` says. trial_salt 0 is the canonical attack; others vary the
+  // victim's noise where the attack samples shared buffers.
   std::function<AttackResult(const CpuModel& cpu, const MitigationConfig& config,
                              uint64_t secret, uint64_t trial_salt)>
       run;
-  uint64_t canonical_secret = 0;  // attacks.h default for trial 0
 };
 
 // The eleven registered attacks, in fixed registration order (spectre-v1,
 // spectre-v2, spectre-rsb, spectre-v2-smt, meltdown, mds, mds-smt, ssb,
 // lazyfp, l1tf, smother-spectre). To add a new attack class (e.g.
-// Retbleed/BHI), append a spec here and extend the ground-truth matrix in
-// attack_suite_test.cc — docs/attacks.md walks through it.
+// Retbleed/BHI), append its spec in src/attack/attacks.cc and extend the
+// ground-truth matrix in attack_suite_test.cc — docs/attacks.md walks
+// through it.
 const std::vector<AttackSpec>& AttackSuite();
 const AttackSpec* FindAttackSpec(const std::string& name);
 
@@ -107,11 +113,15 @@ struct NamedConfig {
 // straw man).
 std::vector<NamedConfig> MitigationConfigMatrix(const CpuModel& cpu);
 
-// The canonical trial of `spec` on `cpu` (spec.canonical_secret, salt 0)
-// under the matrix's "paranoid" config, with each of spec.knobs disabled
-// unless `mitigated`: the two verdicts `spectrebench attacks` and
-// examples/attack_lab print per (CPU, attack).
-AttackResult RunCanonicalTrial(const AttackSpec& spec, const CpuModel& cpu, bool mitigated);
+// The matrix's "paranoid" config on `cpu`, with each of spec.knobs disabled
+// unless `mitigated`: the two configs `spectrebench attacks` and
+// examples/attack_lab run per (CPU, attack).
+MitigationConfig ParanoidConfig(const AttackSpec& spec, const CpuModel& cpu, bool mitigated);
+
+// The canonical trial of `spec` (spec.canonical_secret, salt 0) on `cpu`
+// under `config`.
+AttackResult RunCanonicalTrial(const AttackSpec& spec, const CpuModel& cpu,
+                               const MitigationConfig& config);
 
 // One (cpu, config, attack) verdict.
 struct SuiteCell {

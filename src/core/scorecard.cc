@@ -10,8 +10,8 @@
 #include <utility>
 #include <vector>
 
-#include "src/attack/attacks.h"
 #include "src/attack/speculation_probe.h"
+#include "src/attack/suite.h"
 #include "src/core/experiments.h"
 #include "src/core/sweep_grids.h"
 #include "src/cpu/paper_expectations.h"
@@ -533,7 +533,10 @@ const std::vector<ClaimFamily>& ClaimFamilies() {
       {"ablation.smt_mds", Catalog(),
        [](const CpuModel& cpu) {
          auto leaked = [&cpu](bool smt, bool verw) {
-           return RunMdsSmtAttack(cpu, MdsSmtOptions{smt, verw}).leaked ? 1.0 : 0.0;
+           MitigationConfig config = MitigationConfig::AllOff();
+           config.smt_off = !smt;
+           config.mds_clear_buffers = verw;
+           return RunCanonicalTrial(*FindAttackSpec("mds-smt"), cpu, config).leaked ? 1.0 : 0.0;
          };
          return Metrics({{"smt_on", leaked(true, true)},
                          {"smt_off", leaked(false, true)},
@@ -558,12 +561,16 @@ const std::vector<ClaimFamily>& ClaimFamilies() {
        [](const CpuModel& cpu) {
          MitigationConfig os = MitigationConfig::Defaults(cpu);
          os.ssbd = SsbdMode::kSeccomp;
+         // The attacks under the same config: index masking on, SSBD not
+         // forced for an ordinary process.
+         const AttackSpec& v1 = *FindAttackSpec("spectre-v1");
          auto leaked = [](const AttackResult& result) { return result.leaked ? 1.0 : 0.0; };
          const double base = OctaneBaseline(cpu);
-         return Metrics({{"octane", OctaneSlowdown(base, cpu, JitConfig::AllOn(), os, 2)},
-                         {"v1", leaked(RunSpectreV1Attack(cpu, /*index_masking=*/true))},
-                         {"v1_secret_5", leaked(RunSpectreV1Attack(cpu, true, 5))},
-                         {"ssb", leaked(RunSsbAttack(cpu, /*ssbd=*/false))}});
+         return Metrics(
+             {{"octane", OctaneSlowdown(base, cpu, JitConfig::AllOn(), os, 2)},
+              {"v1", leaked(RunCanonicalTrial(v1, cpu, os))},
+              {"v1_secret_5", leaked(v1.run(cpu, os, 5, /*trial_salt=*/0))},
+              {"ssb", leaked(RunCanonicalTrial(*FindAttackSpec("ssb"), cpu, os))}});
        },
        [](const Cells& cells, const FamilyCells& all, Rows& rows) {
          const Cell& future = cells.front();

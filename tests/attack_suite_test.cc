@@ -10,6 +10,7 @@
 // hardened on every knob can never be less secure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
 #include <string>
@@ -100,6 +101,84 @@ TEST(AttackSuiteMatrix, ClaimsMatchEmpiricalVerdictsEverywhere) {
   }
   EXPECT_GT(attempted_cells, 0);
   EXPECT_GT(empty_cells, 0) << "every CPU vulnerable to everything: Table 1 disagrees";
+}
+
+// The same contract on the configs users boot: Defaults(cpu) with one
+// accepted boot parameter, and the mitigation tuner's cmdlines. Every
+// vulnerable spec's canonical trial must leak exactly when its defended()
+// claim is false.
+TEST(AttackSuiteMatrix, ClaimsMatchVerdictsUnderBootParams) {
+  // Every token ApplyBootParam accepts (spectre_v2=ibrs only where the
+  // part has IBRS; elsewhere it leaves the defaults as they are).
+  const std::vector<std::string> tokens = {
+      "mitigations=off",
+      "mitigations=auto",
+      "nopcid",
+      "nopti",
+      "pti=off",
+      "pti=on",
+      "mds=off",
+      "mds=full",
+      "nospectre_v1",
+      "nospectre_v2",
+      "spectre_v2=retpoline",
+      "spectre_v2=retpoline,generic",
+      "spectre_v2=retpoline,amd",
+      "spectre_v2=ibrs",
+      "spec_store_bypass_disable=off",
+      "spec_store_bypass_disable=prctl",
+      "spec_store_bypass_disable=seccomp",
+      "spec_store_bypass_disable=on",
+      "l1tf=off",
+      "l1tf=full",
+      "eagerfpu=off",
+      "eagerfpu=on",
+      "nosmt",
+      "stibp",
+      "stibp=on",
+      "stibp=off",
+      "coresched",
+      "coresched=on",
+      "coresched=off",
+  };
+  // examples/mitigation_tuner's rows.
+  std::vector<std::vector<std::string>> cmdlines = {
+      {}, {"nopti"}, {"mds=off"}, {"nospectre_v2"}, {"spec_store_bypass_disable=on"},
+      {"mitigations=off"},
+  };
+  for (const std::string& token : tokens) {
+    cmdlines.push_back({token});
+  }
+  int checked = 0;
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    std::vector<MitigationConfig> seen;  // many cmdlines boot the same config
+    for (const std::vector<std::string>& cmdline : cmdlines) {
+      if (!cmdline.empty()) {
+        MitigationConfig probe = MitigationConfig::Defaults(cpu);
+        if (!ApplyBootParam(&probe, cpu, cmdline[0])) {
+          ASSERT_EQ(cmdline[0], "spectre_v2=ibrs") << UarchName(u);  // no IBRS on this part
+        }
+      }
+      const MitigationConfig config = ConfigFromCmdline(cpu, cmdline);
+      if (std::find(seen.begin(), seen.end(), config) != seen.end()) {
+        continue;
+      }
+      seen.push_back(config);
+      for (const AttackSpec& spec : AttackSuite()) {
+        if (!spec.vulnerable(cpu)) {
+          continue;
+        }
+        const AttackResult r = RunCanonicalTrial(spec, cpu, config);
+        EXPECT_TRUE(r.attempted) << UarchName(u) << " " << spec.name;
+        EXPECT_EQ(r.leaked, !spec.defended(cpu, config))
+            << UarchName(u) << " [" << (cmdline.empty() ? "" : cmdline[0]) << "] "
+            << spec.name << " recovered=" << r.recovered;
+        checked++;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 TEST(AttackSuiteMatrix, InvulnerableHardwareIsNotAttempted) {

@@ -1,19 +1,31 @@
 // Security ground truth: every attack leaks exactly when (a) the hardware
 // is vulnerable and (b) the corresponding mitigation is off — and recovers
-// the planted value through the real flush+reload timing channel.
+// the planted value through the real flush+reload timing channel. Each
+// attack runs as its registered suite entry on a MitigationConfig:
+// mitigations=off plus the one knob under test.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/attack/attacks.h"
 #include "src/attack/side_channel.h"
 #include "src/attack/speculation_probe.h"
+#include "src/attack/suite.h"
 #include "src/cpu/paper_expectations.h"
+#include "src/util/check.h"
 
 namespace specbench {
 namespace {
+
+// The canonical trial of the registered attack `name` on `cpu` under
+// `config`.
+AttackResult Canonical(const std::string& name, const CpuModel& cpu,
+                       const MitigationConfig& config) {
+  const AttackSpec* spec = FindAttackSpec(name);
+  SPECBENCH_CHECK(spec != nullptr);
+  return RunCanonicalTrial(*spec, cpu, config);
+}
 
 class AllCpus : public ::testing::TestWithParam<Uarch> {};
 INSTANTIATE_TEST_SUITE_P(Catalog, AllCpus, ::testing::ValuesIn(AllUarches()),
@@ -28,43 +40,46 @@ INSTANTIATE_TEST_SUITE_P(Catalog, AllCpus, ::testing::ValuesIn(AllUarches()),
                          });
 
 TEST_P(AllCpus, SpectreV1LeaksWithoutMasking) {
-  const AttackResult r = RunSpectreV1Attack(GetCpuModel(GetParam()), /*index_masking=*/false);
+  const AttackResult r =
+      Canonical("spectre-v1", GetCpuModel(GetParam()), MitigationConfig::AllOff());
   EXPECT_TRUE(r.leaked);
   EXPECT_EQ(r.recovered, static_cast<int>(r.expected));
 }
 
 TEST_P(AllCpus, SpectreV1BlockedByMasking) {
-  const AttackResult r = RunSpectreV1Attack(GetCpuModel(GetParam()), /*index_masking=*/true);
+  MitigationConfig config = MitigationConfig::AllOff();
+  config.kernel_index_masking = true;
+  const AttackResult r = Canonical("spectre-v1", GetCpuModel(GetParam()), config);
   EXPECT_FALSE(r.leaked);
 }
 
 TEST_P(AllCpus, SpectreV2LeakMatchesBtbPolicy) {
   const CpuModel& cpu = GetCpuModel(GetParam());
-  const AttackResult r = RunSpectreV2Attack(cpu, SpectreV2Options{});
+  const AttackResult r = Canonical("spectre-v2", cpu, MitigationConfig::AllOff());
   // Zen 3's context-indexed BTB defeats the cross-site training even with
   // no mitigations (paper §6.2); everything else leaks.
   EXPECT_EQ(r.leaked, !cpu.predictor.btb_bhb_indexed) << UarchName(GetParam());
 }
 
 TEST_P(AllCpus, SpectreV2BlockedByRetpoline) {
-  SpectreV2Options options;
-  options.generic_retpoline = true;
-  const AttackResult r = RunSpectreV2Attack(GetCpuModel(GetParam()), options);
+  MitigationConfig config = MitigationConfig::AllOff();
+  config.retpoline = RetpolineMode::kGeneric;
+  const AttackResult r = Canonical("spectre-v2", GetCpuModel(GetParam()), config);
   EXPECT_FALSE(r.leaked);
 }
 
 TEST_P(AllCpus, SpectreV2BlockedByIbpb) {
-  SpectreV2Options options;
-  options.ibpb_before_victim = true;
-  const AttackResult r = RunSpectreV2Attack(GetCpuModel(GetParam()), options);
+  MitigationConfig config = MitigationConfig::AllOff();
+  config.ibpb_on_context_switch = true;
+  const AttackResult r = Canonical("spectre-v2", GetCpuModel(GetParam()), config);
   EXPECT_FALSE(r.leaked);
 }
 
 TEST_P(AllCpus, SpectreV2UnderIbrs) {
   const CpuModel& cpu = GetCpuModel(GetParam());
-  SpectreV2Options options;
-  options.ibrs = true;
-  const AttackResult r = RunSpectreV2Attack(cpu, options);
+  MitigationConfig config = MitigationConfig::AllOff();
+  config.ibrs = cpu.predictor.eibrs ? IbrsMode::kEibrs : IbrsMode::kLegacyIbrs;
+  const AttackResult r = Canonical("spectre-v2", cpu, config);
   if (!cpu.predictor.ibrs_supported) {
     EXPECT_FALSE(r.attempted);
     return;
@@ -79,76 +94,91 @@ TEST_P(AllCpus, SpectreV2UnderIbrs) {
 
 TEST_P(AllCpus, SpectreRsbLeaksWithoutStuffing) {
   const CpuModel& cpu = GetCpuModel(GetParam());
-  const AttackResult r = RunSpectreRsbAttack(cpu, /*rsb_stuffing=*/false);
+  const AttackResult r = Canonical("spectre-rsb", cpu, MitigationConfig::AllOff());
   // The BTB fallback is trained directly at the victim's context, so even
   // Zen 3 speculates here (same context value).
   EXPECT_TRUE(r.leaked) << UarchName(GetParam());
 }
 
 TEST_P(AllCpus, SpectreRsbBlockedByStuffing) {
-  const AttackResult r = RunSpectreRsbAttack(GetCpuModel(GetParam()), /*rsb_stuffing=*/true);
+  MitigationConfig config = MitigationConfig::AllOff();
+  config.rsb_stuff_on_context_switch = true;
+  const AttackResult r = Canonical("spectre-rsb", GetCpuModel(GetParam()), config);
   EXPECT_FALSE(r.leaked);
 }
 
 TEST_P(AllCpus, MeltdownLeaksOnlyOnVulnerableHardware) {
   const CpuModel& cpu = GetCpuModel(GetParam());
-  const AttackResult r = RunMeltdownAttack(cpu, /*pti=*/false);
+  const AttackResult r = Canonical("meltdown", cpu, MitigationConfig::AllOff());
   EXPECT_EQ(r.leaked, cpu.vuln.meltdown) << UarchName(GetParam());
 }
 
 TEST_P(AllCpus, MeltdownBlockedByPti) {
-  const AttackResult r = RunMeltdownAttack(GetCpuModel(GetParam()), /*pti=*/true);
+  MitigationConfig config = MitigationConfig::AllOff();
+  config.pti = true;
+  const AttackResult r = Canonical("meltdown", GetCpuModel(GetParam()), config);
   EXPECT_FALSE(r.leaked);
 }
 
 TEST_P(AllCpus, MdsLeaksOnlyOnVulnerableHardware) {
   const CpuModel& cpu = GetCpuModel(GetParam());
-  const AttackResult r = RunMdsAttack(cpu, /*verw_clear=*/false);
+  const AttackResult r = Canonical("mds", cpu, MitigationConfig::AllOff());
   EXPECT_EQ(r.leaked, cpu.vuln.mds) << UarchName(GetParam());
 }
 
 TEST_P(AllCpus, MdsBlockedByVerw) {
-  const AttackResult r = RunMdsAttack(GetCpuModel(GetParam()), /*verw_clear=*/true);
+  MitigationConfig config = MitigationConfig::AllOff();
+  config.mds_clear_buffers = true;
+  const AttackResult r = Canonical("mds", GetCpuModel(GetParam()), config);
   EXPECT_FALSE(r.leaked);
 }
 
 TEST_P(AllCpus, SsbLeaksWithoutSsbd) {
-  const AttackResult r = RunSsbAttack(GetCpuModel(GetParam()), /*ssbd=*/false);
+  const AttackResult r = Canonical("ssb", GetCpuModel(GetParam()), MitigationConfig::AllOff());
   EXPECT_TRUE(r.leaked) << UarchName(GetParam());
 }
 
 TEST_P(AllCpus, SsbBlockedBySsbd) {
-  const AttackResult r = RunSsbAttack(GetCpuModel(GetParam()), /*ssbd=*/true);
+  MitigationConfig config = MitigationConfig::AllOff();
+  config.ssbd = SsbdMode::kAlways;
+  const AttackResult r = Canonical("ssb", GetCpuModel(GetParam()), config);
   EXPECT_FALSE(r.leaked);
 }
 
 TEST_P(AllCpus, LazyFpLeaksOnlyOnVulnerableHardware) {
   const CpuModel& cpu = GetCpuModel(GetParam());
-  const AttackResult r = RunLazyFpAttack(cpu, /*eager_fpu=*/false);
+  MitigationConfig config = MitigationConfig::AllOff();
+  config.eager_fpu = false;  // AllOff keeps eager FPU switching
+  const AttackResult r = Canonical("lazyfp", cpu, config);
   EXPECT_EQ(r.leaked, cpu.vuln.lazy_fp) << UarchName(GetParam());
 }
 
 TEST_P(AllCpus, LazyFpBlockedByEagerFpu) {
-  const AttackResult r = RunLazyFpAttack(GetCpuModel(GetParam()), /*eager_fpu=*/true);
+  MitigationConfig config = MitigationConfig::AllOff();
+  config.eager_fpu = true;
+  const AttackResult r = Canonical("lazyfp", GetCpuModel(GetParam()), config);
   EXPECT_FALSE(r.leaked);
 }
 
 TEST_P(AllCpus, L1tfLeaksOnlyOnVulnerableHardware) {
   const CpuModel& cpu = GetCpuModel(GetParam());
-  const AttackResult r = RunL1tfAttack(cpu, /*pte_inversion=*/false);
+  const AttackResult r = Canonical("l1tf", cpu, MitigationConfig::AllOff());
   EXPECT_EQ(r.leaked, cpu.vuln.l1tf) << UarchName(GetParam());
 }
 
 TEST_P(AllCpus, L1tfBlockedByPteInversion) {
-  const AttackResult r = RunL1tfAttack(GetCpuModel(GetParam()), /*pte_inversion=*/true);
+  MitigationConfig config = MitigationConfig::AllOff();
+  config.l1tf_pte_inversion = true;
+  const AttackResult r = Canonical("l1tf", GetCpuModel(GetParam()), config);
   EXPECT_FALSE(r.leaked);
 }
 
 TEST_P(AllCpus, DifferentSecretsRecovered) {
   // Property: the channel carries arbitrary values, not one magic constant.
   const CpuModel& cpu = GetCpuModel(GetParam());
+  const AttackSpec& v1 = *FindAttackSpec("spectre-v1");
   for (uint64_t secret : {1ull, 8ull, 15ull}) {
-    const AttackResult r = RunSpectreV1Attack(cpu, false, secret);
+    const AttackResult r = v1.run(cpu, MitigationConfig::AllOff(), secret, /*trial_salt=*/0);
     EXPECT_TRUE(r.leaked) << UarchName(GetParam()) << " secret=" << secret;
     EXPECT_EQ(r.recovered, static_cast<int>(secret));
   }
@@ -319,37 +349,33 @@ namespace {
 // The §3.3 SMT story: verw protects transitions, not concurrent siblings.
 TEST(MdsSmt, SiblingLeaksDespiteVerwOnVulnerableParts) {
   for (Uarch u : {Uarch::kBroadwell, Uarch::kSkylakeClient, Uarch::kCascadeLake}) {
-    MdsSmtOptions options;
-    options.smt_enabled = true;
-    options.verw_on_switch = true;  // irrelevant: no transition happens
-    EXPECT_TRUE(RunMdsSmtAttack(GetCpuModel(u), options).leaked) << UarchName(u);
+    MitigationConfig config = MitigationConfig::AllOff();
+    config.mds_clear_buffers = true;  // irrelevant: no transition happens
+    EXPECT_TRUE(Canonical("mds-smt", GetCpuModel(u), config).leaked) << UarchName(u);
   }
 }
 
 TEST(MdsSmt, DisablingSmtPlusVerwIsSafe) {
   for (Uarch u : AllUarches()) {
-    MdsSmtOptions options;
-    options.smt_enabled = false;
-    options.verw_on_switch = true;
-    EXPECT_FALSE(RunMdsSmtAttack(GetCpuModel(u), options).leaked) << UarchName(u);
+    MitigationConfig config = MitigationConfig::AllOff();
+    config.smt_off = true;
+    config.mds_clear_buffers = true;
+    EXPECT_FALSE(Canonical("mds-smt", GetCpuModel(u), config).leaked) << UarchName(u);
   }
 }
 
 TEST(MdsSmt, DisablingSmtAloneLeavesResidue) {
   // Without verw at the switch, stale fill-buffer data survives into the
   // attacker's time slice even with SMT off.
-  MdsSmtOptions options;
-  options.smt_enabled = false;
-  options.verw_on_switch = false;
-  EXPECT_TRUE(RunMdsSmtAttack(GetCpuModel(Uarch::kSkylakeClient), options).leaked);
+  MitigationConfig config = MitigationConfig::AllOff();
+  config.smt_off = true;
+  EXPECT_TRUE(Canonical("mds-smt", GetCpuModel(Uarch::kSkylakeClient), config).leaked);
 }
 
 TEST(MdsSmt, FixedHardwareSafeEitherWay) {
   for (Uarch u : {Uarch::kIceLakeServer, Uarch::kZen3}) {
-    MdsSmtOptions options;
-    options.smt_enabled = true;
-    options.verw_on_switch = false;
-    EXPECT_FALSE(RunMdsSmtAttack(GetCpuModel(u), options).leaked) << UarchName(u);
+    EXPECT_FALSE(Canonical("mds-smt", GetCpuModel(u), MitigationConfig::AllOff()).leaked)
+        << UarchName(u);
   }
 }
 
@@ -359,17 +385,22 @@ TEST(MdsSmt, FixedHardwareSafeEitherWay) {
 namespace specbench {
 namespace {
 
+MitigationConfig Stibp() {
+  MitigationConfig config = MitigationConfig::AllOff();
+  config.stibp = true;
+  return config;
+}
+
 TEST(SpectreV2Smt, SiblingTrainingSteersVictimWithoutStibp) {
   for (Uarch u : {Uarch::kBroadwell, Uarch::kCascadeLake, Uarch::kZen2}) {
-    EXPECT_TRUE(RunSpectreV2SmtAttack(GetCpuModel(u), /*stibp=*/false).leaked)
+    EXPECT_TRUE(Canonical("spectre-v2-smt", GetCpuModel(u), MitigationConfig::AllOff()).leaked)
         << UarchName(u);
   }
 }
 
 TEST(SpectreV2Smt, StibpPartitionsThePredictor) {
   for (Uarch u : AllUarches()) {
-    EXPECT_FALSE(RunSpectreV2SmtAttack(GetCpuModel(u), /*stibp=*/true).leaked)
-        << UarchName(u);
+    EXPECT_FALSE(Canonical("spectre-v2-smt", GetCpuModel(u), Stibp()).leaked) << UarchName(u);
   }
 }
 
@@ -381,7 +412,7 @@ TEST(SmotherSpectre, CoResidentSiblingRecoversTheSecret) {
     if (!cpu.smt) {
       continue;
     }
-    const AttackResult r = RunSmotherSpectreAttack(cpu, /*co_resident=*/true);
+    const AttackResult r = Canonical("smother-spectre", cpu, MitigationConfig::AllOff());
     EXPECT_TRUE(r.leaked) << UarchName(u);
     EXPECT_EQ(r.recovered, static_cast<int>(r.expected)) << UarchName(u);
   }
@@ -391,8 +422,9 @@ TEST(SmotherSpectre, NoSignalWithoutCoResidence) {
   // nosmt or core scheduling: the attacker times its stream alone, every
   // bit measures identically, nothing is recovered.
   for (Uarch u : AllUarches()) {
-    const AttackResult r =
-        RunSmotherSpectreAttack(GetCpuModel(u), /*co_resident=*/false);
+    MitigationConfig config = MitigationConfig::AllOff();
+    config.smt_off = true;
+    const AttackResult r = Canonical("smother-spectre", GetCpuModel(u), config);
     EXPECT_FALSE(r.leaked) << UarchName(u);
     EXPECT_EQ(r.recovered, 0) << UarchName(u);
   }
@@ -400,8 +432,10 @@ TEST(SmotherSpectre, NoSignalWithoutCoResidence) {
 
 TEST(SmotherSpectre, DifferentSecretsRecovered) {
   const CpuModel& cpu = GetCpuModel(Uarch::kSkylakeClient);
+  const AttackSpec& smother = *FindAttackSpec("smother-spectre");
   for (uint64_t secret : {1ull, 8ull, 15ull}) {
-    const AttackResult r = RunSmotherSpectreAttack(cpu, /*co_resident=*/true, secret);
+    const AttackResult r =
+        smother.run(cpu, MitigationConfig::AllOff(), secret, /*trial_salt=*/0);
     EXPECT_TRUE(r.leaked) << "secret=" << secret;
     EXPECT_EQ(r.recovered, static_cast<int>(secret));
   }
@@ -413,8 +447,9 @@ TEST(SpectreV2Smt, Zen3ContextIndexingAlsoBlocksCrossSmt) {
   // call frame — on Zen 3 the context hash still matches because the last
   // two call sites are (attacker/victim entry, do_call)... verify behaviour
   // empirically: whatever the outcome, STIBP must keep it safe.
-  const AttackResult no_stibp = RunSpectreV2SmtAttack(GetCpuModel(Uarch::kZen3), false);
-  const AttackResult with_stibp = RunSpectreV2SmtAttack(GetCpuModel(Uarch::kZen3), true);
+  const CpuModel& zen3 = GetCpuModel(Uarch::kZen3);
+  const AttackResult no_stibp = Canonical("spectre-v2-smt", zen3, MitigationConfig::AllOff());
+  const AttackResult with_stibp = Canonical("spectre-v2-smt", zen3, Stibp());
   EXPECT_FALSE(with_stibp.leaked);
   (void)no_stibp;
 }
@@ -426,12 +461,14 @@ namespace specbench {
 namespace {
 
 TEST(FutureCpuSecurity, MaskedSpectreV1StillSafeWithFusion) {
-  EXPECT_FALSE(RunSpectreV1Attack(FutureCpuModel(), /*index_masking=*/true).leaked);
-  EXPECT_TRUE(RunSpectreV1Attack(FutureCpuModel(), /*index_masking=*/false).leaked);
+  MitigationConfig masked = MitigationConfig::AllOff();
+  masked.kernel_index_masking = true;
+  EXPECT_FALSE(Canonical("spectre-v1", FutureCpuModel(), masked).leaked);
+  EXPECT_TRUE(Canonical("spectre-v1", FutureCpuModel(), MitigationConfig::AllOff()).leaked);
 }
 
 TEST(FutureCpuSecurity, SsbNoBlocksBypassWithoutSsbd) {
-  EXPECT_FALSE(RunSsbAttack(FutureCpuModel(), /*ssbd=*/false).leaked);
+  EXPECT_FALSE(Canonical("ssb", FutureCpuModel(), MitigationConfig::AllOff()).leaked);
 }
 
 }  // namespace

@@ -865,8 +865,11 @@ int RunAttackSuite(const CliOptions& options) {
       const char* off = "n/a";
       const char* on = "n/a";
       if (spec.vulnerable(cpu)) {  // Table 1's empty cells run nothing
-        off = RunCanonicalTrial(spec, cpu, /*mitigated=*/false).leaked ? "LEAK" : "safe";
-        const bool leaked = RunCanonicalTrial(spec, cpu, /*mitigated=*/true).leaked;
+        auto leaks = [&](bool mitigated) {
+          return RunCanonicalTrial(spec, cpu, ParanoidConfig(spec, cpu, mitigated)).leaked;
+        };
+        off = leaks(/*mitigated=*/false) ? "LEAK" : "safe";
+        const bool leaked = leaks(/*mitigated=*/true);
         on = leaked ? "LEAK" : "safe";
         bad += leaked ? 1 : 0;
       }
