@@ -11,6 +11,7 @@
 #include "src/attack/kit.h"
 #include "src/attack/suite.h"
 #include "src/isa/program.h"
+#include "src/os/kernel.h"
 #include "src/uarch/machine.h"
 #include "src/uarch/machine_pool.h"
 #include "src/util/check.h"
@@ -103,10 +104,10 @@ AttackSpec SpectreV1() {
 }
 
 // Spectre V2 (branch target injection). The victim's indirect branch is
-// compiled as a generic retpoline when any retpoline is configured; IBPB
-// runs between the attacker's training and the victim, IBRS is set
-// throughout. The attacker trains from a separate call site in the same
-// process.
+// protected with the kernel's emitter (src/os/kernel.h): the generic thunk,
+// AMD's lfence before the call, or nothing; IBPB runs between the
+// attacker's training and the victim, IBRS is set throughout. The attacker
+// trains from a separate call site in the same process.
 AttackSpec SpectreV2() {
   return {
       .name = "spectre-v2",
@@ -141,33 +142,18 @@ AttackSpec SpectreV2() {
             ProgramBuilder b;
             Label victim_label = b.NewLabel();
             Label retpoline = b.NewLabel();
-            Label rp_setup = b.NewLabel();
-            Label rp_spin = b.NewLabel();
             EmitSecretGadget(b);
 
             // The victim function: loads a function pointer and calls
-            // through it, protected (or not) by a generic retpoline.
+            // through it, protected as the kernel protects its dispatch.
             b.BindSymbol("victim_fn");
             b.Bind(victim_label);
             b.MovImm(2, static_cast<int64_t>(kPtrSlot));
             b.Clflush(MemRef{.base = 2});  // target resolves slowly: wide window
             b.Load(11, MemRef{.base = 2});
-            if (c.retpoline != RetpolineMode::kNone) {
-              b.Call(retpoline);
-            } else {
-              b.IndirectCall(11);
-            }
+            EmitProtectedIndirectCall(b, c.retpoline, 11, retpoline);
             b.Ret();
-
-            b.Bind(retpoline);  // unreachable without a retpoline
-            b.Call(rp_setup);
-            b.Bind(rp_spin);
-            b.Pause();
-            b.Lfence();
-            b.Jmp(rp_spin);
-            b.Bind(rp_setup);
-            b.Store(MemRef{.base = kRegSp}, 11);
-            b.Ret();
+            EmitRetpolineThunk(b, retpoline, 11);  // entered only by the generic call
 
             // Attacker: repeatedly call the victim function with the pointer
             // aimed at the gadget, training the BTB entry of the indirect
@@ -546,7 +532,7 @@ AttackSpec Ssb() {
       .name = "ssb",
       .label = "Speculative Store Bypass",
       .canonical_secret = 3,
-      .knobs = {SuiteKnob::kSsbdAlways},
+      .knobs = {SuiteKnob::kSsbd},
       .vulnerable = [](const CpuModel& cpu) { return cpu.vuln.spec_store_bypass; },
       .defended =
           [](const CpuModel&, const MitigationConfig& c) {

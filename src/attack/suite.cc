@@ -1,8 +1,7 @@
 #include "src/attack/suite.h"
 
-#include <algorithm>
-#include <iterator>
 #include <string>
+#include <vector>
 
 #include "src/runner/seed.h"
 #include "src/util/check.h"
@@ -11,62 +10,55 @@ namespace specbench {
 
 namespace {
 
-// One row per SuiteKnob, in enumerator order: its name, whether a config
-// has it in its secure setting, and how to force it to its insecure one.
-struct KnobRow {
-  const char* name;
-  bool (*active)(const MitigationConfig& c);
-  void (*disable)(MitigationConfig& c);
-};
+// The knob's row: the rows that name a knob, in SuiteKnob (field) order.
+const MitigationRow& Row(SuiteKnob knob) {
+  static const std::vector<const MitigationRow*> kKnobbed = [] {
+    std::vector<const MitigationRow*> rows;
+    for (const MitigationRow& row : MitigationRows()) {
+      if (row.knob != nullptr) {
+        rows.push_back(&row);
+      }
+    }
+    SPECBENCH_CHECK(rows.size() == kNumSuiteKnobs);
+    return rows;
+  }();
+  return *kKnobbed[static_cast<size_t>(knob)];
+}
 
-constexpr KnobRow kKnobRows[] = {
-    {"pti", [](const MitigationConfig& c) { return c.pti; },
-     [](MitigationConfig& c) { c.pti = false; }},
-    {"mds-clear", [](const MitigationConfig& c) { return c.mds_clear_buffers; },
-     [](MitigationConfig& c) { c.mds_clear_buffers = false; }},
-    {"nosmt", [](const MitigationConfig& c) { return c.smt_off; },
-     [](MitigationConfig& c) { c.smt_off = false; }},
-    {"retpoline", [](const MitigationConfig& c) { return c.retpoline != RetpolineMode::kNone; },
-     [](MitigationConfig& c) { c.retpoline = RetpolineMode::kNone; }},
-    {"ibrs", [](const MitigationConfig& c) { return c.ibrs != IbrsMode::kOff; },
-     [](MitigationConfig& c) { c.ibrs = IbrsMode::kOff; }},
-    {"ibpb", [](const MitigationConfig& c) { return c.ibpb_on_context_switch; },
-     [](MitigationConfig& c) { c.ibpb_on_context_switch = false; }},
-    {"rsb-stuff", [](const MitigationConfig& c) { return c.rsb_stuff_on_context_switch; },
-     [](MitigationConfig& c) { c.rsb_stuff_on_context_switch = false; }},
-    {"lfence-swapgs", [](const MitigationConfig& c) { return c.lfence_after_swapgs; },
-     [](MitigationConfig& c) { c.lfence_after_swapgs = false; }},
-    {"index-masking", [](const MitigationConfig& c) { return c.kernel_index_masking; },
-     [](MitigationConfig& c) { c.kernel_index_masking = false; }},
-    {"eager-fpu", [](const MitigationConfig& c) { return c.eager_fpu; },
-     [](MitigationConfig& c) { c.eager_fpu = false; }},
-    {"pte-inversion", [](const MitigationConfig& c) { return c.l1tf_pte_inversion; },
-     [](MitigationConfig& c) { c.l1tf_pte_inversion = false; }},
-    // Disabling downgrades to the pre-5.16 default rather than kOff: the
-    // suite's victim is an ordinary (non-seccomp) process, for which
-    // kSeccomp offers nothing — the minimal "one notch less" that matters.
-    {"ssbd", [](const MitigationConfig& c) { return c.ssbd == SsbdMode::kAlways; },
-     [](MitigationConfig& c) { c.ssbd = SsbdMode::kSeccomp; }},
-    {"stibp", [](const MitigationConfig& c) { return c.stibp; },
-     [](MitigationConfig& c) { c.stibp = false; }},
-    {"coresched", [](const MitigationConfig& c) { return c.core_scheduling; },
-     [](MitigationConfig& c) { c.core_scheduling = false; }},
-};
-static_assert(std::size(kKnobRows) == kNumSuiteKnobs);
-
-const KnobRow& Row(SuiteKnob knob) { return kKnobRows[static_cast<size_t>(knob)]; }
+// Every knob forced on regardless of the hardware's needs — what an operator
+// buys by ignoring Table 1's empty cells. The pareto report prices this
+// against the cheapest sufficient set.
+MitigationConfig Paranoid(const CpuModel& cpu) {
+  MitigationConfig c = MitigationConfig::Defaults(cpu);
+  c.pti = true;
+  c.mds_clear_buffers = true;
+  c.smt_off = true;
+  c.retpoline = RetpolineMode::kGeneric;
+  c.ibrs = cpu.predictor.eibrs
+               ? IbrsMode::kEibrs
+               : (cpu.predictor.ibrs_supported ? IbrsMode::kLegacyIbrs : IbrsMode::kOff);
+  c.ibpb_on_context_switch = true;
+  c.rsb_stuff_on_context_switch = true;
+  c.lfence_after_swapgs = true;
+  c.kernel_index_masking = true;
+  c.eager_fpu = true;
+  c.l1tf_pte_inversion = true;
+  c.l1d_flush_on_vmentry = true;
+  c.ssbd = SsbdMode::kAlways;
+  c.stibp = true;
+  c.core_scheduling = true;
+  return c;
+}
 
 }  // namespace
 
-const char* SuiteKnobName(SuiteKnob knob) { return Row(knob).name; }
+const char* SuiteKnobName(SuiteKnob knob) { return Row(knob).knob; }
 
-bool KnobActive(const MitigationConfig& config, SuiteKnob knob) {
-  return Row(knob).active(config);
-}
+bool KnobActive(const MitigationConfig& config, SuiteKnob knob) { return Row(knob).on(config); }
 
 MitigationConfig WithKnobDisabled(const MitigationConfig& config, SuiteKnob knob) {
   MitigationConfig c = config;
-  Row(knob).disable(c);
+  Row(knob).disable(&c);
   return c;
 }
 
@@ -85,18 +77,18 @@ std::vector<NamedConfig> MitigationConfigMatrix(const CpuModel& cpu) {
   configs.push_back({"off", MitigationConfig::AllOff()});
 
   {
-    MitigationConfig c = MitigationConfig::AllOff();
-    c.kernel_index_masking = true;
-    c.lfence_after_swapgs = true;
+    // The defaults with every other Figure 2 group turned off.
+    MitigationConfig c = MitigationConfig::Defaults(cpu);
+    for (MitigationGroup group : {MitigationGroup::kPti, MitigationGroup::kMds,
+                                  MitigationGroup::kSpectreV2, MitigationGroup::kOther}) {
+      DisableGroup(&c, group);
+    }
     configs.push_back({"v1-only", c});
   }
 
   {
     MitigationConfig c = MitigationConfig::Defaults(cpu);
-    c.retpoline = RetpolineMode::kNone;
-    c.ibrs = IbrsMode::kOff;
-    c.ibpb_on_context_switch = false;
-    c.rsb_stuff_on_context_switch = false;
+    DisableGroup(&c, MitigationGroup::kSpectreV2);
     configs.push_back({"no-v2", c});
   }
 
@@ -139,40 +131,13 @@ std::vector<NamedConfig> MitigationConfigMatrix(const CpuModel& cpu) {
     configs.push_back({"defaults+nosmt+ssbd", c});
   }
 
-  {
-    // Every knob forced on regardless of the hardware's needs — what an
-    // operator buys by ignoring Table 1's empty cells. The pareto report
-    // prices this against the cheapest sufficient set.
-    MitigationConfig c = MitigationConfig::Defaults(cpu);
-    c.pti = true;
-    c.mds_clear_buffers = true;
-    c.smt_off = true;
-    c.retpoline = RetpolineMode::kGeneric;
-    c.ibrs = cpu.predictor.eibrs
-                 ? IbrsMode::kEibrs
-                 : (cpu.predictor.ibrs_supported ? IbrsMode::kLegacyIbrs : IbrsMode::kOff);
-    c.ibpb_on_context_switch = true;
-    c.rsb_stuff_on_context_switch = true;
-    c.lfence_after_swapgs = true;
-    c.kernel_index_masking = true;
-    c.eager_fpu = true;
-    c.l1tf_pte_inversion = true;
-    c.l1d_flush_on_vmentry = true;
-    c.ssbd = SsbdMode::kAlways;
-    c.stibp = true;
-    c.core_scheduling = true;
-    configs.push_back({"paranoid", c});
-  }
+  configs.push_back({"paranoid", Paranoid(cpu)});
 
   return configs;
 }
 
 MitigationConfig ParanoidConfig(const AttackSpec& spec, const CpuModel& cpu, bool mitigated) {
-  const std::vector<NamedConfig> matrix = MitigationConfigMatrix(cpu);
-  const auto paranoid = std::find_if(matrix.begin(), matrix.end(),
-                                     [](const NamedConfig& c) { return c.name == "paranoid"; });
-  SPECBENCH_CHECK(paranoid != matrix.end());
-  MitigationConfig config = paranoid->config;
+  MitigationConfig config = Paranoid(cpu);
   if (!mitigated) {
     for (SuiteKnob knob : spec.knobs) {
       config = WithKnobDisabled(config, knob);

@@ -39,8 +39,8 @@ namespace specbench {
 // The MitigationConfig knobs the suite reasons about. Granularity follows
 // the attacks: one knob per independently-toggleable defense, so the
 // "which knob saved you" attribution can flip them one at a time. Each knob
-// is one row of the knob table in suite.cc (name, active, disable), which
-// the three functions below read.
+// is a row of the mitigation table (src/os/mitigation_config.h) that has a
+// knob name, in field order; the three functions below read that row.
 enum class SuiteKnob {
   kPti = 0,
   kMdsClearBuffers,
@@ -49,13 +49,13 @@ enum class SuiteKnob {
   kIbrs,
   kIbpb,
   kRsbStuff,
+  kStibp,
+  kCoreSched,
   kLfenceAfterSwapgs,
   kKernelIndexMasking,
   kEagerFpu,
   kL1tfPteInversion,
-  kSsbdAlways,
-  kStibp,
-  kCoreSched,
+  kSsbd,
   kCount,
 };
 inline constexpr size_t kNumSuiteKnobs = static_cast<size_t>(SuiteKnob::kCount);

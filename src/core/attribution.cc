@@ -19,45 +19,32 @@ Estimate OverheadPct(const Estimate& with_mitigation, const Estimate& without,
 }  // namespace
 
 const std::vector<MitigationKnob>& OsMitigationKnobs() {
-  static const std::vector<MitigationKnob> kKnobs = {
-      {"pti", "Page Table Isolation",
-       [](const CpuModel&, const MitigationConfig& c) { return c.pti; },
-       [](JitConfig*, MitigationConfig* c) { c->pti = false; }},
-      {"mds", "MDS buffer clearing",
-       [](const CpuModel& cpu, const MitigationConfig& c) {
-         return c.mds_clear_buffers && cpu.vuln.mds;
-       },
-       [](JitConfig*, MitigationConfig* c) { c->mds_clear_buffers = false; }},
-      {"spectre_v2", "Spectre V2 (retpoline/IBRS + IBPB + RSB)",
-       [](const CpuModel&, const MitigationConfig& c) {
-         return c.retpoline != RetpolineMode::kNone || c.ibrs != IbrsMode::kOff ||
-                c.ibpb_on_context_switch || c.rsb_stuff_on_context_switch;
-       },
-       [](JitConfig*, MitigationConfig* c) {
-         c->retpoline = RetpolineMode::kNone;
-         c->ibrs = IbrsMode::kOff;
-         c->ibpb_on_context_switch = false;
-         c->rsb_stuff_on_context_switch = false;
-       }},
-      {"spectre_v1", "Spectre V1 (lfence + masking)",
-       [](const CpuModel&, const MitigationConfig& c) {
-         return c.lfence_after_swapgs || c.kernel_index_masking;
-       },
-       [](JitConfig*, MitigationConfig* c) {
-         c->lfence_after_swapgs = false;
-         c->kernel_index_masking = false;
-       }},
-      {"other", "Other mitigations",
-       [](const CpuModel& cpu, const MitigationConfig& c) {
-         return c.l1tf_pte_inversion || c.ssbd != SsbdMode::kOff ||
-                (cpu.vuln.l1tf && c.l1d_flush_on_vmentry);
-       },
-       [](JitConfig*, MitigationConfig* c) {
-         c->l1tf_pte_inversion = false;
-         c->l1d_flush_on_vmentry = false;
-         c->ssbd = SsbdMode::kOff;
-       }},
-  };
+  // Each step is one group of the mitigation table: relevant while any of
+  // its rows is on, and disabling it turns them all off.
+  static const std::vector<MitigationKnob> kKnobs = [] {
+    const struct {
+      const char* id;
+      const char* label;
+      MitigationGroup group;
+    } steps[] = {
+        {"pti", "Page Table Isolation", MitigationGroup::kPti},
+        {"mds", "MDS buffer clearing", MitigationGroup::kMds},
+        {"spectre_v2", "Spectre V2 (retpoline/IBRS + IBPB + RSB)", MitigationGroup::kSpectreV2},
+        {"spectre_v1", "Spectre V1 (lfence + masking)", MitigationGroup::kSpectreV1},
+        {"other", "Other mitigations", MitigationGroup::kOther},
+    };
+    std::vector<MitigationKnob> knobs;
+    for (const auto& step : steps) {
+      knobs.push_back({step.id, step.label,
+                       [group = step.group](const CpuModel&, const MitigationConfig& c) {
+                         return GroupOn(c, group);
+                       },
+                       [group = step.group](JitConfig*, MitigationConfig* c) {
+                         DisableGroup(c, group);
+                       }});
+    }
+    return knobs;
+  }();
   return kKnobs;
 }
 

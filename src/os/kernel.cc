@@ -87,6 +87,42 @@ CrossingCost SplitBoundaryCrossing(const CpuModel& cpu, const MitigationConfig& 
 
 }  // namespace
 
+void EmitProtectedIndirectCall(ProgramBuilder& b, RetpolineMode mode, uint8_t target_reg,
+                               Label thunk) {
+  switch (mode) {
+    case RetpolineMode::kNone:
+      b.IndirectCall(target_reg);
+      break;
+    case RetpolineMode::kAmd:
+      // The fence is the mitigation; the dispatch itself is baseline work.
+      {
+        CauseScope tag(b, CauseTag::kSpectreV2);
+        b.Lfence();
+      }
+      b.IndirectCall(target_reg);
+      break;
+    case RetpolineMode::kGeneric:
+      // The call site stays baseline: it replaces the plain indirect call.
+      b.Call(thunk);
+      break;
+  }
+}
+
+void EmitRetpolineThunk(ProgramBuilder& b, Label thunk, uint8_t target_reg) {
+  CauseScope tag(b, CauseTag::kSpectreV2);  // the whole thunk is V2 code
+  Label setup = b.NewLabel();
+  Label spin = b.NewLabel();
+  b.Bind(thunk);
+  b.Call(setup);
+  b.Bind(spin);
+  b.Pause();
+  b.Lfence();
+  b.Jmp(spin);
+  b.Bind(setup);
+  b.Store(MemRef{.base = kRegSp}, target_reg);  // overwrite return address
+  b.Ret();
+}
+
 Kernel::Kernel(const CpuModel& cpu, const MitigationConfig& config)
     : cpu_(cpu), config_(config), machine_(cpu) {
   // Boot process.
@@ -167,51 +203,6 @@ void Kernel::RegisterKcall(int64_t id, Machine::KcallHook hook) {
   machine_->RegisterKcall(id, std::move(hook));
 }
 
-void Kernel::EmitProtectedIndirectCall(uint8_t target_reg) {
-  SPECBENCH_CHECK(target_reg == kTarget);
-  switch (config_.retpoline) {
-    case RetpolineMode::kNone:
-      // Either unprotected or covered by IBRS/eIBRS.
-      builder_.IndirectCall(target_reg);
-      break;
-    case RetpolineMode::kAmd:
-      // Paper Figure 4: lfence; call *%r11. The fence is the mitigation;
-      // the dispatch itself is baseline work.
-      {
-        CauseScope tag(builder_, CauseTag::kSpectreV2);
-        builder_.Lfence();
-      }
-      builder_.IndirectCall(target_reg);
-      break;
-    case RetpolineMode::kGeneric:
-      builder_.Call(retpoline_thunk_label_);
-      break;
-  }
-}
-
-void Kernel::EmitRetpolineThunk() {
-  // Paper Figure 4, transcribed: the ret speculates to the pause/lfence spin
-  // via the RSB while architecturally jumping to the target in kTarget.
-  // The whole thunk is Spectre V2 mitigation code; the call site that enters
-  // it stays baseline (it replaces the plain indirect call).
-  CauseScope tag(builder_, CauseTag::kSpectreV2);
-  retpoline_thunk_label_ = builder_.NewLabel();
-  Label setup = builder_.NewLabel();
-  Label spin = builder_.NewLabel();
-  Label done = builder_.NewLabel();
-  builder_.Jmp(done);  // thunk body is emitted out of line; skip over it
-  builder_.Bind(retpoline_thunk_label_);
-  builder_.Call(setup);
-  builder_.Bind(spin);
-  builder_.Pause();
-  builder_.Lfence();
-  builder_.Jmp(spin);
-  builder_.Bind(setup);
-  builder_.Store(MemRef{.base = kRegSp}, kTarget);  // overwrite return address
-  builder_.Ret();
-  builder_.Bind(done);
-}
-
 void Kernel::EmitKernelWorkLoop(int iterations) {
   // Generic in-kernel work (bookkeeping, accounting, VFS-style layers):
   // a dependent load/modify/store loop over kernel heap data. Keeps the
@@ -262,7 +253,7 @@ void Kernel::EmitEntryPath() {
                              .scale = 8,
                              .disp = static_cast<int64_t>(kSyscallTableVaddr)});
   builder_.Load(kTarget, MemRef{.base = kScr9});
-  EmitProtectedIndirectCall(kTarget);
+  EmitProtectedIndirectCall(builder_, config_.retpoline, kTarget, retpoline_thunk_label_);
   // Handlers return here; fall through into the exit path.
 }
 
@@ -482,7 +473,12 @@ void Kernel::EmitStandardHandlers() {
 
 void Kernel::EmitKernelText() {
   if (config_.retpoline == RetpolineMode::kGeneric) {
-    EmitRetpolineThunk();
+    CauseScope tag(builder_, CauseTag::kSpectreV2);
+    retpoline_thunk_label_ = builder_.NewLabel();
+    Label done = builder_.NewLabel();
+    builder_.Jmp(done);  // the thunk is out of line; skip over it
+    EmitRetpolineThunk(builder_, retpoline_thunk_label_, kTarget);
+    builder_.Bind(done);
   }
   EmitEntryPath();
   EmitExitPath();

@@ -80,6 +80,22 @@ enum class Sys : int {
 };
 inline constexpr int kMaxSyscalls = 64;
 
+// --- Spectre V2 call sites --------------------------------------------------
+// The kernel's syscall dispatch and the attack suite's spectre-v2 victim
+// protect their indirect calls with these, so a retpoline mode the suite
+// credits is the code the kernel runs.
+//
+// Emits an indirect call through `target_reg`, protected per `mode`: plain
+// (unprotected, or covered by IBRS/eIBRS), `lfence; call *reg` (AMD; paper
+// Figure 4), or a call into the generic thunk bound at `thunk`.
+void EmitProtectedIndirectCall(ProgramBuilder& b, RetpolineMode mode, uint8_t target_reg,
+                               Label thunk);
+// Emits the generic retpoline thunk (paper Figure 4) at `thunk`: its ret
+// speculates into a pause/lfence spin via the RSB while architecturally
+// jumping to the target in `target_reg`. Emitted in line; callers keep
+// execution from falling into it.
+void EmitRetpolineThunk(ProgramBuilder& b, Label thunk, uint8_t target_reg);
+
 struct Process {
   int pid = 0;
   uint64_t user_cr3 = 0;
@@ -160,8 +176,6 @@ class Kernel {
   void EmitKernelText();
   void EmitEntryPath();
   void EmitExitPath();
-  void EmitProtectedIndirectCall(uint8_t target_reg);
-  void EmitRetpolineThunk();
   void EmitStandardHandlers();
   void EmitCopyLoop(bool to_user);
   void EmitKernelWorkLoop(int iterations);

@@ -5,9 +5,18 @@
 // (retpolines, IBRS/eIBRS, IBPB, RSB stuffing), Spectre V1 kernel hardening,
 // SSBD policy, eager FPU, and the L1TF pair. Defaults(cpu) reproduces the
 // paper's Table 1 per-processor default set.
+//
+// Each MitigationConfig field is one row of MitigationRows(): its
+// Describe() spelling, whether it is on and how to turn it off, its attack
+// suite knob (src/attack/suite.h) and its Figure 2 group
+// (src/core/attribution.h). Describe(), the suite's knobs, Figure 2's
+// successive-disable steps and the group boot parameters (nopti, mds=off,
+// nospectre_v1, nospectre_v2) all read the rows, so adding a mitigation is
+// one field, one row and its kernel code.
 #ifndef SPECTREBENCH_SRC_OS_MITIGATION_CONFIG_H_
 #define SPECTREBENCH_SRC_OS_MITIGATION_CONFIG_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,18 +76,43 @@ struct MitigationConfig {
   // Everything off (mitigations=off).
   static MitigationConfig AllOff();
 
-  // True if this config protects against the given attack on `cpu` (used by
-  // Table 1 rendering and the security ground-truth tests).
-  bool MitigatesMeltdown(const CpuModel& cpu) const;
-  bool MitigatesMds(const CpuModel& cpu) const;
-  bool MitigatesSpectreV2Kernel(const CpuModel& cpu) const;
-
-  // One-line summary for logs. Omits smt_off, so it is not a key: compare
-  // configs by value.
+  // One `key=value` per field, in field order: a complete key (two configs
+  // describe alike exactly when they are equal).
   std::string Describe() const;
 
   bool operator==(const MitigationConfig&) const = default;
 };
+
+// The Figure 2 step a field is disabled in (src/core/attribution.h), or
+// kNone for a field no step turns off.
+enum class MitigationGroup { kNone, kPti, kMds, kSpectreV2, kSpectreV1, kOther };
+
+// One MitigationConfig field.
+struct MitigationRow {
+  const char* key;                                // Describe() spelling, e.g. "retpoline"
+  const char* (*value)(const MitigationConfig&);  // Describe() value, e.g. "generic"
+  bool (*on)(const MitigationConfig&);            // the field is in a secure setting
+  void (*disable)(MitigationConfig*);             // forces its insecure setting
+  const char* knob;       // its attack-suite knob name, or nullptr
+  MitigationGroup group;
+};
+
+// One row per MitigationConfig field, in field order.
+std::span<const MitigationRow> MitigationRows();
+
+// Whether any row of `group` is on; turning the group off disables them all.
+bool GroupOn(const MitigationConfig& config, MitigationGroup group);
+void DisableGroup(MitigationConfig* config, MitigationGroup group);
+
+// One accepted boot parameter: `apply` returns false when the CPU cannot
+// honour it (spectre_v2=ibrs without IBRS), leaving the config untouched.
+struct BootParam {
+  const char* token;
+  bool (*apply)(MitigationConfig* config, const CpuModel& cpu);
+};
+
+// Every boot parameter ApplyBootParam accepts.
+std::span<const BootParam> BootParams();
 
 // Applies Linux-style boot parameter tokens to a config, e.g. {"nopti",
 // "mds=off", "nospectre_v2", "spec_store_bypass_disable=on",

@@ -104,50 +104,21 @@ TEST(AttackSuiteMatrix, ClaimsMatchEmpiricalVerdictsEverywhere) {
 }
 
 // The same contract on the configs users boot: Defaults(cpu) with one
-// accepted boot parameter, and the mitigation tuner's cmdlines. Every
-// vulnerable spec's canonical trial must leak exactly when its defended()
-// claim is false.
+// accepted boot parameter, mitigations=off with one (so each mitigation is
+// measured alone, e.g. retpoline,amd without IBPB), and the mitigation
+// tuner's cmdlines. Every vulnerable spec's canonical trial must leak
+// exactly when its defended() claim is false.
 TEST(AttackSuiteMatrix, ClaimsMatchVerdictsUnderBootParams) {
-  // Every token ApplyBootParam accepts (spectre_v2=ibrs only where the
-  // part has IBRS; elsewhere it leaves the defaults as they are).
-  const std::vector<std::string> tokens = {
-      "mitigations=off",
-      "mitigations=auto",
-      "nopcid",
-      "nopti",
-      "pti=off",
-      "pti=on",
-      "mds=off",
-      "mds=full",
-      "nospectre_v1",
-      "nospectre_v2",
-      "spectre_v2=retpoline",
-      "spectre_v2=retpoline,generic",
-      "spectre_v2=retpoline,amd",
-      "spectre_v2=ibrs",
-      "spec_store_bypass_disable=off",
-      "spec_store_bypass_disable=prctl",
-      "spec_store_bypass_disable=seccomp",
-      "spec_store_bypass_disable=on",
-      "l1tf=off",
-      "l1tf=full",
-      "eagerfpu=off",
-      "eagerfpu=on",
-      "nosmt",
-      "stibp",
-      "stibp=on",
-      "stibp=off",
-      "coresched",
-      "coresched=on",
-      "coresched=off",
-  };
   // examples/mitigation_tuner's rows.
   std::vector<std::vector<std::string>> cmdlines = {
       {}, {"nopti"}, {"mds=off"}, {"nospectre_v2"}, {"spec_store_bypass_disable=on"},
       {"mitigations=off"},
   };
-  for (const std::string& token : tokens) {
-    cmdlines.push_back({token});
+  // Every token ApplyBootParam accepts (spectre_v2=ibrs only where the part
+  // has IBRS; elsewhere it leaves the config as it is).
+  for (const BootParam& param : BootParams()) {
+    cmdlines.push_back({param.token});
+    cmdlines.push_back({"mitigations=off", param.token});
   }
   int checked = 0;
   for (Uarch u : AllUarches()) {
@@ -156,8 +127,8 @@ TEST(AttackSuiteMatrix, ClaimsMatchVerdictsUnderBootParams) {
     for (const std::vector<std::string>& cmdline : cmdlines) {
       if (!cmdline.empty()) {
         MitigationConfig probe = MitigationConfig::Defaults(cpu);
-        if (!ApplyBootParam(&probe, cpu, cmdline[0])) {
-          ASSERT_EQ(cmdline[0], "spectre_v2=ibrs") << UarchName(u);  // no IBRS on this part
+        if (!ApplyBootParam(&probe, cpu, cmdline.back())) {
+          ASSERT_EQ(cmdline.back(), "spectre_v2=ibrs") << UarchName(u);  // no IBRS on this part
         }
       }
       const MitigationConfig config = ConfigFromCmdline(cpu, cmdline);
@@ -165,6 +136,10 @@ TEST(AttackSuiteMatrix, ClaimsMatchVerdictsUnderBootParams) {
         continue;
       }
       seen.push_back(config);
+      std::string booted;
+      for (const std::string& token : cmdline) {
+        booted += (booted.empty() ? "" : " ") + token;
+      }
       for (const AttackSpec& spec : AttackSuite()) {
         if (!spec.vulnerable(cpu)) {
           continue;
@@ -172,7 +147,7 @@ TEST(AttackSuiteMatrix, ClaimsMatchVerdictsUnderBootParams) {
         const AttackResult r = RunCanonicalTrial(spec, cpu, config);
         EXPECT_TRUE(r.attempted) << UarchName(u) << " " << spec.name;
         EXPECT_EQ(r.leaked, !spec.defended(cpu, config))
-            << UarchName(u) << " [" << (cmdline.empty() ? "" : cmdline[0]) << "] "
+            << UarchName(u) << " [" << booted << "] "
             << spec.name << " recovered=" << r.recovered;
         checked++;
       }
@@ -361,7 +336,7 @@ MitigationConfig WithKnobEnabled(const MitigationConfig& config, SuiteKnob knob)
     case SuiteKnob::kKernelIndexMasking: c.kernel_index_masking = true; break;
     case SuiteKnob::kEagerFpu: c.eager_fpu = true; break;
     case SuiteKnob::kL1tfPteInversion: c.l1tf_pte_inversion = true; break;
-    case SuiteKnob::kSsbdAlways: c.ssbd = SsbdMode::kAlways; break;
+    case SuiteKnob::kSsbd: c.ssbd = SsbdMode::kAlways; break;
     case SuiteKnob::kStibp: c.stibp = true; break;
     case SuiteKnob::kCoreSched: c.core_scheduling = true; break;
     case SuiteKnob::kCount: break;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/os/mitigation_config.h"
 
 namespace specbench {
@@ -107,16 +110,6 @@ TEST(BootParams, CmdlineComposition) {
   EXPECT_EQ(c.retpoline, RetpolineMode::kGeneric);  // untouched default
 }
 
-TEST(Mitigates, GroundTruthHelpers) {
-  const CpuModel& broadwell = GetCpuModel(Uarch::kBroadwell);
-  MitigationConfig c = MitigationConfig::Defaults(broadwell);
-  EXPECT_TRUE(c.MitigatesMeltdown(broadwell));
-  c.pti = false;
-  EXPECT_FALSE(c.MitigatesMeltdown(broadwell));
-  // A CPU that is not vulnerable is mitigated regardless.
-  EXPECT_TRUE(MitigationConfig::AllOff().MitigatesMeltdown(GetCpuModel(Uarch::kZen3)));
-}
-
 TEST(Describe, MentionsKeyKnobs) {
   const std::string s =
       MitigationConfig::Defaults(GetCpuModel(Uarch::kBroadwell)).Describe();
@@ -124,8 +117,8 @@ TEST(Describe, MentionsKeyKnobs) {
   EXPECT_NE(s.find("retpoline=generic"), std::string::npos);
 }
 
-// Configs compare by value, every knob included. smt_off is one of them,
-// and Describe() omits it, so Describe() cannot stand in for equality.
+// Configs compare by value, every knob included, and Describe() tells apart
+// what equality tells apart (smt_off too).
 TEST(Equality, ComparesEveryKnobIncludingSmtOff) {
   const CpuModel& cpu = GetCpuModel(Uarch::kSkylakeClient);
   const MitigationConfig defaults = MitigationConfig::Defaults(cpu);
@@ -135,7 +128,7 @@ TEST(Equality, ComparesEveryKnobIncludingSmtOff) {
   MitigationConfig nosmt = defaults;
   nosmt.smt_off = true;
   EXPECT_FALSE(nosmt == defaults);
-  EXPECT_EQ(nosmt.Describe(), defaults.Describe());
+  EXPECT_NE(nosmt.Describe(), defaults.Describe());
 
   MitigationConfig ssbd = defaults;
   ssbd.ssbd = SsbdMode::kAlways;
@@ -153,17 +146,36 @@ TEST(Names, EnumToString) {
 
 TEST(Describe, ListsEveryKnobOnEveryTable1DefaultSet) {
   // Describe() is the config's identity for logs and golden files: it must
-  // name every knob it covers (pcid/eager_fpu/smt_off are deliberately
-  // omitted — they don't vary across Table 1 rows) and must distinguish the
-  // default set from mitigations=off on every CPU.
+  // name every row of the mitigation table and must distinguish the default
+  // set from mitigations=off on every CPU.
   const std::string all_off = MitigationConfig::AllOff().Describe();
   for (Uarch u : AllUarches()) {
     const std::string s = MitigationConfig::Defaults(GetCpuModel(u)).Describe();
-    for (const char* key : {"pti=", "mds=", "retpoline=", "ibrs=", "ibpb=", "rsb_stuff=",
-                            "v1=", "ssbd=", "l1tf=", "stibp=", "coresched="}) {
-      EXPECT_NE(s.find(key), std::string::npos) << UarchName(u) << ": " << s;
+    for (const MitigationRow& row : MitigationRows()) {
+      EXPECT_NE(s.find(std::string(row.key) + "="), std::string::npos)
+          << UarchName(u) << ": " << s;
     }
     EXPECT_NE(s, all_off) << UarchName(u);
+  }
+}
+
+// Describe() is a complete key: over the Table 1 defaults, mitigations=off
+// and every single boot parameter, two configs describe alike exactly when
+// they are equal.
+TEST(Describe, IsACompleteKey) {
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    std::vector<MitigationConfig> configs = {MitigationConfig::Defaults(cpu),
+                                             MitigationConfig::AllOff()};
+    for (const BootParam& param : BootParams()) {
+      configs.push_back(ConfigFromCmdline(cpu, {param.token}));
+    }
+    for (const MitigationConfig& a : configs) {
+      for (const MitigationConfig& b : configs) {
+        EXPECT_EQ(a.Describe() == b.Describe(), a == b)
+            << UarchName(u) << ": " << a.Describe() << " vs " << b.Describe();
+      }
+    }
   }
 }
 

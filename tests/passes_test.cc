@@ -153,7 +153,7 @@ TEST(PassVsAttackSuite, HardeningFlipsTheReplayVerdictLikeTheKnobFlipsTheCell) {
   } kPairs[] = {
       {"v1-index-mask", "v1-classic", "spectre-v1", SuiteKnob::kKernelIndexMasking},
       {"targeted-lfence", "v1-classic", "spectre-v1", SuiteKnob::kKernelIndexMasking},
-      {"ssb-fence", "ssb-gadget", "ssb", SuiteKnob::kSsbdAlways},
+      {"ssb-fence", "ssb-gadget", "ssb", SuiteKnob::kSsbd},
       {"rsb-fill", "ret-underflow", "spectre-rsb", SuiteKnob::kRsbStuff},
   };
   const CpuModel& cpu = Baseline();
@@ -181,7 +181,7 @@ TEST(PassVsAttackSuite, HardeningFlipsTheReplayVerdictLikeTheKnobFlipsTheCell) {
     MitigationConfig on = off;
     switch (pair.knob) {
       case SuiteKnob::kKernelIndexMasking: on.kernel_index_masking = true; break;
-      case SuiteKnob::kSsbdAlways: on.ssbd = SsbdMode::kAlways; break;
+      case SuiteKnob::kSsbd: on.ssbd = SsbdMode::kAlways; break;
       case SuiteKnob::kRsbStuff: on.rsb_stuff_on_context_switch = true; break;
       default: FAIL() << "unmapped knob"; break;
     }

@@ -146,15 +146,7 @@ TEST_P(KnobSweep, DisablingAMitigationNeverSlowsTheBoundary) {
       << knob.id << " made the syscall slower when disabled";
 }
 
-// --- Security/cost coupling -----------------------------------------------------
-
-TEST_P(CpuSweep, DefaultConfigMitigatesEverythingTable1Promises) {
-  const CpuModel& cpu = GetCpuModel(GetParam());
-  const MitigationConfig config = MitigationConfig::Defaults(cpu);
-  EXPECT_TRUE(config.MitigatesMeltdown(cpu));
-  EXPECT_TRUE(config.MitigatesMds(cpu));
-  EXPECT_TRUE(config.MitigatesSpectreV2Kernel(cpu));
-}
+// --- Boot parameters -----------------------------------------------------------
 
 TEST_P(CpuSweep, CmdlineRoundTripsToAllOff) {
   const CpuModel& cpu = GetCpuModel(GetParam());
