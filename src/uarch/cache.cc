@@ -21,13 +21,24 @@ Cache::Cache(const CacheGeometry& geometry) : geometry_(geometry) {
   SPECBENCH_CHECK(lines >= geometry_.ways);
   num_sets_ = lines / geometry_.ways;
   SPECBENCH_CHECK(IsPow2(num_sets_));
-  ways_.resize(static_cast<size_t>(num_sets_) * geometry_.ways);
+  ways_.reset(new Way[static_cast<size_t>(num_sets_) * geometry_.ways]);
+  set_gen_.resize(num_sets_);
+}
+
+Cache::Way* Cache::ClaimSet(uint32_t set) {
+  Way* base = SetBase(set);
+  if (!Claimed(set)) {
+    for (uint32_t w = 0; w < geometry_.ways; w++) {
+      base[w] = Way{};
+    }
+    set_gen_[set] = gen_;
+  }
+  return base;
 }
 
 bool Cache::Access(uint64_t paddr) {
   const uint64_t line = LineOf(paddr);
-  const uint32_t set = static_cast<uint32_t>(line & (num_sets_ - 1));
-  Way* base = &ways_[static_cast<size_t>(set) * geometry_.ways];
+  Way* base = ClaimSet(SetOf(line));
   tick_++;
 
   for (uint32_t w = 0; w < geometry_.ways; w++) {
@@ -60,8 +71,11 @@ bool Cache::Access(uint64_t paddr) {
 
 bool Cache::Contains(uint64_t paddr) const {
   const uint64_t line = LineOf(paddr);
-  const uint32_t set = static_cast<uint32_t>(line & (num_sets_ - 1));
-  const Way* base = &ways_[static_cast<size_t>(set) * geometry_.ways];
+  const uint32_t set = SetOf(line);
+  if (!Claimed(set)) {
+    return false;
+  }
+  const Way* base = SetBase(set);
   for (uint32_t w = 0; w < geometry_.ways; w++) {
     if (base[w].gen == gen_ && base[w].tag == line) {
       return true;
@@ -72,8 +86,11 @@ bool Cache::Contains(uint64_t paddr) const {
 
 void Cache::EvictLine(uint64_t paddr) {
   const uint64_t line = LineOf(paddr);
-  const uint32_t set = static_cast<uint32_t>(line & (num_sets_ - 1));
-  Way* base = &ways_[static_cast<size_t>(set) * geometry_.ways];
+  const uint32_t set = SetOf(line);
+  if (!Claimed(set)) {
+    return;
+  }
+  Way* base = SetBase(set);
   for (uint32_t w = 0; w < geometry_.ways; w++) {
     if (base[w].gen == gen_ && base[w].tag == line) {
       base[w].gen = 0;
@@ -81,11 +98,7 @@ void Cache::EvictLine(uint64_t paddr) {
   }
 }
 
-void Cache::FlushAll() {
-  for (Way& way : ways_) {
-    way.gen = 0;
-  }
-}
+void Cache::FlushAll() { gen_++; }
 
 void Cache::Reset() {
   gen_++;

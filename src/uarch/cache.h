@@ -11,6 +11,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "src/cpu/cpu_model.h"
@@ -18,6 +20,11 @@
 namespace specbench {
 
 // One set-associative cache level with LRU replacement.
+//
+// Construction is O(sets): the way array is allocated uninitialised and a
+// set's ways are written only when Access first touches the set (it
+// "claims" the set), so a machine pays for the sets it touches, not for a
+// multi-megabyte L3.
 class Cache {
  public:
   explicit Cache(const CacheGeometry& geometry);
@@ -28,10 +35,11 @@ class Cache {
   // Probe without installing or touching LRU state.
   bool Contains(uint64_t paddr) const;
   void EvictLine(uint64_t paddr);
+  // Invalidates every line in O(1) by bumping the generation; keeps the LRU
+  // clock and the stats.
   void FlushAll();
   // As-new state (empty cache, zeroed stats) in O(1): bumps the generation
-  // counter instead of touching every way, so Machine::Reset stays cheap even
-  // for a multi-megabyte L3.
+  // like FlushAll, then zeroes the LRU clock and the stats.
   void Reset();
 
   uint32_t latency() const { return geometry_.latency_cycles; }
@@ -39,21 +47,31 @@ class Cache {
   uint64_t misses() const { return misses_; }
 
  private:
+  // Invariant: no way is read before its set is claimed in the current
+  // generation (set_gen_[set] == gen_). Claiming writes every way of the
+  // set invalid (gen = 0), so the array needs no initialisation and stays
+  // trivially default-constructible. Within a claimed set a way is valid
+  // iff gen == Cache::gen_; 0 never equals gen_ (gen_ starts at 1 and only
+  // increments), so EvictLine can invalidate a single way by zeroing its
+  // gen.
   struct Way {
-    uint64_t tag = 0;
-    uint64_t lru = 0;
-    // A way is valid iff gen == Cache::gen_. Reset() bumps gen_, which
-    // invalidates every way without writing them; 0 never equals gen_
-    // (gen_ starts at 1 and only increments), so EvictLine can still
-    // invalidate a single way by zeroing its gen.
-    uint64_t gen = 0;
+    uint64_t tag;
+    uint64_t lru;
+    uint64_t gen;
   };
+  static_assert(std::is_trivially_default_constructible_v<Way>);
 
   uint64_t LineOf(uint64_t paddr) const { return paddr / geometry_.line_bytes; }
+  uint32_t SetOf(uint64_t line) const { return static_cast<uint32_t>(line & (num_sets_ - 1)); }
+  Way* SetBase(uint32_t set) const { return &ways_[static_cast<size_t>(set) * geometry_.ways]; }
+  bool Claimed(uint32_t set) const { return set_gen_[set] == gen_; }
+  // The set's ways, claimed for the current generation.
+  Way* ClaimSet(uint32_t set);
 
   CacheGeometry geometry_;
   uint32_t num_sets_;
-  std::vector<Way> ways_;  // num_sets_ * geometry_.ways
+  std::unique_ptr<Way[]> ways_;    // num_sets_ * geometry_.ways, uninitialised
+  std::vector<uint64_t> set_gen_;  // per set: generation that claimed it, 0 = never
   uint64_t gen_ = 1;
   uint64_t tick_ = 0;
   uint64_t hits_ = 0;

@@ -1,8 +1,11 @@
 // Machine reuse: the one way src/ gets a Machine.
 //
-// Constructing a Machine is dominated by allocating and zeroing the cache
-// hierarchy's way arrays (megabytes for an L3). Reuse hands back an existing
-// machine Reset() to power-on state instead, an O(1) generation-bump reset.
+// Constructing a Machine allocates the cache hierarchy's way arrays
+// (megabytes for an L3) but does not initialise them: a cache writes a
+// set's ways when it first touches the set (src/uarch/cache.h), so a
+// machine pays for the sets it touches. Reuse skips the allocation too: it
+// hands back an existing machine Reset() to power-on state, an O(1)
+// generation-bump reset.
 // The reset regression test (tests/uarch_reset_test.cc) pins the contract
 // that a reused machine is bit- and cycle-identical to a fresh one.
 //

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/cpu/cpu_model.h"
 #include "src/uarch/cache.h"
+#include "src/util/rng.h"
 
 namespace specbench {
 namespace {
@@ -54,6 +57,177 @@ TEST(Cache, ContainsDoesNotInstall) {
   EXPECT_FALSE(c.Contains(0x1000));
   EXPECT_FALSE(c.Contains(0x1000));
   EXPECT_FALSE(c.Access(0x1000));  // still a miss: Contains did not install
+}
+
+TEST(Cache, NeverTouchedSetIsEmptyAndProbesInstallNothing) {
+  Cache c(SmallGeometry());
+  EXPECT_FALSE(c.Contains(0x1000));
+  c.EvictLine(0x1000);
+  EXPECT_FALSE(c.Contains(0x1000));
+  EXPECT_EQ(c.hits(), 0u);
+  EXPECT_EQ(c.misses(), 0u);
+  // Touching one set leaves its neighbours unclaimed and empty.
+  EXPECT_FALSE(c.Access(0x1000));
+  EXPECT_FALSE(c.Contains(0x1040));
+  c.EvictLine(0x1040);
+  EXPECT_FALSE(c.Access(0x1040));  // the probes above installed nothing
+  EXPECT_TRUE(c.Contains(0x1000));
+  // FlushAll and Reset leave every set unclaimed again.
+  c.FlushAll();
+  EXPECT_FALSE(c.Contains(0x1000));
+  c.EvictLine(0x1000);
+  EXPECT_EQ(c.misses(), 2u);
+  c.Reset();
+  EXPECT_FALSE(c.Contains(0x1040));
+  EXPECT_EQ(c.misses(), 0u);
+}
+
+// Reference cache: every way zero-initialised at construction, FlushAll
+// invalidating every way one by one, Reset bumping the generation. Cache,
+// which writes a set's ways only when it first touches the set, must agree
+// with it on every return value and counter.
+class EagerCache {
+ public:
+  explicit EagerCache(const CacheGeometry& geometry)
+      : geometry_(geometry),
+        num_sets_(geometry.size_bytes / geometry.line_bytes / geometry.ways),
+        ways_(static_cast<size_t>(num_sets_) * geometry.ways) {}
+
+  bool Access(uint64_t paddr) {
+    const uint64_t line = paddr / geometry_.line_bytes;
+    Way* base = SetBase(line);
+    tick_++;
+    for (uint32_t w = 0; w < geometry_.ways; w++) {
+      if (base[w].gen == gen_ && base[w].tag == line) {
+        base[w].lru = tick_;
+        hits_++;
+        return true;
+      }
+    }
+    Way* victim = base;
+    for (uint32_t w = 0; w < geometry_.ways; w++) {
+      if (base[w].gen != gen_) {
+        victim = &base[w];
+        break;
+      }
+      if (base[w].lru < victim->lru) {
+        victim = &base[w];
+      }
+    }
+    misses_++;
+    *victim = Way{line, tick_, gen_};
+    return false;
+  }
+  bool Contains(uint64_t paddr) {
+    const uint64_t line = paddr / geometry_.line_bytes;
+    const Way* base = SetBase(line);
+    for (uint32_t w = 0; w < geometry_.ways; w++) {
+      if (base[w].gen == gen_ && base[w].tag == line) {
+        return true;
+      }
+    }
+    return false;
+  }
+  void EvictLine(uint64_t paddr) {
+    const uint64_t line = paddr / geometry_.line_bytes;
+    Way* base = SetBase(line);
+    for (uint32_t w = 0; w < geometry_.ways; w++) {
+      if (base[w].gen == gen_ && base[w].tag == line) {
+        base[w].gen = 0;
+      }
+    }
+  }
+  void FlushAll() {
+    for (Way& way : ways_) {
+      way.gen = 0;
+    }
+  }
+  void Reset() {
+    gen_++;
+    tick_ = 0;
+    hits_ = 0;
+    misses_ = 0;
+  }
+  uint32_t num_sets() const { return num_sets_; }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+
+ private:
+  struct Way {
+    uint64_t tag = 0;
+    uint64_t lru = 0;
+    uint64_t gen = 0;
+  };
+  Way* SetBase(uint64_t line) {
+    return &ways_[static_cast<size_t>(line & (num_sets_ - 1)) * geometry_.ways];
+  }
+
+  CacheGeometry geometry_;
+  uint32_t num_sets_;
+  std::vector<Way> ways_;
+  uint64_t gen_ = 1;
+  uint64_t tick_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+};
+
+// Runs a seeded stream of `ops` calls on Cache and EagerCache side by side.
+// Addresses concentrate on a few hot sets with more tags than ways (so LRU
+// eviction and re-install run constantly) and spill onto random sets (so
+// first touches, and probes of never-touched sets, happen throughout).
+void ExpectMatchesEagerCache(const CacheGeometry& geometry, uint64_t seed, int ops) {
+  Cache lazy(geometry);
+  EagerCache eager(geometry);
+  Rng rng(seed);
+  const uint64_t sets = eager.num_sets();
+  std::vector<uint64_t> hot_sets(8);
+  for (uint64_t& set : hot_sets) {
+    set = rng.NextBelow(sets);
+  }
+  const uint64_t tags = 2 * geometry.ways;
+  for (int i = 0; i < ops; i++) {
+    const uint64_t set =
+        rng.NextBelow(4) == 0 ? rng.NextBelow(sets) : hot_sets[rng.NextBelow(hot_sets.size())];
+    const uint64_t line = rng.NextBelow(tags) * sets + set;
+    const uint64_t paddr = line * geometry.line_bytes + rng.NextBelow(geometry.line_bytes);
+    const uint64_t op = rng.NextBelow(1000);
+    if (op < 700) {
+      ASSERT_EQ(lazy.Access(paddr), eager.Access(paddr)) << "op " << i << " Access " << paddr;
+    } else if (op < 880) {
+      ASSERT_EQ(lazy.Contains(paddr), eager.Contains(paddr)) << "op " << i << " Contains " << paddr;
+    } else if (op < 990) {
+      lazy.EvictLine(paddr);
+      eager.EvictLine(paddr);
+    } else if (op < 996) {
+      lazy.FlushAll();
+      eager.FlushAll();
+    } else {
+      lazy.Reset();
+      eager.Reset();
+    }
+    ASSERT_EQ(lazy.hits(), eager.hits()) << "op " << i;
+    ASSERT_EQ(lazy.misses(), eager.misses()) << "op " << i;
+  }
+}
+
+TEST(Cache, MatchesEagerReferenceOnEveryCatalogGeometry) {
+  // Each distinct L1D, L2 and L3 geometry of the CPU catalog.
+  std::vector<CacheGeometry> geometries;
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    for (const CacheGeometry& g : {cpu.l1d, cpu.l2, cpu.l3}) {
+      if (std::find(geometries.begin(), geometries.end(), g) == geometries.end()) {
+        geometries.push_back(g);
+      }
+    }
+  }
+  ASSERT_GE(geometries.size(), 3u);
+  const int ops_per_geometry = 120'000 / static_cast<int>(geometries.size()) + 1;
+  for (size_t i = 0; i < geometries.size(); i++) {
+    SCOPED_TRACE("geometry " + std::to_string(geometries[i].size_bytes) + "B/" +
+                 std::to_string(geometries[i].ways) + "-way");
+    ExpectMatchesEagerCache(geometries[i], 1000 + i, ops_per_geometry);
+  }
 }
 
 TEST(Hierarchy, LatencyLadder) {

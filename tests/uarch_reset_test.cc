@@ -194,6 +194,61 @@ TEST(MachineReset, RecycledMemoryPagesMatchFreshMachine) {
   EXPECT_TRUE(got == want) << "\n  fresh: " << want.ToString() << "\n  reset: " << got.ToString();
 }
 
+// Touches 16 lines of the data window and times a reload, flushes L1D and
+// times a reload, then clflushes half the lines and times a reload of one
+// of them, and touches every line again after a second L1D flush. r9, r3
+// and r6 hold the three reload latencies.
+Program FlushAndRetouchProgram() {
+  constexpr int kLines = 16;
+  ProgramBuilder b;
+  b.MovImm(kGenDataBaseReg, static_cast<int64_t>(kGenDataBase));
+  for (int line = 0; line < kLines; line++) {
+    b.Load(0, MemRef{.base = kGenDataBaseReg, .disp = line * 64});
+  }
+  b.Lfence().Rdtsc(1).Load(0, MemRef{.base = kGenDataBaseReg}).Lfence().Rdtsc(2);
+  b.Alu(AluOp::kSub, 9, 2, 1);
+  b.FlushL1d();
+  b.Lfence().Rdtsc(1).Load(0, MemRef{.base = kGenDataBaseReg}).Lfence().Rdtsc(2);
+  b.Alu(AluOp::kSub, 3, 2, 1);
+  for (int line = 0; line < kLines; line += 2) {
+    b.Clflush(MemRef{.base = kGenDataBaseReg, .disp = line * 64});
+  }
+  b.Lfence().Rdtsc(4).Load(0, MemRef{.base = kGenDataBaseReg, .disp = 2 * 64}).Lfence().Rdtsc(5);
+  b.Alu(AluOp::kSub, 6, 5, 4);
+  b.FlushL1d();
+  for (int line = 0; line < kLines; line++) {
+    b.MovImm(7, line);
+    b.Store(MemRef{.base = kGenDataBaseReg, .disp = line * 64 + 8}, 7);
+    b.Load(8, MemRef{.base = kGenDataBaseReg, .disp = line * 64});
+  }
+  b.Halt();
+  return b.Build();
+}
+
+// FlushL1d and clflush invalidate lines by generation bump and per-way
+// gen, and a set is only written when first touched. A reset machine that
+// already ran the flush program (and a generator program) must replay it
+// exactly like a fresh one: cycles, registers, memory and every PMC.
+TEST(MachineReset, FlushAndRetouchOnResetMachineMatchesFreshMachine) {
+  const Program flush = FlushAndRetouchProgram();
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    Machine fresh(cpu);
+    const Observation want = RunOnce(fresh, flush);
+    EXPECT_LT(fresh.reg(9), fresh.reg(3)) << UarchName(u) << ": FlushL1d left the line in L1";
+    EXPECT_LT(fresh.reg(3), fresh.reg(6)) << UarchName(u) << ": clflush left the line cached";
+
+    Machine reused(cpu);
+    (void)RunOnce(reused, flush);
+    reused.Reset();
+    (void)RunOnce(reused, GenerateProgram(3, GeneratorOptions{}));
+    reused.Reset();
+    const Observation got = RunOnce(reused, flush);
+    EXPECT_TRUE(got == want) << "uarch=" << UarchName(u) << "\n  fresh: " << want.ToString()
+                             << "\n  reset: " << got.ToString();
+  }
+}
+
 // Mitigation MSR state (SSBD / IBRS / STIBP / PCID) set by a previous user
 // must not leak into the next run.
 TEST(MachineReset, ClearsMitigationState) {
