@@ -8,6 +8,9 @@
 // access, cache encoding, flush+reload recovery. Spectre V1, SpectreRSB and
 // SSB are the kit's replays (src/attack/kit.h), which the analyzer's gadget
 // corpus replays too.
+#include <array>
+#include <memory>
+
 #include "src/attack/kit.h"
 #include "src/attack/suite.h"
 #include "src/isa/program.h"
@@ -660,6 +663,51 @@ AttackSpec L1tf() {
 // does not help: only taking the sibling away does (nosmt, or core
 // scheduling refusing to pair the two processes).
 AttackSpec SmotherSpectre() {
+  // One measurement per secret *bit*. The victim extracts the bit and, when
+  // set, issues a chained divider sequence (latency-bound: few issue slots,
+  // the shared divider busy for a long stretch); when clear, an equal-length
+  // ALU stream (issue-bound: every slot contended). The attacker runs a
+  // fixed ALU stream on the sibling thread and reads the only clock it has —
+  // its own completion time, which the victim's port pressure shifts.
+  // Without co-residence the attacker times its stream alone and every bit
+  // measures the same.
+  constexpr int kBodyLen = 64;
+  constexpr int kAttackerLen = 96;
+  // The program of bit `bit` depends on nothing else (not the CPU, config,
+  // secret or salt), so the four are built once, here, and shared: a copied
+  // spec and trials on any thread read the same immutable Programs.
+  auto build = [](int bit) {
+    ProgramBuilder b;
+    Label div_path = b.NewLabel();
+    Label vdone = b.NewLabel();
+    b.BindSymbol("victim");
+    b.MovImm(1, static_cast<int64_t>(kSecretSlot));
+    b.Load(2, MemRef{.base = 1});
+    b.AluImm(AluOp::kShr, 2, 2, bit);
+    b.AluImm(AluOp::kAnd, 2, 2, 1);
+    b.BranchNz(2, div_path);
+    for (int i = 0; i < kBodyLen; i++) {
+      b.AluImm(AluOp::kAdd, 3, 3, 1);
+    }
+    b.Jmp(vdone);
+    b.Bind(div_path);
+    b.MovImm(4, 1);
+    for (int i = 0; i < kBodyLen; i++) {
+      b.DivImm(4, 4, 3);  // each division waits on the previous quotient
+    }
+    b.Bind(vdone);
+    b.Halt();
+
+    b.BindSymbol("attacker");
+    for (int i = 0; i < kAttackerLen; i++) {
+      b.AluImm(AluOp::kAdd, 5, 5, 1);
+    }
+    b.Halt();
+    return b.Build();
+  };
+  const auto programs = std::make_shared<const std::array<Program, 4>>(
+      std::array<Program, 4>{build(0), build(1), build(2), build(3)});
+
   return {
       .name = "smother-spectre",
       .label = "SMoTherSpectre (port contention across SMT siblings)",
@@ -677,52 +725,14 @@ AttackSpec SmotherSpectre() {
             return !CoResidencePossible(c);
           },
       .run =
-          [](const CpuModel& cpu, const MitigationConfig& c, uint64_t secret, uint64_t) {
+          [programs](const CpuModel& cpu, const MitigationConfig& c, uint64_t secret, uint64_t) {
             SPECBENCH_CHECK(secret < kCandidates);
-            // One measurement per secret *bit*. The victim extracts the bit
-            // and, when set, issues a chained divider sequence
-            // (latency-bound: few issue slots, the shared divider busy for a
-            // long stretch); when clear, an equal-length ALU stream
-            // (issue-bound: every slot contended). The attacker runs a fixed
-            // ALU stream on the sibling thread and reads the only clock it
-            // has — its own completion time, which the victim's port
-            // pressure shifts. Without co-residence the attacker times its
-            // stream alone and every bit measures the same.
-            constexpr int kBodyLen = 64;
-            constexpr int kAttackerLen = 96;
             const bool co_resident = CoResidencePossible(c);
 
             auto measure = [&](int bit, uint64_t planted) -> uint64_t {
               MachineLease lease(cpu);
               Machine& m = *lease;
-              ProgramBuilder b;
-              Label div_path = b.NewLabel();
-              Label vdone = b.NewLabel();
-              b.BindSymbol("victim");
-              b.MovImm(1, static_cast<int64_t>(kSecretSlot));
-              b.Load(2, MemRef{.base = 1});
-              b.AluImm(AluOp::kShr, 2, 2, bit);
-              b.AluImm(AluOp::kAnd, 2, 2, 1);
-              b.BranchNz(2, div_path);
-              for (int i = 0; i < kBodyLen; i++) {
-                b.AluImm(AluOp::kAdd, 3, 3, 1);
-              }
-              b.Jmp(vdone);
-              b.Bind(div_path);
-              b.MovImm(4, 1);
-              for (int i = 0; i < kBodyLen; i++) {
-                b.DivImm(4, 4, 3);  // each division waits on the previous quotient
-              }
-              b.Bind(vdone);
-              b.Halt();
-
-              b.BindSymbol("attacker");
-              for (int i = 0; i < kAttackerLen; i++) {
-                b.AluImm(AluOp::kAdd, 5, 5, 1);
-              }
-              b.Halt();
-
-              Program p = b.Build();
+              const Program& p = (*programs)[static_cast<size_t>(bit)];
               m.LoadProgram(&p);
               m.PokeData(kSecretSlot, planted);
               if (co_resident) {

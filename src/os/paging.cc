@@ -16,7 +16,7 @@ uint64_t PhysAllocator::Alloc(uint64_t bytes) {
 void PageMapper::AddRegion(uint64_t asid, uint64_t vaddr, uint64_t bytes, uint64_t paddr,
                            bool user_accessible, bool present) {
   SPECBENCH_CHECK(bytes > 0);
-  std::vector<Region>& regions = spaces_[asid];
+  std::vector<Region>& regions = spaces_[asid].regions;
   Region region{vaddr, vaddr + bytes, paddr, user_accessible, present};
   auto it = std::lower_bound(
       regions.begin(), regions.end(), region,
@@ -35,7 +35,7 @@ bool PageMapper::RemoveRegion(uint64_t asid, uint64_t vaddr) {
   if (space == spaces_.end()) {
     return false;
   }
-  auto& regions = space->second;
+  auto& regions = space->second.regions;
   for (auto it = regions.begin(); it != regions.end(); ++it) {
     if (it->start == vaddr) {
       regions.erase(it);
@@ -45,30 +45,16 @@ bool PageMapper::RemoveRegion(uint64_t asid, uint64_t vaddr) {
   return false;
 }
 
-bool PageMapper::SetPresent(uint64_t asid, uint64_t vaddr, bool present) {
-  auto space = spaces_.find(asid);
-  if (space == spaces_.end()) {
-    return false;
-  }
-  for (Region& region : space->second) {
-    if (vaddr >= region.start && vaddr < region.end) {
-      region.present = present;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool PageMapper::IsMapped(uint64_t asid, uint64_t vaddr) const {
-  return FindRegion(asid, vaddr) != nullptr;
-}
-
 const PageMapper::Region* PageMapper::FindRegion(uint64_t asid, uint64_t vaddr) const {
   auto space = spaces_.find(asid);
   if (space == spaces_.end()) {
     return nullptr;
   }
-  const auto& regions = space->second;
+  const Space& s = space->second;
+  const std::vector<Region>& regions = s.regions;
+  if (s.last < regions.size() && regions[s.last].start <= vaddr && vaddr < regions[s.last].end) {
+    return &regions[s.last];
+  }
   // First region with start > vaddr; candidate is its predecessor.
   auto it = std::upper_bound(
       regions.begin(), regions.end(), vaddr,
@@ -77,7 +63,11 @@ const PageMapper::Region* PageMapper::FindRegion(uint64_t asid, uint64_t vaddr) 
     return nullptr;
   }
   --it;
-  return vaddr < it->end ? &*it : nullptr;
+  if (vaddr >= it->end) {
+    return nullptr;
+  }
+  s.last = static_cast<size_t>(it - regions.begin());
+  return &*it;
 }
 
 Translation PageMapper::Translate(uint64_t vaddr, uint64_t asid, Mode mode) const {
@@ -97,7 +87,7 @@ Translation PageMapper::Translate(uint64_t vaddr, uint64_t asid, Mode mode) cons
 
 size_t PageMapper::RegionCount(uint64_t asid) const {
   auto space = spaces_.find(asid);
-  return space == spaces_.end() ? 0 : space->second.size();
+  return space == spaces_.end() ? 0 : space->second.regions.size();
 }
 
 }  // namespace specbench

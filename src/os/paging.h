@@ -44,10 +44,6 @@ class PageMapper : public MemoryMap {
                  bool user_accessible, bool present = true);
   // Removes any region starting exactly at `vaddr`; returns true if found.
   bool RemoveRegion(uint64_t asid, uint64_t vaddr);
-  // Marks a region non-present (L1TF experiments) or present again.
-  bool SetPresent(uint64_t asid, uint64_t vaddr, bool present);
-  // True if `vaddr` falls in any region of `asid`.
-  bool IsMapped(uint64_t asid, uint64_t vaddr) const;
 
   Translation Translate(uint64_t vaddr, uint64_t asid, Mode mode) const override;
 
@@ -56,8 +52,18 @@ class PageMapper : public MemoryMap {
  private:
   const Region* FindRegion(uint64_t asid, uint64_t vaddr) const;
 
-  // asid -> regions sorted by start.
-  std::map<uint64_t, std::vector<Region>> spaces_;
+  struct Space {
+    std::vector<Region> regions;  // sorted by start
+    // Index of the region FindRegion returned last: a run of accesses to one
+    // region skips the binary search. It is only a hint, checked by
+    // containment before use; regions never overlap, so a hit is exact, and
+    // adding, removing or copying regions needs no invalidation. It is
+    // `mutable` so the const Translate can fill it: a PageMapper belongs to
+    // one Kernel, whose machine runs on one thread.
+    mutable size_t last = 0;
+  };
+  // asid -> its address space.
+  std::map<uint64_t, Space> spaces_;
 };
 
 }  // namespace specbench

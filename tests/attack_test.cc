@@ -441,6 +441,67 @@ TEST(SmotherSpectre, DifferentSecretsRecovered) {
   }
 }
 
+// The spec builds its four programs once and every trial shares them. Four
+// threads run the same trials on every SMT CPU, with and without a sibling,
+// each through its own copy of the spec (the sanitizer CI job runs this
+// under TSan): the shared Programs are only read, so each thread sees the
+// serial results.
+TEST(SmotherSpectre, SharedProgramsAcrossThreads) {
+  const AttackSpec& smother = *FindAttackSpec("smother-spectre");
+  MitigationConfig nosmt = MitigationConfig::AllOff();
+  nosmt.smt_off = true;
+  struct Trial {
+    const CpuModel* cpu;
+    MitigationConfig config;
+    uint64_t secret;
+  };
+  std::vector<Trial> trials;
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    if (!cpu.smt) {
+      continue;
+    }
+    for (const MitigationConfig& config : {MitigationConfig::AllOff(), nosmt}) {
+      for (uint64_t secret : {3ull, 14ull}) {
+        trials.push_back({&cpu, config, secret});
+      }
+    }
+  }
+  ASSERT_GE(trials.size(), 8u);
+  std::vector<AttackResult> want;
+  for (const Trial& trial : trials) {
+    want.push_back(smother.run(*trial.cpu, trial.config, trial.secret, /*trial_salt=*/0));
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<AttackResult>> got(kThreads, std::vector<AttackResult>(trials.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&trials, &got, spec = smother, t] {
+      for (size_t k = 0; k < trials.size(); k++) {
+        const size_t i = (k + static_cast<size_t>(t)) % trials.size();  // staggered start
+        got[t][i] = spec.run(*trials[i].cpu, trials[i].config, trials[i].secret, 0);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; t++) {
+    for (size_t i = 0; i < trials.size(); i++) {
+      const std::string where = "thread " + std::to_string(t) + " " +
+                                UarchName(trials[i].cpu->uarch) +
+                                " smt_off=" + std::to_string(trials[i].config.smt_off) +
+                                " secret=" + std::to_string(trials[i].secret);
+      EXPECT_EQ(got[t][i].leaked, want[i].leaked) << where;
+      EXPECT_EQ(got[t][i].recovered, want[i].recovered) << where;
+      EXPECT_EQ(got[t][i].expected, want[i].expected) << where;
+    }
+  }
+  // The trials cover both verdicts.
+  EXPECT_TRUE(want.front().leaked);
+  EXPECT_FALSE(want.back().leaked);
+}
+
 TEST(SpectreV2Smt, Zen3ContextIndexingAlsoBlocksCrossSmt) {
   // Both threads call from different symbols... actually the call sites are
   // identical shared code, but the attacker/victim entries differ by one

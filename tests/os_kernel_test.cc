@@ -191,7 +191,7 @@ TEST(Kernel, MunmapRemovesMapping) {
   kernel->Finalize();
   kernel->Run("user_main");
   Process& p = kernel->process(0);
-  EXPECT_FALSE(kernel->mapper().IsMapped(p.user_cr3, kUserMmapBase));
+  EXPECT_FALSE(kernel->mapper().Translate(kUserMmapBase, p.user_cr3, Mode::kKernel).mapped);
   EXPECT_TRUE(p.vmas.empty());
 }
 
@@ -373,7 +373,7 @@ TEST(Kernel, MeltdownSurfaceDependsOnPti) {
   MitigationConfig no_pti = MitigationConfig::AllOff();
   auto k1 = GetpidKernel(Uarch::kBroadwell, no_pti, 1);
   const Process& p1 = k1->process(0);
-  EXPECT_TRUE(k1->mapper().IsMapped(p1.user_cr3, kKernelSecretVaddr));
+  EXPECT_TRUE(k1->mapper().Translate(kKernelSecretVaddr, p1.user_cr3, Mode::kKernel).mapped);
   EXPECT_FALSE(
       k1->mapper().Translate(kKernelSecretVaddr, p1.user_cr3, Mode::kUser).valid);
 
@@ -381,8 +381,8 @@ TEST(Kernel, MeltdownSurfaceDependsOnPti) {
   pti.pti = true;
   auto k2 = GetpidKernel(Uarch::kBroadwell, pti, 1);
   const Process& p2 = k2->process(0);
-  EXPECT_FALSE(k2->mapper().IsMapped(p2.user_cr3, kKernelSecretVaddr));
-  EXPECT_TRUE(k2->mapper().IsMapped(p2.kernel_cr3, kKernelSecretVaddr));
+  EXPECT_FALSE(k2->mapper().Translate(kKernelSecretVaddr, p2.user_cr3, Mode::kKernel).mapped);
+  EXPECT_TRUE(k2->mapper().Translate(kKernelSecretVaddr, p2.kernel_cr3, Mode::kKernel).mapped);
 }
 
 TEST(Kernel, ForkReturnsChildPid) {
