@@ -6,6 +6,7 @@
 #include <iterator>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "src/difftest/shrink.h"
 #include "src/os/mitigation_config.h"
@@ -93,7 +94,8 @@ bool TryGetDiffConfigByName(const std::string& name, DiffConfig* out) {
 }
 
 ArchState RunMachineArch(Machine& m, const Program& program, const DiffConfig& config,
-                         uint64_t max_instructions, uint64_t inject_alu_fault_after) {
+                         uint64_t max_instructions, uint64_t inject_alu_fault_after,
+                         const ReferenceResult* reference) {
   m.Reset();
   m.LoadProgram(&program);
   ApplyDiffConfig(&m, config);
@@ -101,19 +103,21 @@ ArchState RunMachineArch(Machine& m, const Program& program, const DiffConfig& c
     m.InjectAluFaultForTesting(inject_alu_fault_after);
   }
 
-  ArchState state;
-  state.trace_hash = kArchHashBasis;
-  m.SetTraceHook([&state](const Machine::TraceRecord& record) {
-    state.retired++;
-    state.trace_hash = FoldTraceHash(state.trace_hash, record.index, record.op);
-  });
+  // The retired index stream. One buffer per thread: runs never nest, and a
+  // worker's cells reuse its capacity instead of growing a new one each run.
+  thread_local std::vector<int32_t> retired;
+  retired.clear();
+  m.SetTraceHook([](const Machine::TraceRecord& record) { retired.push_back(record.index); });
 
   // RunPartial: exhausting the budget is a reportable outcome (halted=false
   // diverges from the reference), not a SPECBENCH_CHECK abort like Run.
   const Machine::RunResult result = m.RunPartial(program.base_vaddr(), max_instructions);
   m.DrainPipeline();
   m.DrainStoreBuffer();
+  // Detach the hook before the machine runs further cells.
+  m.SetTraceHook(nullptr);
 
+  ArchState state;
   for (uint8_t r = 0; r < kNumRegs; r++) {
     state.regs[r] = m.reg(r);
   }
@@ -121,10 +125,23 @@ ArchState RunMachineArch(Machine& m, const Program& program, const DiffConfig& c
     state.fpregs[r] = m.fpreg(r);
   }
   state.halted = result.halted;
-  state.memory_digest = DigestMemoryWords(m.physical_memory().SortedNonZeroWords());
-  // The hook captures stack state; detach it before the machine outlives the
-  // frame (reused machines run further cells).
-  m.SetTraceHook(nullptr);
+  state.retired = retired.size();
+
+  const bool memo = reference != nullptr && reference->ok;
+  if (memo && retired == reference->retired_indices) {
+    state.trace_hash = reference->state.trace_hash;
+  } else {
+    // The machine runs only `program`, so an index names the op it retired.
+    state.trace_hash = kArchHashBasis;
+    for (int32_t index : retired) {
+      state.trace_hash = FoldTraceHash(state.trace_hash, index, program.at(index).op);
+    }
+  }
+  const std::vector<std::pair<uint64_t, uint64_t>> words =
+      m.physical_memory().SortedNonZeroWords();
+  state.memory_digest = memo && words == reference->memory_words
+                            ? reference->state.memory_digest
+                            : DigestMemoryWords(words);
   return state;
 }
 
@@ -174,7 +191,7 @@ DifftestReport RunDifftestBlock(const DifftestOptions& options, uint64_t first_s
       }
       for (const DiffConfig& config : configs) {
         const ArchState got = RunMachineArch(machine, program, config, options.max_instructions,
-                                             options.inject_alu_fault_after);
+                                             options.inject_alu_fault_after, &ref);
         report.executions++;
         report.retired_instructions += got.retired;
         if (got == ref.state) {
@@ -194,7 +211,7 @@ DifftestReport RunDifftestBlock(const DifftestOptions& options, uint64_t first_s
             }
             const ArchState g = RunMachineArch(machine, candidate, config,
                                                options.max_instructions,
-                                               options.inject_alu_fault_after);
+                                               options.inject_alu_fault_after, &r);
             return !(g == r.state);
           };
           d.shrunk = ShrinkProgram(program, still_fails);

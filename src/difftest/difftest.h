@@ -59,8 +59,15 @@ bool TryGetDiffConfigByName(const std::string& name, DiffConfig* out);
 // Machine::InjectAluFaultForTesting — the oracle self-check. Machine::Reset
 // makes a reused machine bit- and cycle-identical to a fresh one, so callers
 // running many cells on one CPU model keep one machine and pass it here.
+//
+// `reference`, when given, must be RunReference(program)'s result. The run
+// records its retired index stream and final nonzero words; where one equals
+// the reference's content, the state takes the reference's trace_hash or
+// memory_digest instead of folding its own (equal input to the same pure
+// fold gives the same value). The result is the same with or without it.
 ArchState RunMachineArch(Machine& machine, const Program& program, const DiffConfig& config,
-                         uint64_t max_instructions, uint64_t inject_alu_fault_after = 0);
+                         uint64_t max_instructions, uint64_t inject_alu_fault_after = 0,
+                         const ReferenceResult* reference = nullptr);
 
 // The same on a leased Machine for `cpu` (one-off runs).
 ArchState RunMachineArch(const Program& program, const CpuModel& cpu, const DiffConfig& config,

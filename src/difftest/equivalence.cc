@@ -24,9 +24,7 @@ EquivalenceReport CheckRewriteEquivalence(const Program& original, const Program
                       "index_map must cover every original index plus one-past-the-end");
   EquivalenceReport report;
 
-  std::vector<std::pair<uint64_t, uint64_t>> memory_original;
-  const ReferenceResult ref_original =
-      RunReference(original, kMaxInstructions, &memory_original);
+  const ReferenceResult ref_original = RunReference(original, kMaxInstructions);
   if (!ref_original.ok) {
     // Outside the deterministic user-mode subset (or non-terminating):
     // the reference cannot supply ground truth, so there is nothing to
@@ -36,9 +34,7 @@ EquivalenceReport CheckRewriteEquivalence(const Program& original, const Program
   }
   report.checked = true;
 
-  std::vector<std::pair<uint64_t, uint64_t>> memory_hardened;
-  const ReferenceResult ref_hardened =
-      RunReference(hardened, kMaxInstructions, &memory_hardened);
+  const ReferenceResult ref_hardened = RunReference(hardened, kMaxInstructions);
   if (!ref_hardened.ok) {
     report.divergence = "hardened program failed on the reference: " + ref_hardened.error;
     return report;
@@ -90,10 +86,10 @@ EquivalenceReport CheckRewriteEquivalence(const Program& original, const Program
            addr >= kGenStackTop - kStackWindowBytes;
   };
   std::map<uint64_t, std::pair<uint64_t, uint64_t>> words;  // addr -> (orig, hardened)
-  for (const auto& [addr, value] : memory_original) {
+  for (const auto& [addr, value] : ref_original.memory_words) {
     words[addr].first = value;
   }
-  for (const auto& [addr, value] : memory_hardened) {
+  for (const auto& [addr, value] : ref_hardened.memory_words) {
     words[addr].second = value;
   }
   for (const auto& [addr, pair] : words) {

@@ -115,8 +115,7 @@ std::string DescribeArchDivergence(const ArchState& expected, const ArchState& a
   return std::string();
 }
 
-ReferenceResult RunReference(const Program& program, uint64_t max_instructions,
-                             std::vector<std::pair<uint64_t, uint64_t>>* final_memory) {
+ReferenceResult RunReference(const Program& program, uint64_t max_instructions) {
   ReferenceResult result;
   ArchState& s = result.state;
   s.trace_hash = kFnvBasis;
@@ -142,6 +141,7 @@ ReferenceResult RunReference(const Program& program, uint64_t max_instructions,
   auto fail = [&result](std::string why) {
     result.ok = false;
     result.error = std::move(why);
+    result.retired_indices.clear();
     return result;
   };
 
@@ -159,6 +159,7 @@ ReferenceResult RunReference(const Program& program, uint64_t max_instructions,
     }
     s.retired++;
     s.trace_hash = FoldTraceHash(s.trace_hash, rip, in.op);
+    result.retired_indices.push_back(rip);
     int32_t next = rip + 1;
     switch (in.op) {
       case Op::kNop:
@@ -279,7 +280,7 @@ ReferenceResult RunReference(const Program& program, uint64_t max_instructions,
     return fail("instruction budget exhausted before kHalt");
   }
 
-  std::vector<std::pair<uint64_t, uint64_t>> words;
+  std::vector<std::pair<uint64_t, uint64_t>>& words = result.memory_words;
   words.reserve(memory.size());
   for (const auto& [addr, value] : memory) {
     if (value != 0) {
@@ -287,9 +288,6 @@ ReferenceResult RunReference(const Program& program, uint64_t max_instructions,
     }
   }
   s.memory_digest = DigestMemoryWords(words);
-  if (final_memory != nullptr) {
-    *final_memory = std::move(words);
-  }
   result.ok = true;
   return result;
 }

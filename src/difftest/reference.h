@@ -70,18 +70,20 @@ struct ReferenceResult {
   bool ok = false;      // executed to kHalt within budget, no unsupported ops
   std::string error;    // why ok is false
   ArchState state;
+  // The content behind state.trace_hash and state.memory_digest (empty
+  // unless ok): the program index of each retired instruction, in order, and
+  // the sorted nonzero (addr, value) words of the final memory. RunMachineArch
+  // compares a run's content with these and takes the hash and digest when
+  // they are equal (src/difftest/difftest.h); src/difftest/equivalence.h
+  // compares memories word by word.
+  std::vector<int32_t> retired_indices;
+  std::vector<std::pair<uint64_t, uint64_t>> memory_words;
 };
 
 // Executes `program` from its base vaddr. `max_instructions` bounds runaway
 // candidates (the generator only emits terminating programs, but the
 // shrinker probes arbitrary mutations).
-//
-// When `final_memory` is non-null it receives the sorted nonzero (addr,
-// value) words of the final architectural memory — the raw snapshot behind
-// ArchState::memory_digest, needed by consumers that compare memory
-// word-by-word instead of by digest (src/difftest/equivalence.h).
-ReferenceResult RunReference(const Program& program, uint64_t max_instructions = 1'000'000,
-                             std::vector<std::pair<uint64_t, uint64_t>>* final_memory = nullptr);
+ReferenceResult RunReference(const Program& program, uint64_t max_instructions = 1'000'000);
 
 }  // namespace specbench
 

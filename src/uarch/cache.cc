@@ -309,16 +309,6 @@ bool StoreBuffer::HasUnresolved(uint64_t now) const {
                      [now](const Entry& e) { return e.resolve_at > now; });
 }
 
-uint64_t StoreBuffer::LatestResolveAt(uint64_t now) const {
-  uint64_t latest = 0;
-  for (const Entry& e : entries_) {
-    if (e.resolve_at > now) {
-      latest = std::max(latest, e.resolve_at);
-    }
-  }
-  return latest;
-}
-
 uint64_t StoreBuffer::LatestAddrResolveAt(uint64_t now) const {
   uint64_t latest = 0;
   for (const Entry& e : entries_) {

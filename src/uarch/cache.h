@@ -233,8 +233,6 @@ class StoreBuffer {
   const Entry* FindNewest(uint64_t paddr) const;
   // True if any entry is still unresolved at `now`.
   bool HasUnresolved(uint64_t now) const;
-  // Latest resolve_at among entries unresolved at `now` (0 if none).
-  uint64_t LatestResolveAt(uint64_t now) const;
   // Latest addr_resolve_at among entries whose address is unknown at `now`.
   // This is what an SSBD-disciplined load waits for when no entry matches.
   uint64_t LatestAddrResolveAt(uint64_t now) const;

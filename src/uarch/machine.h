@@ -100,8 +100,10 @@ class Machine {
 
   // Execution tracing: when set, invoked once per *committed* instruction
   // (before execution) with its program index, pc and the current cycle.
-  // Speculative episodes are not traced — they never commit. Intended for
-  // debugging and workload characterization; adds noticeable overhead.
+  // Speculative episodes are not traced — they never commit. A set hook
+  // costs a std::function call per step, so keep its body small: the
+  // difftest oracle's only appends record.index to a reused buffer and
+  // hashes the stream after the run, if at all (src/difftest/difftest.h).
   // Dispatch is guarded by a cached bool, so an unset hook costs one
   // predictable branch per step (never a std::function call).
   struct TraceRecord {

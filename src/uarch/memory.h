@@ -1,8 +1,11 @@
 // Simulated physical memory and the address-translation interface.
 //
-// Data memory is a sparse set of 4 KiB pages of 8-byte-aligned words. Translation is
-// delegated to a MemoryMap implementation — the OS substrate provides real
-// page tables; standalone uarch tests use the identity map. The translation
+// Data memory is a sparse set of 4 KiB pages of 8-byte-aligned words. Each
+// page marks the words written since the last Clear(), so the canonical
+// snapshot and Clear() cost what a run wrote, not 512 words per page it
+// touched. Translation is delegated to a MemoryMap implementation — the OS
+// substrate provides real page tables; standalone uarch tests use the
+// identity map. The translation
 // result carries the bits that transient-execution attacks abuse: a mapping
 // can exist in the TLB/page tables yet be architecturally inaccessible
 // (Meltdown: user access to kernel memory) or marked non-present while its
@@ -65,27 +68,47 @@ class SparseMemory {
  public:
   uint64_t Read(uint64_t paddr) const {
     const Page* page = FindPage(PageOf(paddr));
-    return page == nullptr ? 0 : (*page)[WordIndex(paddr)];
+    return page == nullptr ? 0 : page->words[WordIndex(paddr)];
   }
-  void Write(uint64_t paddr, uint64_t value) { TouchPage(PageOf(paddr))[WordIndex(paddr)] = value; }
+  void Write(uint64_t paddr, uint64_t value) {
+    Page& page = TouchPage(PageOf(paddr));
+    const size_t i = WordIndex(paddr);
+    page.words[i] = value;
+    page.written[i / 64] |= UINT64_C(1) << (i % 64);
+  }
   // Discards all contents (machine reuse): afterwards every read returns 0,
-  // exactly like a freshly constructed memory. The touched pages are zeroed
-  // and kept on a free list, so a reused machine retains at most its
-  // high-water footprint and stops allocating.
+  // exactly like a freshly constructed memory. The written words and their
+  // marks are zeroed, and the pages kept on a free list, so a reused machine
+  // retains at most its high-water footprint and stops allocating.
   void Clear();
 
   // Sorted (address, value) pairs of every nonzero word. A word explicitly
   // written to zero is equivalent to one never touched (reads return zero
   // either way), so dropping zeros gives a canonical snapshot two
   // independently-populated memories can be compared by (the difftest
-  // oracle's memory digest).
+  // oracle's memory digest). Visits only the words marked written.
   std::vector<std::pair<uint64_t, uint64_t>> SortedNonZeroWords() const;
+  // Words marked written since the last Clear(): what Clear() and
+  // SortedNonZeroWords() visit. A word counts once however often it was
+  // written, and also when its value is zero.
+  size_t WrittenWords() const;
 
  private:
   static constexpr size_t kPageWords = kPageBytes / sizeof(uint64_t);
-  using Page = std::array<uint64_t, kPageWords>;
+  static constexpr size_t kMaskWords = kPageWords / 64;
+  // A page's words and a mask with bit i set when words[i] was written since
+  // the last Clear(). Invariant: a word whose bit is clear is zero. So Clear()
+  // and SortedNonZeroWords() visit only the marked words, and a page on the
+  // free list has no word and no bit set.
+  struct Page {
+    std::array<uint64_t, kPageWords> words;
+    std::array<uint64_t, kMaskWords> written;
+  };
 
   static size_t WordIndex(uint64_t paddr) { return (paddr % kPageBytes) / sizeof(uint64_t); }
+  // Calls `fn(i)` for every word index marked in `page`, in ascending order.
+  template <typename Fn>
+  static void ForEachWritten(const Page& page, Fn&& fn);
 
   // The page holding `page_number`, or nullptr if it was never written.
   const Page* FindPage(uint64_t page_number) const {
@@ -111,8 +134,8 @@ class SparseMemory {
 
   using PageMap = std::unordered_map<uint64_t, Page>;  // page number -> words
   PageMap pages_;
-  // Pages dropped by Clear(), zeroed, as map nodes: re-mapping one allocates
-  // nothing.
+  // Pages dropped by Clear(), zeroed and unmarked, as map nodes: re-mapping
+  // one allocates nothing.
   std::vector<PageMap::node_type> free_pages_;
   // Last page looked up; cached_page_ is nullptr when it is untouched.
   mutable uint64_t cached_number_ = UINT64_MAX;

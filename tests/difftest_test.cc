@@ -5,6 +5,7 @@
 // small reproducer, and emitted as a replayable command line.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -326,6 +327,82 @@ TEST(Oracle, InjectedFaultFiresOnEveryReusedCell) {
   }
   for (const auto& [seed, count] : per_seed) {
     EXPECT_EQ(count, cells_per_seed) << "seed " << seed;
+  }
+}
+
+// --- The reference memo ---------------------------------------------------
+//
+// Given the program's ReferenceResult, RunMachineArch takes the reference's
+// trace hash when the retired index streams are equal, and its memory digest
+// when the final nonzero words are. Taking them must never change a state:
+// on every CPU and config, with and without an injected fault, the state
+// equals the one computed without a reference.
+TEST(Difftest, ReferenceMemoIsExact) {
+  for (Uarch u : AllUarches()) {
+    Machine machine(GetCpuModel(u));
+    for (uint64_t seed = 0; seed < 24; seed++) {
+      const Program program = GenerateProgram(seed);
+      const ReferenceResult ref = RunReference(program);
+      ASSERT_TRUE(ref.ok) << ref.error;
+      ASSERT_EQ(ref.retired_indices.size(), ref.state.retired);
+      for (const DiffConfig& config : DefaultDiffConfigs()) {
+        for (uint64_t fault : {UINT64_C(0), UINT64_C(3)}) {
+          const std::string cell = "seed " + std::to_string(seed) + " on " + UarchName(u) +
+                                   "/" + config.name + ", fault " + std::to_string(fault);
+          const ArchState want = RunMachineArch(machine, program, config, 1'000'000, fault);
+          const ArchState got = RunMachineArch(machine, program, config, 1'000'000, fault, &ref);
+          ASSERT_TRUE(got == want) << cell << ": " << DescribeArchDivergence(want, got);
+          if (fault == 0) {
+            ASSERT_TRUE(got == ref.state)
+                << cell << ": " << DescribeArchDivergence(ref.state, got);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The memo trusts the reference's hash and digest only for content it has
+// compared. A reference whose content no longer matches its hash or digest
+// (one index or one word changed, the hash or digest poisoned) is refused,
+// and the state is the one computed without a reference. With the content
+// untouched the poisoned values are taken, which shows the memo is in use.
+TEST(Difftest, ReferenceMemoRefusesATamperedReference) {
+  Machine machine(GetCpuModel(Uarch::kZen2));
+  const DiffConfig off = DefaultDiffConfigs().front();
+  for (uint64_t seed = 0; seed < 24; seed++) {
+    const Program program = GenerateProgram(seed);
+    const ReferenceResult ref = RunReference(program);
+    ASSERT_TRUE(ref.ok) << ref.error;
+    ASSERT_FALSE(ref.retired_indices.empty());
+    ASSERT_FALSE(ref.memory_words.empty());
+    const ArchState want = RunMachineArch(machine, program, off, 1'000'000);
+    const std::string where = "seed " + std::to_string(seed);
+
+    ReferenceResult poisoned = ref;
+    poisoned.state.trace_hash ^= 1;
+    poisoned.state.memory_digest ^= 1;
+    const ArchState taken = RunMachineArch(machine, program, off, 1'000'000, 0, &poisoned);
+    EXPECT_EQ(taken.trace_hash, poisoned.state.trace_hash) << where;
+    EXPECT_EQ(taken.memory_digest, poisoned.state.memory_digest) << where;
+
+    const size_t mid_index = ref.retired_indices.size() / 2;
+    const size_t mid_word = ref.memory_words.size() / 2;
+    std::vector<ReferenceResult> tampered(4, poisoned);
+    tampered[0].retired_indices[mid_index] += 1;
+    tampered[1].retired_indices.push_back(ref.retired_indices.back());
+    tampered[2].memory_words[mid_word].second ^= 1;
+    tampered[3].memory_words.erase(tampered[3].memory_words.begin() +
+                                   static_cast<std::ptrdiff_t>(mid_word));
+    for (size_t t = 0; t < tampered.size(); t++) {
+      const ArchState got = RunMachineArch(machine, program, off, 1'000'000, 0, &tampered[t]);
+      const bool trace_tampered = t < 2;
+      EXPECT_EQ(got.trace_hash, trace_tampered ? want.trace_hash : poisoned.state.trace_hash)
+          << where << ", tamper " << t;
+      EXPECT_EQ(got.memory_digest,
+                trace_tampered ? poisoned.state.memory_digest : want.memory_digest)
+          << where << ", tamper " << t;
+    }
   }
 }
 

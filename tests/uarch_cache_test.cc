@@ -379,7 +379,6 @@ TEST(StoreBuffer, UnresolvedTracking) {
   sb.Push(0x100, 1, 50, 50, retired);
   EXPECT_TRUE(sb.HasUnresolved(10));
   EXPECT_FALSE(sb.HasUnresolved(50));
-  EXPECT_EQ(sb.LatestResolveAt(10), 50u);
 }
 
 TEST(StoreBuffer, CapacityForcesDrain) {

@@ -1,13 +1,17 @@
 // SparseMemory: the engine's paged physical memory. Covers word addressing
 // at page boundaries, the no-allocation contract of reads from untouched
-// pages, page recycling across Clear(), and the canonical snapshot the
-// difftest oracle digests.
+// pages, page recycling across Clear(), the written-word marks, and the
+// canonical snapshot the difftest oracle digests.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <new>
+#include <random>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -148,6 +152,70 @@ TEST(SparseMemory, SortedNonZeroWordsAcrossPages) {
   const std::vector<std::pair<uint64_t, uint64_t>> want = {
       {0x1000, 1}, {0x1008, 2}, {0x2000, 3}, {0x2ff8, 4}, {9 * kPageBytes + 0x10, 5}};
   EXPECT_EQ(m.SortedNonZeroWords(), want);
+}
+
+// A seeded stream of Write, Read, Clear and SortedNonZeroWords calls against
+// a std::map of aligned words. The stream writes zeros and overwrites,
+// uses unaligned addresses and ones at page boundaries, and clears often
+// enough that pages are recycled under other page numbers. WrittenWords()
+// must count exactly the words written since the last Clear(), so a
+// recycled page carries no stale mark.
+TEST(SparseMemory, MatchesMapReferenceOnASeededStream) {
+  // Page numbers the stream draws from: neighbours, so boundary addresses
+  // cross pages, and far ones, so a recycled page changes its number.
+  const std::vector<uint64_t> page_numbers = {0, 1, 2, 3, 7, 8, 100, 4095, 1u << 20};
+  for (uint64_t seed = 1; seed <= 8; seed++) {
+    std::mt19937_64 rng(seed);
+    auto pick = [&rng](uint64_t n) { return rng() % n; };
+    SparseMemory m;
+    std::map<uint64_t, uint64_t> words;  // aligned addr -> value, zeros kept
+    std::set<uint64_t> written;          // aligned addrs written since Clear
+    auto random_addr = [&]() -> uint64_t {
+      const uint64_t base = page_numbers[pick(page_numbers.size())] * kPageBytes;
+      switch (pick(3)) {
+        case 0: return base + pick(kPageBytes);     // anywhere, often unaligned
+        case 1: return base + 8 * pick(4);          // first words of the page
+        default: return base + kPageBytes - 1 - pick(16);  // last words
+      }
+    };
+    auto random_value = [&]() -> uint64_t {
+      switch (pick(4)) {
+        case 0: return 0;
+        case 1: return pick(4);  // small: repeats and overwrites by the same value
+        default: return rng();
+      }
+    };
+    for (int step = 0; step < 4000; step++) {
+      const std::string where = "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const uint64_t op = pick(100);
+      if (op < 50) {
+        const uint64_t addr = random_addr();
+        const uint64_t value = random_value();
+        m.Write(addr, value);
+        words[AlignWord(addr)] = value;
+        written.insert(AlignWord(addr));
+      } else if (op < 85) {
+        const uint64_t addr = random_addr();
+        const auto it = words.find(AlignWord(addr));
+        ASSERT_EQ(m.Read(addr), it == words.end() ? 0 : it->second) << where;
+      } else if (op < 97) {
+        std::vector<std::pair<uint64_t, uint64_t>> want;
+        for (const auto& [addr, value] : words) {
+          if (value != 0) {
+            want.emplace_back(addr, value);
+          }
+        }
+        ASSERT_EQ(m.SortedNonZeroWords(), want) << where;
+        ASSERT_EQ(m.WrittenWords(), written.size()) << where;
+      } else {
+        m.Clear();
+        words.clear();
+        written.clear();
+        ASSERT_EQ(m.WrittenWords(), 0u) << where;
+        ASSERT_TRUE(m.SortedNonZeroWords().empty()) << where;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -532,8 +532,8 @@ int RunDifftestCommand(const CliOptions& options) {
       MachineLease lease(GetCpuModel(u));
       Machine& machine = *lease;
       for (const DiffConfig& config : configs) {
-        const ArchState got =
-            RunMachineArch(machine, program, config, 1'000'000, opts.inject_alu_fault_after);
+        const ArchState got = RunMachineArch(machine, program, config, 1'000'000,
+                                             opts.inject_alu_fault_after, &ref);
         if (!(got == ref.state)) {
           std::printf("DIVERGENCE cpu=%s config=%s: %s\n", UarchName(u), config.name.c_str(),
                       DescribeArchDivergence(ref.state, got).c_str());
