@@ -59,7 +59,7 @@ const std::vector<MitigationKnob>& BrowserMitigationKnobs() {
       {"other_js", "Other JavaScript", nullptr,
        [](JitConfig* jit, MitigationConfig*) { jit->pointer_poisoning = false; }},
       {"ssbd", "SSBD (seccomp)", nullptr,
-       [](JitConfig*, MitigationConfig* os) { os->ssbd = SsbdMode::kOff; }},
+       [](JitConfig*, MitigationConfig* os) { MitigationRowByKey("ssbd").disable(os); }},
       {"other_os", "Other OS", nullptr,
        [](JitConfig*, MitigationConfig* os) { *os = MitigationConfig::AllOff(); }},
   };

@@ -49,26 +49,6 @@ void Program::ComputeDigest() {
   digest2_ = h2;
 }
 
-uint64_t Program::VaddrOf(int32_t index) const {
-  SPECBENCH_CHECK(index >= 0 && index <= size());
-  return base_vaddr_ + static_cast<uint64_t>(index) * kInstructionBytes;
-}
-
-int32_t Program::IndexOf(uint64_t vaddr) const {
-  if (vaddr < base_vaddr_) {
-    return -1;
-  }
-  const uint64_t offset = vaddr - base_vaddr_;
-  if (offset % kInstructionBytes != 0) {
-    return -1;
-  }
-  const uint64_t index = offset / kInstructionBytes;
-  if (index >= instructions_.size()) {
-    return -1;
-  }
-  return static_cast<int32_t>(index);
-}
-
 bool Program::ContainsVaddr(uint64_t vaddr) const { return IndexOf(vaddr) >= 0; }
 
 uint64_t Program::SymbolVaddr(const std::string& name) const {

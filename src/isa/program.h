@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/isa/isa.h"
+#include "src/util/check.h"
 
 namespace specbench {
 
@@ -25,13 +26,25 @@ class Program {
           std::map<std::string, int32_t> symbols);
 
   const Instruction& at(int32_t index) const { return instructions_[static_cast<size_t>(index)]; }
+  // The instructions as one array of size() entries (may be null when empty).
+  const Instruction* data() const { return instructions_.data(); }
   int32_t size() const { return static_cast<int32_t>(instructions_.size()); }
   uint64_t base_vaddr() const { return base_vaddr_; }
 
-  // Virtual address of instruction `index`.
-  uint64_t VaddrOf(int32_t index) const;
+  // Virtual address of instruction `index`, for 0 <= index <= size().
+  // Defined inline: the machine's step loop calls it for every pc.
+  uint64_t VaddrOf(int32_t index) const {
+    SPECBENCH_CHECK(index >= 0 && index <= size());
+    return base_vaddr_ + static_cast<uint64_t>(index) * kInstructionBytes;
+  }
   // Instruction index of `vaddr`; -1 if it does not fall inside this program.
-  int32_t IndexOf(uint64_t vaddr) const;
+  int32_t IndexOf(uint64_t vaddr) const {
+    if (vaddr < base_vaddr_ || (vaddr - base_vaddr_) % kInstructionBytes != 0) {
+      return -1;
+    }
+    const uint64_t index = (vaddr - base_vaddr_) / kInstructionBytes;
+    return index < instructions_.size() ? static_cast<int32_t>(index) : -1;
+  }
   bool ContainsVaddr(uint64_t vaddr) const;
 
   // Address of a named entry point (bound label exported by the builder).

@@ -1,5 +1,7 @@
 #include "src/os/mitigation_config.h"
 
+#include "src/util/check.h"
+
 namespace specbench {
 
 const char* RetpolineModeName(RetpolineMode mode) {
@@ -198,6 +200,15 @@ constexpr BootParam kBootParams[] = {
 }  // namespace
 
 std::span<const MitigationRow> MitigationRows() { return kRows; }
+
+const MitigationRow& MitigationRowByKey(std::string_view key) {
+  for (const MitigationRow& row : kRows) {
+    if (key == row.key) {
+      return row;
+    }
+  }
+  SPECBENCH_CHECK_MSG(false, "no mitigation row with that key");
+}
 
 bool GroupOn(const MitigationConfig& config, MitigationGroup group) {
   for (const MitigationRow& row : kRows) {

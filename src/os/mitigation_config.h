@@ -18,6 +18,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/cpu/cpu_model.h"
@@ -99,6 +100,8 @@ struct MitigationRow {
 
 // One row per MitigationConfig field, in field order.
 std::span<const MitigationRow> MitigationRows();
+// The row whose Describe() spelling is `key`; aborts when there is none.
+const MitigationRow& MitigationRowByKey(std::string_view key);
 
 // Whether any row of `group` is on; turning the group off disables them all.
 bool GroupOn(const MitigationConfig& config, MitigationGroup group);

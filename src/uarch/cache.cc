@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/uarch/memory.h"
 #include "src/util/check.h"
 
 namespace specbench {
@@ -23,50 +22,6 @@ Cache::Cache(const CacheGeometry& geometry) : geometry_(geometry) {
   SPECBENCH_CHECK(IsPow2(num_sets_));
   ways_.reset(new Way[static_cast<size_t>(num_sets_) * geometry_.ways]);
   set_gen_.resize(num_sets_);
-}
-
-Cache::Way* Cache::ClaimSet(uint32_t set) {
-  Way* base = SetBase(set);
-  if (!Claimed(set)) {
-    for (uint32_t w = 0; w < geometry_.ways; w++) {
-      base[w] = Way{};
-    }
-    set_gen_[set] = gen_;
-  }
-  return base;
-}
-
-bool Cache::Access(uint64_t paddr) {
-  const uint64_t line = LineOf(paddr);
-  Way* base = ClaimSet(SetOf(line));
-  tick_++;
-
-  for (uint32_t w = 0; w < geometry_.ways; w++) {
-    Way& way = base[w];
-    if (way.gen == gen_ && way.tag == line) {
-      way.lru = tick_;
-      hits_++;
-      return true;
-    }
-  }
-
-  // Miss: install into an invalid way if one exists, else evict the LRU way.
-  Way* victim = base;
-  for (uint32_t w = 0; w < geometry_.ways; w++) {
-    Way& way = base[w];
-    if (way.gen != gen_) {
-      victim = &way;
-      break;
-    }
-    if (way.lru < victim->lru) {
-      victim = &way;
-    }
-  }
-  misses_++;
-  victim->gen = gen_;
-  victim->tag = line;
-  victim->lru = tick_;
-  return false;
 }
 
 bool Cache::Contains(uint64_t paddr) const {
@@ -110,19 +65,6 @@ void Cache::Reset() {
 CacheHierarchy::CacheHierarchy(const CpuModel& cpu)
     : l1_(cpu.l1d), l2_(cpu.l2), l3_(cpu.l3), mem_latency_(cpu.latency.mem_latency) {}
 
-uint32_t CacheHierarchy::Access(uint64_t paddr) {
-  if (l1_.Access(paddr)) {
-    return l1_.latency();
-  }
-  if (l2_.Access(paddr)) {
-    return l2_.latency();
-  }
-  if (l3_.Access(paddr)) {
-    return l3_.latency();
-  }
-  return mem_latency_;
-}
-
 int CacheHierarchy::LevelOf(uint64_t paddr) const {
   if (l1_.Contains(paddr)) {
     return 1;
@@ -155,37 +97,6 @@ Tlb::Tlb(uint32_t entries, uint32_t ways) : ways_(ways) {
   num_sets_ = entries / ways;
   SPECBENCH_CHECK(IsPow2(num_sets_));
   entries_.resize(static_cast<size_t>(num_sets_) * ways_);
-}
-
-bool Tlb::Access(uint64_t page, uint64_t asid) {
-  const uint32_t set = static_cast<uint32_t>(page & (num_sets_ - 1));
-  Entry* base = &entries_[static_cast<size_t>(set) * ways_];
-  tick_++;
-  for (uint32_t w = 0; w < ways_; w++) {
-    Entry& e = base[w];
-    if (e.gen == gen_ && e.page == page && e.asid == asid) {
-      e.lru = tick_;
-      hits_++;
-      return true;
-    }
-  }
-  Entry* victim = base;
-  for (uint32_t w = 0; w < ways_; w++) {
-    Entry& e = base[w];
-    if (e.gen != gen_) {
-      victim = &e;
-      break;
-    }
-    if (e.lru < victim->lru) {
-      victim = &e;
-    }
-  }
-  misses_++;
-  victim->gen = gen_;
-  victim->page = page;
-  victim->asid = asid;
-  victim->lru = tick_;
-  return false;
 }
 
 bool Tlb::Contains(uint64_t page, uint64_t asid) const {
@@ -293,16 +204,6 @@ StoreBuffer::StoreBuffer(size_t capacity) : capacity_(capacity) {
 }
 
 void StoreBuffer::Clear() { entries_.clear(); }
-
-const StoreBuffer::Entry* StoreBuffer::FindNewest(uint64_t paddr) const {
-  const uint64_t word = AlignWord(paddr);
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    if (AlignWord(it->paddr) == word) {
-      return &*it;
-    }
-  }
-  return nullptr;
-}
 
 bool StoreBuffer::HasUnresolved(uint64_t now) const {
   return std::any_of(entries_.begin(), entries_.end(),

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/cpu/cpu_model.h"
+#include "src/uarch/memory.h"
 
 namespace specbench {
 
@@ -244,6 +245,109 @@ class StoreBuffer {
   size_t capacity_;
   std::vector<Entry> entries_;  // program order: oldest first
 };
+
+// The per-access paths below are defined here, not in cache.cc, so that the
+// machine's step loop (src/uarch/machine.cc) compiles them inline: every
+// memory step calls CacheHierarchy::Access, Tlb::Access and
+// StoreBuffer::FindNewest.
+
+inline Cache::Way* Cache::ClaimSet(uint32_t set) {
+  Way* base = SetBase(set);
+  if (!Claimed(set)) {
+    for (uint32_t w = 0; w < geometry_.ways; w++) {
+      base[w] = Way{};
+    }
+    set_gen_[set] = gen_;
+  }
+  return base;
+}
+
+inline bool Cache::Access(uint64_t paddr) {
+  const uint64_t line = LineOf(paddr);
+  Way* base = ClaimSet(SetOf(line));
+  tick_++;
+
+  for (uint32_t w = 0; w < geometry_.ways; w++) {
+    Way& way = base[w];
+    if (way.gen == gen_ && way.tag == line) {
+      way.lru = tick_;
+      hits_++;
+      return true;
+    }
+  }
+
+  // Miss: install into an invalid way if one exists, else evict the LRU way.
+  Way* victim = base;
+  for (uint32_t w = 0; w < geometry_.ways; w++) {
+    Way& way = base[w];
+    if (way.gen != gen_) {
+      victim = &way;
+      break;
+    }
+    if (way.lru < victim->lru) {
+      victim = &way;
+    }
+  }
+  misses_++;
+  victim->gen = gen_;
+  victim->tag = line;
+  victim->lru = tick_;
+  return false;
+}
+
+inline uint32_t CacheHierarchy::Access(uint64_t paddr) {
+  if (l1_.Access(paddr)) {
+    return l1_.latency();
+  }
+  if (l2_.Access(paddr)) {
+    return l2_.latency();
+  }
+  if (l3_.Access(paddr)) {
+    return l3_.latency();
+  }
+  return mem_latency_;
+}
+
+inline bool Tlb::Access(uint64_t page, uint64_t asid) {
+  const uint32_t set = static_cast<uint32_t>(page & (num_sets_ - 1));
+  Entry* base = &entries_[static_cast<size_t>(set) * ways_];
+  tick_++;
+  for (uint32_t w = 0; w < ways_; w++) {
+    Entry& e = base[w];
+    if (e.gen == gen_ && e.page == page && e.asid == asid) {
+      e.lru = tick_;
+      hits_++;
+      return true;
+    }
+  }
+  Entry* victim = base;
+  for (uint32_t w = 0; w < ways_; w++) {
+    Entry& e = base[w];
+    if (e.gen != gen_) {
+      victim = &e;
+      break;
+    }
+    if (e.lru < victim->lru) {
+      victim = &e;
+    }
+  }
+  misses_++;
+  victim->gen = gen_;
+  victim->page = page;
+  victim->asid = asid;
+  victim->lru = tick_;
+  return false;
+}
+
+inline const StoreBuffer::Entry* StoreBuffer::FindNewest(uint64_t paddr) const {
+  const uint64_t word = AlignWord(paddr);
+  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+    if (AlignWord(it->paddr) == word) {
+      return &*it;
+    }
+  }
+  return nullptr;
+}
 
 }  // namespace specbench
 

@@ -50,6 +50,8 @@ class DecodedTrace {
   const DecodedOp& op(int32_t index) const {
     return ops_[static_cast<size_t>(index)];
   }
+  // The decode as one array of size() entries, parallel to Program::data().
+  const DecodedOp* data() const { return ops_.data(); }
   int32_t size() const { return static_cast<int32_t>(ops_.size()); }
   uint64_t program_digest() const { return program_digest_; }
   // Program::Digest2 of the decoded program — the cache's hit-time collision

@@ -1,11 +1,18 @@
 // Machine core: construction, architectural-state access, mitigation-policy
-// recompilation, timing primitives, run loop and the per-step dispatch into
-// the pipeline-component translation units (see machine.h for the map).
+// recompilation, timing primitives, and the step loop. This is the step's
+// translation unit: it includes the pipeline components' step handlers
+// (machine_*_inl.h, private to it), so RunPartial's loop compiles Step, the
+// handlers and the per-access helpers of the caches, TLB, store buffer and
+// predictors into one unit (see machine.h for the map).
 #include "src/uarch/machine.h"
 
 #include <algorithm>
 
+#include "src/uarch/machine_branch_inl.h"
+#include "src/uarch/machine_exec_inl.h"
 #include "src/uarch/machine_internal.h"
+#include "src/uarch/machine_mem_inl.h"
+#include "src/uarch/machine_system_inl.h"
 #include "src/util/check.h"
 
 namespace specbench {
@@ -24,15 +31,32 @@ void Machine::RecompileEffects() {
                                         smt_thread_id_, pcid_enabled_);
 }
 
+void Machine::RefreshCodeView() {
+  if (program_ == nullptr) {
+    code_ = nullptr;
+    code_ops_ = nullptr;
+    code_size_ = 0;
+    code_base_ = 0;
+    return;
+  }
+  SPECBENCH_CHECK(decoded_ != nullptr && decoded_->size() == program_->size());
+  code_ = program_->data();
+  code_ops_ = decoded_->data();
+  code_size_ = program_->size();
+  code_base_ = program_->base_vaddr();
+}
+
 void Machine::LoadProgram(const Program* program) {
   SPECBENCH_CHECK(program != nullptr);
   program_ = program;
   decoded_ = TraceCache::Global().Acquire(*program, cpu_.uarch);
+  RefreshCodeView();
 }
 
 void Machine::Reset() {
   program_ = nullptr;
   decoded_ = nullptr;
+  RefreshCodeView();
   memory_map_ = &identity_map_;
 
   regs_.fill(0);
@@ -217,7 +241,11 @@ Machine::RunResult Machine::Run(uint64_t entry_vaddr, uint64_t max_instructions)
   return result;
 }
 
-Machine::RunResult Machine::RunPartial(uint64_t entry_vaddr, uint64_t max_instructions) {
+// Flattened: Step, its handlers and the per-access helpers they call are
+// all defined in this translation unit or its headers, and compile into
+// this one loop.
+[[gnu::flatten]] Machine::RunResult Machine::RunPartial(uint64_t entry_vaddr,
+                                                        uint64_t max_instructions) {
   SPECBENCH_CHECK(program_ != nullptr);
   const int32_t entry = program_->IndexOf(entry_vaddr);
   SPECBENCH_CHECK_MSG(entry >= 0, "Run entry point not inside the loaded program");
@@ -268,9 +296,10 @@ void Machine::RestoreContext(const ThreadContext& context) {
 }
 
 void Machine::Step() {
-  SPECBENCH_CHECK(rip_ >= 0 && rip_ < program_->size());
-  const Instruction& in = program_->at(rip_);
-  const uint64_t pc = program_->VaddrOf(rip_);
+  SPECBENCH_CHECK(rip_ >= 0 && rip_ < code_size_);
+  const Instruction& in = code_[rip_];
+  const DecodedOp& decoded = code_ops_[rip_];
+  const uint64_t pc = code_base_ + static_cast<uint64_t>(rip_) * kInstructionBytes;
   instructions_++;
   if (has_trace_hook_) {
     trace_hook_(TraceRecord{rip_, pc, in.op, mode_, cycles()});
@@ -299,7 +328,6 @@ void Machine::Step() {
     now_ = target;
   }
 
-  const DecodedOp& decoded = decoded_->op(rip_);
   uint64_t srcs_ready = 0;
   for (uint8_t s = 0; s < decoded.num_srcs; s++) {
     srcs_ready = std::max(srcs_ready, ready_at_[decoded.srcs[s]]);

@@ -11,13 +11,21 @@
 //     synchronize the issue clock with the frontier.
 //
 // Structure (docs/uarch.md): the Machine coordinates four pipeline
-// components — the frontend/prediction unit (src/uarch/frontend.h), the
-// execute/scoreboard unit (machine_exec.cc), the memory subsystem
-// (src/uarch/memory_unit.h, machine_mem.cc) and the speculative-episode
-// engine (speculation.cc) — charging cause-tagged cycles to one optional
-// cycle accountant (src/uarch/cycle_attribution.h). Mitigation behaviour is never
-// branched on inline; it is compiled once into a MitigationEffects policy
-// (src/uarch/mitigation_effects.h) whenever the mitigation state changes.
+// components — the frontend/prediction unit (src/uarch/frontend.h,
+// machine_branch_inl.h), the execute/scoreboard unit (machine_exec_inl.h),
+// the memory subsystem (src/uarch/memory_unit.h, machine_mem_inl.h) and the
+// speculative-episode engine (speculation.cc) — charging cause-tagged
+// cycles to one optional cycle accountant (src/uarch/cycle_attribution.h).
+// The step path is one translation unit: machine.cc defines Step and
+// RunPartial and is the only file that includes the machine_*_inl.h step
+// handlers, so RunPartial's flattened loop compiles the step, its handlers
+// and the per-access helpers defined in cache.h, memory.h and predictors.h
+// into one unit. Step fetches from resolved views of the loaded program
+// (raw instruction and decode arrays, their size, the base vaddr) that
+// LoadProgram, Reset and ActivateHardwareContext refresh. Mitigation
+// behaviour is never branched on inline; it is compiled once into a
+// MitigationEffects policy (src/uarch/mitigation_effects.h) whenever the
+// mitigation state changes.
 //
 // Speculation: a mispredicted branch triggers a *speculative episode* that
 // interprets the wrong path for as many cycles as the branch takes to
@@ -315,23 +323,30 @@ class Machine {
   // to SPEC_CTRL, context restore) — never on the hot path.
   void RecompileEffects();
 
+  // Fetches, decodes and executes the instruction at rip_ from the resolved
+  // code views. Defined in machine.cc, where RunPartial's loop inlines it;
+  // RunCoResident (machine_smt.cc) calls it out of line.
   void Step();
-  // Step handlers, one per pipeline component TU. Each executes `in`
-  // (already fetched at pc == VaddrOf(rip_)) and returns the next rip.
-  int32_t StepCompute(const Instruction& in, uint64_t srcs_ready);      // machine_exec.cc
-  int32_t StepMemory(const Instruction& in, uint64_t srcs_ready);       // machine_mem.cc
-  int32_t StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_ready);  // machine_branch.cc
-  int32_t StepSystem(const Instruction& in, uint64_t srcs_ready);       // machine_system.cc
+  // Step handlers, one private header per pipeline component
+  // (machine_exec_inl.h, machine_mem_inl.h, machine_branch_inl.h,
+  // machine_system_inl.h), included only by machine.cc. Each executes `in`
+  // (already fetched at pc == program_->VaddrOf(rip_)) and returns the next rip.
+  int32_t StepCompute(const Instruction& in, uint64_t srcs_ready);
+  int32_t StepMemory(const Instruction& in, uint64_t srcs_ready);
+  int32_t StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_ready);
+  int32_t StepSystem(const Instruction& in, uint64_t srcs_ready);
+
+  // Points the resolved code views at program_ and decoded_ (both null
+  // after Reset). LoadProgram, Reset and ActivateHardwareContext call it
+  // whenever either changes.
+  void RefreshCodeView();
 
   // Executes the wrong path starting at instruction `index` for at most
   // `budget` cycles beginning at absolute cycle `t0` (speculation.cc).
   void RunSpeculativeEpisode(int32_t index, uint64_t t0, uint64_t budget);
   void SpeculativeEpisodeBody(int32_t index, uint64_t t0, uint64_t budget);
 
-  uint64_t EffectiveAddress(const Instruction& instr,
-                            const std::array<uint64_t, kNumRegs>& regs) const;
   void WriteReg(uint8_t index, uint64_t value, uint64_t ready_at);
-  uint64_t AluCompute(AluOp op, uint64_t a, uint64_t b) const;
   // Serialize issue with the completion frontier.
   void Serialize();
   void ApplyStore(const StoreBuffer::Entry& entry);
@@ -360,9 +375,17 @@ class Machine {
   const CpuModel cpu_;
   const Program* program_ = nullptr;
   // Shared decode of `program_` from the global TraceCache (set by
-  // LoadProgram); Step() dispatches off it instead of re-deriving class and
-  // scoreboard sources from the raw Instruction.
+  // LoadProgram). It keeps the decode alive; Step() dispatches off its
+  // view, code_ops_, instead of re-deriving class and scoreboard sources
+  // from the raw Instruction.
   std::shared_ptr<const DecodedTrace> decoded_;
+  // Resolved views of program_ and decoded_ (RefreshCodeView): Step fetches
+  // its Instruction and DecodedOp by index from these two arrays of
+  // code_size_ entries, and computes pc from code_base_.
+  const Instruction* code_ = nullptr;
+  const DecodedOp* code_ops_ = nullptr;
+  int32_t code_size_ = 0;
+  uint64_t code_base_ = 0;
   IdentityMemoryMap identity_map_;
   const MemoryMap* memory_map_ = nullptr;
 

@@ -2,6 +2,12 @@
 // branches, calls, returns and indirect branches — every place the BTB, RSB
 // and conditional predictor are consulted or trained, and every place a
 // misprediction spawns a speculative episode.
+//
+// Private to machine.cc, the step's translation unit: only it includes this
+// header, so Step and RunPartial's loop inline the handler.
+#ifndef SPECTREBENCH_SRC_UARCH_MACHINE_BRANCH_INL_H_
+#define SPECTREBENCH_SRC_UARCH_MACHINE_BRANCH_INL_H_
+
 #include <algorithm>
 
 #include "src/uarch/machine.h"
@@ -10,10 +16,7 @@
 
 namespace specbench {
 
-using minternal::kAddrResolveDelay;
-using minternal::kMinSpecWindow;
-
-int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_ready) {
+inline int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_ready) {
   int32_t next = rip_ + 1;
   switch (in.op) {
     case Op::kJmp:
@@ -36,10 +39,7 @@ int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_re
       } else {
         // Wrong path: executes from the predicted direction until the
         // condition resolves (bounded by the speculation window).
-        const uint64_t budget =
-            std::clamp<uint64_t>(resolve_at > now_ ? resolve_at - now_ + kMinSpecWindow
-                                                   : kMinSpecWindow,
-                                 kMinSpecWindow, cpu_.speculation_window);
+        const uint64_t budget = minternal::EpisodeBudget(resolve_at, now_, cpu_.speculation_window);
         RunSpeculativeEpisode(predicted_taken ? in.target : rip_ + 1, now_, budget);
         now_ = std::max(now_, resolve_at) + cpu_.latency.mispredict_penalty;
       }
@@ -47,7 +47,7 @@ int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_re
       break;
     }
     case Op::kCall: {
-      const uint64_t ret_vaddr = program_->VaddrOf(rip_ + 1);
+      const uint64_t ret_vaddr = pc + kInstructionBytes;
       frontend_.rsb.Push(ret_vaddr);
       frontend_.PushCallSite(pc);
       // Push the return address through the store buffer (this is what a
@@ -58,7 +58,7 @@ int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_re
       SPECBENCH_CHECK_MSG(t.valid, "call with unmapped stack");
       DrainResolvedStores(now_);
       BufferStore(t.paddr, ret_vaddr, now_ + cpu_.latency.store_resolve_delay,
-                  now_ + kAddrResolveDelay);
+                  now_ + minternal::kAddrResolveDelay);
       next = in.target;
       now_ += cpu_.latency.branch_base;
       break;
@@ -75,9 +75,7 @@ int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_re
       } else if (pred.hit) {
         // RSB top does not match the (possibly overwritten) return address:
         // the retpoline case. Speculation runs at the stale RSB target.
-        const uint64_t budget = std::clamp<uint64_t>(
-            ready_at > now_ ? ready_at - now_ + kMinSpecWindow : kMinSpecWindow,
-            kMinSpecWindow, cpu_.speculation_window);
+        const uint64_t budget = minternal::EpisodeBudget(ready_at, now_, cpu_.speculation_window);
         RunSpeculativeEpisode(program_->IndexOf(pred.target), now_, budget);
         now_ = std::max(now_, ready_at) + cpu_.latency.mispredict_penalty;
         pmcs_[static_cast<size_t>(Pmc::kMispIndirect)]++;
@@ -92,9 +90,7 @@ int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_re
         if (btb_pred.hit && btb_pred.target == actual) {
           now_ += cpu_.latency.indirect_predicted;
         } else if (btb_pred.hit) {
-          const uint64_t budget = std::clamp<uint64_t>(
-              ready_at > now_ ? ready_at - now_ + kMinSpecWindow : kMinSpecWindow,
-              kMinSpecWindow, cpu_.speculation_window);
+          const uint64_t budget = minternal::EpisodeBudget(ready_at, now_, cpu_.speculation_window);
           RunSpeculativeEpisode(program_->IndexOf(btb_pred.target), now_, budget);
           now_ = std::max(now_, ready_at) + cpu_.latency.mispredict_penalty;
           pmcs_[static_cast<size_t>(Pmc::kMispIndirect)]++;
@@ -123,9 +119,7 @@ int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_re
       } else if (pred.hit) {
         // BTB poisoned or stale: transient execution at the predicted target
         // until the true target resolves — the Spectre V2 mechanism.
-        const uint64_t budget = std::clamp<uint64_t>(
-            resolve_at > now_ ? resolve_at - now_ + kMinSpecWindow : kMinSpecWindow,
-            kMinSpecWindow, cpu_.speculation_window);
+        const uint64_t budget = minternal::EpisodeBudget(resolve_at, now_, cpu_.speculation_window);
         RunSpeculativeEpisode(program_->IndexOf(pred.target), now_, budget);
         now_ = std::max(now_, resolve_at) + cpu_.latency.mispredict_penalty;
         pmcs_[static_cast<size_t>(Pmc::kMispIndirect)]++;
@@ -141,7 +135,7 @@ int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_re
                             effects_.btb_thread_tag);
       }
       if (in.op == Op::kIndirectCall) {
-        const uint64_t ret_vaddr = program_->VaddrOf(rip_ + 1);
+        const uint64_t ret_vaddr = pc + kInstructionBytes;
         frontend_.rsb.Push(ret_vaddr);
         frontend_.PushCallSite(pc);
         const uint64_t sp = regs_[kRegSp] - 8;
@@ -150,7 +144,7 @@ int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_re
         SPECBENCH_CHECK_MSG(t.valid, "indirect call with unmapped stack");
         DrainResolvedStores(now_);
         BufferStore(t.paddr, ret_vaddr, now_ + cpu_.latency.store_resolve_delay,
-                    now_ + kAddrResolveDelay);
+                    now_ + minternal::kAddrResolveDelay);
       }
       const int32_t target = program_->IndexOf(actual);
       SPECBENCH_CHECK_MSG(target >= 0, "indirect branch to address outside the program");
@@ -164,3 +158,5 @@ int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_re
 }
 
 }  // namespace specbench
+
+#endif  // SPECTREBENCH_SRC_UARCH_MACHINE_BRANCH_INL_H_

@@ -1,7 +1,14 @@
-// Execute / scoreboard unit: register writeback, ALU semantics and the
-// compute-class step handler (arithmetic, moves, cmov, timestamp/PMC reads
-// and the FPU group with its lazy-FPU trap path). Operand-readiness source
-// selection lives in the decoder (src/uarch/decoded_trace.cc).
+// Execute / scoreboard unit: register writeback and the compute-class step
+// handler (arithmetic, moves, cmov, timestamp/PMC reads and the FPU group
+// with its lazy-FPU trap path). ALU semantics live in machine_internal.h,
+// shared with the speculative engine; operand-readiness source selection
+// lives in the decoder (src/uarch/decoded_trace.cc).
+//
+// Private to machine.cc, the step's translation unit: only it includes this
+// header, so Step and RunPartial's loop inline the handler.
+#ifndef SPECTREBENCH_SRC_UARCH_MACHINE_EXEC_INL_H_
+#define SPECTREBENCH_SRC_UARCH_MACHINE_EXEC_INL_H_
+
 #include <algorithm>
 
 #include "src/uarch/machine.h"
@@ -10,43 +17,14 @@
 
 namespace specbench {
 
-uint64_t Machine::EffectiveAddress(const Instruction& instr,
-                                   const std::array<uint64_t, kNumRegs>& regs) const {
-  uint64_t addr = static_cast<uint64_t>(instr.mem.disp);
-  if (instr.mem.base != kNoReg) {
-    addr += regs[instr.mem.base];
-  }
-  if (instr.mem.index != kNoReg) {
-    addr += regs[instr.mem.index] * instr.mem.scale;
-  }
-  return addr;
-}
-
-void Machine::WriteReg(uint8_t index, uint64_t value, uint64_t ready_at) {
+inline void Machine::WriteReg(uint8_t index, uint64_t value, uint64_t ready_at) {
   SPECBENCH_CHECK(index < kNumRegs);
   regs_[index] = value;
   ready_at_[index] = ready_at;
   retire_frontier_ = std::max(retire_frontier_, ready_at);
 }
 
-uint64_t Machine::AluCompute(AluOp op, uint64_t a, uint64_t b) const {
-  switch (op) {
-    case AluOp::kAdd: return a + b;
-    case AluOp::kSub: return a - b;
-    case AluOp::kAnd: return a & b;
-    case AluOp::kOr: return a | b;
-    case AluOp::kXor: return a ^ b;
-    case AluOp::kShl: return b >= 64 ? 0 : a << b;
-    case AluOp::kShr: return b >= 64 ? 0 : a >> b;
-    case AluOp::kCmpLt: return a < b ? 1 : 0;
-    case AluOp::kCmpGe: return a >= b ? 1 : 0;
-    case AluOp::kCmpEq: return a == b ? 1 : 0;
-    case AluOp::kCmpNe: return a != b ? 1 : 0;
-  }
-  return 0;
-}
-
-int32_t Machine::StepCompute(const Instruction& in, uint64_t srcs_ready) {
+inline int32_t Machine::StepCompute(const Instruction& in, uint64_t srcs_ready) {
   int32_t next = rip_ + 1;
   switch (in.op) {
     case Op::kNop:
@@ -65,7 +43,7 @@ int32_t Machine::StepCompute(const Instruction& in, uint64_t srcs_ready) {
     case Op::kAlu: {
       const uint64_t start = std::max(now_, srcs_ready);
       const uint64_t b = in.use_imm ? static_cast<uint64_t>(in.imm) : regs_[in.src2];
-      uint64_t value = AluCompute(in.alu, regs_[in.src1], b);
+      uint64_t value = minternal::AluCompute(in.alu, regs_[in.src1], b);
       if (alu_fault_countdown_ > 0 && --alu_fault_countdown_ == 0) {
         value ^= 1;  // injected fault (InjectAluFaultForTesting)
       }
@@ -108,7 +86,7 @@ int32_t Machine::StepCompute(const Instruction& in, uint64_t srcs_ready) {
     }
     case Op::kLea: {
       const uint64_t start = std::max(now_, srcs_ready);
-      WriteReg(in.dst, EffectiveAddress(in, regs_), start + 1);
+      WriteReg(in.dst, minternal::EffectiveAddress(in, regs_), start + 1);
       now_++;
       break;
     }
@@ -157,3 +135,5 @@ int32_t Machine::StepCompute(const Instruction& in, uint64_t srcs_ready) {
 }
 
 }  // namespace specbench
+
+#endif  // SPECTREBENCH_SRC_UARCH_MACHINE_EXEC_INL_H_

@@ -1,6 +1,12 @@
 // Memory subsystem execution paths: the committed load pipeline (TLB, store
 // forwarding, SSBD discipline, cache access) and the memory-class step
 // handler (load / store / clflush).
+//
+// Private to machine.cc, the step's translation unit: only it includes this
+// header, so Step and RunPartial's loop inline the handler.
+#ifndef SPECTREBENCH_SRC_UARCH_MACHINE_MEM_INL_H_
+#define SPECTREBENCH_SRC_UARCH_MACHINE_MEM_INL_H_
+
 #include <algorithm>
 
 #include "src/uarch/machine.h"
@@ -9,11 +15,7 @@
 
 namespace specbench {
 
-using minternal::kAddrResolveDelay;
-using minternal::kForwardLatency;
-using minternal::kTlbWalkCycles;
-
-uint64_t Machine::CommittedLoad(uint64_t vaddr, uint64_t issue_at, uint64_t* ready_at) {
+inline uint64_t Machine::CommittedLoad(uint64_t vaddr, uint64_t issue_at, uint64_t* ready_at) {
   Translation t = memory_map_->Translate(vaddr, cr3_, mode_);
   if (!t.valid) {
     // Architectural fault: defer to the OS hook; retried once if handled.
@@ -25,7 +27,7 @@ uint64_t Machine::CommittedLoad(uint64_t vaddr, uint64_t issue_at, uint64_t* rea
   }
   uint64_t exec_at = issue_at;
   if (!mem_.tlb.Access(PageOf(vaddr), cr3_)) {
-    exec_at += kTlbWalkCycles;
+    exec_at += minternal::kTlbWalkCycles;
   }
 
   DrainResolvedStores(exec_at);
@@ -42,7 +44,7 @@ uint64_t Machine::CommittedLoad(uint64_t vaddr, uint64_t issue_at, uint64_t* rea
       exec_at = std::max(exec_at, entry->addr_resolve_at) + effects_.ssbd_forward_stall;
       ChargeStall(exec_at - pre, CauseTag::kSsbd);
     }
-    *ready_at = exec_at + kForwardLatency;
+    *ready_at = exec_at + minternal::kForwardLatency;
     return entry->value;
   }
   if (effects_.ssbd_discipline) {
@@ -66,13 +68,13 @@ uint64_t Machine::CommittedLoad(uint64_t vaddr, uint64_t issue_at, uint64_t* rea
   return mem_.memory.Read(paddr);
 }
 
-int32_t Machine::StepMemory(const Instruction& in, uint64_t srcs_ready) {
+inline int32_t Machine::StepMemory(const Instruction& in, uint64_t srcs_ready) {
   const int32_t next = rip_ + 1;
   switch (in.op) {
     case Op::kLoad: {
       const uint64_t issue_at = std::max(now_, srcs_ready);
       uint64_t ready_at = issue_at;
-      const uint64_t vaddr = EffectiveAddress(in, regs_);
+      const uint64_t vaddr = minternal::EffectiveAddress(in, regs_);
       const uint64_t value = CommittedLoad(vaddr, issue_at, &ready_at);
       WriteReg(in.dst, value, ready_at);
       now_++;
@@ -91,7 +93,7 @@ int32_t Machine::StepMemory(const Instruction& in, uint64_t srcs_ready) {
         addr_ready = std::max(addr_ready, ready_at_[in.mem.index]);
       }
       const uint64_t issue_at = std::max(now_, srcs_ready);
-      const uint64_t vaddr = EffectiveAddress(in, regs_);
+      const uint64_t vaddr = minternal::EffectiveAddress(in, regs_);
       Translation t = memory_map_->Translate(vaddr, cr3_, mode_);
       if (!t.valid) {
         const bool handled = page_fault_hook_ && page_fault_hook_(*this, vaddr);
@@ -100,18 +102,18 @@ int32_t Machine::StepMemory(const Instruction& in, uint64_t srcs_ready) {
         SPECBENCH_CHECK_MSG(t.valid, "page fault hook did not map the page");
       }
       if (!mem_.tlb.Access(PageOf(vaddr), cr3_)) {
-        now_ += kTlbWalkCycles;
+        now_ += minternal::kTlbWalkCycles;
       }
       const uint64_t paddr = t.paddr;
       mem_.caches.Access(paddr);
       DrainResolvedStores(issue_at);
       BufferStore(paddr, regs_[in.src1], issue_at + cpu_.latency.store_resolve_delay,
-                  addr_ready + kAddrResolveDelay);
+                  addr_ready + minternal::kAddrResolveDelay);
       now_++;
       break;
     }
     case Op::kClflush: {
-      const uint64_t vaddr = EffectiveAddress(in, regs_);
+      const uint64_t vaddr = minternal::EffectiveAddress(in, regs_);
       const Translation t = memory_map_->Translate(vaddr, cr3_, mode_);
       if (t.mapped) {
         DrainStoreBuffer();
@@ -127,3 +129,5 @@ int32_t Machine::StepMemory(const Instruction& in, uint64_t srcs_ready) {
 }
 
 }  // namespace specbench
+
+#endif  // SPECTREBENCH_SRC_UARCH_MACHINE_MEM_INL_H_

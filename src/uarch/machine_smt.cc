@@ -35,6 +35,7 @@ void Machine::ActivateHardwareContext(int i) {
   HardwareContext& hw = hw_[i];
   program_ = hw.program;
   decoded_ = hw.decoded;
+  RefreshCodeView();
   smt_thread_id_ = hw.smt_thread_id;
   stibp_active_ = hw.stibp;
   RestoreContext(hw.arch);  // recompiles the mitigation policy

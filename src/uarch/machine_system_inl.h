@@ -2,6 +2,12 @@
 // address-space switches, MSR traffic, buffer clears and flushes, VM
 // transitions and simulator call-outs. Mitigation behaviour is read off the
 // compiled MitigationEffects policy — never off raw config or vuln flags.
+//
+// Private to machine.cc, the step's translation unit: only it includes this
+// header, so Step and RunPartial's loop inline the handler.
+#ifndef SPECTREBENCH_SRC_UARCH_MACHINE_SYSTEM_INL_H_
+#define SPECTREBENCH_SRC_UARCH_MACHINE_SYSTEM_INL_H_
+
 #include <algorithm>
 
 #include "src/uarch/machine.h"
@@ -10,7 +16,7 @@
 
 namespace specbench {
 
-int32_t Machine::StepSystem(const Instruction& in, uint64_t srcs_ready) {
+inline int32_t Machine::StepSystem(const Instruction& in, uint64_t srcs_ready) {
   (void)srcs_ready;
   int32_t next = rip_ + 1;
   switch (in.op) {
@@ -187,3 +193,5 @@ int32_t Machine::StepSystem(const Instruction& in, uint64_t srcs_ready) {
 }
 
 }  // namespace specbench
+
+#endif  // SPECTREBENCH_SRC_UARCH_MACHINE_SYSTEM_INL_H_

@@ -95,19 +95,6 @@ CondPredictor::CondPredictor(uint32_t entries) {
   counters_.assign(entries, 1);  // weakly not-taken
 }
 
-bool CondPredictor::Predict(uint64_t pc) const {
-  return counters_[(pc >> 2) & index_mask_] >= 2;
-}
-
-void CondPredictor::Train(uint64_t pc, bool taken) {
-  uint8_t& counter = counters_[(pc >> 2) & index_mask_];
-  if (taken && counter < 3) {
-    counter++;
-  } else if (!taken && counter > 0) {
-    counter--;
-  }
-}
-
 void CondPredictor::Reset() { counters_.assign(counters_.size(), 1); }
 
 }  // namespace specbench

@@ -109,8 +109,16 @@ class CondPredictor {
  public:
   explicit CondPredictor(uint32_t entries = 4096);
 
-  bool Predict(uint64_t pc) const;
-  void Train(uint64_t pc, bool taken);
+  // Defined inline: every conditional branch step calls both.
+  bool Predict(uint64_t pc) const { return counters_[(pc >> 2) & index_mask_] >= 2; }
+  void Train(uint64_t pc, bool taken) {
+    uint8_t& counter = counters_[(pc >> 2) & index_mask_];
+    if (taken && counter < 3) {
+      counter++;
+    } else if (!taken && counter > 0) {
+      counter--;
+    }
+  }
   void Reset();
 
  private:

@@ -13,6 +13,8 @@
 
 namespace specbench {
 
+using minternal::AluCompute;
+using minternal::EffectiveAddress;
 using minternal::kNeverReady;
 
 uint64_t Machine::SpeculativeLoad(uint64_t vaddr, uint64_t at,
@@ -89,7 +91,7 @@ uint64_t Machine::SpeculativeLoad(uint64_t vaddr, uint64_t at,
 }
 
 void Machine::RunSpeculativeEpisode(int32_t index, uint64_t t0, uint64_t budget) {
-  if (index < 0 || program_ == nullptr || index >= program_->size()) {
+  if (index < 0 || index >= code_size_) {
     return;
   }
   const uint64_t divider_before = pmcs_[static_cast<size_t>(Pmc::kArithDividerActive)];
@@ -110,14 +112,14 @@ void Machine::SpeculativeEpisodeBody(int32_t index, uint64_t t0, uint64_t budget
   uint64_t t = t0;
   int32_t idx = index;
 
-  while (t < deadline && idx >= 0 && idx < program_->size()) {
-    const Instruction& in = program_->at(idx);
+  while (t < deadline && idx >= 0 && idx < code_size_) {
+    const Instruction& in = code_[idx];
     pmcs_[static_cast<size_t>(Pmc::kSquashedUops)]++;
     t++;
 
     // Source readiness on the speculative timeline, over the sources the
     // decoder selected (src/uarch/decoded_trace.cc).
-    const DecodedOp& decoded = decoded_->op(idx);
+    const DecodedOp& decoded = code_ops_[idx];
     uint64_t srcs = 0;
     for (uint8_t i = 0; i < decoded.num_srcs; i++) {
       srcs = std::max(srcs, s.ready_at[decoded.srcs[i]]);

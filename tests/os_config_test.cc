@@ -144,6 +144,13 @@ TEST(Names, EnumToString) {
   EXPECT_STREQ(SsbdModeName(SsbdMode::kSeccomp), "seccomp");
 }
 
+TEST(MitigationRows, LookupByKeyFindsEachRowAndRejectsOthers) {
+  for (const MitigationRow& row : MitigationRows()) {
+    EXPECT_EQ(&MitigationRowByKey(row.key), &row) << row.key;
+  }
+  EXPECT_DEATH(MitigationRowByKey("spectre_v2"), "no mitigation row");
+}
+
 TEST(Describe, ListsEveryKnobOnEveryTable1DefaultSet) {
   // Describe() is the config's identity for logs and golden files: it must
   // name every row of the mitigation table and must distinguish the default

@@ -331,6 +331,183 @@ TEST(MachineReset, SingleContextRunAfterCoResidentRunAndResetIsClean) {
   EXPECT_TRUE(got == want) << "\n  fresh: " << want.ToString() << "\n  reset: " << got.ToString();
 }
 
+// --- Resolved code views ---------------------------------------------------
+//
+// Step fetches from raw views of the loaded program (instructions, decode,
+// size, base vaddr) that LoadProgram, Reset and ActivateHardwareContext
+// refresh. The programs below make a stale view show as a wrong result
+// rather than only as a crash: the short programs sit inside the long
+// program's address range, so a view left on the long program still
+// resolves their entry points, and every short program folds its own pcs
+// (return addresses, indirect-branch targets) into its registers.
+
+constexpr uint64_t kLongBase = 0x400000;
+constexpr int32_t kLongAluSteps = 1200;
+
+// kLongAluSteps dependent ALU steps over r0..r3, then halt.
+Program LongProgram() {
+  ProgramBuilder b;
+  b.MovImm(0, 1).MovImm(1, 3).MovImm(2, 5).MovImm(3, 7);
+  for (int32_t i = 0; i < kLongAluSteps; i++) {
+    const uint8_t r = static_cast<uint8_t>(i % 4);
+    b.AluImm(i % 3 == 0 ? AluOp::kXor : AluOp::kAdd, r, static_cast<uint8_t>((r + 1) % 4),
+             i + 1);
+  }
+  b.Halt();
+  return b.Build(kLongBase);
+}
+
+// A loop of `loops` iterations at `base`: an indirect jump whose target is
+// an absolute vaddr (the BTB trains on this thread's own pc), a call whose
+// return address the callee loads from the stack and adds into r6, and a
+// conditional back edge. r6 ends as loops * (base + 6 * 4), the return
+// vaddr, so it names the base the program ran at; r7 counts callee visits.
+Program PcFoldingProgram(uint64_t base, int64_t loops) {
+  ProgramBuilder b;
+  Label top = b.NewLabel();
+  Label fn = b.NewLabel();
+  b.MovImm(5, loops).MovImm(6, 0).MovImm(7, 0);
+  b.Bind(top);
+  const int32_t jmp_target = b.NextIndex() + 2;  // past MovImm + IndirectJmp
+  b.MovImm(3, static_cast<int64_t>(base + static_cast<uint64_t>(jmp_target) * kInstructionBytes));
+  b.IndirectJmp(3);
+  b.Call(fn);
+  b.AluImm(AluOp::kSub, 5, 5, 1);
+  b.BranchNz(5, top);
+  b.Halt();
+  b.Bind(fn);
+  b.Load(4, MemRef{.base = kRegSp});
+  b.Alu(AluOp::kAdd, 6, 6, 4);
+  b.AluImm(AluOp::kAdd, 7, 7, 1);
+  b.Ret();
+  return b.Build(base);
+}
+
+// The part of an Observation a program's own semantics fix: registers,
+// retired instructions, the committed index stream and memory. Warm caches
+// and trained predictors left by an earlier program move only cycles and
+// PMCs.
+void ExpectSameArchitecture(const Observation& got, const Observation& want,
+                            const std::string& where) {
+  EXPECT_EQ(got.regs, want.regs) << where;
+  EXPECT_EQ(got.fpregs, want.fpregs) << where;
+  EXPECT_EQ(got.instructions, want.instructions) << where;
+  EXPECT_EQ(got.trace_hash, want.trace_hash) << where;
+  EXPECT_EQ(got.memory_digest, want.memory_digest) << where;
+  EXPECT_EQ(got.halted, want.halted) << where;
+}
+
+// RunOnce with the stack pointer at `sp`: each co-resident thread needs a
+// stack of its own, and its solo run the same one.
+Observation RunWithStack(Machine& m, const Program& program, uint64_t sp) {
+  m.SetReg(kRegSp, sp);
+  return RunOnce(m, program);
+}
+
+// Loading a shorter program at another base, with and without a Reset in
+// between, runs it exactly as a fresh machine does; and an empty Program
+// loads (its views are data(), never &at(0)).
+TEST(MachineCodeView, LoadProgramAtAnotherBaseMatchesFreshMachine) {
+  const Program long_program = LongProgram();
+  const uint64_t short_base = kLongBase + 600 * kInstructionBytes;
+  ASSERT_LT(short_base, kLongBase + long_program.size() * kInstructionBytes);
+  const Program short_program = PcFoldingProgram(short_base, 9);
+  const Program empty;
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    const std::string where = std::string("uarch=") + UarchName(u);
+    Machine fresh(cpu);
+    const Observation want = RunWithStack(fresh, short_program, kGenStackTop);
+    ASSERT_TRUE(want.halted) << where;
+    EXPECT_EQ(want.regs[7], 9u) << where;
+    EXPECT_EQ(want.regs[6], 9 * (short_base + 6 * kInstructionBytes)) << where;
+
+    // Same machine, no Reset: the long program warmed the caches and
+    // predictors, so only the architectural result must match, once the
+    // registers it left are cleared.
+    Machine m(cpu);
+    m.LoadProgram(&empty);
+    const Observation long_run = RunWithStack(m, long_program, kGenStackTop);
+    ASSERT_TRUE(long_run.halted) << where;
+    m.LoadProgram(&empty);
+    for (uint8_t r = 0; r < kNumRegs; r++) {
+      m.SetReg(r, 0);
+    }
+    ExpectSameArchitecture(RunWithStack(m, short_program, kGenStackTop), want, where);
+
+    // After a Reset, everything matches: cycles and every PMC too.
+    (void)RunWithStack(m, long_program, kGenStackTop);
+    m.Reset();
+    m.LoadProgram(&empty);
+    const Observation got = RunWithStack(m, short_program, kGenStackTop);
+    EXPECT_TRUE(got == want) << where << "\n  fresh:  " << want.ToString()
+                             << "\n  reused: " << got.ToString();
+  }
+}
+
+// RunCoResident switches the fetching thread's views on every activation.
+// Two PcFoldingPrograms at different bases (both inside the long program's
+// range) each end with the registers they compute alone, and the co-run on
+// a machine that ran the long program and was Reset matches a fresh one.
+TEST(MachineCodeView, CoResidentThreadsFetchTheirOwnProgram) {
+  const Program long_program = LongProgram();
+  const uint64_t base_a = kLongBase + 300 * kInstructionBytes;
+  const uint64_t base_b = kLongBase + 700 * kInstructionBytes;
+  const Program a = PcFoldingProgram(base_a, 7);
+  const Program b = PcFoldingProgram(base_b, 11);
+  constexpr uint64_t kStackA = kGenStackTop;
+  constexpr uint64_t kStackB = kGenStackTop + 0x10000;
+
+  const auto co_run = [&](Machine& m) {
+    m.LoadProgram(&a);
+    Machine::CoResidentSpec spec_a;
+    spec_a.program = &a;
+    spec_a.entry_vaddr = a.base_vaddr();
+    spec_a.smt_thread_id = 0;
+    spec_a.initial_regs = {{kRegSp, kStackA}};
+    Machine::CoResidentSpec spec_b;
+    spec_b.program = &b;
+    spec_b.entry_vaddr = b.base_vaddr();
+    spec_b.smt_thread_id = 1;
+    spec_b.initial_regs = {{kRegSp, kStackB}};
+    // A small fetch granule switches threads many times per loop.
+    return m.RunCoResident(spec_a, spec_b, 3);
+  };
+
+  for (Uarch u : AllUarches()) {
+    const CpuModel& cpu = GetCpuModel(u);
+    const std::string where = std::string("uarch=") + UarchName(u);
+    Machine solo_a(cpu);
+    const Observation want_a = RunWithStack(solo_a, a, kStackA);
+    Machine solo_b(cpu);
+    const Observation want_b = RunWithStack(solo_b, b, kStackB);
+    ASSERT_NE(want_a.regs[6], want_b.regs[6]) << where;
+
+    Machine fresh(cpu);
+    const Machine::CoResidentResult fresh_run = co_run(fresh);
+    EXPECT_TRUE(fresh_run.thread[0].halted && fresh_run.thread[1].halted) << where;
+    EXPECT_EQ(fresh.hardware_context(0).arch.regs, want_a.regs) << where;
+    EXPECT_EQ(fresh.hardware_context(1).arch.regs, want_b.regs) << where;
+    EXPECT_EQ(fresh_run.thread[0].instructions, want_a.instructions) << where;
+    EXPECT_EQ(fresh_run.thread[1].instructions, want_b.instructions) << where;
+
+    Machine m(cpu);
+    (void)RunWithStack(m, long_program, kGenStackTop);
+    m.Reset();
+    const Machine::CoResidentResult run = co_run(m);
+    EXPECT_EQ(run.cycles, fresh_run.cycles) << where;
+    for (int i = 0; i < 2; i++) {
+      EXPECT_EQ(run.thread[i].instructions, fresh_run.thread[i].instructions) << where;
+      EXPECT_EQ(run.thread[i].finish_cycles, fresh_run.thread[i].finish_cycles) << where;
+      EXPECT_EQ(m.hardware_context(i).arch.regs, fresh.hardware_context(i).arch.regs) << where;
+    }
+    for (size_t p = 0; p < static_cast<size_t>(Pmc::kCount); p++) {
+      EXPECT_EQ(m.PmcValue(static_cast<Pmc>(p)), fresh.PmcValue(static_cast<Pmc>(p)))
+          << where << " pmc " << p;
+    }
+  }
+}
+
 // MachinePool reuse across co-resident sweep cells: acquiring the pooled
 // machine for a second co-run is indistinguishable from giving each cell
 // its own fresh machine.
