@@ -189,7 +189,7 @@ bool ParseAluOpName(const char* name, AluOp* out);
 // mirror Machine's execution semantics: IsSerializing matches the set of
 // opcodes that call Serialize() (and therefore also end speculative
 // episodes), and the register accessors mirror the operand readiness rules
-// of the decoder (src/uarch/decoded_trace.cc).
+// of the decoder (src/isa/decode.cc).
 
 // Conditional branches (two successors).
 bool IsConditionalBranch(Op op);

@@ -9,44 +9,10 @@ Program::Program(std::vector<Instruction> instructions, uint64_t base_vaddr,
     : instructions_(std::move(instructions)),
       base_vaddr_(base_vaddr),
       symbols_(std::move(symbols)) {
-  ComputeDigest();
-}
-
-void Program::ComputeDigest() {
-  // FNV-1a, field by field, so two programs share a digest exactly when they
-  // execute identically (same opcodes, operands, immediates, addressing,
-  // branch targets, base address). A second stream with a different basis
-  // and a SplitMix64-style finalizer per word gives Digest2() — the trace
-  // cache's hit-time collision check (the two hashes only agree on distinct
-  // programs if both 64-bit streams collide at once).
-  uint64_t h = 0xcbf29ce484222325ULL;
-  uint64_t h2 = 0x9e3779b97f4a7c15ULL;
-  const auto fold = [&h, &h2](uint64_t v) {
-    for (int byte = 0; byte < 8; byte++) {
-      h ^= (v >> (byte * 8)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-    uint64_t z = h2 += v + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    h2 = z ^ (z >> 31);
-  };
-  fold(base_vaddr_);
-  fold(static_cast<uint64_t>(instructions_.size()));
-  for (const Instruction& in : instructions_) {
-    fold(static_cast<uint64_t>(in.op));
-    fold(static_cast<uint64_t>(in.alu));
-    fold(static_cast<uint64_t>(in.dst) | (static_cast<uint64_t>(in.src1) << 8) |
-         (static_cast<uint64_t>(in.src2) << 16) |
-         (static_cast<uint64_t>(in.use_imm) << 24));
-    fold(static_cast<uint64_t>(in.imm));
-    fold(static_cast<uint64_t>(in.mem.base) | (static_cast<uint64_t>(in.mem.index) << 8) |
-         (static_cast<uint64_t>(in.mem.scale) << 16));
-    fold(static_cast<uint64_t>(in.mem.disp));
-    fold(static_cast<uint64_t>(in.target));
+  ops_.reserve(instructions_.size());
+  for (const Instruction& instr : instructions_) {
+    ops_.push_back(DecodeOne(instr));
   }
-  digest_ = h;
-  digest2_ = h2;
 }
 
 bool Program::ContainsVaddr(uint64_t vaddr) const { return IndexOf(vaddr) >= 0; }

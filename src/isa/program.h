@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/isa/decode.h"
 #include "src/isa/isa.h"
 #include "src/util/check.h"
 
@@ -19,15 +20,22 @@ namespace specbench {
 inline constexpr uint64_t kDefaultCodeBase = 0x400000;
 inline constexpr uint64_t kInstructionBytes = 4;
 
+// An immutable program: its instructions, each one's decode, its base
+// address and its exported symbols. The constructor decodes every
+// instruction once (DecodeOne), so threads that share a Program share its
+// decode without synchronisation.
 class Program {
  public:
-  Program() { ComputeDigest(); }
+  Program() = default;
   Program(std::vector<Instruction> instructions, uint64_t base_vaddr,
           std::map<std::string, int32_t> symbols);
 
   const Instruction& at(int32_t index) const { return instructions_[static_cast<size_t>(index)]; }
   // The instructions as one array of size() entries (may be null when empty).
   const Instruction* data() const { return instructions_.data(); }
+  // The decode of every instruction, parallel to data(): ops()[i] is
+  // DecodeOne(at(i)).
+  const std::vector<DecodedOp>& ops() const { return ops_; }
   int32_t size() const { return static_cast<int32_t>(instructions_.size()); }
   uint64_t base_vaddr() const { return base_vaddr_; }
 
@@ -55,28 +63,11 @@ class Program {
   // All exported symbols, name -> instruction index (analyzer entry points).
   const std::map<std::string, int32_t>& symbols() const { return symbols_; }
 
-  // FNV-1a over every execution-relevant instruction field plus the base
-  // address — the decoded-trace cache key (src/uarch/decoded_trace.h).
-  // Computed eagerly at construction so concurrent sweep cells can hash the
-  // same immutable Program without synchronization. Attribution tags
-  // (Instruction::cause) and symbols are deliberately excluded: they never
-  // affect what executes.
-  uint64_t Digest() const { return digest_; }
-
-  // Independent second hash over the same fields (different basis, SplitMix64
-  // finalizer). The trace cache verifies it on every hit, so two programs
-  // that collide on Digest() alone can never be served each other's decoded
-  // trace — a wrong trace would require a simultaneous 128-bit collision.
-  uint64_t Digest2() const { return digest2_; }
-
  private:
-  void ComputeDigest();
-
   std::vector<Instruction> instructions_;
+  std::vector<DecodedOp> ops_;
   uint64_t base_vaddr_ = kDefaultCodeBase;
   std::map<std::string, int32_t> symbols_;
-  uint64_t digest_ = 0;
-  uint64_t digest2_ = 0;
 };
 
 // Label handle produced by ProgramBuilder::NewLabel.

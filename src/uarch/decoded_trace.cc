@@ -2,108 +2,39 @@
 
 namespace specbench {
 
-StepClass ClassOf(Op op) {
-  switch (op) {
-    case Op::kNop:
-    case Op::kMovImm:
-    case Op::kMov:
-    case Op::kAlu:
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kCmov:
-    case Op::kLea:
-    case Op::kPause:
-    case Op::kRdtsc:
-    case Op::kRdpmc:
-    case Op::kFpOp:
-    case Op::kFpToGp:
-    case Op::kGpToFp:
-      return StepClass::kCompute;
-    case Op::kLoad:
-    case Op::kStore:
-    case Op::kClflush:
-      return StepClass::kMemory;
-    case Op::kJmp:
-    case Op::kBranchNz:
-    case Op::kBranchZ:
-    case Op::kBranchEqImm:
-    case Op::kCall:
-    case Op::kRet:
-    case Op::kIndirectJmp:
-    case Op::kIndirectCall:
-      return StepClass::kBranch;
-    case Op::kLfence:
-    case Op::kMfence:
-    case Op::kSyscall:
-    case Op::kSysret:
-    case Op::kSwapgs:
-    case Op::kMovCr3:
-    case Op::kVerw:
-    case Op::kWrmsr:
-    case Op::kRdmsr:
-    case Op::kFlushL1d:
-    case Op::kRsbStuff:
-    case Op::kXsave:
-    case Op::kXrstor:
-    case Op::kCpuid:
-    case Op::kVmEnter:
-    case Op::kVmExit:
-    case Op::kKcall:
-    case Op::kHalt:
-      return StepClass::kSystem;
-  }
-  return StepClass::kSystem;
-}
-
-namespace {
-
-// The scoreboard's source-register selection, precomputed per instruction.
-// This is the single definition of "which ready_at cycles gate issue"; the
-// Machine consumes the decoded form.
-DecodedOp DecodeOne(const Instruction& instr) {
-  DecodedOp decoded;
-  decoded.cls = ClassOf(instr.op);
-  const auto consider = [&decoded](uint8_t r) {
-    if (r != kNoReg) {
-      decoded.srcs[decoded.num_srcs++] = r;
+TraceKey TraceKeyOf(const Program& program) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t h2 = 0x9e3779b97f4a7c15ULL;
+  const auto fold = [&h, &h2](uint64_t v) {
+    for (int byte = 0; byte < 8; byte++) {
+      h ^= (v >> (byte * 8)) & 0xff;
+      h *= 0x100000001b3ULL;
     }
+    uint64_t z = h2 += v + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    h2 = z ^ (z >> 31);
   };
-  switch (instr.op) {
-    case Op::kLoad:
-    case Op::kLea:
-    case Op::kClflush:
-      consider(instr.mem.base);
-      consider(instr.mem.index);
-      break;
-    case Op::kStore:
-      consider(instr.mem.base);
-      consider(instr.mem.index);
-      consider(instr.src1);
-      break;
-    case Op::kCmov:
-      consider(instr.dst);
-      consider(instr.src1);
-      consider(instr.src2);
-      break;
-    default:
-      consider(instr.src1);
-      if (!instr.use_imm) {
-        consider(instr.src2);
-      }
-      break;
-  }
-  return decoded;
-}
-
-}  // namespace
-
-DecodedTrace::DecodedTrace(const Program& program, Uarch uarch)
-    : program_digest_(program.Digest()), program_check_(program.Digest2()), uarch_(uarch) {
-  ops_.reserve(static_cast<size_t>(program.size()));
+  fold(program.base_vaddr());
+  fold(static_cast<uint64_t>(program.size()));
   for (int32_t i = 0; i < program.size(); i++) {
-    ops_.push_back(DecodeOne(program.at(i)));
+    const Instruction& in = program.at(i);
+    fold(static_cast<uint64_t>(in.op));
+    fold(static_cast<uint64_t>(in.alu));
+    fold(static_cast<uint64_t>(in.dst) | (static_cast<uint64_t>(in.src1) << 8) |
+         (static_cast<uint64_t>(in.src2) << 16) |
+         (static_cast<uint64_t>(in.use_imm) << 24));
+    fold(static_cast<uint64_t>(in.imm));
+    fold(static_cast<uint64_t>(in.mem.base) | (static_cast<uint64_t>(in.mem.index) << 8) |
+         (static_cast<uint64_t>(in.mem.scale) << 16));
+    fold(static_cast<uint64_t>(in.mem.disp));
+    fold(static_cast<uint64_t>(in.target));
   }
+  return TraceKey{h, h2};
 }
+
+DecodedTrace::DecodedTrace(const Program& program, uint64_t program_check)
+    : ops_(program.ops()), program_check_(program_check) {}
 
 TraceCache& TraceCache::Global() {
   static TraceCache* cache = new TraceCache;
@@ -112,27 +43,30 @@ TraceCache& TraceCache::Global() {
 
 std::shared_ptr<const DecodedTrace> TraceCache::Acquire(const Program& program,
                                                         Uarch uarch) {
-  return AcquireImpl(program, uarch, program.Digest());
+  const TraceKey key = TraceKeyOf(program);
+  return AcquireImpl(program, uarch, key, key.digest);
 }
 
 std::shared_ptr<const DecodedTrace> TraceCache::AcquireWithDigestForTesting(
     const Program& program, Uarch uarch, uint64_t forced_digest) {
-  return AcquireImpl(program, uarch, forced_digest);
+  return AcquireImpl(program, uarch, TraceKeyOf(program), forced_digest);
 }
 
 std::shared_ptr<const DecodedTrace> TraceCache::AcquireImpl(const Program& program,
-                                                            Uarch uarch, uint64_t digest) {
+                                                            Uarch uarch,
+                                                            const TraceKey& program_key,
+                                                            uint64_t digest) {
   const std::pair<uint64_t, Uarch> key{digest, uarch};
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-      // A hit must also match length and the independent Digest2 stream:
+      // A hit must also match length and the independent check stream:
       // a same-digest different program must never be handed the wrong
       // decoded trace. A mismatch is a collision — fall through to decode
       // and overwrite the colliding entry.
       if (it->second.trace->size() == program.size() &&
-          it->second.trace->program_check() == program.Digest2()) {
+          it->second.trace->program_check() == program_key.check) {
         hits_++;
         it->second.referenced = true;
         return it->second.trace;
@@ -140,9 +74,9 @@ std::shared_ptr<const DecodedTrace> TraceCache::AcquireImpl(const Program& progr
       collisions_++;
     }
   }
-  // Decode outside the lock: concurrent sweep cells decoding different
-  // programs must not serialize on each other.
-  auto trace = std::make_shared<const DecodedTrace>(program, uarch);
+  // Copy the decode outside the lock: concurrent callers acquiring
+  // different programs must not serialize on each other.
+  auto trace = std::make_shared<const DecodedTrace>(program, program_key.check);
   std::lock_guard<std::mutex> lock(mu_);
   misses_++;
   auto it = entries_.find(key);

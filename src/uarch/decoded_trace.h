@@ -1,17 +1,10 @@
-// Decoded micro-op traces and the process-wide trace cache.
+// The process-wide trace cache, kept for perfbench's traced layer.
 //
-// The sweep / difftest hot loop re-runs the same generated programs across
-// every CPU x mitigation cell, and before this cache every cell re-derived
-// the same per-instruction decode facts (dispatch class, scoreboard source
-// registers) from the raw Instruction on every step. A DecodedTrace is that
-// decode done once; the TraceCache shares it across all Machines running the
-// same (program digest, uarch) cell, so repeated cells skip fetch/decode
-// entirely (docs/perf.md).
-//
-// Decode is a pure function of the Program (no CpuModel input today), but
-// the cache key still includes the microarchitecture so the contract stays
-// "one decoded trace per (program, CPU)" if decode ever becomes
-// model-dependent (e.g. per-uarch fusion rules).
+// No machine reads it: a Program decodes itself once when it is built
+// (Program::ops(), src/isa/decode.h), and Machine::LoadProgram reads that
+// decode. A DecodedTrace is a copy of Program::ops(), and the TraceCache
+// hands out one per (program key, uarch). perfbench times its hits and misses (`uarch.trace_cache.*`); the
+// cache goes once perfbench stops calling it (ROADMAP.md, item 3).
 #ifndef SPECTREBENCH_SRC_UARCH_DECODED_TRACE_H_
 #define SPECTREBENCH_SRC_UARCH_DECODED_TRACE_H_
 
@@ -23,51 +16,44 @@
 #include <vector>
 
 #include "src/cpu/cpu_model.h"
-#include "src/isa/isa.h"
+#include "src/isa/decode.h"
 #include "src/isa/program.h"
 
 namespace specbench {
 
-// Which pipeline component executes an opcode (Machine::Step dispatch).
-enum class StepClass : uint8_t { kCompute, kMemory, kBranch, kSystem };
-
-StepClass ClassOf(Op op);
-
-// One instruction's decode facts: its dispatch class and the registers whose
-// `ready_at` cycles it waits for, both in Machine::Step and in speculative
-// episodes.
-struct DecodedOp {
-  StepClass cls = StepClass::kSystem;
-  uint8_t num_srcs = 0;
-  uint8_t srcs[3] = {0, 0, 0};
+// The trace cache's key for a program. `digest` is FNV-1a over every
+// execution-relevant instruction field plus the base address, so two
+// programs share it exactly when they execute identically; attribution tags
+// (Instruction::cause) and symbols are left out because they never affect
+// what executes. `check` is an independent stream over the same fields
+// (different basis, SplitMix64 finalizer) that the cache verifies on every
+// hit, so a wrong trace would need both 64-bit streams to collide at once.
+struct TraceKey {
+  uint64_t digest = 0;
+  uint64_t check = 0;
 };
+TraceKey TraceKeyOf(const Program& program);
 
-// Immutable decode of one Program for one microarchitecture.
+// Immutable copy of one Program's decode.
 class DecodedTrace {
  public:
-  DecodedTrace(const Program& program, Uarch uarch);
+  DecodedTrace(const Program& program, uint64_t program_check);
 
   const DecodedOp& op(int32_t index) const {
     return ops_[static_cast<size_t>(index)];
   }
-  // The decode as one array of size() entries, parallel to Program::data().
-  const DecodedOp* data() const { return ops_.data(); }
   int32_t size() const { return static_cast<int32_t>(ops_.size()); }
-  uint64_t program_digest() const { return program_digest_; }
-  // Program::Digest2 of the decoded program — the cache's hit-time collision
+  // TraceKey::check of the decoded program — the cache's hit-time collision
   // check (see TraceCache::Acquire).
   uint64_t program_check() const { return program_check_; }
-  Uarch uarch() const { return uarch_; }
 
  private:
   std::vector<DecodedOp> ops_;
-  uint64_t program_digest_;
   uint64_t program_check_;
-  Uarch uarch_;
 };
 
 // Process-wide, mutex-protected cache of decoded traces keyed by
-// (Program::Digest, Uarch). Entries are shared_ptr<const ...> so a cached
+// (TraceKey::digest, Uarch). Entries are shared_ptr<const ...> so a cached
 // trace stays alive for machines still running it even if the cache is
 // cleared concurrently.
 //
@@ -82,7 +68,7 @@ class DecodedTrace {
 // back.)
 //
 // Collision guard: a hit must match the key digest, the program length, and
-// Program::Digest2 (stored per trace). Digest alone is 64-bit FNV — good,
+// TraceKey::check (stored per trace). The digest alone is 64-bit FNV — good,
 // but a silent collision would execute the *wrong decoded trace*; with the
 // independent second hash a wrong-trace handout needs two simultaneous
 // 64-bit collisions. A check mismatch counts as `collisions` and is treated
@@ -94,7 +80,7 @@ class TraceCache {
     uint64_t misses = 0;
     uint64_t entries = 0;
     uint64_t evictions = 0;   // single-entry second-chance evictions
-    uint64_t collisions = 0;  // hits rejected by the Digest2/length check
+    uint64_t collisions = 0;  // hits rejected by the check/length test
     double hit_rate() const {
       const uint64_t total = hits + misses;
       return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
@@ -129,8 +115,10 @@ class TraceCache {
   };
   using EntryMap = std::map<std::pair<uint64_t, Uarch>, Entry>;
 
+  // Looks up (digest, uarch); `program_key` is the program's own key, whose
+  // check guards the hit.
   std::shared_ptr<const DecodedTrace> AcquireImpl(const Program& program, Uarch uarch,
-                                                  uint64_t digest);
+                                                  const TraceKey& program_key, uint64_t digest);
   // Evicts one victim via the clock hand. Caller holds mu_; the map is
   // non-empty.
   void EvictOneLocked();

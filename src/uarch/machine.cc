@@ -39,9 +39,8 @@ void Machine::RefreshCodeView() {
     code_base_ = 0;
     return;
   }
-  SPECBENCH_CHECK(decoded_ != nullptr && decoded_->size() == program_->size());
   code_ = program_->data();
-  code_ops_ = decoded_->data();
+  code_ops_ = program_->ops().data();
   code_size_ = program_->size();
   code_base_ = program_->base_vaddr();
 }
@@ -49,13 +48,11 @@ void Machine::RefreshCodeView() {
 void Machine::LoadProgram(const Program* program) {
   SPECBENCH_CHECK(program != nullptr);
   program_ = program;
-  decoded_ = TraceCache::Global().Acquire(*program, cpu_.uarch);
   RefreshCodeView();
 }
 
 void Machine::Reset() {
   program_ = nullptr;
-  decoded_ = nullptr;
   RefreshCodeView();
   memory_map_ = &identity_map_;
 

@@ -48,7 +48,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -57,7 +56,6 @@
 #include "src/isa/program.h"
 #include "src/uarch/cache.h"
 #include "src/uarch/cycle_attribution.h"
-#include "src/uarch/decoded_trace.h"
 #include "src/uarch/frontend.h"
 #include "src/uarch/memory.h"
 #include "src/uarch/memory_unit.h"
@@ -226,7 +224,6 @@ class Machine {
   struct HardwareContext {
     ThreadContext arch;
     const Program* program = nullptr;
-    std::shared_ptr<const DecodedTrace> decoded;
     std::vector<uint64_t> rsb;         // parked RSB partition
     std::vector<uint64_t> call_sites;  // parked call-site history
     uint64_t smt_thread_id = 0;
@@ -336,9 +333,9 @@ class Machine {
   int32_t StepBranch(const Instruction& in, uint64_t pc, uint64_t srcs_ready);
   int32_t StepSystem(const Instruction& in, uint64_t srcs_ready);
 
-  // Points the resolved code views at program_ and decoded_ (both null
-  // after Reset). LoadProgram, Reset and ActivateHardwareContext call it
-  // whenever either changes.
+  // Points the resolved code views at program_ and its decode (null after
+  // Reset). LoadProgram, Reset and ActivateHardwareContext call it whenever
+  // program_ changes.
   void RefreshCodeView();
 
   // Executes the wrong path starting at instruction `index` for at most
@@ -367,21 +364,17 @@ class Machine {
 
   // SMT co-residence internals (machine_smt.cc): park the active context's
   // architectural + partitioned-frontend state into hw_[i], or make hw_[i]
-  // the fetching context (swap program/decode, arch state, RSB partition,
-  // thread identity; recompile the mitigation policy).
+  // the fetching context (swap the program and its code views, arch state,
+  // RSB partition, thread identity; recompile the mitigation policy).
   void ParkHardwareContext(int i);
   void ActivateHardwareContext(int i);
 
   const CpuModel cpu_;
   const Program* program_ = nullptr;
-  // Shared decode of `program_` from the global TraceCache (set by
-  // LoadProgram). It keeps the decode alive; Step() dispatches off its
-  // view, code_ops_, instead of re-deriving class and scoreboard sources
-  // from the raw Instruction.
-  std::shared_ptr<const DecodedTrace> decoded_;
-  // Resolved views of program_ and decoded_ (RefreshCodeView): Step fetches
-  // its Instruction and DecodedOp by index from these two arrays of
-  // code_size_ entries, and computes pc from code_base_.
+  // Resolved views of program_ (RefreshCodeView): Step fetches its
+  // Instruction and the program's own decode of it (Program::ops()) by index
+  // from these two arrays of code_size_ entries, and computes pc from
+  // code_base_.
   const Instruction* code_ = nullptr;
   const DecodedOp* code_ops_ = nullptr;
   int32_t code_size_ = 0;

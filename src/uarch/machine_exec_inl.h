@@ -2,7 +2,7 @@
 // handler (arithmetic, moves, cmov, timestamp/PMC reads and the FPU group
 // with its lazy-FPU trap path). ALU semantics live in machine_internal.h,
 // shared with the speculative engine; operand-readiness source selection
-// lives in the decoder (src/uarch/decoded_trace.cc).
+// lives in the decoder (src/isa/decode.cc).
 //
 // Private to machine.cc, the step's translation unit: only it includes this
 // header, so Step and RunPartial's loop inline the handler.

@@ -34,7 +34,6 @@ void Machine::ParkHardwareContext(int i) {
 void Machine::ActivateHardwareContext(int i) {
   HardwareContext& hw = hw_[i];
   program_ = hw.program;
-  decoded_ = hw.decoded;
   RefreshCodeView();
   smt_thread_id_ = hw.smt_thread_id;
   stibp_active_ = hw.stibp;
@@ -66,9 +65,6 @@ Machine::CoResidentResult Machine::RunCoResident(const CoResidentSpec& a,
       continue;  // one-context (smt-off) degenerate case
     }
     hw.program = spec.program;
-    hw.decoded = spec.program == program_
-                     ? decoded_
-                     : TraceCache::Global().Acquire(*spec.program, cpu_.uarch);
     // Each thread context starts from the machine state the caller set up,
     // with its own entry point and register overrides on top. Thread 0
     // additionally inherits the live RSB / call-site history (it *is* the

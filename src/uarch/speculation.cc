@@ -118,7 +118,7 @@ void Machine::SpeculativeEpisodeBody(int32_t index, uint64_t t0, uint64_t budget
     t++;
 
     // Source readiness on the speculative timeline, over the sources the
-    // decoder selected (src/uarch/decoded_trace.cc).
+    // decoder selected (src/isa/decode.cc).
     const DecodedOp& decoded = code_ops_[idx];
     uint64_t srcs = 0;
     for (uint8_t i = 0; i < decoded.num_srcs; i++) {

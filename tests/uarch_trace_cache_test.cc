@@ -1,5 +1,6 @@
 // Regression tests for the decoded-trace cache's bounded eviction and
-// collision guard (src/uarch/decoded_trace.h).
+// collision guard (src/uarch/decoded_trace.h), and a check that machines do
+// not go through the cache.
 //
 // Two latent bugs are pinned here:
 //  1. Capacity used to be enforced by dropping the *whole* table once
@@ -8,9 +9,9 @@
 //     Eviction is now second-chance, one victim per insert; a hot set that
 //     keeps getting referenced must survive an arbitrarily long cold stream.
 //  2. A hit used to be validated by program *length* only, so two
-//     same-length programs colliding on Program::Digest would silently
+//     same-length programs colliding on the key digest would silently
 //     execute each other's decoded trace. A hit now also verifies the
-//     independent Digest2 stream.
+//     independent check stream (TraceKey::check).
 //
 // Also pins the hit/miss accounting on fuzz-generator programs.
 #include "src/uarch/decoded_trace.h"
@@ -18,10 +19,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "src/attack/suite.h"
+#include "src/difftest/difftest.h"
 #include "src/difftest/generator.h"
 #include "src/isa/program.h"
+#include "src/os/mitigation_config.h"
+#include "src/workload/lebench.h"
 
 namespace specbench {
 namespace {
@@ -125,7 +131,7 @@ TEST_F(TraceCacheTest, SameLengthDigestCollisionIsDetected) {
   b.Halt();
   const Program program_b = b.Build();
   ASSERT_EQ(program_a.size(), program_b.size());
-  ASSERT_NE(program_a.Digest2(), program_b.Digest2());
+  ASSERT_NE(TraceKeyOf(program_a).check, TraceKeyOf(program_b).check);
 
   constexpr uint64_t kForcedDigest = 0xdeadbeefcafef00dULL;
   const auto trace_a =
@@ -134,8 +140,8 @@ TEST_F(TraceCacheTest, SameLengthDigestCollisionIsDetected) {
       cache.AcquireWithDigestForTesting(program_b, Uarch::kZen3, kForcedDigest);
 
   // Each program must get a decode of *itself*, not of the bucket occupant.
-  EXPECT_EQ(trace_a->program_check(), program_a.Digest2());
-  EXPECT_EQ(trace_b->program_check(), program_b.Digest2());
+  EXPECT_EQ(trace_a->program_check(), TraceKeyOf(program_a).check);
+  EXPECT_EQ(trace_b->program_check(), TraceKeyOf(program_b).check);
   EXPECT_EQ(trace_a->op(1).cls, StepClass::kCompute);
   EXPECT_EQ(trace_b->op(1).cls, StepClass::kMemory);
   EXPECT_EQ(trace_b->op(1).num_srcs, 2);
@@ -197,7 +203,7 @@ TEST(TraceCache, IdenticalProgramsShareOneEntry) {
   // Two separately generated but identical programs digest to the same key.
   const Program a = GenerateProgram(42, GeneratorOptions{});
   const Program b = GenerateProgram(42, GeneratorOptions{});
-  EXPECT_EQ(a.Digest(), b.Digest());
+  EXPECT_EQ(TraceKeyOf(a).digest, TraceKeyOf(b).digest);
   auto t1 = cache.Acquire(a, Uarch::kZen3);
   auto t2 = cache.Acquire(b, Uarch::kZen3);
   EXPECT_EQ(t1.get(), t2.get());
@@ -207,7 +213,40 @@ TEST(TraceCache, IdenticalProgramsShareOneEntry) {
 TEST(TraceCache, DifferentProgramsGetDifferentDigests) {
   const Program a = GenerateProgram(1, GeneratorOptions{});
   const Program b = GenerateProgram(2, GeneratorOptions{});
-  EXPECT_NE(a.Digest(), b.Digest());
+  EXPECT_NE(TraceKeyOf(a).digest, TraceKeyOf(b).digest);
+}
+
+// --- Machines read the Program's own decode ----------------------------------
+
+// LoadProgram and RunCoResident read Program::ops(): a difftest sweep, a
+// LEBench kernel and a co-resident attack leave the cache empty and its
+// counters at zero.
+TEST(MachineDecode, RunsDoNotTouchTheTraceCache) {
+  TraceCache& cache = TraceCache::Global();
+  cache.Clear();
+  cache.ResetStats();
+
+  DifftestOptions options;
+  options.seed_begin = 0;
+  options.seed_end = 4;
+  const DifftestReport report = RunDifftest(options);
+  EXPECT_TRUE(report.ok()) << report.ToText();
+  EXPECT_GT(report.executions, 0u);
+
+  const CpuModel& cpu = GetCpuModel(Uarch::kSkylakeClient);
+  EXPECT_GT(LeBench::RunKernel(LeBench::KernelNames().front(), cpu,
+                               MitigationConfig::Defaults(cpu), /*seed=*/1),
+            0.0);
+
+  const AttackSpec* smt = FindAttackSpec("spectre-v2-smt");
+  ASSERT_NE(smt, nullptr);
+  ASSERT_TRUE(smt->vulnerable(cpu));
+  EXPECT_TRUE(RunCanonicalTrial(*smt, cpu, MitigationConfig::AllOff()).leaked);
+
+  const TraceCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.entries, 0u);
 }
 
 }  // namespace
