@@ -4,6 +4,8 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "src/util/json.h"
+
 namespace specbench {
 
 namespace {
@@ -15,27 +17,6 @@ void Appendf(std::string& out, const char* fmt, ...) {
   vsnprintf(buf, sizeof(buf), fmt, args);
   va_end(args);
   out += buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 void AppendFindingJson(std::string& out, const Finding& f, const char* verdict) {

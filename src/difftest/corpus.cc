@@ -93,45 +93,19 @@ bool ParseRegister(const std::string& field, int64_t number, uint8_t* out, std::
   return true;
 }
 
-// True if the engine and the reference interpreter index the registers
-// with src1 (src2) for this instruction. A field the line leaves out stays
-// kNoReg, which must not reach them.
-bool ReadsSrc1(Op op) {
-  switch (op) {
-    case Op::kMov:
-    case Op::kAlu:
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kCmov:
-    case Op::kStore:
-    case Op::kBranchNz:
-    case Op::kBranchZ:
-    case Op::kBranchEqImm:
-    case Op::kIndirectJmp:
-    case Op::kIndirectCall:
-    case Op::kGpToFp:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool ReadsSrc2(const Instruction& in) {
-  return in.op == Op::kCmov ||
-         (!in.use_imm && (in.op == Op::kAlu || in.op == Op::kMul || in.op == Op::kDiv));
-}
-
-// The operand `in` needs but lacks, or nullptr.
+// The operand `in` needs but lacks, or nullptr: the engine and the
+// reference interpreter index the registers with it, and a field the line
+// leaves out stays kNoReg, which must not reach them.
 const char* MissingOperand(const Instruction& in) {
-  Instruction with_dst = in;
-  with_dst.dst = 0;  // DestReg reports dst only for opcodes that write it
-  if (in.dst == kNoReg && DestReg(with_dst) != kNoReg) {
+  const OpInfo& info = InfoOf(in.op);
+  if (in.dst == kNoReg && info.Has(kOpWritesDst)) {
     return "dst";
   }
-  if (in.src1 == kNoReg && ReadsSrc1(in.op)) {
+  if (in.src1 == kNoReg && info.Has(kOpNeedsSrc1)) {
     return "src1";
   }
-  if (in.src2 == kNoReg && ReadsSrc2(in)) {
+  const bool shape_reads_src2 = info.srcs != SourceShape::kSrc1Src2 || !in.use_imm;
+  if (in.src2 == kNoReg && info.Has(kOpNeedsSrc2) && shape_reads_src2) {
     return "src2";
   }
   return nullptr;

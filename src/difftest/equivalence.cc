@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "src/difftest/reference.h"
+#include "src/uarch/machine_pool.h"
 #include "src/util/check.h"
 
 namespace specbench {
@@ -108,10 +109,11 @@ EquivalenceReport CheckRewriteEquivalence(const Program& original, const Program
   const std::vector<DiffConfig> configs =
       options.configs.empty() ? DefaultDiffConfigs() : options.configs;
   for (Uarch uarch : options.cpus) {
-    const CpuModel& cpu = GetCpuModel(uarch);
+    MachineLease lease(GetCpuModel(uarch));
     for (const DiffConfig& config : configs) {
       const ArchState machine =
-          RunMachineArch(hardened, cpu, config, kMaxInstructions);
+          RunMachineArch(*lease, hardened, config, kMaxInstructions,
+                         /*inject_alu_fault_after=*/0, &ref_hardened);
       if (!(machine == sh)) {
         report.divergence = std::string("hardened program diverges on ") + UarchName(uarch) +
                             "/" + config.name + ": " + DescribeArchDivergence(sh, machine);

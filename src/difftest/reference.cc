@@ -10,18 +10,6 @@ namespace specbench {
 
 namespace {
 
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-constexpr uint64_t kFnvBasis = kArchHashBasis;
-
-uint64_t FnvByte(uint64_t hash, uint8_t byte) { return (hash ^ byte) * kFnvPrime; }
-
-uint64_t FnvWord(uint64_t hash, uint64_t word) {
-  for (int i = 0; i < 8; i++) {
-    hash = FnvByte(hash, static_cast<uint8_t>(word >> (8 * i)));
-  }
-  return hash;
-}
-
 // Mirrors Machine::AluCompute exactly (shifts >= 64 are zero, unsigned
 // compares).
 uint64_t AluCompute(AluOp op, uint64_t a, uint64_t b) {
@@ -62,18 +50,18 @@ bool ReferenceSupports(Op op) {
 }
 
 uint64_t FoldTraceHash(uint64_t hash, int32_t index, Op op) {
-  hash = FnvByte(hash, static_cast<uint8_t>(op));
+  hash = FoldByte(hash, static_cast<uint8_t>(op));
   for (int i = 0; i < 4; i++) {
-    hash = FnvByte(hash, static_cast<uint8_t>(static_cast<uint32_t>(index) >> (8 * i)));
+    hash = FoldByte(hash, static_cast<uint8_t>(static_cast<uint32_t>(index) >> (8 * i)));
   }
   return hash;
 }
 
 uint64_t DigestMemoryWords(const std::vector<std::pair<uint64_t, uint64_t>>& words) {
-  uint64_t hash = kFnvBasis;
+  uint64_t hash = kArchHashBasis;
   for (const auto& [addr, value] : words) {
-    hash = FnvWord(hash, addr);
-    hash = FnvWord(hash, value);
+    hash = FoldWord(hash, addr);
+    hash = FoldWord(hash, value);
   }
   return hash;
 }
@@ -118,7 +106,7 @@ std::string DescribeArchDivergence(const ArchState& expected, const ArchState& a
 ReferenceResult RunReference(const Program& program, uint64_t max_instructions) {
   ReferenceResult result;
   ArchState& s = result.state;
-  s.trace_hash = kFnvBasis;
+  s.trace_hash = kArchHashBasis;
   // Word-aligned architectural memory, mirroring SparseMemory's keying.
   std::map<uint64_t, uint64_t> memory;
   auto mem_read = [&memory](uint64_t vaddr) {

@@ -36,6 +36,18 @@ namespace specbench {
 // same point as the reference interpreter.
 inline constexpr uint64_t kArchHashBasis = 0xcbf29ce484222325ULL;
 
+// The FNV-1a folds of one byte and of one 64-bit word (low byte first).
+// The trace hash, the memory digest and the CLI's register digest
+// (`difftest --arch-hashes`) are all built from them.
+inline uint64_t FoldByte(uint64_t hash, uint8_t byte) { return (hash ^ byte) * 0x100000001b3ULL; }
+
+inline uint64_t FoldWord(uint64_t hash, uint64_t word) {
+  for (int i = 0; i < 8; i++) {
+    hash = FoldByte(hash, static_cast<uint8_t>(word >> (8 * i)));
+  }
+  return hash;
+}
+
 // Canonical architectural end state. Two executions of the same program are
 // architecturally equivalent iff their ArchStates compare equal.
 struct ArchState {

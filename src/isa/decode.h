@@ -13,11 +13,6 @@
 
 namespace specbench {
 
-// Which pipeline component executes an opcode (Machine::Step dispatch).
-enum class StepClass : uint8_t { kCompute, kMemory, kBranch, kSystem };
-
-StepClass ClassOf(Op op);
-
 // One instruction's decode facts: its dispatch class and the registers whose
 // `ready_at` cycles it waits for, both in Machine::Step and in speculative
 // episodes.
@@ -27,9 +22,10 @@ struct DecodedOp {
   uint8_t srcs[3] = {0, 0, 0};
 };
 
-// The scoreboard's source-register selection, precomputed per instruction.
-// This is the single definition of "which ready_at cycles gate issue"; the
-// Machine consumes the decoded form.
+// The opcode table's StepClass and SourceShape (src/isa/isa.h) applied to
+// one instruction: the single definition of "which ready_at cycles gate
+// issue". Registers keep their shape order, repeats included; absent ones
+// (kNoReg) are left out. The Machine consumes the decoded form.
 DecodedOp DecodeOne(const Instruction& instr);
 
 }  // namespace specbench

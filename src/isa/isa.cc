@@ -1,80 +1,108 @@
 #include "src/isa/isa.h"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
+
+#include "src/isa/decode.h"
 
 namespace specbench {
 
-const char* OpName(Op op) {
-  switch (op) {
-    case Op::kNop: return "nop";
-    case Op::kMovImm: return "mov_imm";
-    case Op::kMov: return "mov";
-    case Op::kAlu: return "alu";
-    case Op::kMul: return "mul";
-    case Op::kDiv: return "div";
-    case Op::kCmov: return "cmov";
-    case Op::kLoad: return "load";
-    case Op::kStore: return "store";
-    case Op::kLea: return "lea";
-    case Op::kJmp: return "jmp";
-    case Op::kBranchNz: return "branch_nz";
-    case Op::kBranchZ: return "branch_z";
-    case Op::kCall: return "call";
-    case Op::kRet: return "ret";
-    case Op::kIndirectJmp: return "indirect_jmp";
-    case Op::kIndirectCall: return "indirect_call";
-    case Op::kLfence: return "lfence";
-    case Op::kMfence: return "mfence";
-    case Op::kPause: return "pause";
-    case Op::kSyscall: return "syscall";
-    case Op::kSysret: return "sysret";
-    case Op::kSwapgs: return "swapgs";
-    case Op::kMovCr3: return "mov_cr3";
-    case Op::kVerw: return "verw";
-    case Op::kWrmsr: return "wrmsr";
-    case Op::kRdmsr: return "rdmsr";
-    case Op::kRdtsc: return "rdtsc";
-    case Op::kRdpmc: return "rdpmc";
-    case Op::kClflush: return "clflush";
-    case Op::kFlushL1d: return "flush_l1d";
-    case Op::kRsbStuff: return "rsb_stuff";
-    case Op::kXsave: return "xsave";
-    case Op::kXrstor: return "xrstor";
-    case Op::kFpOp: return "fp_op";
-    case Op::kFpToGp: return "fp_to_gp";
-    case Op::kGpToFp: return "gp_to_fp";
-    case Op::kCpuid: return "cpuid";
-    case Op::kVmEnter: return "vm_enter";
-    case Op::kVmExit: return "vm_exit";
-    case Op::kKcall: return "kcall";
-    case Op::kHalt: return "halt";
-    case Op::kBranchEqImm: return "branch_eq_imm";
-  }
-  return "?";
-}
+namespace {
 
-const char* AluOpName(AluOp op) {
-  switch (op) {
-    case AluOp::kAdd: return "add";
-    case AluOp::kSub: return "sub";
-    case AluOp::kAnd: return "and";
-    case AluOp::kOr: return "or";
-    case AluOp::kXor: return "xor";
-    case AluOp::kShl: return "shl";
-    case AluOp::kShr: return "shr";
-    case AluOp::kCmpLt: return "cmp_lt";
-    case AluOp::kCmpGe: return "cmp_ge";
-    case AluOp::kCmpEq: return "cmp_eq";
-    case AluOp::kCmpNe: return "cmp_ne";
-  }
-  return "?";
-}
+using enum StepClass;
+using enum BranchKind;
+using enum SourceShape;
+
+// Short names for the flag bits, so that each row fits on one line.
+constexpr uint8_t kCtl = kOpControlFlow;
+constexpr uint8_t kSer = kOpSerializing;
+constexpr uint8_t kRdMem = kOpReadsMem;
+constexpr uint8_t kWrMem = kOpWritesMem;
+constexpr uint8_t kDst = kOpWritesDst;
+constexpr uint8_t kS1 = kOpNeedsSrc1;
+constexpr uint8_t kS2 = kOpNeedsSrc2;
+
+// The opcode table (see isa.h). Opcode values index it, so rows keep enum
+// order; the static_asserts below check the order and the bound.
+constexpr OpInfo kOpTable[] = {
+    {Op::kNop, "nop", kCompute, kNone, kSrc1Src2, 0},
+    {Op::kMovImm, "mov_imm", kCompute, kNone, kSrc1Src2, kDst},
+    {Op::kMov, "mov", kCompute, kNone, kSrc1Src2, kDst | kS1},
+    {Op::kAlu, "alu", kCompute, kNone, kSrc1Src2, kDst | kS1 | kS2},
+    {Op::kMul, "mul", kCompute, kNone, kSrc1Src2, kDst | kS1 | kS2},
+    {Op::kDiv, "div", kCompute, kNone, kSrc1Src2, kDst | kS1 | kS2},
+    {Op::kCmov, "cmov", kCompute, kNone, kDstSrc1Src2, kDst | kS1 | kS2},
+    {Op::kLoad, "load", kMemory, kNone, kMem, kRdMem | kDst},
+    {Op::kStore, "store", kMemory, kNone, kMemSrc1, kWrMem | kS1},
+    {Op::kLea, "lea", kCompute, kNone, kMem, kDst},
+    {Op::kJmp, "jmp", kBranch, kDirect, kSrc1Src2, kCtl},
+    {Op::kBranchNz, "branch_nz", kBranch, kConditional, kSrc1Src2, kCtl | kS1},
+    {Op::kBranchZ, "branch_z", kBranch, kConditional, kSrc1Src2, kCtl | kS1},
+    {Op::kCall, "call", kBranch, kDirect, kSrc1Src2, kCtl | kWrMem},
+    {Op::kRet, "ret", kBranch, kNone, kSrc1Src2, kCtl | kRdMem},
+    {Op::kIndirectJmp, "indirect_jmp", kBranch, kIndirect, kSrc1Src2, kCtl | kS1},
+    {Op::kIndirectCall, "indirect_call", kBranch, kIndirect, kSrc1Src2, kCtl | kWrMem | kS1},
+    {Op::kLfence, "lfence", kSystem, kNone, kSrc1Src2, kSer},
+    {Op::kMfence, "mfence", kSystem, kNone, kSrc1Src2, kSer},
+    {Op::kPause, "pause", kCompute, kNone, kSrc1Src2, 0},
+    {Op::kSyscall, "syscall", kSystem, kNone, kSrc1Src2, kCtl | kSer},
+    {Op::kSysret, "sysret", kSystem, kNone, kSrc1Src2, kCtl | kSer},
+    {Op::kSwapgs, "swapgs", kSystem, kNone, kSrc1Src2, 0},
+    {Op::kMovCr3, "mov_cr3", kSystem, kNone, kSrc1Src2, kSer},
+    {Op::kVerw, "verw", kSystem, kNone, kSrc1Src2, kSer},
+    {Op::kWrmsr, "wrmsr", kSystem, kNone, kSrc1Src2, kSer},
+    {Op::kRdmsr, "rdmsr", kSystem, kNone, kSrc1Src2, kSer | kDst},
+    {Op::kRdtsc, "rdtsc", kCompute, kNone, kSrc1Src2, kDst},
+    {Op::kRdpmc, "rdpmc", kCompute, kNone, kSrc1Src2, kDst},
+    {Op::kClflush, "clflush", kMemory, kNone, kMem, 0},
+    {Op::kFlushL1d, "flush_l1d", kSystem, kNone, kSrc1Src2, kSer},
+    {Op::kRsbStuff, "rsb_stuff", kSystem, kNone, kSrc1Src2, 0},
+    {Op::kXsave, "xsave", kSystem, kNone, kSrc1Src2, kSer},
+    {Op::kXrstor, "xrstor", kSystem, kNone, kSrc1Src2, kSer},
+    {Op::kFpOp, "fp_op", kCompute, kNone, kSrc1Src2, 0},
+    {Op::kFpToGp, "fp_to_gp", kCompute, kNone, kSrc1Src2, kDst},
+    {Op::kGpToFp, "gp_to_fp", kCompute, kNone, kSrc1Src2, kS1},
+    {Op::kCpuid, "cpuid", kSystem, kNone, kSrc1Src2, kSer},
+    {Op::kVmEnter, "vm_enter", kSystem, kNone, kSrc1Src2, kCtl | kSer},
+    {Op::kVmExit, "vm_exit", kSystem, kNone, kSrc1Src2, kCtl | kSer},
+    {Op::kKcall, "kcall", kSystem, kNone, kSrc1Src2, 0},
+    {Op::kHalt, "halt", kSystem, kNone, kSrc1Src2, kCtl},
+    {Op::kBranchEqImm, "branch_eq_imm", kBranch, kConditional, kSrc1Src2, kCtl | kS1},
+};
+
+static_assert(std::size(kOpTable) == static_cast<size_t>(Op::kBranchEqImm) + 1,
+              "one row per Op: a new opcode is appended to Op, gets a row and moves this bound");
+static_assert(
+    [] {
+      for (size_t i = 0; i < std::size(kOpTable); i++) {
+        if (kOpTable[i].op != static_cast<Op>(i)) {
+          return false;
+        }
+      }
+      return true;
+    }(),
+    "kOpTable rows are in enum order");
+
+// Indexed by AluOp.
+constexpr const char* kAluNames[] = {"add", "sub", "and", "or", "xor", "shl",
+                                     "shr", "cmp_lt", "cmp_ge", "cmp_eq", "cmp_ne"};
+static_assert(std::size(kAluNames) == static_cast<size_t>(AluOp::kCmpNe) + 1);
+
+}  // namespace
+
+std::span<const OpInfo> OpTable() { return kOpTable; }
+
+const OpInfo& InfoOf(Op op) { return kOpTable[static_cast<size_t>(op)]; }
+
+const char* OpName(Op op) { return InfoOf(op).name; }
+
+const char* AluOpName(AluOp op) { return kAluNames[static_cast<size_t>(op)]; }
 
 bool ParseOpName(const char* name, Op* out) {
-  for (int i = 0; i <= static_cast<int>(Op::kBranchEqImm); i++) {
-    const Op op = static_cast<Op>(i);
-    if (std::strcmp(OpName(op), name) == 0) {
-      *out = op;
+  for (const OpInfo& row : OpTable()) {
+    if (std::strcmp(row.name, name) == 0) {
+      *out = row.op;
       return true;
     }
   }
@@ -82,109 +110,22 @@ bool ParseOpName(const char* name, Op* out) {
 }
 
 bool ParseAluOpName(const char* name, AluOp* out) {
-  for (int i = 0; i <= static_cast<int>(AluOp::kCmpNe); i++) {
-    const AluOp op = static_cast<AluOp>(i);
-    if (std::strcmp(AluOpName(op), name) == 0) {
-      *out = op;
+  for (size_t i = 0; i < std::size(kAluNames); i++) {
+    if (std::strcmp(kAluNames[i], name) == 0) {
+      *out = static_cast<AluOp>(i);
       return true;
     }
   }
   return false;
 }
 
-bool IsConditionalBranch(Op op) {
-  return op == Op::kBranchNz || op == Op::kBranchZ || op == Op::kBranchEqImm;
-}
-
-bool IsDirectJump(Op op) { return op == Op::kJmp || op == Op::kCall; }
-
-bool IsIndirectBranch(Op op) { return op == Op::kIndirectJmp || op == Op::kIndirectCall; }
-
-bool IsControlFlow(Op op) {
-  switch (op) {
-    case Op::kJmp:
-    case Op::kBranchNz:
-    case Op::kBranchZ:
-    case Op::kBranchEqImm:
-    case Op::kCall:
-    case Op::kRet:
-    case Op::kIndirectJmp:
-    case Op::kIndirectCall:
-    case Op::kSyscall:
-    case Op::kSysret:
-    case Op::kVmEnter:
-    case Op::kVmExit:
-    case Op::kHalt:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsSerializing(Op op) {
-  switch (op) {
-    case Op::kLfence:
-    case Op::kMfence:
-    case Op::kSyscall:
-    case Op::kSysret:
-    case Op::kMovCr3:
-    case Op::kVerw:
-    case Op::kWrmsr:
-    case Op::kRdmsr:
-    case Op::kFlushL1d:
-    case Op::kXsave:
-    case Op::kXrstor:
-    case Op::kCpuid:
-    case Op::kVmEnter:
-    case Op::kVmExit:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool ReadsMemory(Op op) { return op == Op::kLoad || op == Op::kRet; }
-
-bool WritesMemory(Op op) {
-  return op == Op::kStore || op == Op::kCall || op == Op::kIndirectCall;
-}
-
-int SourceRegs(const Instruction& instr, uint8_t out[5]) {
+int SourceRegs(const Instruction& instr, uint8_t out[3]) {
+  const DecodedOp decoded = DecodeOne(instr);
   int n = 0;
-  auto add = [&](uint8_t r) {
-    if (r == kNoReg) {
-      return;
+  for (uint8_t i = 0; i < decoded.num_srcs; i++) {
+    if (std::find(out, out + n, decoded.srcs[i]) == out + n) {
+      out[n++] = decoded.srcs[i];
     }
-    for (int i = 0; i < n; i++) {
-      if (out[i] == r) {
-        return;
-      }
-    }
-    out[n++] = r;
-  };
-  switch (instr.op) {
-    case Op::kLoad:
-    case Op::kLea:
-    case Op::kClflush:
-      add(instr.mem.base);
-      add(instr.mem.index);
-      break;
-    case Op::kStore:
-      add(instr.mem.base);
-      add(instr.mem.index);
-      add(instr.src1);
-      break;
-    case Op::kCmov:
-      add(instr.dst);  // kept when the condition is false
-      add(instr.src1);
-      add(instr.src2);
-      break;
-    default:
-      add(instr.src1);
-      if (!instr.use_imm) {
-        add(instr.src2);
-      }
-      break;
   }
   return n;
 }
@@ -196,42 +137,14 @@ int AddressRegs(const Instruction& instr, uint8_t out[2]) {
       out[n++] = r;
     }
   };
-  switch (instr.op) {
-    case Op::kLoad:
-    case Op::kStore:
-    case Op::kLea:
-    case Op::kClflush:
-      add(instr.mem.base);
-      add(instr.mem.index);
-      break;
-    case Op::kIndirectJmp:
-    case Op::kIndirectCall:
-      add(instr.src1);
-      break;
-    default:
-      break;
+  const OpInfo& info = InfoOf(instr.op);
+  if (info.srcs == kMem || info.srcs == kMemSrc1) {
+    add(instr.mem.base);
+    add(instr.mem.index);
+  } else if (info.branch == kIndirect) {
+    add(instr.src1);
   }
   return n;
-}
-
-uint8_t DestReg(const Instruction& instr) {
-  switch (instr.op) {
-    case Op::kMovImm:
-    case Op::kMov:
-    case Op::kAlu:
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kCmov:
-    case Op::kLoad:
-    case Op::kLea:
-    case Op::kRdmsr:
-    case Op::kRdtsc:
-    case Op::kRdpmc:
-    case Op::kFpToGp:
-      return instr.dst;
-    default:
-      return kNoReg;
-  }
 }
 
 const char* ModeName(Mode mode) {

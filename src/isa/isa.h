@@ -11,6 +11,7 @@
 #define SPECTREBENCH_SRC_ISA_ISA_H_
 
 #include <cstdint>
+#include <span>
 
 namespace specbench {
 
@@ -76,6 +77,8 @@ enum class Op : uint8_t {
                   // chain of direct branches). Appended after kHalt: opcode
                   // values are folded into trace hashes, so new opcodes must
                   // never renumber existing ones.
+  // A new opcode is appended here and gets its row in OpTable()
+  // (src/isa/isa.cc), whose bound names the last opcode.
 };
 
 enum class AluOp : uint8_t {
@@ -185,36 +188,81 @@ bool ParseAluOpName(const char* name, AluOp* out);
 
 // --- Static instruction metadata -----------------------------------------
 //
-// Opcode classification used by the static analyzer (src/analysis/). These
-// mirror Machine's execution semantics: IsSerializing matches the set of
-// opcodes that call Serialize() (and therefore also end speculative
-// episodes), and the register accessors mirror the operand readiness rules
-// of the decoder (src/isa/decode.cc).
+// Everything about an opcode other than what it computes is one row of the
+// opcode table (OpTable(), src/isa/isa.cc): its name, the pipeline
+// component that executes it, its flags (control flow, serializing, memory
+// read/write, writes dst), its branch kind and its operand roles. The
+// decoder (src/isa/decode.cc), the static analyzer's predicates below and
+// the corpus validator (src/difftest/corpus.cc) all read it. What an opcode
+// computes stays with its executors: Machine's step handlers, the
+// speculative episode switch and the reference interpreter; the rows mirror
+// them (kOpSerializing marks the opcodes that call Serialize()).
 
-// Conditional branches (two successors).
-bool IsConditionalBranch(Op op);
-// kJmp/kCall (statically known target).
-bool IsDirectJump(Op op);
-// kIndirectJmp/kIndirectCall (target from a register, BTB-predicted).
-bool IsIndirectBranch(Op op);
-// Any opcode that redirects control flow (branches, calls, returns, and the
-// privilege transitions whose targets are machine state, plus kHalt).
-bool IsControlFlow(Op op);
-// Opcodes that synchronize issue with the completion frontier; speculation
-// cannot proceed past them.
-bool IsSerializing(Op op);
-// Reads from / writes to data memory through the mem operand.
-bool ReadsMemory(Op op);
-bool WritesMemory(Op op);
+// Which pipeline component executes an opcode (Machine::Step dispatch).
+enum class StepClass : uint8_t { kCompute, kMemory, kBranch, kSystem };
 
-// General-purpose source registers of `instr`, including mem base/index;
-// writes at most 5 entries to `out`, returns the count.
-int SourceRegs(const Instruction& instr, uint8_t out[5]);
+enum class BranchKind : uint8_t {
+  kNone,
+  kConditional,  // two successors: target and fall-through
+  kDirect,       // kJmp/kCall: statically known target
+  kIndirect,     // target from reg[src1], BTB-predicted
+};
+
+// The registers whose ready_at cycles gate issue, in this order; an absent
+// register (kNoReg) is skipped.
+enum class SourceShape : uint8_t {
+  kSrc1Src2,     // src1, then src2 unless use_imm
+  kMem,          // mem.base, mem.index
+  kMemSrc1,      // mem.base, mem.index, src1 (the stored value)
+  kDstSrc1Src2,  // dst (kept when a cmov's condition is false), src1, src2
+};
+
+// OpInfo::flags bits.
+inline constexpr uint8_t kOpControlFlow = 1 << 0;  // redirects rip: branches, calls,
+                                                   // returns, privilege transitions, kHalt
+inline constexpr uint8_t kOpSerializing = 1 << 1;  // waits for the completion frontier;
+                                                   // speculation cannot pass it
+inline constexpr uint8_t kOpReadsMem = 1 << 2;     // reads data memory
+inline constexpr uint8_t kOpWritesMem = 1 << 3;    // writes data memory
+inline constexpr uint8_t kOpWritesDst = 1 << 4;    // writes reg[dst]
+// The engine and the reference interpreter index the registers with src1
+// (with src2 where the shape reads it), so a corpus line must give it.
+inline constexpr uint8_t kOpNeedsSrc1 = 1 << 5;
+inline constexpr uint8_t kOpNeedsSrc2 = 1 << 6;
+
+struct OpInfo {
+  Op op;
+  const char* name;
+  StepClass step;
+  BranchKind branch;
+  SourceShape srcs;
+  uint8_t flags;
+
+  bool Has(uint8_t flag) const { return (flags & flag) != 0; }
+};
+
+// The opcode table: one row per Op, in enum order.
+std::span<const OpInfo> OpTable();
+const OpInfo& InfoOf(Op op);
+
+inline bool IsConditionalBranch(Op op) { return InfoOf(op).branch == BranchKind::kConditional; }
+inline bool IsDirectJump(Op op) { return InfoOf(op).branch == BranchKind::kDirect; }
+inline bool IsIndirectBranch(Op op) { return InfoOf(op).branch == BranchKind::kIndirect; }
+inline bool IsControlFlow(Op op) { return InfoOf(op).Has(kOpControlFlow); }
+inline bool IsSerializing(Op op) { return InfoOf(op).Has(kOpSerializing); }
+inline bool ReadsMemory(Op op) { return InfoOf(op).Has(kOpReadsMem); }
+inline bool WritesMemory(Op op) { return InfoOf(op).Has(kOpWritesMem); }
+
+// General-purpose source registers of `instr` (its SourceShape), without
+// repeats; writes at most 3 entries to `out`, returns the count.
+int SourceRegs(const Instruction& instr, uint8_t out[3]);
 // Registers feeding only the memory *address* (base/index of the mem
 // operand, or src1 for indirect branches); at most 2, returns the count.
 int AddressRegs(const Instruction& instr, uint8_t out[2]);
 // The written GPR, or kNoReg. (kCmov both reads and writes dst.)
-uint8_t DestReg(const Instruction& instr);
+inline uint8_t DestReg(const Instruction& instr) {
+  return InfoOf(instr.op).Has(kOpWritesDst) ? instr.dst : kNoReg;
+}
 
 }  // namespace specbench
 

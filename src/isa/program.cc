@@ -15,8 +15,6 @@ Program::Program(std::vector<Instruction> instructions, uint64_t base_vaddr,
   }
 }
 
-bool Program::ContainsVaddr(uint64_t vaddr) const { return IndexOf(vaddr) >= 0; }
-
 uint64_t Program::SymbolVaddr(const std::string& name) const {
   return VaddrOf(SymbolIndex(name));
 }

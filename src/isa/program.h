@@ -53,7 +53,6 @@ class Program {
     const uint64_t index = (vaddr - base_vaddr_) / kInstructionBytes;
     return index < instructions_.size() ? static_cast<int32_t>(index) : -1;
   }
-  bool ContainsVaddr(uint64_t vaddr) const;
 
   // Address of a named entry point (bound label exported by the builder).
   // Aborts if the symbol does not exist.

@@ -198,11 +198,6 @@ void Kernel::EmitSyscall(ProgramBuilder& b, Sys nr) {
   b.Syscall();
 }
 
-void Kernel::RegisterKcall(int64_t id, Machine::KcallHook hook) {
-  SPECBENCH_CHECK_MSG(id >= kKcallCustomBase, "custom kcall ids start at kKcallCustomBase");
-  machine_->RegisterKcall(id, std::move(hook));
-}
-
 void Kernel::EmitKernelWorkLoop(int iterations) {
   // Generic in-kernel work (bookkeeping, accounting, VFS-style layers):
   // a dependent load/modify/store loop over kernel heap data. Keeps the

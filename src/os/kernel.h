@@ -127,9 +127,6 @@ class Kernel {
   void DefineSyscall(int nr, std::function<void(ProgramBuilder&)> emit_body);
   // Emits "syscall nr" invocation into user code (sets r10, executes kSyscall).
   void EmitSyscall(ProgramBuilder& b, Sys nr);
-  // Registers an extra kcall hook (ids >= kKcallCustomBase).
-  void RegisterKcall(int64_t id, Machine::KcallHook hook);
-  static constexpr int64_t kKcallCustomBase = 100;
   // Registers extra text emitted during Finalize after the standard kernel
   // text (used by the hypervisor substrate for its vmexit handler).
   void AddTextEmitter(std::function<void(ProgramBuilder&)> emitter);

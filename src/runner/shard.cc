@@ -46,13 +46,4 @@ bool ParseShardSpec(const std::string& text, ShardSpec* out, std::string* error)
   return true;
 }
 
-std::vector<size_t> ShardCellIndices(const ShardSpec& spec, size_t total_cells) {
-  std::vector<size_t> indices;
-  indices.reserve(spec.CellCount(total_cells));
-  for (size_t i = spec.index; i < total_cells; i += spec.count) {
-    indices.push_back(i);
-  }
-  return indices;
-}
-
 }  // namespace specbench

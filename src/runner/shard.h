@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace specbench {
 
@@ -38,9 +37,6 @@ struct ShardSpec {
 // Strict "--shard=i/N" parser: both parts decimal, N >= 1, i < N. Returns
 // false with a one-line reason in *error otherwise.
 bool ParseShardSpec(const std::string& text, ShardSpec* out, std::string* error);
-
-// The cell indices of `spec` within a grid of `total_cells`, ascending.
-std::vector<size_t> ShardCellIndices(const ShardSpec& spec, size_t total_cells);
 
 }  // namespace specbench
 

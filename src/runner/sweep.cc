@@ -12,6 +12,7 @@
 
 #include "src/runner/seed.h"
 #include "src/runner/thread_pool.h"
+#include "src/util/json.h"
 #include "src/util/text_table.h"
 
 namespace specbench {
@@ -24,24 +25,6 @@ std::string JsonDouble(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -100,6 +100,7 @@ bool CrossProcessV2Leaks(Uarch uarch, bool ibpb, bool victim_protected) {
   constexpr int64_t kBenignSlot = static_cast<int64_t>(kUserDataVaddr) + 0x5000;
   constexpr int64_t kProbe = static_cast<int64_t>(kUserDataVaddr) + 0x200000;
   constexpr uint64_t kRealSecret = 9;
+  constexpr int64_t kPlantSecretKcall = 100;  // clear of the kernel's own kcall ids
 
   Label shared_call = b.NewLabel();
 
@@ -132,7 +133,7 @@ bool CrossProcessV2Leaks(Uarch uarch, bool ibpb, bool victim_protected) {
   b.Call(shared_call);
   b.AluImm(AluOp::kSub, 4, 4, 1);
   b.BranchNz(4, train);
-  b.Kcall(Kernel::kKcallCustomBase);  // swap in the real secret (see hook)
+  b.Kcall(kPlantSecretKcall);  // swap in the real secret (see hook)
   kernel.EmitSyscall(b, Sys::kYield);
   b.Halt();
 
@@ -150,7 +151,7 @@ bool CrossProcessV2Leaks(Uarch uarch, bool ibpb, bool victim_protected) {
   // Hook: plant the real secret and flush its probe line, so only
   // post-training (transient) gadget executions can re-warm it.
   uint64_t probe_paddr = 0;
-  kernel.RegisterKcall(Kernel::kKcallCustomBase, [&](Machine& m) {
+  kernel.machine().RegisterKcall(kPlantSecretKcall, [&](Machine& m) {
     m.PokeData(static_cast<uint64_t>(kSecretSlot), kRealSecret);
     m.caches().Clflush(probe_paddr);
   });

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 
+#include "src/util/json.h"
 #include "src/util/rng.h"
 #include "src/util/text_table.h"
 
@@ -101,6 +102,13 @@ TEST(Csv, EscapesCommasAndQuotes) {
   const std::string out = RenderCsv({"a", "b"}, {{"x,y", "he said \"hi\""}});
   EXPECT_NE(out.find("\"x,y\""), std::string::npos);
   EXPECT_NE(out.find("\"he said \"\"hi\"\"\""), std::string::npos);
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(JsonEscape(std::string("\n\t\x01\x1f", 4)), "\\u000a\\u0009\\u0001\\u001f");
+  EXPECT_EQ(JsonEscape(" ~\x7f"), " ~\x7f");
 }
 
 TEST(Format, Percent) {

@@ -155,14 +155,6 @@ std::vector<Uarch> ParseCpuList(const std::string& list) {
 // retired traces, registers, or memory is caught even when the oracle still
 // agrees with itself. Keep in sync with tests/golden/corpus_trace_hashes.txt
 // (regenerate the golden deliberately when the ISA itself changes).
-uint64_t FoldWord(uint64_t hash, uint64_t word) {
-  for (int i = 0; i < 8; i++) {
-    hash ^= (word >> (8 * i)) & 0xff;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 uint64_t RegDigest(const ArchState& state) {
   uint64_t hash = kArchHashBasis;
   for (uint64_t reg : state.regs) {
