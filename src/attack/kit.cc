@@ -14,6 +14,12 @@ namespace {
 
 constexpr uint64_t kSsbSlot = 0x51000000;  // the SSB victim's store/load slot
 
+// The attack map answers page by page, and each translation's span is its
+// page, so every page it treats specially must start on a page boundary.
+static_assert(kMdsSampleBase % kPageBytes == 0, "kMdsSampleBase must be page-aligned");
+static_assert(kStalePteBase % kPageBytes == 0, "kStalePteBase must be page-aligned");
+static_assert(kSecretSlot % kPageBytes == 0, "kSecretSlot must be page-aligned");
+
 bool InPage(uint64_t vaddr, uint64_t page) { return vaddr >= page && vaddr < page + kPageBytes; }
 
 class AttackMemoryMap : public MemoryMap {
@@ -25,6 +31,12 @@ class AttackMemoryMap : public MemoryMap {
     if (attacker_ == AttackerPage::kUnmapped && InPage(vaddr, kMdsSampleBase)) {
       return t;
     }
+    const bool secret_page = InPage(vaddr, kSecretSlot);
+    if (secret_page && secret_ == SecretPage::kAbsent) {
+      return t;
+    }
+    t.span_start = vaddr & ~(kPageBytes - 1);
+    t.span_end = t.span_start + kPageBytes;
     if (attacker_ != AttackerPage::kUnmapped && InPage(vaddr, kStalePteBase)) {
       // Not present, so never valid; PTE inversion points the stale paddr
       // at unpopulated memory.
@@ -34,15 +46,11 @@ class AttackMemoryMap : public MemoryMap {
       t.user_accessible = true;
       return t;
     }
-    const bool secret_page = InPage(vaddr, kSecretSlot);
-    if (secret_page && secret_ == SecretPage::kAbsent) {
-      return t;
-    }
     t.mapped = true;
     t.present = true;
     t.paddr = vaddr;
     t.user_accessible = !secret_page || secret_ == SecretPage::kUser;
-    t.valid = t.user_accessible || (mode != Mode::kUser && mode != Mode::kGuestUser);
+    t.valid = AccessValid(t.present, t.user_accessible, mode);
     return t;
   }
 

@@ -16,7 +16,7 @@ uint64_t PhysAllocator::Alloc(uint64_t bytes) {
 void PageMapper::AddRegion(uint64_t asid, uint64_t vaddr, uint64_t bytes, uint64_t paddr,
                            bool user_accessible, bool present) {
   SPECBENCH_CHECK(bytes > 0);
-  std::vector<Region>& regions = spaces_[asid].regions;
+  std::vector<Region>& regions = spaces_[asid];
   Region region{vaddr, vaddr + bytes, paddr, user_accessible, present};
   auto it = std::lower_bound(
       regions.begin(), regions.end(), region,
@@ -28,6 +28,7 @@ void PageMapper::AddRegion(uint64_t asid, uint64_t vaddr, uint64_t bytes, uint64
     SPECBENCH_CHECK_MSG(std::prev(it)->end <= region.start, "overlapping page mapping");
   }
   regions.insert(it, region);
+  BumpGeneration();
 }
 
 bool PageMapper::RemoveRegion(uint64_t asid, uint64_t vaddr) {
@@ -35,10 +36,11 @@ bool PageMapper::RemoveRegion(uint64_t asid, uint64_t vaddr) {
   if (space == spaces_.end()) {
     return false;
   }
-  auto& regions = space->second.regions;
+  auto& regions = space->second;
   for (auto it = regions.begin(); it != regions.end(); ++it) {
     if (it->start == vaddr) {
       regions.erase(it);
+      BumpGeneration();
       return true;
     }
   }
@@ -50,11 +52,7 @@ const PageMapper::Region* PageMapper::FindRegion(uint64_t asid, uint64_t vaddr) 
   if (space == spaces_.end()) {
     return nullptr;
   }
-  const Space& s = space->second;
-  const std::vector<Region>& regions = s.regions;
-  if (s.last < regions.size() && regions[s.last].start <= vaddr && vaddr < regions[s.last].end) {
-    return &regions[s.last];
-  }
+  const std::vector<Region>& regions = space->second;
   // First region with start > vaddr; candidate is its predecessor.
   auto it = std::upper_bound(
       regions.begin(), regions.end(), vaddr,
@@ -66,7 +64,6 @@ const PageMapper::Region* PageMapper::FindRegion(uint64_t asid, uint64_t vaddr) 
   if (vaddr >= it->end) {
     return nullptr;
   }
-  s.last = static_cast<size_t>(it - regions.begin());
   return &*it;
 }
 
@@ -80,14 +77,15 @@ Translation PageMapper::Translate(uint64_t vaddr, uint64_t asid, Mode mode) cons
   t.present = region->present;
   t.user_accessible = region->user_accessible;
   t.paddr = region->paddr + (vaddr - region->start);
-  const bool user_mode = mode == Mode::kUser || mode == Mode::kGuestUser;
-  t.valid = region->present && (!user_mode || region->user_accessible);
+  t.valid = AccessValid(region->present, region->user_accessible, mode);
+  t.span_start = region->start;
+  t.span_end = region->end;
   return t;
 }
 
 size_t PageMapper::RegionCount(uint64_t asid) const {
   auto space = spaces_.find(asid);
-  return space == spaces_.end() ? 0 : space->second.regions.size();
+  return space == spaces_.end() ? 0 : space->second.size();
 }
 
 }  // namespace specbench

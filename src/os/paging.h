@@ -39,12 +39,14 @@ class PageMapper : public MemoryMap {
   };
 
   // Adds a mapping [vaddr, vaddr+bytes) -> [paddr, ...) to space `asid`.
-  // Regions must not overlap existing ones in the same space.
+  // Regions must not overlap existing ones in the same space. Adding and
+  // removing move the map's generation.
   void AddRegion(uint64_t asid, uint64_t vaddr, uint64_t bytes, uint64_t paddr,
                  bool user_accessible, bool present = true);
   // Removes any region starting exactly at `vaddr`; returns true if found.
   bool RemoveRegion(uint64_t asid, uint64_t vaddr);
 
+  // A mapped translation's span is its region.
   Translation Translate(uint64_t vaddr, uint64_t asid, Mode mode) const override;
 
   size_t RegionCount(uint64_t asid) const;
@@ -52,18 +54,8 @@ class PageMapper : public MemoryMap {
  private:
   const Region* FindRegion(uint64_t asid, uint64_t vaddr) const;
 
-  struct Space {
-    std::vector<Region> regions;  // sorted by start
-    // Index of the region FindRegion returned last: a run of accesses to one
-    // region skips the binary search. It is only a hint, checked by
-    // containment before use; regions never overlap, so a hit is exact, and
-    // adding, removing or copying regions needs no invalidation. It is
-    // `mutable` so the const Translate can fill it: a PageMapper belongs to
-    // one Kernel, whose machine runs on one thread.
-    mutable size_t last = 0;
-  };
-  // asid -> its address space.
-  std::map<uint64_t, Space> spaces_;
+  // asid -> its regions, sorted by start.
+  std::map<uint64_t, std::vector<Region>> spaces_;
 };
 
 }  // namespace specbench

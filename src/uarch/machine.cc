@@ -82,8 +82,12 @@ void Machine::Reset() {
   smt_thread_id_ = 0;
   stibp_active_ = false;
   alu_fault_countdown_ = 0;
+  // RunCoResident starts both contexts as new and sets the program of each
+  // one it runs, so a context without a program is still as new.
   for (auto& hw : hw_) {
-    hw = HardwareContext{};
+    if (hw.program != nullptr) {
+      hw = HardwareContext{};
+    }
   }
   active_hw_ = -1;
 
@@ -103,6 +107,13 @@ void Machine::Reset() {
 
 void Machine::SetMemoryMap(const MemoryMap* map) {
   memory_map_ = map != nullptr ? map : &identity_map_;
+  mem_.translations.Clear();
+}
+
+Translation Machine::TranslateMiss(uint64_t vaddr, Mode mode) {
+  const Translation t = memory_map_->Translate(vaddr, cr3_, mode);
+  mem_.translations.Insert(vaddr, cr3_, t);
+  return t;
 }
 
 void Machine::RegisterKcall(int64_t id, KcallHook hook) {
@@ -154,14 +165,14 @@ void Machine::SetIbrs(bool active) {
 
 uint64_t Machine::PeekData(uint64_t vaddr) {
   DrainStoreBuffer();
-  const Translation t = memory_map_->Translate(vaddr, cr3_, Mode::kKernel);
+  const Translation t = Translate(vaddr, Mode::kKernel);
   SPECBENCH_CHECK_MSG(t.mapped, "PeekData of unmapped address");
   return mem_.memory.Read(t.paddr);
 }
 
 void Machine::PokeData(uint64_t vaddr, uint64_t value) {
   DrainStoreBuffer();
-  const Translation t = memory_map_->Translate(vaddr, cr3_, Mode::kKernel);
+  const Translation t = Translate(vaddr, Mode::kKernel);
   SPECBENCH_CHECK_MSG(t.mapped, "PokeData of unmapped address");
   mem_.memory.Write(t.paddr, value);
 }

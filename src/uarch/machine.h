@@ -82,7 +82,9 @@ class Machine {
   // cycle-identical to a fresh machine — is enforced by
   // tests/uarch_reset_test.cc over the difftest corpus.
   void Reset();
-  // Translation provider; defaults to the identity map. Not owned.
+  // Translation provider; defaults to the identity map. Not owned. Every
+  // translation goes through the machine's memo (src/uarch/
+  // translation_memo.h), which this empties.
   void SetMemoryMap(const MemoryMap* map);
 
   // Entry point jumped to by the kSyscall instruction.
@@ -155,6 +157,19 @@ class Machine {
   // Drains the store buffer first so reads observe all prior stores.
   uint64_t PeekData(uint64_t vaddr);
   void PokeData(uint64_t vaddr, uint64_t value);
+
+  // Translates `vaddr` in the current address space (cr3) for an access in
+  // `mode`, as every data access, stack push and Peek/PokeData does: from
+  // the translation memo (src/uarch/translation_memo.h), or on a miss from
+  // the memory map, whose answer the memo then keeps. Equal in every field
+  // to the map's own Translate.
+  Translation Translate(uint64_t vaddr, Mode mode) {
+    Translation t;
+    if (!mem_.translations.Lookup(vaddr, cr3_, mode, memory_map_->generation(), &t)) {
+      t = TranslateMiss(vaddr, mode);
+    }
+    return t;
+  }
 
   bool ibrs_active() const { return (msr_spec_ctrl_ & kSpecCtrlIbrs) != 0; }
   bool ssbd_active() const { return (msr_spec_ctrl_ & kSpecCtrlSsbd) != 0; }
@@ -355,6 +370,9 @@ class Machine {
   // Advances the issue clock by `cycles` of mitigation-owned stall and
   // reports them (tagged with `cause`) on the bus.
   void ChargeStall(uint64_t cycles, CauseTag cause);
+  // The memo's miss path (Translate), out of the step loop; the only caller
+  // of the memory map's Translate.
+  [[gnu::noinline]] Translation TranslateMiss(uint64_t vaddr, Mode mode);
   // Committed load path; returns value, sets *ready_at.
   uint64_t CommittedLoad(uint64_t vaddr, uint64_t issue_at, uint64_t* ready_at);
   bool PredictionAllowed(Mode mode) const { return effects_.PredictionAllowed(mode); }

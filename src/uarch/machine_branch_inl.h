@@ -54,7 +54,7 @@ inline int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t 
       // retpoline overwrites).
       const uint64_t sp = regs_[kRegSp] - 8;
       WriteReg(kRegSp, sp, std::max(now_, ready_at_[kRegSp]) + 1);
-      const Translation t = memory_map_->Translate(sp, cr3_, mode_);
+      const Translation t = Translate(sp, mode_);
       SPECBENCH_CHECK_MSG(t.valid, "call with unmapped stack");
       DrainResolvedStores(now_);
       BufferStore(t.paddr, ret_vaddr, now_ + cpu_.latency.store_resolve_delay,
@@ -140,7 +140,7 @@ inline int32_t Machine::StepBranch(const Instruction& in, uint64_t pc, uint64_t 
         frontend_.PushCallSite(pc);
         const uint64_t sp = regs_[kRegSp] - 8;
         WriteReg(kRegSp, sp, std::max(now_, ready_at_[kRegSp]) + 1);
-        const Translation t = memory_map_->Translate(sp, cr3_, mode_);
+        const Translation t = Translate(sp, mode_);
         SPECBENCH_CHECK_MSG(t.valid, "indirect call with unmapped stack");
         DrainResolvedStores(now_);
         BufferStore(t.paddr, ret_vaddr, now_ + cpu_.latency.store_resolve_delay,

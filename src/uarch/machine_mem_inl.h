@@ -16,12 +16,12 @@
 namespace specbench {
 
 inline uint64_t Machine::CommittedLoad(uint64_t vaddr, uint64_t issue_at, uint64_t* ready_at) {
-  Translation t = memory_map_->Translate(vaddr, cr3_, mode_);
+  Translation t = Translate(vaddr, mode_);
   if (!t.valid) {
     // Architectural fault: defer to the OS hook; retried once if handled.
     const bool handled = page_fault_hook_ && page_fault_hook_(*this, vaddr);
     SPECBENCH_CHECK_MSG(handled, "unhandled page fault on committed load");
-    t = memory_map_->Translate(vaddr, cr3_, mode_);
+    t = Translate(vaddr, mode_);
     SPECBENCH_CHECK_MSG(t.valid, "page fault hook did not map the page");
     issue_at = std::max(issue_at, cycles());
   }
@@ -94,11 +94,11 @@ inline int32_t Machine::StepMemory(const Instruction& in, uint64_t srcs_ready) {
       }
       const uint64_t issue_at = std::max(now_, srcs_ready);
       const uint64_t vaddr = minternal::EffectiveAddress(in, regs_);
-      Translation t = memory_map_->Translate(vaddr, cr3_, mode_);
+      Translation t = Translate(vaddr, mode_);
       if (!t.valid) {
         const bool handled = page_fault_hook_ && page_fault_hook_(*this, vaddr);
         SPECBENCH_CHECK_MSG(handled, "unhandled page fault on committed store");
-        t = memory_map_->Translate(vaddr, cr3_, mode_);
+        t = Translate(vaddr, mode_);
         SPECBENCH_CHECK_MSG(t.valid, "page fault hook did not map the page");
       }
       if (!mem_.tlb.Access(PageOf(vaddr), cr3_)) {
@@ -114,7 +114,7 @@ inline int32_t Machine::StepMemory(const Instruction& in, uint64_t srcs_ready) {
     }
     case Op::kClflush: {
       const uint64_t vaddr = minternal::EffectiveAddress(in, regs_);
-      const Translation t = memory_map_->Translate(vaddr, cr3_, mode_);
+      const Translation t = Translate(vaddr, mode_);
       if (t.mapped) {
         DrainStoreBuffer();
         mem_.caches.Clflush(t.paddr);

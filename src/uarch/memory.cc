@@ -15,6 +15,7 @@ Translation IdentityMemoryMap::Translate(uint64_t vaddr, uint64_t asid, Mode mod
   t.present = true;
   t.user_accessible = true;
   t.paddr = vaddr;
+  t.span_end = UINT64_MAX;
   return t;
 }
 

@@ -42,17 +42,51 @@ struct Translation {
   // (no PTI) have mapped=true, user_accessible=false: the Meltdown surface.
   bool user_accessible = false;
   uint64_t paddr = 0;
+  // The span [span_start, span_end) of the mapping this translation came
+  // from: for every vaddr inside it the map gives the same flags, and paddr
+  // moves with vaddr. Empty (the default) when the map does not say; the
+  // machine's translation memo (src/uarch/translation_memo.h) keeps only
+  // translations whose span holds their vaddr.
+  uint64_t span_start = 0;
+  uint64_t span_end = 0;
 };
+
+// Whether an access in `mode` may commit through a mapping with these bits:
+// present, and user-accessible unless the mode is a kernel one. Every
+// MemoryMap computes `valid` this way, which is what lets the memo keep one
+// entry for every mode.
+inline bool AccessValid(bool present, bool user_accessible, Mode mode) {
+  const bool user_mode = mode == Mode::kUser || mode == Mode::kGuestUser;
+  return present && (user_accessible || !user_mode);
+}
 
 // Address-space/translation provider. `asid` is the current cr3 value.
 class MemoryMap {
  public:
   virtual ~MemoryMap() = default;
   virtual Translation Translate(uint64_t vaddr, uint64_t asid, Mode mode) const = 0;
+
+  // Moves whenever a translation this map returned may have changed, so a
+  // translation memoized at one generation holds while it is current.
+  uint64_t generation() const { return generation_; }
+
+ protected:
+  MemoryMap() = default;
+  MemoryMap(const MemoryMap&) = default;
+  // Assigning replaces what every address translates to.
+  MemoryMap& operator=(const MemoryMap&) {
+    BumpGeneration();
+    return *this;
+  }
+  void BumpGeneration() { generation_++; }
+
+ private:
+  uint64_t generation_ = 0;
 };
 
 // Identity mapping: every address is valid from any mode. Used by unit tests
-// and microbenchmarks that do not involve the OS substrate.
+// and microbenchmarks that do not involve the OS substrate. Its span is the
+// whole space but the last byte, which a half-open span cannot reach.
 class IdentityMemoryMap : public MemoryMap {
  public:
   Translation Translate(uint64_t vaddr, uint64_t asid, Mode mode) const override;

@@ -1,7 +1,8 @@
 // Memory subsystem of the decomposed machine: physical memory, the cache
 // hierarchy, the TLB, the fill buffers and the store buffer — i.e. every
-// structure transient-execution attacks leak through. Like the frontend,
-// this is the core-shared resource pool: SMT siblings run against the same
+// structure transient-execution attacks leak through — plus the host-side
+// translation memo in front of the memory map. Like the frontend, this is
+// the core-shared resource pool: SMT siblings run against the same
 // MemoryUnit.
 #ifndef SPECTREBENCH_SRC_UARCH_MEMORY_UNIT_H_
 #define SPECTREBENCH_SRC_UARCH_MEMORY_UNIT_H_
@@ -9,6 +10,7 @@
 #include "src/cpu/cpu_model.h"
 #include "src/uarch/cache.h"
 #include "src/uarch/memory.h"
+#include "src/uarch/translation_memo.h"
 
 namespace specbench {
 
@@ -21,15 +23,20 @@ struct MemoryUnit {
   Tlb tlb;
   FillBuffers fill_buffers;
   StoreBuffer store_buffer;
+  // Keyed on cr3, so SMT siblings in different address spaces share it.
+  // Not simulated state: it never changes a cycle or a value.
+  TranslationMemo translations;
 
   // As-new memory subsystem for machine reuse: contents, cached lines, TLB
-  // entries, fill-buffer residue and buffered stores all discarded.
+  // entries, fill-buffer residue, buffered stores and memoized translations
+  // all discarded.
   void Reset() {
     memory.Clear();
     caches.Reset();
     tlb.Reset();
     fill_buffers.Reset();
     store_buffer.Clear();
+    translations.Clear();
   }
 };
 

@@ -28,7 +28,7 @@ uint64_t Machine::SpeculativeLoad(uint64_t vaddr, uint64_t at,
     return it->second;
   }
 
-  const Translation t = memory_map_->Translate(vaddr, cr3_, mode_);
+  const Translation t = Translate(vaddr, mode_);
   if (!t.mapped) {
     // No translation at all. On MDS-vulnerable parts the load "completes"
     // with stale fill-buffer data (RIDL-style); otherwise it yields zero.

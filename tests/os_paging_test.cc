@@ -93,15 +93,14 @@ TEST(PageMapper, RegionCount) {
   EXPECT_EQ(m.RegionCount(1), 2u);
 }
 
-// FindRegion remembers, per address space, the region it returned last. The
-// memo is an index into the sorted regions, so removing the memoised region
-// leaves it pointing at whichever region moved into that slot, or past the
-// end. Neither may be mistaken for a hit.
+// Removing a region shifts the ones after it down a slot of the sorted
+// list, and adding one before shifts them up: a translation made before the
+// change is never the answer after it.
 TEST(PageMapper, TranslateAfterMemoisedRegionIsRemoved) {
   PageMapper m;
   m.AddRegion(1, 0x10000, 0x1000, 0x90000, true);
   m.AddRegion(1, 0x20000, 0x1000, 0xB0000, false);
-  EXPECT_EQ(m.Translate(0x10010, 1, Mode::kUser).paddr, 0x90010u);  // memo: slot 0
+  EXPECT_EQ(m.Translate(0x10010, 1, Mode::kUser).paddr, 0x90010u);  // slot 0
   EXPECT_TRUE(m.RemoveRegion(1, 0x10000));
   // Slot 0 now holds the second region.
   EXPECT_FALSE(m.Translate(0x10010, 1, Mode::kUser).mapped);
@@ -109,24 +108,30 @@ TEST(PageMapper, TranslateAfterMemoisedRegionIsRemoved) {
   EXPECT_TRUE(second.mapped);
   EXPECT_FALSE(second.valid);
   EXPECT_EQ(second.paddr, 0xB0010u);
-  // The memoised region is removed and the memo is past the end.
+  // The last region is removed: the space is empty.
   EXPECT_TRUE(m.RemoveRegion(1, 0x20000));
   EXPECT_FALSE(m.Translate(0x20010, 1, Mode::kKernel).mapped);
-  // A region inserted before the memoised one shifts it to another slot.
+  // A region inserted before another shifts it to another slot.
   m.AddRegion(1, 0x30000, 0x1000, 0xC0000, true);
-  EXPECT_EQ(m.Translate(0x30008, 1, Mode::kUser).paddr, 0xC0008u);  // memo: slot 0
+  EXPECT_EQ(m.Translate(0x30008, 1, Mode::kUser).paddr, 0xC0008u);  // slot 0
   m.AddRegion(1, 0x08000, 0x1000, 0xD0000, true);
   EXPECT_EQ(m.Translate(0x30008, 1, Mode::kUser).paddr, 0xC0008u);
   EXPECT_EQ(m.Translate(0x08008, 1, Mode::kUser).paddr, 0xD0008u);
 }
 
-// A copy carries the original's memo but owns its regions: changing one
-// mapper never changes what the other translates.
+// A copy owns its regions: changing one mapper never changes what the other
+// translates. Assigning a mapper moves its generation, since every address
+// may translate differently afterwards.
 TEST(PageMapper, TranslateThroughCopiedPageMapper) {
   PageMapper original;
   original.AddRegion(1, 0x10000, 0x1000, 0x90000, true);
   original.AddRegion(1, 0x20000, 0x1000, 0xB0000, true);
-  EXPECT_EQ(original.Translate(0x20000, 1, Mode::kUser).paddr, 0xB0000u);  // memo: slot 1
+  EXPECT_EQ(original.Translate(0x20000, 1, Mode::kUser).paddr, 0xB0000u);  // slot 1
+  PageMapper assigned;
+  const uint64_t before = assigned.generation();
+  assigned = original;
+  EXPECT_NE(assigned.generation(), before);
+  EXPECT_EQ(assigned.Translate(0x20000, 1, Mode::kUser).paddr, 0xB0000u);
   const PageMapper copy = original;
   EXPECT_TRUE(original.RemoveRegion(1, 0x20000));
   EXPECT_FALSE(original.Translate(0x20000, 1, Mode::kUser).mapped);
@@ -138,8 +143,8 @@ TEST(PageMapper, TranslateThroughCopiedPageMapper) {
   EXPECT_EQ(copy.Translate(0x10000, 1, Mode::kUser).paddr, 0x90000u);
 }
 
-// A linear-scan page table: the semantics FindRegion's binary search and
-// memo must reproduce.
+// A linear-scan page table: the semantics FindRegion's binary search must
+// reproduce.
 struct ReferenceRegion {
   uint64_t asid;
   uint64_t start;
@@ -179,6 +184,8 @@ struct ReferenceMapper {
         t.paddr = r.paddr + (vaddr - r.start);
         const bool user_mode = mode == Mode::kUser || mode == Mode::kGuestUser;
         t.valid = r.present && (!user_mode || r.user_accessible);
+        t.span_start = r.start;
+        t.span_end = r.end;
         break;
       }
     }
@@ -195,9 +202,9 @@ struct ReferenceMapper {
 
 // A seeded stream of adds, removes and translations over several address
 // spaces and every mode, each result compared field by field with the linear
-// scan. Translations come in runs near one region (the memo's hits) mixed
-// with boundary and random addresses (its misses), and the mapper is
-// periodically replaced by a copy of itself.
+// scan. Translations come in runs near one region mixed with boundary and
+// random addresses, and the mapper is periodically replaced by a copy of
+// itself.
 TEST(PageMapper, MatchesLinearScanReferenceOnASeededStream) {
   constexpr uint64_t kAsids[] = {1, 2, 3, 0x40};
   constexpr Mode kModes[] = {Mode::kUser, Mode::kKernel, Mode::kGuestUser, Mode::kGuestKernel,
@@ -261,6 +268,8 @@ TEST(PageMapper, MatchesLinearScanReferenceOnASeededStream) {
       ASSERT_EQ(got.present, want.present) << where;
       ASSERT_EQ(got.user_accessible, want.user_accessible) << where;
       ASSERT_EQ(got.paddr, want.paddr) << where;
+      ASSERT_EQ(got.span_start, want.span_start) << where;
+      ASSERT_EQ(got.span_end, want.span_end) << where;
       translations++;
       mapped += want.mapped ? 1 : 0;
     }

@@ -331,6 +331,76 @@ TEST(MachineReset, SingleContextRunAfterCoResidentRunAndResetIsClean) {
   EXPECT_TRUE(got == want) << "\n  fresh: " << want.ToString() << "\n  reset: " << got.ToString();
 }
 
+// Every field of a parked hardware context equals the fresh machine's.
+void ExpectSameHardwareContext(const Machine::HardwareContext& got,
+                               const Machine::HardwareContext& want, const std::string& where) {
+  EXPECT_EQ(got.arch.regs, want.arch.regs) << where;
+  EXPECT_EQ(got.arch.ready_at, want.arch.ready_at) << where;
+  EXPECT_EQ(got.arch.fpregs, want.arch.fpregs) << where;
+  EXPECT_EQ(got.arch.mode, want.arch.mode) << where;
+  EXPECT_EQ(got.arch.cr3, want.arch.cr3) << where;
+  EXPECT_EQ(got.arch.fpu_enabled, want.arch.fpu_enabled) << where;
+  EXPECT_EQ(got.arch.msr_spec_ctrl, want.arch.msr_spec_ctrl) << where;
+  EXPECT_EQ(got.arch.saved_user_rip, want.arch.saved_user_rip) << where;
+  EXPECT_EQ(got.arch.resume_rip, want.arch.resume_rip) << where;
+  EXPECT_EQ(got.program, want.program) << where;
+  EXPECT_EQ(got.rsb, want.rsb) << where;
+  EXPECT_EQ(got.call_sites, want.call_sites) << where;
+  EXPECT_EQ(got.smt_thread_id, want.smt_thread_id) << where;
+  EXPECT_EQ(got.stibp, want.stibp) << where;
+  EXPECT_EQ(got.instructions, want.instructions) << where;
+  EXPECT_EQ(got.budget, want.budget) << where;
+  EXPECT_EQ(got.finish_cycles, want.finish_cycles) << where;
+  EXPECT_EQ(got.halted, want.halted) << where;
+}
+
+// Reset resets only the hardware contexts a co-run activated. After a
+// two-context co-run, and after a one-context co-run that leaves thread 1
+// unused, a Reset machine equals a fresh one: both parked contexts field by
+// field, and the next single-context and co-resident runs.
+TEST(MachineReset, CoResidentRunThenResetEqualsAFreshMachine) {
+  const CpuModel& cpu = GetCpuModel(Uarch::kSkylakeClient);
+  const Program solo = GenerateProgram(60, GeneratorOptions{});
+  const Program a = GenerateProgram(61, CallFree());
+  const Program b = GenerateProgram(62, CallFree());
+
+  Machine fresh(cpu);
+  for (bool two_contexts : {true, false}) {
+    const std::string where = two_contexts ? "two contexts" : "one context";
+    Machine dirty(cpu);
+    dirty.SetStibp(true);
+    dirty.LoadProgram(&a);
+    Machine::CoResidentSpec spec_a;
+    spec_a.program = &a;
+    spec_a.entry_vaddr = a.base_vaddr();
+    spec_a.max_instructions = 200'000;
+    spec_a.smt_thread_id = 0;
+    spec_a.stibp = true;
+    Machine::CoResidentSpec spec_b = spec_a;
+    spec_b.program = two_contexts ? &b : nullptr;
+    spec_b.entry_vaddr = b.base_vaddr();
+    spec_b.smt_thread_id = 1;
+    (void)dirty.RunCoResident(spec_a, spec_b);
+    ASSERT_NE(dirty.hardware_context(0).instructions, 0u) << where;
+    dirty.Reset();
+    for (int i = 0; i < 2; i++) {
+      ExpectSameHardwareContext(dirty.hardware_context(i), fresh.hardware_context(i),
+                                where + " thread " + std::to_string(i));
+    }
+    Machine fresh_solo(cpu);
+    const Observation want = RunOnce(fresh_solo, solo);
+    const Observation got = RunOnce(dirty, solo);
+    EXPECT_TRUE(got == want) << where << "\n  fresh: " << want.ToString()
+                             << "\n  reset: " << got.ToString();
+    dirty.Reset();
+    Machine fresh_pair(cpu);
+    const CoObservation want_pair = CoRunOnce(fresh_pair, a, b);
+    const CoObservation got_pair = CoRunOnce(dirty, a, b);
+    EXPECT_TRUE(got_pair == want_pair) << where << "\n  fresh: " << want_pair.ToString()
+                                       << "\n  reset: " << got_pair.ToString();
+  }
+}
+
 // --- Resolved code views ---------------------------------------------------
 //
 // Step fetches from raw views of the loaded program (instructions, decode,
