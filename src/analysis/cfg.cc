@@ -59,42 +59,15 @@ Cfg Cfg::Build(const Program& program) {
   };
   for (BasicBlock& bb : cfg.blocks_) {
     const Instruction& term = program.at(bb.last);
-    switch (term.op) {
-      case Op::kJmp:
-        add_edge(bb.id, term.target);
-        break;
-      case Op::kBranchNz:
-      case Op::kBranchZ:
-      case Op::kBranchEqImm:
-        add_edge(bb.id, term.target);
-        add_edge(bb.id, bb.last + 1);
-        break;
-      case Op::kCall:
-        add_edge(bb.id, term.target);
-        add_edge(bb.id, bb.last + 1);  // return site (over-approximation)
-        break;
-      case Op::kIndirectJmp:
-        bb.has_indirect_successor = true;
-        break;
-      case Op::kIndirectCall:
-        bb.has_indirect_successor = true;
-        add_edge(bb.id, bb.last + 1);
-        break;
-      case Op::kRet:
-      case Op::kHalt:
-        break;
-      case Op::kSyscall:
-      case Op::kSysret:
-      case Op::kVmEnter:
-      case Op::kVmExit:
-        // Architectural target is machine state; the committed path
-        // eventually resumes at the return site.
-        add_edge(bb.id, bb.last + 1);
-        break;
-      default:
-        // Block ended because the next instruction is a leader.
-        add_edge(bb.id, bb.last + 1);
-        break;
+    const OpInfo& info = InfoOf(term.op);
+    if (info.branch == BranchKind::kConditional || info.branch == BranchKind::kDirect) {
+      add_edge(bb.id, term.target);
+    }
+    bb.has_indirect_successor = info.branch == BranchKind::kIndirect;
+    if (!info.Has(kOpNoFallThrough)) {
+      // A call's return site (an over-approximation), a privilege
+      // transition's resume point, or a block ended by a leader.
+      add_edge(bb.id, bb.last + 1);
     }
   }
 

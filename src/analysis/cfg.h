@@ -3,19 +3,18 @@
 // Basic blocks are maximal straight-line instruction ranges; leaders are the
 // program entry, every exported symbol, every branch target and every
 // instruction following a control-flow opcode. Edges model the simulator's
-// committed control transfers:
-//   * kJmp / kBranchNz / kBranchZ / kCall: resolved-label edges (a call also
-//     gets a fallthrough edge to its return site — an interprocedural
+// committed control transfers and are read off the terminator's opcode row
+// (OpTable(), src/isa/isa.h):
+//   * BranchKind kConditional / kDirect: a resolved-label edge to the target;
+//   * BranchKind kIndirect: the target set is machine state (BTB), so the
+//     block is marked has_indirect_successor;
+//   * every opcode without kOpNoFallThrough: an edge to the next
+//     instruction. For a call that is its return site (an interprocedural
 //     over-approximation that keeps the dataflow pass intraprocedurally
-//     simple while still propagating facts across calls);
-//   * kRet: no static successor (function exit; the RSB detector walks
-//     call/ret pairing separately);
-//   * kIndirectJmp / kIndirectCall: the target set is machine state (BTB),
-//     so the block is marked has_indirect_successor and, for calls, gets the
-//     fallthrough edge;
-//   * kSyscall / kVmEnter / kVmExit: the architectural target is machine
-//     state (entry points); modelled as a fallthrough edge to the return
-//     site, and flagged as a privilege transition for the detectors.
+//     simple while still propagating facts across calls); for kSyscall /
+//     kSysret / kVmEnter / kVmExit, whose architectural target is machine
+//     state, it is where the committed path resumes. kRet has no static
+//     successor (the RSB detector walks call/ret pairing separately).
 #ifndef SPECTREBENCH_SRC_ANALYSIS_CFG_H_
 #define SPECTREBENCH_SRC_ANALYSIS_CFG_H_
 

@@ -49,7 +49,7 @@ bool JoinInto(TaintState* into, const TaintState& from) {
 }
 
 RegTaint UnionSources(const TaintState& state, const Instruction& instr) {
-  uint8_t srcs[5];
+  uint8_t srcs[3];
   const int n = SourceRegs(instr, srcs);
   RegTaint out;
   for (int i = 0; i < n; i++) {
@@ -71,52 +71,35 @@ void TaintAnalysis::Transfer(TaintState* state, const Instruction& instr, int32_
     }
   }
 
-  switch (instr.op) {
-    case Op::kMovImm:
-      state->regs[instr.dst] = RegTaint{};
-      break;
-    case Op::kMov:
-    case Op::kAlu:
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kLea:
-      state->regs[instr.dst] = UnionSources(*state, instr);
-      break;
-    case Op::kCmov:
-      // Dependency barrier: the result cannot feed a transient dereference.
-      state->regs[instr.dst] = UnionSources(*state, instr);
-      state->regs[instr.dst].bits |= kTaintSpecBlocked;
-      break;
-    case Op::kLoad: {
-      // Per-register check: an attacker-steered address register that did
-      // not pass through a cmov barrier makes the transient load wild.
-      uint8_t addr_regs[2];
-      const int n_addr = AddressRegs(instr, addr_regs);
-      bool wild = false;
-      for (int k = 0; k < n_addr; k++) {
-        const uint8_t bits = state->regs[addr_regs[k]].bits;
-        if ((bits & kTaintAttacker) != 0 && (bits & kTaintSpecBlocked) == 0) {
-          wild = true;
-        }
+  const OpInfo& info = InfoOf(instr.op);
+  if (info.Has(kOpReadsMem) && info.Has(kOpWritesDst)) {
+    // A load. Per-register check: an attacker-steered address register that
+    // did not pass through a cmov barrier makes the transient load wild.
+    uint8_t addr_regs[2];
+    const int n_addr = AddressRegs(instr, addr_regs);
+    bool wild = false;
+    for (int k = 0; k < n_addr; k++) {
+      const uint8_t bits = state->regs[addr_regs[k]].bits;
+      if ((bits & kTaintAttacker) != 0 && (bits & kTaintSpecBlocked) == 0) {
+        wild = true;
       }
-      RegTaint loaded;
-      if (speculative && wild) {
-        // Transient load at an attacker-chosen address: the value may be any
-        // byte of memory, i.e. a secret.
-        loaded.bits = kTaintSecret;
-        loaded.secret_origin = index;
-      }
-      state->regs[instr.dst] = loaded;
-      break;
     }
-    case Op::kRdmsr:
-    case Op::kRdtsc:
-    case Op::kRdpmc:
-    case Op::kFpToGp:
-      state->regs[instr.dst] = RegTaint{};
-      break;
-    default:
-      break;
+    RegTaint loaded;
+    if (speculative && wild) {
+      // Transient load at an attacker-chosen address: the value may be any
+      // byte of memory, i.e. a secret.
+      loaded.bits = kTaintSecret;
+      loaded.secret_origin = index;
+    }
+    state->regs[instr.dst] = loaded;
+  } else if (info.Has(kOpWritesDst)) {
+    // The result carries its sources' taint. Opcodes with no source
+    // registers (mov_imm, rdmsr, rdtsc, rdpmc, fp_to_gp) produce a clean value.
+    state->regs[instr.dst] = UnionSources(*state, instr);
+    if (instr.op == Op::kCmov) {
+      // Dependency barrier: the result cannot feed a transient dereference.
+      state->regs[instr.dst].bits |= kTaintSpecBlocked;
+    }
   }
 
   if (IsSerializing(instr.op)) {

@@ -19,8 +19,9 @@
 // Speculative windows: every conditional branch can be mistrained, so both
 // successors of a conditional branch are analyzed under an open speculative
 // window of as many instructions as the CpuModel's cycle window (at least
-// 16). Serializing opcodes (see IsSerializing) close the window, mirroring
-// how Machine ends speculative episodes.
+// 16). The opcodes in the opcode table's stop set (kOpSerializing, see
+// IsSerializing) close the window; Machine's speculative episodes end at the
+// same bit.
 //
 // The join is a plain union (may-analysis): everything the pass reports is
 // possible on *some* path, which makes the downstream detectors

@@ -91,8 +91,10 @@ AttackSpec SpectreV1() {
       .vulnerable = [](const CpuModel& cpu) { return cpu.vuln.spectre_v1; },
       .defended =
           [](const CpuModel&, const MitigationConfig& c) {
-            // lfence_after_swapgs covers the swapgs variant, which this
-            // scenario does not model; only masking defends the array gadget.
+            // lfence_after_swapgs covers the swapgs variant: the wrong path
+            // runs past a swapgs (it is not in the stop set), but this
+            // scenario does not build that variant; only masking defends the
+            // array gadget.
             return c.kernel_index_masking;
           },
       .run =

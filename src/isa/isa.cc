@@ -22,6 +22,7 @@ constexpr uint8_t kWrMem = kOpWritesMem;
 constexpr uint8_t kDst = kOpWritesDst;
 constexpr uint8_t kS1 = kOpNeedsSrc1;
 constexpr uint8_t kS2 = kOpNeedsSrc2;
+constexpr uint8_t kNoFall = kOpNoFallThrough;
 
 // The opcode table (see isa.h). Opcode values index it, so rows keep enum
 // order; the static_asserts below check the order and the bound.
@@ -36,12 +37,12 @@ constexpr OpInfo kOpTable[] = {
     {Op::kLoad, "load", kMemory, kNone, kMem, kRdMem | kDst},
     {Op::kStore, "store", kMemory, kNone, kMemSrc1, kWrMem | kS1},
     {Op::kLea, "lea", kCompute, kNone, kMem, kDst},
-    {Op::kJmp, "jmp", kBranch, kDirect, kSrc1Src2, kCtl},
+    {Op::kJmp, "jmp", kBranch, kDirect, kSrc1Src2, kCtl | kNoFall},
     {Op::kBranchNz, "branch_nz", kBranch, kConditional, kSrc1Src2, kCtl | kS1},
     {Op::kBranchZ, "branch_z", kBranch, kConditional, kSrc1Src2, kCtl | kS1},
     {Op::kCall, "call", kBranch, kDirect, kSrc1Src2, kCtl | kWrMem},
-    {Op::kRet, "ret", kBranch, kNone, kSrc1Src2, kCtl | kRdMem},
-    {Op::kIndirectJmp, "indirect_jmp", kBranch, kIndirect, kSrc1Src2, kCtl | kS1},
+    {Op::kRet, "ret", kBranch, kNone, kSrc1Src2, kCtl | kNoFall | kRdMem},
+    {Op::kIndirectJmp, "indirect_jmp", kBranch, kIndirect, kSrc1Src2, kCtl | kNoFall | kS1},
     {Op::kIndirectCall, "indirect_call", kBranch, kIndirect, kSrc1Src2, kCtl | kWrMem | kS1},
     {Op::kLfence, "lfence", kSystem, kNone, kSrc1Src2, kSer},
     {Op::kMfence, "mfence", kSystem, kNone, kSrc1Src2, kSer},
@@ -57,7 +58,7 @@ constexpr OpInfo kOpTable[] = {
     {Op::kRdpmc, "rdpmc", kCompute, kNone, kSrc1Src2, kDst},
     {Op::kClflush, "clflush", kMemory, kNone, kMem, 0},
     {Op::kFlushL1d, "flush_l1d", kSystem, kNone, kSrc1Src2, kSer},
-    {Op::kRsbStuff, "rsb_stuff", kSystem, kNone, kSrc1Src2, 0},
+    {Op::kRsbStuff, "rsb_stuff", kSystem, kNone, kSrc1Src2, kSer},
     {Op::kXsave, "xsave", kSystem, kNone, kSrc1Src2, kSer},
     {Op::kXrstor, "xrstor", kSystem, kNone, kSrc1Src2, kSer},
     {Op::kFpOp, "fp_op", kCompute, kNone, kSrc1Src2, 0},
@@ -66,8 +67,8 @@ constexpr OpInfo kOpTable[] = {
     {Op::kCpuid, "cpuid", kSystem, kNone, kSrc1Src2, kSer},
     {Op::kVmEnter, "vm_enter", kSystem, kNone, kSrc1Src2, kCtl | kSer},
     {Op::kVmExit, "vm_exit", kSystem, kNone, kSrc1Src2, kCtl | kSer},
-    {Op::kKcall, "kcall", kSystem, kNone, kSrc1Src2, 0},
-    {Op::kHalt, "halt", kSystem, kNone, kSrc1Src2, kCtl},
+    {Op::kKcall, "kcall", kSystem, kNone, kSrc1Src2, kSer},
+    {Op::kHalt, "halt", kSystem, kNone, kSrc1Src2, kCtl | kNoFall | kSer},
     {Op::kBranchEqImm, "branch_eq_imm", kBranch, kConditional, kSrc1Src2, kCtl | kS1},
 };
 

@@ -190,13 +190,13 @@ bool ParseAluOpName(const char* name, AluOp* out);
 //
 // Everything about an opcode other than what it computes is one row of the
 // opcode table (OpTable(), src/isa/isa.cc): its name, the pipeline
-// component that executes it, its flags (control flow, serializing, memory
-// read/write, writes dst), its branch kind and its operand roles. The
-// decoder (src/isa/decode.cc), the static analyzer's predicates below and
-// the corpus validator (src/difftest/corpus.cc) all read it. What an opcode
-// computes stays with its executors: Machine's step handlers, the
-// speculative episode switch and the reference interpreter; the rows mirror
-// them (kOpSerializing marks the opcodes that call Serialize()).
+// component that executes it, its flags (control flow, no fall-through,
+// serializing, memory read/write, writes dst), its branch kind and its
+// operand roles. The decoder (src/isa/decode.cc), the speculative episode's
+// stop test, the static analyzer (its CFG, taint transfer and predicates)
+// and the corpus validator (src/difftest/corpus.cc) all read it. What an
+// opcode computes stays with its executors: Machine's step handlers, the
+// speculative episode switch and the reference interpreter.
 
 // Which pipeline component executes an opcode (Machine::Step dispatch).
 enum class StepClass : uint8_t { kCompute, kMemory, kBranch, kSystem };
@@ -220,8 +220,12 @@ enum class SourceShape : uint8_t {
 // OpInfo::flags bits.
 inline constexpr uint8_t kOpControlFlow = 1 << 0;  // redirects rip: branches, calls,
                                                    // returns, privilege transitions, kHalt
-inline constexpr uint8_t kOpSerializing = 1 << 1;  // waits for the completion frontier;
-                                                   // speculation cannot pass it
+// Speculation cannot pass it: a wrong path ends here (Machine's episode
+// stops before it) and so does the analyzer's speculative window. The one
+// stop set: the opcodes that call Serialize() when committed, plus
+// kRsbStuff, kKcall (a host hook) and kHalt. kSwapgs is not in it: it does
+// not serialize, which is why the kernel puts an lfence after it.
+inline constexpr uint8_t kOpSerializing = 1 << 1;
 inline constexpr uint8_t kOpReadsMem = 1 << 2;     // reads data memory
 inline constexpr uint8_t kOpWritesMem = 1 << 3;    // writes data memory
 inline constexpr uint8_t kOpWritesDst = 1 << 4;    // writes reg[dst]
@@ -229,6 +233,10 @@ inline constexpr uint8_t kOpWritesDst = 1 << 4;    // writes reg[dst]
 // (with src2 where the shape reads it), so a corpus line must give it.
 inline constexpr uint8_t kOpNeedsSrc1 = 1 << 5;
 inline constexpr uint8_t kOpNeedsSrc2 = 1 << 6;
+// The next instruction is not a successor: kJmp, kRet, kIndirectJmp, kHalt.
+// Every other opcode falls through (a call to its return site, a privilege
+// transition to the instruction the committed path resumes at).
+inline constexpr uint8_t kOpNoFallThrough = 1 << 7;
 
 struct OpInfo {
   Op op;

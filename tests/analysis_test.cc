@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/analysis/cfg.h"
 #include "src/analysis/corpus.h"
@@ -46,6 +48,12 @@ std::vector<CorpusEntry> BaselineCorpus() {
   return BuildGadgetCorpus(Baseline().predictor.rsb_depth);
 }
 
+// An instruction of `op` with a register in every operand, so that each
+// row's shape has something to read and write.
+Instruction WithEveryOperand(Op op) {
+  return Instruction{.op = op, .dst = 12, .src1 = 13, .src2 = 14, .mem = MemRef{.base = 13}};
+}
+
 // --- ISA metadata ---------------------------------------------------------
 
 TEST(IsaMetadata, OperandAccessors) {
@@ -70,6 +78,12 @@ TEST(IsaMetadata, OperandAccessors) {
   EXPECT_TRUE(IsSerializing(Op::kLfence));
   EXPECT_TRUE(IsSerializing(Op::kSyscall));
   EXPECT_FALSE(IsSerializing(Op::kLoad));
+  // The stop set: kSwapgs does not serialize (hence lfence_after_swapgs);
+  // a host hook, the end of the program and an RSB fill do end speculation.
+  EXPECT_FALSE(IsSerializing(Op::kSwapgs));
+  EXPECT_TRUE(IsSerializing(Op::kKcall));
+  EXPECT_TRUE(IsSerializing(Op::kHalt));
+  EXPECT_TRUE(IsSerializing(Op::kRsbStuff));
 }
 
 // --- CFG ------------------------------------------------------------------
@@ -105,6 +119,41 @@ TEST(Cfg, IndirectBranchHasNoStaticSuccessor) {
   EXPECT_TRUE(bb.successors.empty());
 }
 
+// A block ended by each opcode gets its successors from the opcode's row:
+// the target iff the branch kind is conditional or direct, "any block" iff
+// it is indirect, and the next instruction iff the row lacks
+// kOpNoFallThrough, which only jmp, ret, indirect_jmp and halt have.
+TEST(Cfg, EveryTerminatorsSuccessorsComeFromItsRow) {
+  std::set<Op> no_fall_through;
+  for (const OpInfo& row : OpTable()) {
+    if (row.Has(kOpNoFallThrough)) {
+      no_fall_through.insert(row.op);
+    }
+    std::vector<Instruction> code(5);  // nops
+    code[0] = WithEveryOperand(row.op);
+    code[0].target = 3;
+    code[2].op = Op::kHalt;
+    code[4].op = Op::kHalt;
+    // The symbols make 1 and 3 leaders whatever opcode 0 is.
+    const Program p(std::move(code), kDefaultCodeBase, {{"next", 1}, {"target", 3}});
+    const Cfg cfg = Cfg::Build(p);
+    const BasicBlock& bb = cfg.block(cfg.BlockOf(0));
+    ASSERT_EQ(bb.last, 0) << row.name;
+
+    std::set<int32_t> expected;
+    if (row.branch == BranchKind::kConditional || row.branch == BranchKind::kDirect) {
+      expected.insert(cfg.BlockOf(3));
+    }
+    if (!row.Has(kOpNoFallThrough)) {
+      expected.insert(cfg.BlockOf(1));
+    }
+    EXPECT_EQ(std::set<int32_t>(bb.successors.begin(), bb.successors.end()), expected)
+        << row.name;
+    EXPECT_EQ(bb.has_indirect_successor, row.branch == BranchKind::kIndirect) << row.name;
+  }
+  EXPECT_EQ(no_fall_through, (std::set<Op>{Op::kJmp, Op::kRet, Op::kIndirectJmp, Op::kHalt}));
+}
+
 // --- Taint ----------------------------------------------------------------
 
 TEST(Taint, SpeculativeAttackerLoadProducesSecretAndCmovBlocks) {
@@ -127,6 +176,68 @@ TEST(Taint, SpeculativeAttackerLoadProducesSecretAndCmovBlocks) {
   EXPECT_NE(taint.at(5).regs[8].bits & kTaintSecret, 0u);
   EXPECT_EQ(taint.at(5).regs[8].secret_origin, 4);
   EXPECT_NE(taint.at(7).regs[4].bits & kTaintSpecBlocked, 0u);
+}
+
+// A bounds check whose in-bounds side runs `op` (with every operand) and
+// then `gadget`.
+Program BehindABranch(Op op, void (*gadget)(ProgramBuilder&)) {
+  ProgramBuilder b;
+  Label in = b.NewLabel();
+  b.Alu(AluOp::kCmpLt, 3, 0, 2);  // r0: attacker-controlled index
+  b.BranchNz(3, in);
+  b.Halt();
+  b.Bind(in);
+  const int32_t slot = b.NextIndex();
+  b.Nop();  // becomes `op`
+  gadget(b);
+  b.Halt();
+  const Program built = b.Build();
+  std::vector<Instruction> code(built.data(), built.data() + built.size());
+  code[static_cast<size_t>(slot)] = WithEveryOperand(op);
+  return Program(std::move(code), built.base_vaddr(), built.symbols());
+}
+
+void V1Gadget(ProgramBuilder& b) {
+  b.MovImm(7, 0x1000);
+  b.Load(8, MemRef{.base = 7, .index = 0, .scale = 8});  // wild load
+  b.AluImm(AluOp::kShl, 9, 8, 12);
+  b.MovImm(10, 0x100000);
+  b.Load(11, MemRef{.base = 10, .index = 9, .scale = 1});  // encodes the secret
+}
+
+void SsbGadget(ProgramBuilder& b) {
+  b.MovImm(7, 0x1000);
+  b.Store(MemRef{.base = 7}, 5);
+  b.Load(8, MemRef{.base = 7});  // may read memory under the store
+  b.MovImm(10, 0x100000);
+  b.Load(11, MemRef{.base = 10, .index = 8, .scale = 1});  // encodes the stale value
+}
+
+// The analyzer's speculative window closes at the stop set the wrong path
+// stops at (uarch_speculation_test's
+// Speculation.EveryOpcodeOutsideTheStopSetLetsTheWrongPathGoOn): a V1 and an
+// SSB gadget behind each opcode are reported iff the opcode is not
+// kOpSerializing. Skipped, as there: the rows with a branch kind and kRet,
+// which do not fall through to the gadget.
+TEST(Analyzer, TheSpeculativeWindowClosesAtTheStopSet) {
+  int stops = 0;
+  int passes = 0;
+  for (const OpInfo& row : OpTable()) {
+    if (row.branch != BranchKind::kNone || row.op == Op::kRet) {
+      continue;
+    }
+    const bool open = !IsSerializing(row.op);
+    EXPECT_EQ(Analyze(BehindABranch(row.op, V1Gadget), Baseline())
+                  .Has(FindingKind::kSpectreV1Gadget),
+              open)
+        << row.name;
+    EXPECT_EQ(Analyze(BehindABranch(row.op, SsbGadget), Baseline()).Has(FindingKind::kSsbGadget),
+              open)
+        << row.name;
+    (open ? passes : stops)++;
+  }
+  EXPECT_EQ(stops, 17);  // every row of the stop set is checked
+  EXPECT_EQ(passes, 18);
 }
 
 // --- Detectors over the corpus -------------------------------------------

@@ -3,6 +3,9 @@
 // stop them.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/cpu/cpu_model.h"
 #include "src/isa/program.h"
 #include "src/uarch/machine.h"
@@ -573,6 +576,59 @@ TEST(Speculation, LfenceEndsEpisode) {
   const uint64_t before = m.PmcValue(Pmc::kArithDividerActive);
   m.Run(p.VaddrOf(0));
   EXPECT_EQ(m.PmcValue(Pmc::kArithDividerActive), before);
+}
+
+// LfenceEndsEpisode for every opcode: a wrong path that runs the opcode and
+// then a divide on a ready register moves the divider counter iff the
+// opcode is outside the opcode table's stop set (kOpSerializing), the bit
+// the analyzer's speculative window also closes at (analysis_test). Skipped:
+// the rows with a branch kind and kRet, which redirect the wrong path (to
+// their target, the BTB's or the RSB's), so the divide is not what runs
+// after them.
+TEST(Speculation, EveryOpcodeOutsideTheStopSetLetsTheWrongPathGoOn) {
+  int stops = 0;
+  int passes = 0;
+  for (const OpInfo& row : OpTable()) {
+    if (row.branch != BranchKind::kNone || row.op == Op::kRet) {
+      continue;
+    }
+    ProgramBuilder b;
+    Label wrong = b.NewLabel();
+    Label done = b.NewLabel();
+    b.MovImm(1, static_cast<int64_t>(kLenAddr));
+    b.Load(2, MemRef{.base = 1});
+    b.MovImm(9, 1000);  // the divide's operand, ready at once
+    b.BranchNz(2, wrong);
+    b.Jmp(done);
+    b.Bind(wrong);
+    const int32_t slot = b.NextIndex();
+    b.Nop();  // becomes `row.op`
+    b.DivImm(3, 9, 5);
+    b.Bind(done);
+    b.Halt();
+    const Program built = b.Build();
+    std::vector<Instruction> code(built.data(), built.data() + built.size());
+    code[static_cast<size_t>(slot)] = Instruction{.op = row.op,
+                                                  .dst = 12,
+                                                  .src1 = 13,
+                                                  .src2 = 14,
+                                                  .mem = MemRef{.base = 13}};
+    Program p(std::move(code), built.base_vaddr(), built.symbols());
+
+    Machine m(GetCpuModel(Uarch::kBroadwell));
+    m.LoadProgram(&p);
+    m.PokeData(kLenAddr, 0);
+    m.cond_predictor().Train(p.VaddrOf(3), true);
+    m.cond_predictor().Train(p.VaddrOf(3), true);
+    m.caches().Clflush(kLenAddr);
+    const uint64_t before = m.PmcValue(Pmc::kArithDividerActive);
+    m.Run(p.VaddrOf(0));
+    EXPECT_EQ(m.PmcValue(Pmc::kArithDividerActive) != before, !IsSerializing(row.op))
+        << OpName(row.op);
+    (IsSerializing(row.op) ? stops : passes)++;
+  }
+  EXPECT_EQ(stops, 17);  // every row of the stop set is checked
+  EXPECT_EQ(passes, 18);
 }
 
 }  // namespace
