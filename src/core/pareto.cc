@@ -47,8 +47,10 @@ double GeomeanRatio(const std::vector<double>& ratios) {
   return x;
 }
 
-// Workload name of the overhead-basket cells in the pareto grid.
+// Workload name of the overhead-basket cells in the pareto grid, and the
+// config name of each CPU's nosmt charge cell.
 const char kBasketWorkload[] = "basket";
+const char kNosmtConfig[] = "nosmt";
 
 // Cell metrics are doubles; a count must survive the round trip exactly.
 double ExactDouble(uint64_t count) {
@@ -77,48 +79,55 @@ std::vector<std::vector<size_t>> SmtTwinGroups(const std::vector<NamedConfig>& m
   return groups;
 }
 
-// One basket cell prices one smt_off twin group. LEBench and Octane cannot
-// see smt_off (the nosmt charge is a PARSEC co-run cost), so their counters
-// run once, under the group's first config, and its twins reuse them; PARSEC
-// runs per config. For every config of the group in order (label = its
-// name), the metrics are the cycles of every ParetoWorkloads() entry (id =
-// workload), then the in-window cycles of every cause tag summed over the
-// counters workloads (id = tag name).
-CellOutput MeasureBasket(const CpuModel& cpu, const std::vector<NamedConfig>& group) {
+// The suite and kernel of a ParetoWorkloads() entry ("suite:kernel").
+std::pair<std::string, std::string> SplitWorkload(const std::string& workload) {
+  const size_t colon = workload.find(':');
+  return {workload.substr(0, colon), workload.substr(colon + 1)};
+}
+
+// One basket cell prices one smt_off twin group. No ParetoWorkloads() entry
+// reads smt_off, so each runs once, under the group's first config; the join
+// charges each twin its nosmt price. The metrics are the simulated cycles of
+// every ParetoWorkloads() entry (id = workload), then the in-window cycles of
+// every cause tag summed over the counters workloads (id = tag name).
+CellOutput MeasureBasket(const CpuModel& cpu, const NamedConfig& named) {
   CellOutput out;
-  std::vector<double> counter_cycles(ParetoWorkloads().size());
   std::array<uint64_t, kNumCauseTags> cause_cycles{};
-  for (const NamedConfig& named : group) {
-    const bool simulate_counters = &named == &group.front();
-    for (size_t w = 0; w < ParetoWorkloads().size(); w++) {
-      const std::string& workload = ParetoWorkloads()[w];
-      const size_t colon = workload.find(':');
-      const std::string suite = workload.substr(0, colon);
-      const std::string kernel = workload.substr(colon + 1);
-      double cycles = 0.0;
-      if (suite == "parsec") {
-        cycles = Parsec::RunKernel(kernel, cpu, named.config, /*seed=*/1);
-      } else {
-        SPECBENCH_CHECK_MSG(suite == "lebench" || suite == "octane",
-                            "unknown pareto workload suite");
-        if (simulate_counters) {
-          const CounterBreakdown row =
-              suite == "lebench"
-                  ? MeasureLeBenchCounters(cpu, named.config, kernel)
-                  : MeasureOctaneCounters(cpu, JitConfig::AllOn(), named.config, kernel);
-          counter_cycles[w] = ExactDouble(row.window_cycles);
-          for (size_t i = 0; i < kNumCauseTags; i++) {
-            cause_cycles[i] += row.cause_cycles[i];
-          }
-        }
-        cycles = counter_cycles[w];
+  for (const std::string& workload : ParetoWorkloads()) {
+    const auto [suite, kernel] = SplitWorkload(workload);
+    double cycles = 0.0;
+    if (suite == "parsec") {
+      cycles = Parsec::SimulateKernel(kernel, cpu, named.config);
+    } else {
+      SPECBENCH_CHECK_MSG(suite == "lebench" || suite == "octane",
+                          "unknown pareto workload suite");
+      const CounterBreakdown row =
+          suite == "lebench"
+              ? MeasureLeBenchCounters(cpu, named.config, kernel)
+              : MeasureOctaneCounters(cpu, JitConfig::AllOn(), named.config, kernel);
+      cycles = ExactDouble(row.window_cycles);
+      for (size_t i = 0; i < kNumCauseTags; i++) {
+        cause_cycles[i] += row.cause_cycles[i];
       }
-      out.metrics.push_back(CellMetric{workload, named.name, Estimate{cycles, 0.0}});
     }
-    for (size_t i = 0; i < kNumCauseTags; i++) {
-      out.metrics.push_back(CellMetric{CauseTagName(static_cast<CauseTag>(i)), named.name,
-                                       Estimate{ExactDouble(cause_cycles[i]), 0.0}});
-    }
+    out.metrics.push_back(CellMetric{workload, named.name, Estimate{cycles, 0.0}});
+  }
+  for (size_t i = 0; i < kNumCauseTags; i++) {
+    out.metrics.push_back(CellMetric{CauseTagName(static_cast<CauseTag>(i)), named.name,
+                                     Estimate{ExactDouble(cause_cycles[i]), 0.0}});
+  }
+  return out;
+}
+
+// What nosmt costs every ParetoWorkloads() entry on one CPU (id = workload):
+// the PARSEC co-run charge, and 1 for the single-stream LEBench and Octane
+// kernels.
+CellOutput MeasureNosmtCharges(const CpuModel& cpu) {
+  CellOutput out;
+  for (const std::string& workload : ParetoWorkloads()) {
+    const auto [suite, kernel] = SplitWorkload(workload);
+    const double charge = suite == "parsec" ? Parsec::NosmtCharge(kernel, cpu) : 1.0;
+    out.metrics.push_back(CellMetric{workload, kNosmtConfig, Estimate{charge, 0.0}});
   }
   return out;
 }
@@ -146,33 +155,35 @@ ParetoReport BuildParetoReport(const ParetoOptions& options) {
   suite_options.jobs = options.jobs;
   suite_options.base_seed = options.base_seed;
 
-  // The attack suite and one basket cell per (cpu, smt_off twin group) run
-  // as one grid: a single barrier, then the pure join below. Basket cells
-  // ignore their runner seed; their inputs are fixed. Cells are registered
-  // one CPU at a time, its long basket cells before its short attack cells,
-  // so a worker's leased machine (MachineLease) changes model once per CPU
-  // and the run ends on short cells instead of a tail of basket cells.
+  // The attack suite, one nosmt charge cell per CPU and one basket cell per
+  // (cpu, smt_off twin group) run as one grid: a single barrier, then the
+  // pure join below. Charge and basket cells ignore their runner seed; their
+  // inputs are fixed. Cells are registered one CPU at a time, its long
+  // charge and basket cells before its short attack cells, so a worker's
+  // leased machine (MachineLease) changes model once per CPU and the run
+  // ends on short cells instead of a tail of basket cells.
   Sweep grid;
   report.suite.options = suite_options;
-  // Per CPU and per matrix config: the basket cell that prices it and the
-  // offset of its metrics within that cell.
-  std::vector<std::vector<std::pair<size_t, size_t>>> basket_slots;
+  // Per CPU: its charge cell, and per matrix config the basket cell that
+  // simulated its twin group.
+  std::vector<size_t> charge_cells;
+  std::vector<std::vector<size_t>> config_cells;
   std::vector<std::vector<NamedConfig>> matrices;
-  const size_t metrics_per_config = ParetoWorkloads().size() + kNumCauseTags;
   for (Uarch u : options.cpus) {
     const CpuModel& cpu = GetCpuModel(u);
     matrices.push_back(MitigationConfigMatrix(cpu));
     const std::vector<NamedConfig>& matrix = matrices.back();
-    basket_slots.emplace_back(matrix.size());
+    charge_cells.push_back(grid.size());
+    grid.Add(SweepCellKey{UarchName(u), kNosmtConfig, kBasketWorkload},
+             [&cpu](uint64_t) { return MeasureNosmtCharges(cpu); });
+    config_cells.emplace_back(matrix.size());
     for (const std::vector<size_t>& indices : SmtTwinGroups(matrix)) {
-      std::vector<NamedConfig> group;
       for (size_t k : indices) {
-        basket_slots.back()[k] = {grid.size(), group.size() * metrics_per_config};
-        group.push_back(matrix[k]);
+        config_cells.back()[k] = grid.size();
       }
-      SweepCellKey key{UarchName(u), group.front().name, kBasketWorkload};
-      grid.Add(std::move(key),
-               [&cpu, group = std::move(group)](uint64_t) { return MeasureBasket(cpu, group); });
+      const NamedConfig& first = matrix[indices.front()];
+      grid.Add(SweepCellKey{UarchName(u), first.name, kBasketWorkload},
+               [&cpu, first](uint64_t) { return MeasureBasket(cpu, first); });
       report.basket_cells++;
     }
     SuiteOptions one_cpu = suite_options;
@@ -195,32 +206,35 @@ ParetoReport BuildParetoReport(const ParetoOptions& options) {
     CpuPareto row;
     row.cpu = UarchName(options.cpus[c]);
 
-    // This config's basket metrics, out of the cell that priced its group.
-    const auto basket_metrics = [&](size_t k) {
-      const auto [cell_index, offset] = basket_slots[c][k];
-      const SweepCellResult& cell = result.cells[cell_index];
-      SPECBENCH_CHECK(cell.key.cpu == row.cpu && cell.key.workload == kBasketWorkload &&
-                      cell.output.metrics[offset].label == matrix[k].name);
-      return &cell.output.metrics[offset];
+    // Config k's metrics come from the cell that simulated its twin group;
+    // its cycles are that simulation's, charged nosmt's price when k turns
+    // SMT off.
+    const std::vector<CellMetric>& charges = result.cells[charge_cells[c]].output.metrics;
+    const auto basket = [&](size_t k) -> const std::vector<CellMetric>& {
+      const SweepCellResult& cell = result.cells[config_cells[c][k]];
+      SPECBENCH_CHECK(cell.key.cpu == row.cpu && cell.key.workload == kBasketWorkload);
+      return cell.output.metrics;
+    };
+    const auto cycles = [&](size_t k, size_t w) {
+      const double charge = matrix[k].config.smt_off ? charges[w].estimate.value : 1.0;
+      return basket(k)[w].estimate.value * charge;
     };
 
     // The "off" row is the overhead baseline for every config of this CPU.
     SPECBENCH_CHECK(matrix[0].name == "off");
-    const auto baseline = basket_metrics(0);
 
     for (size_t k = 0; k < matrix.size(); k++) {
       const NamedConfig& named = matrix[k];
-      const auto metrics = basket_metrics(k);
 
       ConfigEvaluation eval;
       eval.config = named.name;
       for (size_t i = 0; i < kNumCauseTags; i++) {
-        eval.cause_cycles[i] = static_cast<uint64_t>(metrics[num_workloads + i].estimate.value);
+        eval.cause_cycles[i] = static_cast<uint64_t>(basket(k)[num_workloads + i].estimate.value);
       }
 
       std::vector<double> ratios;
       for (size_t w = 0; w < num_workloads; w++) {
-        ratios.push_back(metrics[w].estimate.value / baseline[w].estimate.value);
+        ratios.push_back(cycles(k, w) / cycles(0, w));
       }
       eval.overhead_pct = (GeomeanRatio(ratios) - 1.0) * 100.0;
 

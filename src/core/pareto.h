@@ -1,4 +1,4 @@
-// The security x overhead Pareto frontier (ROADMAP item 4).
+// The security x overhead Pareto frontier.
 //
 // Joins the attack-suite verdict matrix (src/attack/suite.h) with overhead
 // measurements over a fixed workload basket — LEBench getpid and
@@ -12,12 +12,18 @@
 // number. A per-attack attribution says which knob of the chosen config is
 // load-bearing ("which knob saved you") and which are redundant.
 //
+// This is the one place that prices nosmt. No basket workload reads
+// smt_off, so configs that differ only in it (smt_off twins) share one
+// simulation; the join multiplies a twin's cycles by each workload's nosmt
+// charge (Parsec::NosmtCharge, 1 for LEBench and Octane), measured once per
+// CPU.
+//
 // Everything is deterministic and byte-stable for any job count: attack
-// cells and one basket cell per (cpu, smt_off twin group) run in one
-// Sweep::Run (one barrier, then a pure join), all randomness derives from
-// (base_seed, cell identity), and the renderers emit fixed key order with
-// fixed-precision numbers (no timestamps, durations, or host facts).
-// tests/pareto_golden_test.cc pins the exact bytes.
+// cells, one nosmt charge cell per CPU and one basket cell per (cpu, smt_off
+// twin group) run in one Sweep::Run (one barrier, then a pure join), all
+// randomness derives from (base_seed, cell identity), and the renderers emit
+// fixed key order with fixed-precision numbers (no timestamps, durations, or
+// host facts). tests/pareto_golden_test.cc pins the exact bytes.
 #ifndef SPECTREBENCH_SRC_CORE_PARETO_H_
 #define SPECTREBENCH_SRC_CORE_PARETO_H_
 
@@ -87,8 +93,9 @@ struct CpuPareto {
 struct ParetoReport {
   SuiteResult suite;          // the full verdict matrix
   std::vector<CpuPareto> cpus;
-  // Basket cells the grid ran: one per CPU and smt_off twin group (configs
-  // that differ only in smt_off share their LEBench/Octane simulation).
+  // Basket cells the grid ran: one per CPU and smt_off twin group, each
+  // simulating every basket workload once. The per-CPU nosmt charge cells
+  // are not counted.
   size_t basket_cells = 0;
 };
 

@@ -1,9 +1,6 @@
 #include "src/workload/parsec.h"
 
 #include <algorithm>
-#include <functional>
-#include <list>
-#include <mutex>
 #include <string>
 
 #include "src/os/kernel.h"
@@ -112,18 +109,37 @@ void EmitKernelByName(const std::string& name, ProgramBuilder& b) {
   }
 }
 
-// Measured nosmt charge for one kernel on one CPU. The PARSEC suite is the
-// multithreaded half of the study: with SMT on, each core retires two
-// sibling streams in T_co cycles (RunCoResident on the shared pipeline);
-// with the sibling disabled, the same two streams serialize into 2*T_solo.
-// The slowdown 2*T_solo / T_co is therefore what the workload pays for
-// nosmt — 1.0 when the siblings were contention-bound anyway (no SMT yield
-// to lose), 2.0 at perfect overlap. Measured on the raw machine with the
-// kernel body alone: the charge is a property of the instruction mix on the
-// core, not of the syscall-path mitigations, which keeps the cache below
-// independent of which sweep cell computes it first (byte-determinism for
-// any --jobs).
-double ComputeNosmtCharge(const std::string& name, const CpuModel& cpu) {
+}  // namespace
+
+const std::vector<std::string>& Parsec::KernelNames() {
+  static const std::vector<std::string> kNames = {"swaptions", "facesim", "bodytrack"};
+  return kNames;
+}
+
+double Parsec::SimulateKernel(const std::string& name, const CpuModel& cpu,
+                              const MitigationConfig& config) {
+  Kernel kernel(cpu, config);
+  ProgramBuilder& b = kernel.builder();
+  b.BindSymbol("user_main");
+  EmitKernelByName(name, b);
+  kernel.Finalize();
+  // §4.5/§5.5: to see the full SSBD impact the process opts in via prctl.
+  if (config.ssbd == SsbdMode::kAlways || config.ssbd == SsbdMode::kPrctl) {
+    kernel.process(0).ssbd_prctl = config.ssbd == SsbdMode::kPrctl;
+    kernel.machine().SetSsbd(kernel.SsbdActiveFor(kernel.process(0)));
+  }
+  SeedData(kernel.machine());
+  const auto result = kernel.Run("user_main");
+  return static_cast<double>(result.cycles);
+}
+
+// Measured on the raw machine with the kernel body alone: the charge is a
+// property of the instruction mix on the core, not of the syscall-path
+// mitigations, so it takes no config.
+double Parsec::NosmtCharge(const std::string& name, const CpuModel& cpu) {
+  if (!cpu.smt) {
+    return 1.0;
+  }
   ProgramBuilder b;
   b.BindSymbol("user_main");
   EmitKernelByName(name, b);
@@ -155,70 +171,6 @@ double ComputeNosmtCharge(const std::string& name, const CpuModel& cpu) {
   const double t_solo = static_cast<double>(solo_cycles);
   const double t_co = static_cast<double>(co_result.cycles);
   return std::clamp(2.0 * t_solo / t_co, 1.0, 2.0);
-}
-
-// ComputeNosmtCharge, once per (CPU, kernel) per process: cells that ask for
-// the same charge concurrently wait for the first one instead of repeating it.
-// The CPU is compared by value, as MachineLease compares it: a modified copy
-// of a catalog model is a different CPU with its own charge.
-double MeasuredNosmtCharge(const std::string& name, const CpuModel& cpu) {
-  struct Charge {
-    CpuModel cpu;
-    std::string name;
-    std::once_flag once;
-    double value = 0.0;
-  };
-  static std::mutex mu;
-  static std::list<Charge> cache;
-  Charge* charge = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    for (Charge& known : cache) {
-      if (known.name == name && known.cpu == cpu) {
-        charge = &known;
-        break;
-      }
-    }
-    if (charge == nullptr) {
-      charge = &cache.emplace_back();
-      charge->cpu = cpu;
-      charge->name = name;
-    }
-  }
-  std::call_once(charge->once, [&] { charge->value = ComputeNosmtCharge(name, cpu); });
-  return charge->value;
-}
-
-}  // namespace
-
-const std::vector<std::string>& Parsec::KernelNames() {
-  static const std::vector<std::string> kNames = {"swaptions", "facesim", "bodytrack"};
-  return kNames;
-}
-
-double Parsec::SimulateKernel(const std::string& name, const CpuModel& cpu,
-                              const MitigationConfig& config) {
-  // nosmt: the PARSEC suite is the multithreaded half of the study — with
-  // the sibling thread disabled, each core retires one stream instead of
-  // two overlapping ones. Charge the *measured* co-run throughput from
-  // RunCoResident (see MeasuredNosmtCharge) on parts that have SMT to
-  // lose; single-stream LEBench/Octane latency is unaffected. Measured
-  // before the kernel boots so its machines reuse this thread's slot.
-  const double nosmt_charge =
-      config.smt_off && cpu.smt ? MeasuredNosmtCharge(name, cpu) : 1.0;
-  Kernel kernel(cpu, config);
-  ProgramBuilder& b = kernel.builder();
-  b.BindSymbol("user_main");
-  EmitKernelByName(name, b);
-  kernel.Finalize();
-  // §4.5/§5.5: to see the full SSBD impact the process opts in via prctl.
-  if (config.ssbd == SsbdMode::kAlways || config.ssbd == SsbdMode::kPrctl) {
-    kernel.process(0).ssbd_prctl = config.ssbd == SsbdMode::kPrctl;
-    kernel.machine().SetSsbd(kernel.SsbdActiveFor(kernel.process(0)));
-  }
-  SeedData(kernel.machine());
-  const auto result = kernel.Run("user_main");
-  return static_cast<double>(result.cycles) * nosmt_charge;
 }
 
 double Parsec::Noisy(const std::string& name, double simulated, uint64_t seed) {

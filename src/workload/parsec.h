@@ -28,10 +28,23 @@ class Parsec {
   static const std::vector<std::string>& KernelNames();
 
   // Simulates one kernel to completion under `config`; returns total runtime
-  // in cycles (lower is better). Takes no seed: the simulation is
-  // deterministic.
+  // in cycles (lower is better). One stream runs the same with or without
+  // its SMT sibling, so nosmt does not change the result: what nosmt costs
+  // is NosmtCharge, applied by the caller that prices configs. Takes no
+  // seed: the simulation is deterministic.
   static double SimulateKernel(const std::string& name, const CpuModel& cpu,
                                const MitigationConfig& config);
+
+  // The factor by which nosmt multiplies one kernel's runtime on `cpu`. The
+  // PARSEC suite is the multithreaded half of the study: with SMT on, each
+  // core retires two sibling streams in T_co cycles (RunCoResident on the
+  // shared pipeline); with the sibling disabled, the same two streams
+  // serialize into 2*T_solo. The charge is clamp(2*T_solo / T_co, 1, 2): 1
+  // when the siblings were contention-bound anyway (no SMT yield to lose), 2
+  // at perfect overlap, and exactly 1 on a CPU without SMT. Each call
+  // measures anew; the CPU is the value passed, so a modified copy of a
+  // catalog model gets its own charge.
+  static double NosmtCharge(const std::string& name, const CpuModel& cpu);
 
   // The suite's noise rule: NoisyKernel (measurement.h) with a smaller
   // sigma, 0.004.

@@ -22,6 +22,7 @@
 #include "src/core/counters.h"
 #include "src/core/pareto.h"
 #include "src/jit/jit.h"
+#include "src/workload/parsec.h"
 
 namespace specbench {
 namespace {
@@ -135,9 +136,10 @@ TEST(ParetoGolden, StibpDefendsCrossThreadV2CheaperThanNosmtSomewhere) {
   EXPECT_GT(cpus_where_stibp_wins, 0);
 }
 
-// The basket's grouping premise: LEBench and Octane cannot see smt_off, so
-// on every CPU each smt_off twin's counters equal its partner's, field for
-// field, and one simulation prices both.
+// The basket's grouping premise: no basket workload reads smt_off, so on
+// every CPU each smt_off twin's LEBench and Octane counters equal its
+// partner's, field for field, and so do its PARSEC cycles; one simulation
+// prices both, and the join alone charges nosmt.
 TEST(ParetoBasket, SmtOffTwinsHaveIdenticalCounters) {
   const std::pair<const char*, const char*> kTwins[] = {
       {"defaults", "defaults+nosmt"}, {"defaults+ssbd", "defaults+nosmt+ssbd"}};
@@ -171,6 +173,12 @@ TEST(ParetoBasket, SmtOffTwinsHaveIdenticalCounters) {
           EXPECT_EQ(MeasureOctaneCounters(cpu, JitConfig::AllOn(), on, kernel),
                     MeasureOctaneCounters(cpu, JitConfig::AllOn(), off, kernel))
               << where;
+        } else if (suite == "parsec") {
+          EXPECT_EQ(Parsec::SimulateKernel(kernel, cpu, on),
+                    Parsec::SimulateKernel(kernel, cpu, off))
+              << where;
+        } else {
+          ADD_FAILURE() << "unknown suite in " << where;
         }
       }
       off.smt_off = false;

@@ -560,18 +560,19 @@ TEST(Speculation, LfenceEndsEpisode) {
   Label done = b.NewLabel();
   b.MovImm(1, static_cast<int64_t>(kLenAddr));
   b.Load(2, MemRef{.base = 1});
+  b.MovImm(4, 1000);                // the divide's operand, ready at once
   b.BranchNz(2, wrong);
   b.Jmp(done);
   b.Bind(wrong);
   b.Lfence();                       // stops speculation immediately
-  b.DivImm(3, 2, 5);                // must never run speculatively
+  b.DivImm(3, 4, 5);                // must never run speculatively
   b.Bind(done);
   b.Halt();
   Program p = b.Build();
   m.LoadProgram(&p);
   m.PokeData(kLenAddr, 0);
-  m.cond_predictor().Train(p.VaddrOf(2), true);
-  m.cond_predictor().Train(p.VaddrOf(2), true);
+  m.cond_predictor().Train(p.VaddrOf(3), true);
+  m.cond_predictor().Train(p.VaddrOf(3), true);
   m.caches().Clflush(kLenAddr);
   const uint64_t before = m.PmcValue(Pmc::kArithDividerActive);
   m.Run(p.VaddrOf(0));

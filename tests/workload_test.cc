@@ -151,27 +151,21 @@ TEST(ParsecSuite, DefaultMitigationsNearlyFree) {
 TEST(ParsecSuite, NosmtChargeIsMeasuredAndWithinTheModelledEnvelope) {
   // The nosmt charge is no longer a flat constant: it is derived from the
   // measured co-run (RunCoResident of two kernel instances) as
-  // clamp(2*T_solo/T_co, 1, 2). Recover the applied factor from two runs
-  // that differ only in smt_off — the noise seed is identical, so it
-  // divides out — and pin the modelled envelope: at least 1 (nosmt never
-  // speeds the suite up; store-heavy kernels whose siblings thrash the
-  // shared store buffer legitimately clamp to exactly 1 — no SMT yield to
-  // lose), at most 2 (serializing two streams can at worst double), some
-  // pair with a real yield, and never the old flat 1.25 for every pair.
+  // clamp(2*T_solo/T_co, 1, 2). Pin the modelled envelope: at least 1
+  // (nosmt never speeds the suite up; store-heavy kernels whose siblings
+  // thrash the shared store buffer legitimately clamp to exactly 1 — no SMT
+  // yield to lose), at most 2 (serializing two streams can at worst double),
+  // some pair with a real yield, and never the old flat 1.25 for every pair.
   int exactly_one_quarter = 0;
   int with_real_yield = 0;
   int pairs = 0;
   for (Uarch u : {Uarch::kBroadwell, Uarch::kSkylakeClient, Uarch::kZen3}) {
     const CpuModel& cpu = GetCpuModel(u);
     ASSERT_TRUE(cpu.smt);
-    MitigationConfig nosmt = MitigationConfig::AllOff();
-    nosmt.smt_off = true;
     for (const std::string& name : Parsec::KernelNames()) {
-      const double base = Parsec::RunKernel(name, cpu, MitigationConfig::AllOff(), 21);
-      const double off = Parsec::RunKernel(name, cpu, nosmt, 21);
-      const double charge = off / base;
-      EXPECT_GE(charge, 1.0 - 1e-9) << name << " on " << UarchName(u);
-      EXPECT_LE(charge, 2.0 + 1e-9) << name << " on " << UarchName(u);
+      const double charge = Parsec::NosmtCharge(name, cpu);
+      EXPECT_GE(charge, 1.0) << name << " on " << UarchName(u);
+      EXPECT_LE(charge, 2.0) << name << " on " << UarchName(u);
       if (charge > 1.05) {
         with_real_yield++;
       }
@@ -186,39 +180,29 @@ TEST(ParsecSuite, NosmtChargeIsMeasuredAndWithinTheModelledEnvelope) {
 }
 
 TEST(ParsecSuite, NosmtChargeIsFreeWithoutASibling) {
-  // Zen1 has no SMT: smt_off must not change PARSEC at all.
+  // Zen1 has no SMT: nosmt costs PARSEC nothing.
   const CpuModel& cpu = GetCpuModel(Uarch::kZen1);
   ASSERT_FALSE(cpu.smt);
-  MitigationConfig nosmt = MitigationConfig::AllOff();
-  nosmt.smt_off = true;
   for (const std::string& name : Parsec::KernelNames()) {
-    EXPECT_EQ(Parsec::RunKernel(name, cpu, MitigationConfig::AllOff(), 22),
-              Parsec::RunKernel(name, cpu, nosmt, 22))
-        << name;
+    EXPECT_EQ(Parsec::NosmtCharge(name, cpu), 1.0) << name;
   }
 }
 
 TEST(ParsecSuite, NosmtChargeIsMeasuredPerCpuModelValue) {
-  // The co-run charge is cached per CPU model compared by value, not by
-  // uarch: a perturbed copy of a catalog model (a 10% slower memory) is a
-  // different CPU with its own measured charge, and asking for it neither
-  // returns nor replaces the catalog model's charge.
+  // The co-run charge belongs to the CPU model passed, not to its uarch: a
+  // perturbed copy of a catalog model (a 10% slower memory) is a different
+  // CPU with its own measured charge, and measuring it does not change the
+  // catalog model's charge.
   const CpuModel& broadwell = GetCpuModel(Uarch::kBroadwell);
   CpuModel slower_memory = broadwell;
   slower_memory.latency.mem_latency = broadwell.latency.mem_latency * 11 / 10;
   ASSERT_TRUE(slower_memory.smt);
-  MitigationConfig nosmt = MitigationConfig::AllOff();
-  nosmt.smt_off = true;
-  auto charge = [&nosmt](const CpuModel& cpu) {
-    return Parsec::SimulateKernel("facesim", cpu, nosmt) /
-           Parsec::SimulateKernel("facesim", cpu, MitigationConfig::AllOff());
-  };
-  const double catalog = charge(broadwell);
-  const double perturbed = charge(slower_memory);
+  const double catalog = Parsec::NosmtCharge("facesim", broadwell);
+  const double perturbed = Parsec::NosmtCharge("facesim", slower_memory);
   EXPECT_NE(perturbed, catalog);
   EXPECT_GE(perturbed, 1.0);
   EXPECT_LE(perturbed, 2.0);
-  EXPECT_EQ(charge(broadwell), catalog);
+  EXPECT_EQ(Parsec::NosmtCharge("facesim", broadwell), catalog);
 }
 
 TEST(ParsecSuite, SsbdHurtsFacesimMost) {
